@@ -19,7 +19,7 @@ from .model import (
     US_PER_S,
     event_sort_key,
     int_to_ip,
-    parse_prefix,
+    prefix_mask,
 )
 
 MIN_PREFIX_LEN = 11
@@ -37,6 +37,11 @@ def aggregate_carpet(
     events where the routed-prefix and single-allocation conditions hold;
     everything else passes through unchanged.
 
+    Clustering is greedy, earliest start first: an event joins the open
+    cluster of its (observatory, attack type) when its start is within
+    `concurrency_gap` of the latest end seen so far in that cluster, and
+    opens a new cluster otherwise.
+
     Input must be sorted by start_ts. The output is a partition of the
     input: every event is represented exactly once.
     """
@@ -51,14 +56,19 @@ def aggregate_carpet(
             )
 
     gap_us = int(concurrency_gap * US_PER_S)
-    # Greedy temporal clustering, earliest start first, ties by target.
+    # Ties in start_ts are broken by target. Each key keeps its clusters and
+    # the latest end_ts of its open (last) cluster.
     groups: dict[tuple[str, str], list[list[AttackEvent]]] = {}
+    open_end: dict[tuple[str, str], int] = {}
     for e in sorted(events, key=event_sort_key):
-        clusters = groups.setdefault((e.observatory, e.attack_type), [])
-        if clusters and e.start_ts <= max(x.end_ts for x in clusters[-1]) + gap_us:
+        key = (e.observatory, e.attack_type)
+        clusters = groups.setdefault(key, [])
+        if clusters and e.start_ts <= open_end[key] + gap_us:
             clusters[-1].append(e)
+            open_end[key] = max(open_end[key], e.end_ts)
         else:
             clusters.append([e])
+            open_end[key] = e.end_ts
 
     out: list[AttackEvent] = []
     for clusters in groups.values():
@@ -78,34 +88,27 @@ def _try_merge(
     alloc: AllocationTable,
     min_targets: int,
 ) -> Optional[AttackEvent]:
-    targets = {e.target for e in cluster}
-    if len(targets) < min_targets:
+    networks = {e.target_network() for e in cluster}
+    if len(networks) < min_targets:
         return None
 
     # Longest routed prefix containing every target: any covering prefix
-    # must contain the targets' common ancestor, so walk its ancestors.
-    lo = min(net for net, _ in map(parse_prefix, targets))
-    hi_net, hi_len = max(parse_prefix(t) for t in targets)
-    hi = hi_net | ((1 << (32 - hi_len)) - 1)  # top of the most-specific max prefix
-    diff = lo ^ hi
-    cov_len = 32 - diff.bit_length()
-    cov_net = lo & ~((1 << (32 - cov_len)) - 1) if cov_len else 0
-    hit = routed.longest_covering(cov_net, cov_len)
+    # must contain the span from the lowest to the highest target address,
+    # so walk the ancestors of that span's common prefix.
+    lo = min(net for net, _ in networks)
+    hi = max(net | ((1 << (32 - plen)) - 1) for net, plen in networks)
+    cov_len = 32 - (lo ^ hi).bit_length()
+    hit = routed.longest_covering(lo & prefix_mask(cov_len), cov_len)
     if hit is None:
         return None
     prefix, plen, _asn = hit
     if not MIN_PREFIX_LEN <= plen <= MAX_PREFIX_LEN:
         return None
 
-    blocks = set()
-    for t in targets:
-        net, tlen = parse_prefix(t)
-        lo_block = alloc.block_of(int_to_ip(net))
-        hi_block = alloc.block_of(int_to_ip(net | ((1 << (32 - tlen)) - 1)))
-        if lo_block is None or lo_block != hi_block:
-            return None
-        blocks.add(lo_block)
-    if len(blocks) != 1:
+    # Blocks are disjoint prefixes, so one block holds every target exactly
+    # when it holds both ends of the span.
+    block = alloc.block_of(int_to_ip(lo))
+    if block is None or block != alloc.block_of(int_to_ip(hi)):
         return None
 
     members: list[str] = []

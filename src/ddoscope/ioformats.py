@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from datetime import date
 from pathlib import Path
 from typing import Iterable, Optional
@@ -38,6 +39,7 @@ FLOWS_HEADER = "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_t
 ROUTED_HEADER = "prefix,asn"
 ALLOC_HEADER = "prefix,registry"
 TARGETS_HEADER = "date,ip"
+_SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
 class FormatError(ValueError):
@@ -256,7 +258,7 @@ def read_hashed_targets(path) -> set[str]:
             line = line.strip()
             if not line:
                 continue
-            if len(line) != 64 or any(c not in "0123456789abcdef" for c in line):
+            if not _SHA256_HEX.fullmatch(line):
                 raise FormatError(f"{path}:{lineno}: not a lowercase sha256 hex digest")
             digests.add(line)
     return digests

@@ -7,7 +7,7 @@ after construction and safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -23,17 +23,17 @@ KEY_FIELDS = ("protocol", "src_ip", "src_prefix", "src_port", "dst_ip", "dst_por
 # IPv4 helpers
 # ---------------------------------------------------------------------------
 
+# Every valid octet spelling: ASCII decimal 0-255 without leading zeros.
+_OCTETS = {str(i): i for i in range(256)}
+
+
 def ip_to_int(ip: str) -> int:
     """Parse a dotted-quad IPv4 address. IPv6 (or anything else) is rejected."""
-    parts = ip.split(".")
-    if len(parts) != 4:
-        raise ValueError(f"not an IPv4 address: {ip!r}")
-    value = 0
-    for p in parts:
-        if not p.isdigit() or (len(p) > 1 and p[0] == "0") or int(p) > 255:
-            raise ValueError(f"not an IPv4 address: {ip!r}")
-        value = (value << 8) | int(p)
-    return value
+    try:
+        a, b, c, d = ip.split(".")
+        return (_OCTETS[a] << 24) | (_OCTETS[b] << 16) | (_OCTETS[c] << 8) | _OCTETS[d]
+    except (ValueError, KeyError):
+        raise ValueError(f"not an IPv4 address: {ip!r}") from None
 
 
 def int_to_ip(value: int) -> str:
@@ -47,15 +47,14 @@ def parse_prefix(prefix: str) -> tuple[int, int]:
 
     Host bits must be zero; "a.b.c.d" alone is treated as a /32.
     """
-    if "/" in prefix:
-        addr, _, lenstr = prefix.partition("/")
-        if not lenstr.isdigit() or int(lenstr) > 32:
-            raise ValueError(f"bad prefix length in {prefix!r}")
-        plen = int(lenstr)
-    else:
-        addr, plen = prefix, 32
+    addr, slash, lenstr = prefix.partition("/")
+    if not slash:
+        return ip_to_int(addr), 32
+    if not (lenstr.isascii() and lenstr.isdigit()) or int(lenstr) > 32:
+        raise ValueError(f"bad prefix length in {prefix!r}")
+    plen = int(lenstr)
     net = ip_to_int(addr)
-    if net & ~prefix_mask(plen) & 0xFFFFFFFF:
+    if net & ((1 << (32 - plen)) - 1):
         raise ValueError(f"host bits set in prefix {prefix!r}")
     return net, plen
 
@@ -203,7 +202,7 @@ class AttackDefinition:
             raise ValueError("src_prefix_len must be in [1, 32]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttackEvent:
     """One inferred attack, the unit counted by all downstream analyses.
 
@@ -223,6 +222,8 @@ class AttackEvent:
     sensors: frozenset[str] = frozenset()
     source_ips: Optional[int] = None
     member_targets: Optional[tuple[str, ...]] = None
+    # (network int, prefix length) of `target`, parsed once at construction
+    _network: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.attack_type not in ATTACK_TYPES:
@@ -234,16 +235,19 @@ class AttackEvent:
         net, plen = parse_prefix(self.target)
         if not 11 <= plen <= 32:
             raise ValueError(f"target prefix length {plen} outside [11, 32]")
-        object.__setattr__(self, "target", format_prefix(net, plen))
+        # ip_to_int accepts only canonical dotted-quads, so only the length
+        # spelling ("/032", or none for a bare address) may need rewriting
+        object.__setattr__(self, "target", f"{self.target.partition('/')[0]}/{plen}")
+        object.__setattr__(self, "_network", (net, plen))
         if not isinstance(self.sensors, frozenset):
             object.__setattr__(self, "sensors", frozenset(self.sensors))
 
     def target_network(self) -> tuple[int, int]:
-        return parse_prefix(self.target)
+        return self._network
 
     def host_targets(self) -> tuple[str, ...]:
         """Host IPs this event stands for (see build_targets)."""
-        net, plen = parse_prefix(self.target)
+        net, plen = self._network
         if plen == 32:
             return (int_to_ip(net),)
         if self.member_targets is not None:
@@ -262,7 +266,7 @@ class TargetTuple(NamedTuple):
 
 
 def event_sort_key(e: AttackEvent) -> tuple:
-    net, plen = parse_prefix(e.target)
+    net, plen = e._network
     return (e.start_ts, net, plen, e.observatory, e.attack_type)
 
 

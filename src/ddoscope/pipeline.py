@@ -425,9 +425,12 @@ def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
             }
             write_json(bundle.path("upset.json"), doc)
         if cfg.overlap_series:
-            daily = {
-                name: build_targets(events[name], "per_day") for name in sorted(events)
-            }
+            if cfg.target_mode == "per_day":
+                daily = sets
+            else:
+                daily = {
+                    name: build_targets(events[name], "per_day") for name in sorted(events)
+                }
             names = sorted(daily)
             for i, a in enumerate(names):
                 for b in names[i + 1:]:

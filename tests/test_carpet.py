@@ -167,3 +167,34 @@ class TestCarpetProperties:
                 )
                 assert oracle is not None
                 assert oracle[0] == e.target
+
+
+class TestCarpetClustering:
+    def test_cluster_extends_to_latest_end_seen(self):
+        # the short event ends long before the third starts, but the long
+        # first event is still running: all three are one cluster
+        events = [
+            ev("203.0.113.5", 0, 1000),
+            ev("203.0.113.6", 10, 20),
+            ev("203.0.113.7", 500, 600),
+        ]
+        out = aggregate_carpet(events, ROUTED, ALLOC, concurrency_gap=60.0)
+        assert len(out) == 1
+        assert out[0].member_targets == ("203.0.113.5", "203.0.113.6", "203.0.113.7")
+        assert (out[0].start_ts, out[0].end_ts) == (0, 1000 * US_PER_S)
+
+    def test_nested_targets_cover_the_widest_one(self):
+        # the /32 sorts above the /24 as (net, plen), but the /24 reaches
+        # higher; the covering prefix must hold every member host
+        routed = RoutedPrefixTable([("10.0.0.0/16", 64500), ("10.0.0.0/28", 64500)])
+        alloc = AllocationTable([("10.0.0.0/16", "arin")])
+        wide = AttackEvent(
+            observatory="hp", attack_type="RA", target="10.0.0.0/24",
+            start_ts=0, end_ts=100 * US_PER_S, packets=10,
+            member_targets=("10.0.0.7", "10.0.0.200"),
+        )
+        host = ev("10.0.0.1", 10, 90)
+        out = aggregate_carpet([wide, host], routed, alloc)
+        assert len(out) == 1
+        assert out[0].target == "10.0.0.0/16"
+        assert out[0].member_targets == ("10.0.0.1", "10.0.0.200", "10.0.0.7")

@@ -113,3 +113,16 @@ class TestTargets:
         p.write_text("nothex\n")
         with pytest.raises(FormatError, match="sha256"):
             read_hashed_targets(p)
+
+    @pytest.mark.parametrize("bad", [
+        "AB" * 32,                       # uppercase
+        "ab" * 31,                       # short
+        "ab" * 33,                       # long
+        "g" + "a" * 63,                  # non-hex letter
+        "ab" * 16 + " " + "a" * 31,      # inner blank
+    ])
+    def test_hashed_rejects_bad_line_with_location(self, tmp_path, bad):
+        p = tmp_path / "hashes.txt"
+        p.write_text("ab" * 32 + "\n\n" + bad + "\n")
+        with pytest.raises(FormatError, match=r"hashes\.txt:3: not a lowercase sha256"):
+            read_hashed_targets(p)

@@ -25,9 +25,12 @@ class TestIpParsing:
         for ip in ("0.0.0.0", "10.1.2.3", "255.255.255.255", "203.0.113.9"):
             assert int_to_ip(ip_to_int(ip)) == ip
 
-    @pytest.mark.parametrize("bad", ["2001:db8::1", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1.2.3.04"])
+    @pytest.mark.parametrize("bad", [
+        "2001:db8::1", "1.2.3", "1.2.3.4.5", "256.0.0.1", "a.b.c.d", "1.2.3.04",
+        "\u0661.2.3.4",  # Arabic-Indic digit one: a Unicode decimal, not ASCII
+    ])
     def test_rejects_non_ipv4(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not an IPv4 address"):
             ip_to_int(bad)
 
     def test_prefix_host_bits(self):
@@ -35,6 +38,10 @@ class TestIpParsing:
         assert parse_prefix("203.0.113.9") == (ip_to_int("203.0.113.9"), 32)
         with pytest.raises(ValueError):
             parse_prefix("203.0.113.1/24")
+
+    def test_prefix_length_ascii_only(self):
+        with pytest.raises(ValueError, match="bad prefix length"):
+            parse_prefix("203.0.113.0/\u0662\u0664")  # Arabic-Indic "24"
 
 
 class TestPacketRecord:
