@@ -4,6 +4,10 @@ Subcommands: synth, detect (telescope|honeypot|flow), aggregate, trends,
 correlate, overlap, confirm, pipeline. Exit codes: 0 success, 2 config
 error, 3 data error, 4 internal invariant violation.
 
+The commands call the pipeline's stage functions (`detect_observatory`,
+`upset_document`, `confirm_document`), so a step run on its own gives the
+same bytes as the matching file of a pipeline bundle.
+
 File schemas (headers are exact):
   packets.csv  ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
   attacks.csv  observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors
@@ -15,6 +19,7 @@ File schemas (headers are exact):
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -24,35 +29,37 @@ import click
 
 from . import __version__
 from .carpet import aggregate_carpet
-from .flowclass import AMPLIFICATION_PORTS, classify_flow
-from .honeypot import PRESETS, aggregate_sensors, detect_honeypot, preset
+from .flowclass import AMPLIFICATION_PORTS
+from .honeypot import PRESETS
 from .ioformats import (
-    FormatError,
     read_alloc_table,
     read_attacks,
-    read_flows,
-    read_hashed_targets,
-    read_packets,
     read_routed_table,
     read_series,
     read_targets,
     write_attacks,
     write_json,
     write_series,
+    write_weekly_csv,
 )
 from .model import TargetTuple
 from .overlap import (
     TargetSetSystem,
     as_attribution,
     build_targets,
-    federated_confirm,
     new_vs_recurring,
     overlap_timeseries,
-    upset_exclusive,
 )
-from .pipeline import PipelineConfig, PipelineError, run_pipeline
+from .pipeline import (
+    ObservatoryConfig,
+    PipelineConfig,
+    PipelineError,
+    confirm_document,
+    detect_observatory,
+    run_pipeline,
+    upset_document,
+)
 from .synth import ScenarioSpec, generate, write_scenario
-from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 from .trends import (
     ewma,
     linreg_trend,
@@ -80,9 +87,6 @@ def _guarded(fn):
         except PipelineError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit({"config": EXIT_CONFIG, "data": EXIT_DATA}.get(exc.kind, EXIT_INTERNAL))
-        except (FormatError,) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_DATA)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA)
@@ -94,6 +98,15 @@ def _guarded(fn):
             sys.exit(EXIT_INTERNAL)
 
     return wrapper
+
+
+def _emit(doc, out_path) -> None:
+    """Write `doc` as JSON to `out_path`, or print it when no path is given."""
+    if out_path:
+        write_json(out_path, doc)
+        click.echo(out_path)
+    else:
+        click.echo(json.dumps(doc, indent=2, sort_keys=True))
 
 
 @click.group()
@@ -115,8 +128,7 @@ def synth(spec_path, out_dir, seed):
     """Generate a synthetic scenario with ground truth."""
     spec = ScenarioSpec.load(spec_path)
     if seed is not None:
-        spec = ScenarioSpec(seed, spec.duration_s, spec.telescope_addresses,
-                            spec.honeypot_sensors, spec.attacks)
+        spec = dataclasses.replace(spec, seed=seed)
     written = write_scenario(generate(spec), out_dir)
     for p in written:
         click.echo(p)
@@ -129,6 +141,12 @@ def detect():
     """Infer attacks from observatory data."""
 
 
+def _detect(o: ObservatoryConfig, out_path) -> None:
+    events = detect_observatory(o)
+    write_attacks(out_path, events)
+    click.echo(f"{len(events)} attacks -> {out_path}")
+
+
 @detect.command("telescope")
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None,
               help="JSON with TelescopeConfig fields (n_addresses required).")
@@ -138,19 +156,12 @@ def detect():
 @_guarded
 def detect_telescope_cmd(config_path, inputs, out_path, observatory):
     """RSDoS inference from telescope backscatter (packets.csv)."""
-    cfg_doc = {}
+    telescope = {}
     if config_path:
         with open(config_path) as fh:
-            cfg_doc = json.load(fh)
-    cfg = TelescopeConfig(**cfg_doc)
-    packets = []
-    for path in inputs:
-        packets.extend(read_packets(path))
-    packets.sort(key=lambda p: p.ts)
-    packets = backscatter_prefilter(packets, cfg.backscatter_filter)
-    events = detect_rsdos(packets, cfg, observatory=observatory)
-    write_attacks(out_path, events)
-    click.echo(f"{len(events)} attacks -> {out_path}")
+            telescope = json.load(fh)
+    _detect(ObservatoryConfig(observatory, "telescope", list(inputs), telescope=telescope),
+            out_path)
 
 
 @detect.command("honeypot")
@@ -162,25 +173,18 @@ def detect_telescope_cmd(config_path, inputs, out_path, observatory):
               help="Extra column naming the sensor when dst_ip does not.")
 @click.option("--merge-gap", type=float, default=None,
               help="Cross-sensor merge gap in seconds (default: preset timeout).")
-@click.option("--aggregate/--no-aggregate", "do_aggregate", default=True,
-              help="Merge per-sensor events into per-attack events.")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--observatory", default=None, help="Defaults to the preset name.")
 @_guarded
-def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, do_aggregate,
-                        out_path, observatory):
-    """Reflection-amplification inference from honeypot request logs."""
-    pre = preset(preset_name)
-    packets = []
-    for path in inputs:
-        packets.extend(read_packets(path, sensor_col=sensor_col))
-    events = detect_honeypot(packets, pre.definition,
-                             observatory=observatory or pre.name)
-    if do_aggregate:
-        gap = pre.definition.timeout if merge_gap is None else merge_gap
-        events = aggregate_sensors(events, gap)
-    write_attacks(out_path, events)
-    click.echo(f"{len(events)} attacks -> {out_path}")
+def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, observatory):
+    """Reflection-amplification inference from honeypot request logs.
+
+    Per-sensor events are merged into per-attack events.
+    """
+    _detect(ObservatoryConfig(observatory or preset_name, "honeypot", list(inputs),
+                              preset=preset_name, merge_gap=merge_gap,
+                              sensor_col=sensor_col),
+            out_path)
 
 
 @detect.command("flow")
@@ -193,17 +197,8 @@ def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, do_aggregate
 @_guarded
 def detect_flow_cmd(inputs, out_path, ampl_ports, observatory):
     """RA/DP classification of flow summaries (flows.csv)."""
-    ports = AMPLIFICATION_PORTS
-    if ampl_ports:
-        ports = frozenset(int(p) for p in ampl_ports.split(","))
-    events = []
-    for path in inputs:
-        for f in read_flows(path):
-            e = classify_flow(f, ports, observatory=observatory)
-            if e is not None:
-                events.append(e)
-    write_attacks(out_path, events)
-    click.echo(f"{len(events)} attacks -> {out_path}")
+    ports = [int(p) for p in ampl_ports.split(",")] if ampl_ports else None
+    _detect(ObservatoryConfig(observatory, "flow", list(inputs), ampl_ports=ports), out_path)
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -313,11 +308,7 @@ def correlate(a_path, b_path, method, quarterly, out_path):
             "rho": r.rho, "p_value": r.p_value, "n": r.n,
             "significant": r.significant,
         }
-    if out_path:
-        write_json(out_path, doc)
-        click.echo(out_path)
-    else:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    _emit(doc, out_path)
 
 
 # -- overlap ------------------------------------------------------------------
@@ -364,36 +355,19 @@ def overlap_cmd(set_specs, mode, do_upset, timeseries, new_rec, attribution,
                 routed, top_n, out_path):
     """Target-overlap analyses over observatory target sets."""
     sets = _parse_sets(set_specs, mode)
-    system = TargetSetSystem.from_dict(sets)
-    union = set().union(*sets.values()) if sets else set()
+    union = set().union(*sets.values())
     if do_upset:
-        counts = upset_exclusive(system)
-        doc = {
-            "sets": {k: len(v) for k, v in sets.items()},
-            "union": len(union),
-            "exclusive": {"&".join(sorted(s)): c for s, c in counts.items()},
-        }
-        if out_path:
-            write_json(out_path, doc)
-            click.echo(out_path)
-        else:
-            click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        _emit(upset_document(sets), out_path)
     if timeseries:
         if len(sets) != 2:
             raise ValueError("--timeseries needs exactly two sets")
         (la, ta), (lb, tb) = sets.items()
-        sa, sb, si = overlap_timeseries(ta, tb, (la, lb))
-        with open(timeseries, "w") as fh:
-            fh.write(f"week,{la},{lb},intersection\n")
-            for w, va, vb, vi in zip(sa.weeks(), sa.values, sb.values, si.values):
-                fh.write(f"{w.isoformat()},{va:g},{vb:g},{vi:g}\n")
+        write_weekly_csv(timeseries, (la, lb, "intersection"),
+                         overlap_timeseries(ta, tb, (la, lb)))
         click.echo(timeseries)
     if new_rec:
-        sn, sr, sc = new_vs_recurring(union)
-        with open(new_rec, "w") as fh:
-            fh.write("week,new,recurring,cumulative_new\n")
-            for w, vn, vr, vc in zip(sn.weeks(), sn.values, sr.values, sc.values):
-                fh.write(f"{w.isoformat()},{vn:g},{vr:g},{vc:g}\n")
+        write_weekly_csv(new_rec, ("new", "recurring", "cumulative_new"),
+                         new_vs_recurring(union))
         click.echo(new_rec)
     if attribution:
         if not routed:
@@ -428,17 +402,7 @@ def confirm(locals_, external, salt, out_path):
         if not path:
             label, path = (f"local{i}" if len(locals_) > 1 else "local"), label
         sets[label] = read_targets(path)
-    system = TargetSetSystem.from_dict(sets)
-    shares = federated_confirm(system, read_hashed_targets(external), salt)
-    doc = {
-        "external_digests": len(read_hashed_targets(external)),
-        "shares": {"&".join(sorted(k)): v for k, v in shares.items()},
-    }
-    if out_path:
-        write_json(out_path, doc)
-        click.echo(out_path)
-    else:
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+    _emit(confirm_document(TargetSetSystem.from_dict(sets), external, salt), out_path)
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -13,6 +13,8 @@ Built-in presets:
   newkid        key (src_prefix/24, dst_ip), timeout 1 min, >=5 pkts across
                 >=2 distinct dst ports (the multi-protocol rule)
   newkid-mono   key (src_prefix/24, dst_ip, dst_port), timeout 1 min, >=5 pkts
+
+Prefix-keyed events record the hosts they saw as member targets.
 """
 
 from __future__ import annotations
@@ -106,11 +108,14 @@ def _flow_key(p: PacketRecord, d: AttackDefinition) -> tuple:
     return tuple(key)
 
 
-def _target_of(d: AttackDefinition, key: tuple, flow: list[PacketRecord]) -> str:
+def _target_of(
+    d: AttackDefinition, key: tuple, flow: list[PacketRecord]
+) -> tuple[str, Optional[tuple[str, ...]]]:
+    """Event target and, for a prefix key, the member hosts seen."""
     if "src_prefix" in d.key_fields:
         net = key[d.key_fields.index("src_prefix")]
-        return format_prefix(net, d.src_prefix_len)
-    return f"{flow[0].src_ip}/32"
+        return format_prefix(net, d.src_prefix_len), tuple(sorted({p.src_ip for p in flow}))
+    return f"{flow[0].src_ip}/32", None
 
 
 def detect_honeypot(
@@ -166,15 +171,17 @@ def _flow_to_event(
     if d.duration_threshold is not None:
         if flow[-1].ts - flow[0].ts < d.duration_threshold * US_PER_S:
             return None
+    target, members = _target_of(d, key, flow)
     return AttackEvent(
         observatory=observatory,
         attack_type="RA",
-        target=_target_of(d, key, flow),
+        target=target,
         start_ts=flow[0].ts,
         end_ts=flow[-1].ts,
         packets=len(flow),
         bytes=sum(p.len_bytes for p in flow),
         sensors=frozenset(p.dst_ip for p in flow),
+        member_targets=members,
     )
 
 
@@ -211,6 +218,9 @@ def _merge(a: AttackEvent, b: AttackEvent) -> AttackEvent:
     total_bytes = None
     if a.bytes is not None and b.bytes is not None:
         total_bytes = a.bytes + b.bytes
+    members = None
+    if a.member_targets is not None or b.member_targets is not None:
+        members = tuple(sorted({*(a.member_targets or ()), *(b.member_targets or ())}))
     return AttackEvent(
         observatory=a.observatory,
         attack_type=a.attack_type,
@@ -220,4 +230,5 @@ def _merge(a: AttackEvent, b: AttackEvent) -> AttackEvent:
         packets=a.packets + b.packets,
         bytes=total_bytes,
         sensors=a.sensors | b.sensors,
+        member_targets=members,
     )

@@ -21,7 +21,7 @@ import json
 import re
 from datetime import date
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     AttackEvent,
@@ -300,6 +300,14 @@ def write_series(path, series: WeeklySeries) -> None:
     with open(path, "w") as fh:
         json.dump(series_to_json(series), fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_weekly_csv(path, header: Sequence[str], series: Sequence[WeeklySeries]) -> None:
+    """CSV of series on one week grid; `header` names the columns after `week`."""
+    with open(path, "w") as fh:
+        fh.write(",".join(("week", *header)) + "\n")
+        for week, *values in zip(series[0].weeks(), *(s.values for s in series)):
+            fh.write(week.isoformat() + "".join(f",{v:g}" for v in values) + "\n")
 
 
 def write_json(path, doc) -> None:

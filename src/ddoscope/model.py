@@ -176,7 +176,6 @@ class AttackDefinition:
     timeout: float                                   # seconds
     pkt_threshold: int
     duration_threshold: Optional[float] = None       # seconds
-    rate_threshold: Optional[tuple[int, float, float]] = None  # (packets, window s, slide s)
     port_threshold: Optional[int] = None             # min distinct dst ports
     src_prefix_len: int = 24
 
@@ -192,10 +191,6 @@ class AttackDefinition:
             raise ValueError("timeout must be positive")
         if self.pkt_threshold < 1:
             raise ValueError("pkt_threshold must be >= 1")
-        if self.rate_threshold is not None:
-            pkts, window, slide = self.rate_threshold
-            if not (window > slide > 0) or pkts < 1:
-                raise ValueError("rate_threshold requires window > slide > 0 and packets >= 1")
         if self.port_threshold is not None and self.port_threshold < 1:
             raise ValueError("port_threshold must be >= 1")
         if not 1 <= self.src_prefix_len <= 32:
@@ -317,11 +312,6 @@ class RoutedPrefixTable:
             if hit is not None:
                 return (hit[0], length, hit[1])
         return None
-
-
-def longest_prefix_match(table: RoutedPrefixTable, ip: str) -> Optional[tuple[str, int]]:
-    """Most specific covering (prefix, ASN) entry of `table` for `ip`."""
-    return table.lookup(ip)
 
 
 class AllocationTable:

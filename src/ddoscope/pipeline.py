@@ -2,15 +2,19 @@
 prefix aggregation, trend series, correlation matrix, and target overlap,
 emitted as one reproducible bundle.
 
+The CLI's detect, overlap and confirm commands call the same stage
+functions (`detect_observatory`, `upset_document`, `confirm_document`).
+
 The bundle is deterministic: identical config and inputs produce
-byte-identical files at any parallelism degree, and manifest.json records
-the config hash, seed, version, and a sha256 per output file. Any stage
+byte-identical files, and manifest.json records the config hash, seed,
+version, and a sha256 per output file. Detection runs serially, so the
+validated `parallelism` setting does not change any output. Any stage
 failure removes the partial outputs and aborts with the stage name.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import dataclasses
 import glob as globmod
 import hashlib
 import json
@@ -33,8 +37,9 @@ from .ioformats import (
     write_json,
     write_series,
     write_targets,
+    write_weekly_csv,
 )
-from .model import AttackEvent, ts_to_date
+from .model import AttackEvent, TargetTuple, ts_to_date
 from .overlap import (
     TargetSetSystem,
     build_targets,
@@ -47,6 +52,7 @@ from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 from .trends import ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
 
 OBSERVATORY_TYPES = ("telescope", "honeypot", "flow")
+TELESCOPE_KEYS = frozenset(f.name for f in dataclasses.fields(TelescopeConfig))
 
 
 class PipelineError(Exception):
@@ -153,36 +159,45 @@ class PipelineConfig:
         return cfg
 
 
+def _config_error(message: str) -> PipelineError:
+    return PipelineError("config", message, "config")
+
+
 def _validate(cfg: PipelineConfig) -> None:
     names = [o.name for o in cfg.observatories]
     if len(set(names)) != len(names):
-        raise PipelineError("config", "observatory names must be unique", "config")
+        raise _config_error("observatory names must be unique")
     if not cfg.observatories:
-        raise PipelineError("config", "no observatories configured", "config")
+        raise _config_error("no observatories configured")
     for o in cfg.observatories:
         if o.type not in OBSERVATORY_TYPES:
-            raise PipelineError("config", f"unknown observatory type {o.type!r}", "config")
+            raise _config_error(f"unknown observatory type {o.type!r}")
         if o.type == "honeypot" and cfg.scenario is None and not o.preset:
-            raise PipelineError("config", f"honeypot {o.name!r} needs a preset", "config")
+            raise _config_error(f"honeypot {o.name!r} needs a preset")
         if not o.inputs and cfg.scenario is None:
-            raise PipelineError("config", f"observatory {o.name!r} has no inputs", "config")
+            raise _config_error(f"observatory {o.name!r} has no inputs")
+        if o.type == "telescope":
+            unknown = sorted(set(o.telescope) - TELESCOPE_KEYS)
+            if unknown:
+                raise _config_error(f"telescope {o.name!r}: unknown config keys {unknown}")
+            # synth fills n_addresses in only for observatories without inputs
+            if "n_addresses" not in o.telescope and (o.inputs or cfg.scenario is None):
+                raise _config_error(f"telescope {o.name!r} needs config.n_addresses")
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
-        raise PipelineError(
-            "config", f"aggregation enabled but the {missing} table is not configured", "config"
-        )
+        raise _config_error(f"aggregation enabled but the {missing} table is not configured")
     if cfg.correlation not in ("spearman", "pearson"):
-        raise PipelineError("config", f"unknown correlation {cfg.correlation!r}", "config")
+        raise _config_error(f"unknown correlation {cfg.correlation!r}")
     if cfg.target_mode not in ("start_date", "per_day"):
-        raise PipelineError("config", f"unknown target mode {cfg.target_mode!r}", "config")
+        raise _config_error(f"unknown target mode {cfg.target_mode!r}")
     if (cfg.confirm_external is None) != (cfg.confirm_salt is None):
-        raise PipelineError("config", "confirm needs both external file and salt", "config")
+        raise _config_error("confirm needs both external file and salt")
     for p, what in ((cfg.scenario, "scenario"), (cfg.routed, "routed table"),
                     (cfg.alloc, "allocation table"), (cfg.confirm_external, "external hashes")):
         if p is not None and not Path(p).exists():
-            raise PipelineError("config", f"{what} file not found: {p}", "config")
+            raise _config_error(f"{what} file not found: {p}")
     if cfg.parallelism < 1:
-        raise PipelineError("config", "parallelism must be >= 1", "config")
+        raise _config_error("parallelism must be >= 1")
 
 
 class _Bundle:
@@ -242,13 +257,7 @@ def _stage_synth(cfg: PipelineConfig, bundle: _Bundle) -> Optional[int]:
     try:
         spec = ScenarioSpec.load(cfg.scenario)
         if cfg.seed is not None:
-            spec = ScenarioSpec(
-                seed=cfg.seed,
-                duration_s=spec.duration_s,
-                telescope_addresses=spec.telescope_addresses,
-                honeypot_sensors=spec.honeypot_sensors,
-                attacks=spec.attacks,
-            )
+            spec = dataclasses.replace(spec, seed=cfg.seed)
         generated = generate(spec)
         input_dir = bundle.root / "inputs"
         for p in write_scenario(generated, input_dir):
@@ -287,7 +296,8 @@ def _expand_inputs(o: ObservatoryConfig) -> list[str]:
     return paths
 
 
-def _detect_one(o: ObservatoryConfig) -> list[AttackEvent]:
+def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
+    """Attack events of one observatory from its input files (globs allowed)."""
     paths = _expand_inputs(o)
     if o.type == "telescope":
         tcfg = TelescopeConfig(**o.telescope)
@@ -318,12 +328,8 @@ def _detect_one(o: ObservatoryConfig) -> list[AttackEvent]:
 def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, list[AttackEvent]]:
     results: dict[str, list[AttackEvent]] = {}
     try:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            futures = {pool.submit(_detect_one, o): o.name for o in cfg.observatories}
-            for fut, name in futures.items():
-                results[name] = fut.result()
-    except PipelineError:
-        raise
+        for o in cfg.observatories:
+            results[o.name] = detect_observatory(o)
     except (FormatError, ValueError) as exc:
         raise PipelineError("detect", str(exc), "data") from exc
     for o in cfg.observatories:
@@ -405,6 +411,26 @@ def _stage_correlate(cfg, bundle, serieses) -> None:
     write_json(bundle.path("correlations.json"), matrix)
 
 
+def upset_document(sets: dict[str, set[TargetTuple]]) -> dict:
+    """Set sizes, union size and UpSet exclusive-intersection counts."""
+    counts = upset_exclusive(TargetSetSystem.from_dict(sets))
+    return {
+        "sets": {name: len(tuples) for name, tuples in sets.items()},
+        "union": len(frozenset().union(*sets.values())),
+        "exclusive": {"&".join(sorted(subset)): count for subset, count in counts.items()},
+    }
+
+
+def confirm_document(system: TargetSetSystem, external_path, salt: str) -> dict:
+    """Share of each exclusive subset confirmed by a hashed external set."""
+    external = read_hashed_targets(external_path)
+    shares = federated_confirm(system, external, salt)
+    return {
+        "external_digests": len(external),
+        "shares": {"&".join(sorted(k)): v for k, v in shares.items()},
+    }
+
+
 def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
     try:
         sets = {
@@ -415,15 +441,7 @@ def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
         for name, tuples in sets.items():
             write_targets(bundle.path("targets", f"{name}.csv"), tuples)
         if cfg.upset:
-            counts = upset_exclusive(system)
-            doc = {
-                "sets": {name: len(sets[name]) for name in sets},
-                "union": len(frozenset().union(*sets.values())),
-                "exclusive": {
-                    "&".join(sorted(subset)): count for subset, count in counts.items()
-                },
-            }
-            write_json(bundle.path("upset.json"), doc)
+            write_json(bundle.path("upset.json"), upset_document(sets))
         if cfg.overlap_series:
             if cfg.target_mode == "per_day":
                 daily = sets
@@ -436,12 +454,10 @@ def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
                 for b in names[i + 1:]:
                     if not (daily[a] | daily[b]):
                         continue
-                    sa, sb, si = overlap_timeseries(daily[a], daily[b], (a, b))
-                    path = bundle.path("overlap", f"{a}_{b}.csv")
-                    with open(path, "w") as fh:
-                        fh.write(f"week,{a},{b},intersection\n")
-                        for w, va, vb, vi in zip(sa.weeks(), sa.values, sb.values, si.values):
-                            fh.write(f"{w.isoformat()},{va:g},{vb:g},{vi:g}\n")
+                    write_weekly_csv(
+                        bundle.path("overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
+                        overlap_timeseries(daily[a], daily[b], (a, b)),
+                    )
         return system
     except ValueError as exc:
         raise PipelineError("overlap", str(exc), "data") from exc
@@ -449,12 +465,7 @@ def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
 
 def _stage_confirm(cfg, bundle, system: TargetSetSystem) -> None:
     try:
-        external = read_hashed_targets(cfg.confirm_external)
-        shares = federated_confirm(system, external, cfg.confirm_salt)
-        doc = {
-            "external_digests": len(external),
-            "shares": {"&".join(sorted(k)): v for k, v in shares.items()},
-        }
+        doc = confirm_document(system, cfg.confirm_external, cfg.confirm_salt)
         write_json(bundle.path("confirm.json"), doc)
     except (FormatError, ValueError) as exc:
         raise PipelineError("confirm", str(exc), "data") from exc

@@ -1,4 +1,5 @@
 import json
+from datetime import date
 from pathlib import Path
 
 import pytest
@@ -9,7 +10,7 @@ from ddoscope.model import US_PER_S
 from ddoscope.overlap import hash_targets
 from ddoscope.ioformats import read_attacks, read_targets
 
-from conftest import write_pipeline_fixture
+from conftest import FIRST_MONDAY, write_pipeline_fixture
 
 
 @pytest.fixture
@@ -92,6 +93,66 @@ class TestDetectCommands:
         events = read_attacks(out)
         assert [e.attack_type for e in events] == ["DP"]
         assert events[0].target == "203.0.113.11/32"
+
+
+class TestCliMatchesPipeline:
+    """Each CLI step gives the same bytes as the matching bundle file."""
+
+    def test_outputs_byte_identical(self, runner, generated, tmp_path):
+        # The scenario spans one hour, and the trend stage needs two weeks of
+        # data, so one flow summary from the following week rides along.
+        late = tmp_path / "late_flows.csv"
+        late.write_text(
+            "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n"
+            f"203.0.113.11,6,0,20,200000000,{(FIRST_MONDAY + 3600) * US_PER_S},"
+            f"{(FIRST_MONDAY + 3900) * US_PER_S}\n"
+        )
+        honeypots = [str(p) for p in sorted(generated.glob("honeypot_*.csv"))]
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "out_dir": str(tmp_path / "bundle"),
+            "observatories": [
+                {"name": "scope", "type": "telescope",
+                 "inputs": [str(generated / "telescope.csv")],
+                 "config": {"n_addresses": 2 ** 22}},
+                {"name": "hop", "type": "honeypot", "preset": "hopscotch",
+                 "inputs": honeypots},
+                {"name": "ixp", "type": "flow",
+                 "inputs": [str(generated / "flows.csv"), str(late)]},
+            ],
+            "analysis": {"normalize": False, "ewma_span": None},
+        }))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        bundle = tmp_path / "bundle"
+
+        tcfg = tmp_path / "tcfg.json"
+        tcfg.write_text(json.dumps({"n_addresses": 2 ** 22}))
+        cli = tmp_path / "cli"
+        cli.mkdir()
+        invoke(runner, ["detect", "telescope", "--config", str(tcfg), "--observatory", "scope",
+                        "--in", str(generated / "telescope.csv"),
+                        "--out", str(cli / "attacks_scope.csv")])
+        invoke(runner, ["detect", "honeypot", "--preset", "hopscotch", "--observatory", "hop",
+                        *[a for p in honeypots for a in ("--in", p)],
+                        "--out", str(cli / "attacks_hop.csv")])
+        invoke(runner, ["detect", "flow", "--observatory", "ixp",
+                        "--in", str(generated / "flows.csv"), "--in", str(late),
+                        "--out", str(cli / "attacks_ixp.csv")])
+        for name in ("scope", "hop", "ixp"):
+            got = (cli / f"attacks_{name}.csv").read_bytes()
+            assert got == (bundle / f"attacks_{name}.csv").read_bytes(), name
+            assert len(read_attacks(cli / f"attacks_{name}.csv")) >= 1, name
+
+        invoke(runner, ["overlap", "--mode", "per_day",
+                        "--sets", f"ixp={cli / 'attacks_ixp.csv'}",
+                        "--sets", f"scope={cli / 'attacks_scope.csv'}",
+                        "--timeseries", str(cli / "ixp_scope.csv")])
+        assert ((cli / "ixp_scope.csv").read_bytes()
+                == (bundle / "overlap" / "ixp_scope.csv").read_bytes())
+
+        sets = ",".join(f"{n}={cli / f'attacks_{n}.csv'}" for n in ("hop", "ixp", "scope"))
+        invoke(runner, ["overlap", "--sets", sets, "--upset", "--out", str(cli / "upset.json")])
+        assert (cli / "upset.json").read_bytes() == (bundle / "upset.json").read_bytes()
 
 
 class TestAggregateCommand:
@@ -242,6 +303,49 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["pipeline", "--config", str(bad)])
         assert result.exit_code == 2
         assert "unknown observatory type" in result.output
+
+    @pytest.mark.parametrize("telescope, message", [
+        ({}, "needs config.n_addresses"),
+        ({"n_addresses": 2 ** 22, "bogus": 1}, "unknown config keys ['bogus']"),
+    ])
+    def test_telescope_config_errors(self, runner, tmp_path, telescope, message):
+        packets = tmp_path / "packets.csv"
+        packets.write_text("ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags\n")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "observatories": [{"name": "scope", "type": "telescope",
+                               "inputs": [str(packets)], "config": telescope}],
+        }))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert "telescope 'scope'" in result.output and message in result.output
+
+    def test_newkid_prefix_events_give_host_targets(self, runner, tmp_path):
+        # two weeks of /24 multi-protocol attacks, each from three hosts
+        rows = ["ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"]
+        for week in range(2):
+            base = (FIRST_MONDAY + week * 7 * 86_400) * US_PER_S
+            for i in range(10):
+                host = ("203.0.113.5", "203.0.113.77", "203.0.113.200")[i % 3]
+                rows.append(f"{base + i * US_PER_S},17,{host},5353,198.51.100.1,"
+                            f"{(19, 123)[i % 2]},60,")
+        packets = tmp_path / "honeypot.csv"
+        packets.write_text("\n".join(rows) + "\n")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "out_dir": str(tmp_path / "out"),
+            "observatories": [{"name": "nk", "type": "honeypot", "preset": "newkid",
+                               "inputs": [str(packets)]}],
+            "analysis": {"normalize": False, "ewma_span": None},
+        }))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        out = tmp_path / "out"
+        assert [e.target for e in read_attacks(out / "attacks_nk.csv")] == ["203.0.113.0/24"] * 2
+        hosts = {"203.0.113.5", "203.0.113.77", "203.0.113.200"}
+        assert read_targets(out / "targets" / "nk.csv") == {
+            (d, ip) for d in (date(1970, 1, 5), date(1970, 1, 12)) for ip in hosts
+        }
 
     def test_missing_routed_table_with_aggregation(self, runner, tmp_path):
         cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)

@@ -8,7 +8,7 @@ from ddoscope.honeypot import (
     detect_honeypot,
     preset,
 )
-from ddoscope.model import AttackEvent, PacketRecord, US_PER_S
+from ddoscope.model import AttackDefinition, AttackEvent, PacketRecord, US_PER_S
 
 from oracles import oracle_aggregate_sensors, oracle_detect_honeypot
 
@@ -44,6 +44,24 @@ class TestPresets:
             preset("nothere")
 
 
+class TestAttackDefinition:
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"key_fields": ("src_ip", "bogus")}, ValueError),
+        ({"key_fields": ("src_ip", "src_ip")}, ValueError),
+        ({"key_fields": ("src_ip", "src_prefix")}, ValueError),
+        ({"timeout": 0.0}, ValueError),
+        ({"pkt_threshold": 0}, ValueError),
+        ({"port_threshold": 0}, ValueError),
+        ({"src_prefix_len": 33}, ValueError),
+        # never applied by detection, so the field was removed
+        ({"rate_threshold": (1000, 60.0, 10.0)}, TypeError),
+    ])
+    def test_invalid_definitions_rejected(self, kwargs, error):
+        base = {"key_fields": ("src_ip", "dst_ip"), "timeout": 60.0, "pkt_threshold": 5}
+        with pytest.raises(error):
+            AttackDefinition(**{**base, **kwargs})
+
+
 class TestDetectHoneypot:
     def test_below_threshold(self):
         packets = [req(i * 10.0) for i in range(4)]
@@ -77,6 +95,8 @@ class TestDetectHoneypot:
         assert len(events) == 1
         assert events[0].target == "203.0.113.0/24"
         assert events[0].packets == 5
+        assert events[0].member_targets == ("203.0.113.200", "203.0.113.5", "203.0.113.77")
+        assert events[0].host_targets() == events[0].member_targets
 
     def test_newkid_multi_needs_two_ports(self):
         packets = [req(i * 5.0, dport=19) for i in range(6)]
@@ -160,6 +180,18 @@ class TestAggregateSensors:
         assert len(aggregate_sensors([a, b], gap)) == 2
         c = self.ev(100 + gap, 100 + gap + 50)  # exactly the gap: merges
         assert len(aggregate_sensors([a, c], gap)) == 1
+
+    def test_prefix_event_members_union(self):
+        a = AttackEvent(observatory="hp", attack_type="RA", target="203.0.113.0/24",
+                        start_ts=0, end_ts=10, packets=5, sensors=frozenset({"192.0.2.1"}),
+                        member_targets=("203.0.113.5", "203.0.113.77"))
+        b = AttackEvent(observatory="hp", attack_type="RA", target="203.0.113.0/24",
+                        start_ts=5, end_ts=20, packets=5, sensors=frozenset({"192.0.2.2"}),
+                        member_targets=("203.0.113.200", "203.0.113.5"))
+        (m,) = aggregate_sensors([a, b], 60.0)
+        assert m.member_targets == ("203.0.113.200", "203.0.113.5", "203.0.113.77")
+        (h,) = aggregate_sensors([self.ev(0, 100), self.ev(50, 150)], 900)
+        assert h.member_targets is None
 
     def test_different_targets_never_merge(self):
         a = self.ev(0, 100, target="203.0.113.5/32")

@@ -12,7 +12,6 @@ from ddoscope.model import (
     covering_prefix,
     int_to_ip,
     ip_to_int,
-    longest_prefix_match,
     parse_prefix,
     prefix_contains,
     ts_to_date,
@@ -86,12 +85,12 @@ class TestAttackEvent:
 class TestLongestPrefixMatch:
     def test_most_specific_wins(self):
         table = RoutedPrefixTable([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
-        assert longest_prefix_match(table, "203.0.113.9") == ("203.0.113.0/24", 64500)
-        assert longest_prefix_match(table, "203.0.5.1") == ("203.0.0.0/16", 64501)
+        assert table.lookup("203.0.113.9") == ("203.0.113.0/24", 64500)
+        assert table.lookup("203.0.5.1") == ("203.0.0.0/16", 64501)
 
     def test_no_covering_prefix(self):
         table = RoutedPrefixTable([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
-        assert longest_prefix_match(table, "198.51.100.1") is None
+        assert table.lookup("198.51.100.1") is None
 
     def test_matches_linear_scan_oracle(self):
         # randomized tables vs the obvious O(entries) scan
