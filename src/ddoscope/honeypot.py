@@ -20,16 +20,20 @@ Prefix-keyed events record the hosts they saw as member targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
+
+import numpy as np
 
 from .model import (
     AttackDefinition,
     AttackEvent,
+    PacketBatch,
     PacketRecord,
     US_PER_S,
+    as_batch,
     event_sort_key,
     format_prefix,
-    ip_to_int,
+    int_to_ip,
     prefix_mask,
 )
 
@@ -90,36 +94,13 @@ def preset(name: str) -> HoneypotPreset:
         raise ValueError(f"unknown honeypot preset {name!r}; choose from {sorted(PRESETS)}") from None
 
 
-def _flow_key(p: PacketRecord, d: AttackDefinition) -> tuple:
-    key = []
-    for f in d.key_fields:
-        if f == "protocol":
-            key.append(p.protocol)
-        elif f == "src_ip":
-            key.append(p.src_ip)
-        elif f == "src_prefix":
-            key.append(ip_to_int(p.src_ip) & prefix_mask(d.src_prefix_len))
-        elif f == "src_port":
-            key.append(p.src_port)
-        elif f == "dst_ip":
-            key.append(p.dst_ip)
-        elif f == "dst_port":
-            key.append(p.dst_port)
-    return tuple(key)
-
-
-def _target_of(
-    d: AttackDefinition, key: tuple, flow: list[PacketRecord]
-) -> tuple[str, Optional[tuple[str, ...]]]:
-    """Event target and, for a prefix key, the member hosts seen."""
-    if "src_prefix" in d.key_fields:
-        net = key[d.key_fields.index("src_prefix")]
-        return format_prefix(net, d.src_prefix_len), tuple(sorted({p.src_ip for p in flow}))
-    return f"{flow[0].src_ip}/32", None
+# PacketBatch column of each key field but src_prefix
+_KEY_COLUMNS = {"protocol": "protocol", "src_ip": "src", "src_port": "src_port",
+                "dst_ip": "dst", "dst_port": "dst_port"}
 
 
 def detect_honeypot(
-    packets: Iterable[PacketRecord],
+    packets: PacketBatch | Iterable[PacketRecord],
     definition: AttackDefinition,
     observatory: str = "honeypot",
 ) -> list[AttackEvent]:
@@ -127,62 +108,94 @@ def detect_honeypot(
 
     Packets must be time-ordered per sensor (dst_ip); violations raise
     ValueError naming the offending record. Output is sorted by
-    (start_ts, target).
+    (start_ts, target), ties in the order their flow keys first appear.
     """
-    last_per_sensor: dict[str, int] = {}
-    groups: dict[tuple, list[PacketRecord]] = {}
-    for i, p in enumerate(packets):
-        prev = last_per_sensor.get(p.dst_ip)
-        if prev is not None and p.ts < prev:
-            raise ValueError(
-                f"packets not time-ordered for sensor {p.dst_ip}: "
-                f"record {i} has ts {p.ts} after ts {prev}"
-            )
-        last_per_sensor[p.dst_ip] = p.ts
-        groups.setdefault(_flow_key(p, definition), []).append(p)
+    packets = as_batch(packets)
+    _check_sensor_order(packets)
+    if not len(packets):
+        return []
+    d = definition
+    keys = [
+        packets.src & np.uint32(prefix_mask(d.src_prefix_len)) if f == "src_prefix"
+        else getattr(packets, _KEY_COLUMNS[f])
+        for f in d.key_fields
+    ]
+    # group by key, time-ordered within a key (sensors may interleave)
+    order = np.lexsort((packets.ts, *keys))
+    ts = packets.ts[order]
+    new_key = np.zeros(len(order), bool)
+    new_key[0] = True
+    for k in keys:
+        k = k[order]
+        new_key[1:] |= k[1:] != k[:-1]
+    new_flow = new_key.copy()
+    new_flow[1:] |= np.diff(ts) > int(d.timeout * US_PER_S)
+    key_start = np.flatnonzero(new_key)
+    flow_start = np.flatnonzero(new_flow)
+    flow_end = np.append(flow_start[1:], len(order))
+    flow_of = np.cumsum(new_flow) - 1           # flow index of each sorted packet
 
-    timeout_us = int(definition.timeout * US_PER_S)
-    events: list[AttackEvent] = []
-    for key, pkts in groups.items():
-        pkts.sort(key=lambda p: p.ts)  # sensors may interleave within one key
-        flow_start = 0
-        for i in range(1, len(pkts) + 1):
-            if i == len(pkts) or pkts[i].ts - pkts[i - 1].ts > timeout_us:
-                flow = pkts[flow_start:i]
-                flow_start = i
-                event = _flow_to_event(flow, definition, key, observatory)
-                if event is not None:
-                    events.append(event)
-    events.sort(key=event_sort_key)
-    return events
+    n_flows = len(flow_start)
 
-
-def _flow_to_event(
-    flow: list[PacketRecord],
-    d: AttackDefinition,
-    key: tuple,
-    observatory: str,
-) -> Optional[AttackEvent]:
-    if len(flow) < d.pkt_threshold:
-        return None
+    keep = flow_end - flow_start >= d.pkt_threshold
     if d.port_threshold is not None:
-        if len({p.dst_port for p in flow}) < d.port_threshold:
-            return None
+        _, port_bounds = _distinct(flow_of, packets.dst_port[order], n_flows)
+        keep &= np.diff(port_bounds) >= d.port_threshold
     if d.duration_threshold is not None:
-        if flow[-1].ts - flow[0].ts < d.duration_threshold * US_PER_S:
-            return None
-    target, members = _target_of(d, key, flow)
-    return AttackEvent(
-        observatory=observatory,
-        attack_type="RA",
-        target=target,
-        start_ts=flow[0].ts,
-        end_ts=flow[-1].ts,
-        packets=len(flow),
-        bytes=sum(p.len_bytes for p in flow),
-        sensors=frozenset(p.dst_ip for p in flow),
-        member_targets=members,
-    )
+        keep &= ts[flow_end - 1] - ts[flow_start] >= d.duration_threshold * US_PER_S
+    # a key's first input index orders events that tie on event_sort_key
+    key_first = np.minimum.reduceat(order, key_start)[np.cumsum(new_key)[flow_start] - 1]
+    n_bytes = np.add.reduceat(packets.len_bytes[order], flow_start)
+    sensors, sensor_bounds = _distinct(flow_of, packets.dst[order], n_flows)
+    src = packets.src[order]
+    by_prefix = "src_prefix" in d.key_fields
+    if by_prefix:
+        hosts, host_bounds = _distinct(flow_of, src, n_flows)
+
+    events = []
+    for f in np.flatnonzero(keep).tolist():
+        first, last = int(flow_start[f]), int(flow_end[f]) - 1
+        if by_prefix:
+            net = int(src[first]) & prefix_mask(d.src_prefix_len)
+            target = format_prefix(net, d.src_prefix_len)
+            members = tuple(sorted(map(int_to_ip, hosts[host_bounds[f]:host_bounds[f + 1]].tolist())))
+        else:
+            target, members = f"{int_to_ip(int(src[first]))}/32", None
+        event = AttackEvent(
+            observatory=observatory,
+            attack_type="RA",
+            target=target,
+            start_ts=int(ts[first]),
+            end_ts=int(ts[last]),
+            packets=last - first + 1,
+            bytes=int(n_bytes[f]),
+            sensors=frozenset(map(int_to_ip, sensors[sensor_bounds[f]:sensor_bounds[f + 1]].tolist())),
+            member_targets=members,
+        )
+        events.append((event_sort_key(event), int(key_first[f]), event))
+    events.sort(key=lambda t: t[:2])
+    return [e for _, _, e in events]
+
+
+def _check_sensor_order(packets: PacketBatch) -> None:
+    """Raise on the first record earlier than the one before it at its sensor."""
+    by_sensor = np.argsort(packets.dst, kind="stable")
+    ts, dst = packets.ts[by_sensor], packets.dst[by_sensor]
+    back = np.flatnonzero((ts[1:] < ts[:-1]) & (dst[1:] == dst[:-1]))
+    if len(back):
+        j = back[np.argmin(by_sensor[back + 1])]
+        raise ValueError(
+            f"packets not time-ordered for sensor {int_to_ip(int(dst[j]))}: "
+            f"record {by_sensor[j + 1]} has ts {ts[j + 1]} after ts {ts[j]}"
+        )
+
+
+def _distinct(group: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values per group: (values sorted by group then value, and
+    the bounds of each group's run in them)."""
+    pairs = np.unique(group.astype(np.int64) << 32 | values)
+    bounds = np.searchsorted(pairs >> 32, np.arange(n_groups + 1))
+    return pairs & 0xFFFFFFFF, bounds
 
 
 def aggregate_sensors(events: Iterable[AttackEvent], merge_gap: float) -> list[AttackEvent]:

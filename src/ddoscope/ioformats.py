@@ -23,9 +23,16 @@ from datetime import date
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .model import (
+    FLAG_A,
+    FLAG_F,
+    FLAG_R,
+    FLAG_S,
     AttackEvent,
     AllocationTable,
+    PacketBatch,
     PacketRecord,
     RoutedPrefixTable,
     TargetTuple,
@@ -61,38 +68,165 @@ def _rows(path) -> Iterable[tuple[int, list[str]]]:
 
 # -- packets ----------------------------------------------------------------
 
-def read_packets(path, sensor_col: Optional[str] = None) -> list[PacketRecord]:
+# Bytes read per parsing step; a step always ends at a line break, so a row
+# is never split between two steps.
+_CHUNK_BYTES = 1 << 18
+# Bit of each TCP flag letter; 16 marks a byte that is not one.
+_FLAG_BITS = np.full(256, 16, np.uint8)
+_FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
+
+
+def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     """Load packets.csv. With `sensor_col`, an extra column of that name must
     be present and replaces dst_ip as the sensor identity.
+
+    Rows must follow the canonical grammar (see README); the first row that
+    does not raises FormatError naming its line.
     """
     path = Path(path)
     expected = PACKETS_HEADER + (f",{sensor_col}" if sensor_col else "")
-    records = []
-    it = _rows(path)
+    n_fields = 9 if sensor_col else 8
+    batches = []
+    with open(path, "rb") as fh:
+        lineno = 0
+        for raw in iter(fh.readline, b""):
+            lineno += 1
+            if raw.strip(b"\r\n"):
+                break
+        else:
+            raise FormatError(f"{path}: empty file")
+        header = next(csv.reader([raw.decode("utf-8", "replace")]))
+        _check_header(",".join(header), expected, path)
+        pending = b""
+        while True:
+            data = fh.read(_CHUNK_BYTES)
+            pending += data
+            # whole lines only, but the last line of the file may lack its break
+            cut = pending.rfind(b"\n") + 1 if data else len(pending)
+            if cut:
+                chunk, pending = pending[:cut], pending[cut:]
+                batch, bad = _parse_packet_rows(chunk, n_fields)
+                if bad is not None:
+                    line = chunk.split(b"\n")[bad].decode("utf-8", "replace")
+                    raise FormatError(f"{path}:{lineno + bad + 1}: {_row_error(line, sensor_col)}")
+                batches.append(batch)
+                lineno += chunk.count(b"\n")
+            if not data:
+                return PacketBatch.concat(batches)
+
+
+def _row_error(line: str, sensor_col: Optional[str]) -> str:
+    """Why one packets.csv line is rejected: the PacketRecord check's message,
+    or a grammar violation the csv module and PacketRecord let through."""
     try:
-        _, header = next(it)
-    except StopIteration:
-        raise FormatError(f"{path}: empty file") from None
-    _check_header(",".join(header), expected, path)
-    for lineno, row in it:
-        try:
-            ts, proto, src, sport, dst, dport, length, flags = row[:8]
-            sensor = row[8] if sensor_col else dst
-            records.append(
-                PacketRecord(
-                    ts=int(ts),
-                    protocol=int(proto),
-                    src_ip=src,
-                    src_port=int(sport),
-                    dst_ip=sensor,
-                    dst_port=int(dport),
-                    len_bytes=int(length),
-                    tcp_flags=flags,
-                )
-            )
-        except (ValueError, IndexError) as exc:
-            raise FormatError(f"{path}:{lineno}: {exc}") from None
-    return records
+        row = next(csv.reader([line]))
+        ts, proto, src, sport, dst, dport, length, flags = row[:8]
+        PacketRecord(
+            ts=int(ts), protocol=int(proto), src_ip=src, src_port=int(sport),
+            dst_ip=row[8] if sensor_col else dst, dst_port=int(dport),
+            len_bytes=int(length), tcp_flags=flags,
+        )
+    except (ValueError, IndexError) as exc:
+        return str(exc)
+    except csv.Error:
+        pass
+    return "not a canonical packets row"
+
+
+def _parse_packet_rows(chunk: bytes, n_fields: int) -> tuple[Optional[PacketBatch], Optional[int]]:
+    """Parse packets.csv rows, one per line.
+
+    Returns the batch, or None and the index of the first bad line (blank
+    lines count but are skipped).
+    """
+    # Field parsers read up to 18 bytes before a field and 15 after its
+    # start; the zero padding keeps those reads, wrapped or not, in bounds.
+    buf = np.frombuffer(chunk + bytes(32), np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not chunk.endswith(b"\n"):
+        ends = np.append(ends, len(chunk))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
+    lines = np.flatnonzero(ends > starts)
+    starts, ends = starts[lines], ends[lines]
+    commas = np.flatnonzero(buf == ord(","))
+    per_row = np.bincount(np.searchsorted(starts, commas, "right") - 1, minlength=len(lines))
+    miscounted = np.flatnonzero(per_row != n_fields - 1)
+    n = miscounted[0] if len(miscounted) else len(lines)
+    # field bounds of the rows before the first with a wrong field count
+    cuts = commas[: n * (n_fields - 1)].reshape(n, n_fields - 1)
+    lo = np.column_stack((starts[:n], cuts + 1))
+    hi = np.column_stack((cuts, ends[:n]))
+
+    valid: list[np.ndarray] = []
+
+    def field(i, parse, *args):
+        values, ok = parse(buf, lo[:, i], hi[:, i], *args)
+        valid.append(ok)
+        return values
+
+    ts = field(0, _decimal, 18)
+    protocol = field(1, _decimal, 3)
+    src = field(2, _ipv4)
+    src_port = field(3, _decimal, 5)
+    dst = field(4, _ipv4)
+    dst_port = field(5, _decimal, 5)
+    len_bytes = field(6, _decimal, 9)
+    flags = field(7, _tcp_flags)
+    if n_fields == 9:
+        dst = field(8, _ipv4)
+    valid += [
+        protocol <= 255, src_port <= 65535, dst_port <= 65535, len_bytes >= 20,
+        (protocol == 6) | (protocol == 17) | ((src_port == 0) & (dst_port == 0)),
+    ]
+    bad = np.flatnonzero(~np.logical_and.reduce(valid))
+    if len(bad) or n < len(lines):
+        return None, int(lines[bad[0] if len(bad) else n])
+    return PacketBatch(
+        ts, protocol.astype(np.uint8), src, src_port.astype(np.uint16), dst,
+        dst_port.astype(np.uint16), len_bytes, flags,
+    ), None
+
+
+def _decimal(buf, lo, hi, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as canonical ASCII decimals of at most `width` digits:
+    (int64 values, validity)."""
+    length = hi - lo
+    ok = (length >= 1) & (length <= width) & ((length == 1) | (buf[lo] != ord("0")))
+    value = np.zeros(len(lo), np.int64)
+    for j in range(min(width, length.max(initial=0)), 0, -1):     # the digit j places from the end
+        digit = buf[hi - j] - np.uint8(ord("0"))
+        inside = length >= j
+        ok &= ~inside | (digit <= 9)
+        value = value * 10 + np.where(inside, digit, 0)
+    return value, ok
+
+
+def _ipv4(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as dotted-quads: (uint32 values, validity)."""
+    width = len("255.255.255.255")
+    dot = (buf[lo[:, None] + np.arange(width)] == ord(".")) & (np.arange(width) < (hi - lo)[:, None])
+    ok = (hi - lo <= width) & (dot.sum(axis=1) == 3)
+    dot[~ok] = np.arange(width) < 3      # any three dots, so every row yields three
+    dots = lo[:, None] + np.nonzero(dot)[1].reshape(-1, 3)
+    value = np.zeros(len(lo), np.uint32)
+    for o_lo, o_hi in zip((lo, *(dots.T + 1)), (*dots.T, hi)):
+        octet, octet_ok = _decimal(buf, o_lo, o_hi, 3)
+        ok &= octet_ok & (octet <= 255)
+        value = value << 8 | octet.astype(np.uint32)
+    return value, ok
+
+
+def _tcp_flags(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as any sequence of SARF letters: (uint8 masks, validity)."""
+    length = hi - lo
+    offsets = np.cumsum(length) - length
+    pos = np.repeat(lo - offsets, length) + np.arange(length.sum())
+    mask = np.zeros(len(lo), np.uint8)
+    nonempty = length > 0
+    if nonempty.any():
+        mask[nonempty] = np.bitwise_or.reduceat(_FLAG_BITS[buf[pos]], offsets[nonempty])
+    return mask & 15, mask < 16
 
 
 def write_packets(path, packets: Iterable[PacketRecord]) -> None:

@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 ATTACK_TYPES = ("RSDoS", "RA", "DP")
 
 # Canonical order for the tcp_flags string ("SA", "AR", ...).
@@ -166,6 +168,80 @@ class PacketRecord:
             raise ValueError(f"len_bytes below IPv4 minimum: {self.len_bytes}")
         if self.tcp_flags:
             object.__setattr__(self, "tcp_flags", normalize_tcp_flags(self.tcp_flags))
+
+
+# TCP flag bits of PacketBatch.flags, and the canonical string of each mask
+FLAG_S, FLAG_A, FLAG_R, FLAG_F = 1, 2, 4, 8
+_FLAG_STRINGS = tuple(
+    "".join(ch for bit, ch in enumerate(_FLAG_ORDER) if mask >> bit & 1) for mask in range(16)
+)
+_FLAG_MASKS = {s: mask for mask, s in enumerate(_FLAG_STRINGS)}
+
+
+@dataclass(frozen=True, eq=False)
+class PacketBatch:
+    """Packets as numpy columns, one row per packet, in input order.
+
+    Addresses are uint32 and `flags` is a bitmask of FLAG_S/A/R/F. Rows are
+    validated before they get here: by PacketRecord in `from_records`, or by
+    the packets.csv reader.
+    """
+
+    ts: np.ndarray          # microseconds since Unix epoch
+    protocol: np.ndarray
+    src: np.ndarray
+    src_port: np.ndarray
+    dst: np.ndarray         # the sensor
+    dst_port: np.ndarray
+    len_bytes: np.ndarray
+    flags: np.ndarray
+
+    DTYPES = {"ts": np.int64, "protocol": np.uint8, "src": np.uint32, "src_port": np.uint16,
+              "dst": np.uint32, "dst_port": np.uint16, "len_bytes": np.int64, "flags": np.uint8}
+
+    def __post_init__(self):
+        if len({len(col) for col in self._columns()}) > 1:
+            raise ValueError("PacketBatch columns differ in length")
+
+    def _columns(self) -> tuple[np.ndarray, ...]:
+        return tuple(getattr(self, name) for name in self.DTYPES)
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    @classmethod
+    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketBatch":
+        rows = [
+            (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
+             p.dst_port, p.len_bytes, _FLAG_MASKS[p.tcp_flags])
+            for p in records
+        ]
+        return cls(*(np.array(col, dtype=dtype) for col, dtype in
+                     zip(zip(*rows) if rows else [()] * 8, cls.DTYPES.values())))
+
+    def records(self) -> list[PacketRecord]:
+        """The rows as PacketRecords, for tests and reference implementations."""
+        return [
+            PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length,
+                         _FLAG_STRINGS[flags])
+            for ts, proto, src, sport, dst, dport, length, flags in zip(
+                *(col.tolist() for col in self._columns()))
+        ]
+
+    def take(self, index: np.ndarray) -> "PacketBatch":
+        """Rows selected by an index array or a boolean mask."""
+        return PacketBatch(*(col[index] for col in self._columns()))
+
+    @classmethod
+    def concat(cls, batches: Sequence["PacketBatch"]) -> "PacketBatch":
+        if not batches:
+            return cls.from_records(())
+        return cls(*(np.concatenate(cols) for cols in zip(*(b._columns() for b in batches))))
+
+
+def as_batch(packets) -> PacketBatch:
+    """`packets` itself if it is a PacketBatch, else its records as one."""
+    return packets if isinstance(packets, PacketBatch) else PacketBatch.from_records(packets)
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,6 +10,7 @@ attribution, and privacy-preserving confirmation against salted hashes.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Iterable, Optional
@@ -121,8 +122,8 @@ def overlap_timeseries(
 
     def weekly(tuples: set[TargetTuple], label: str) -> WeeklySeries:
         values = [0.0] * n_weeks
-        for t in tuples:
-            values[(week_start(t.date) - start).days // 7] += 1
+        for day, count in Counter(t.date for t in tuples).items():
+            values[(week_start(day) - start).days // 7] += count
         return WeeklySeries(start, tuple(values), label)
 
     return (

@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from . import __version__
 from .carpet import aggregate_carpet
 from .flowclass import AMPLIFICATION_PORTS, classify_flow
@@ -39,7 +41,7 @@ from .ioformats import (
     write_targets,
     write_weekly_csv,
 )
-from .model import AttackEvent, TargetTuple, ts_to_date
+from .model import AttackEvent, PacketBatch, TargetTuple, ts_to_date
 from .overlap import (
     TargetSetSystem,
     build_targets,
@@ -301,17 +303,13 @@ def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
     paths = _expand_inputs(o)
     if o.type == "telescope":
         tcfg = TelescopeConfig(**o.telescope)
-        packets: list = []
-        for p in paths:
-            packets.extend(read_packets(p))
-        packets.sort(key=lambda p: p.ts)
+        packets = PacketBatch.concat([read_packets(p) for p in paths])
+        packets = packets.take(np.argsort(packets.ts, kind="stable"))
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
     if o.type == "honeypot":
         pre = preset(o.preset)
-        packets = []
-        for p in paths:
-            packets.extend(read_packets(p, sensor_col=o.sensor_col))
+        packets = PacketBatch.concat([read_packets(p, sensor_col=o.sensor_col) for p in paths])
         events = detect_honeypot(packets, pre.definition, observatory=o.name)
         gap = pre.definition.timeout if o.merge_gap is None else o.merge_gap
         return aggregate_sensors(events, gap)
@@ -373,9 +371,14 @@ def _stage_trends(cfg, bundle, events: dict[str, list[AttackEvent]]):
             for atype in sorted(by_type):
                 label = f"{name}:{atype}"
                 series = weekly_counts(by_type[atype], span, label=label)
-                if cfg.normalize:
-                    series = normalize(series)
-                trend = linreg_trend(series)
+                # too short or too sparse for this analysis: skip this series only
+                try:
+                    if cfg.normalize:
+                        series = normalize(series)
+                    trend = linreg_trend(series)
+                except ValueError as exc:
+                    summaries[label] = {"skipped": str(exc)}
+                    continue
                 if cfg.ewma_span:
                     series = ewma(series, cfg.ewma_span)
                 serieses[label] = series

@@ -12,7 +12,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .model import AttackEvent, PacketRecord, US_PER_S, event_sort_key
+import numpy as np
+
+from .model import (
+    FLAG_A,
+    FLAG_R,
+    FLAG_S,
+    AttackEvent,
+    PacketBatch,
+    PacketRecord,
+    US_PER_S,
+    as_batch,
+    event_sort_key,
+    int_to_ip,
+)
 
 ADDRESS_SPACE = 2 ** 32
 
@@ -45,24 +58,21 @@ class TelescopeConfig:
             raise ValueError(f"unknown backscatter filter {self.backscatter_filter!r}")
 
 
-def backscatter_prefilter(packets: Iterable[PacketRecord], mode: str = "default") -> list[PacketRecord]:
+def backscatter_prefilter(packets: PacketBatch | Iterable[PacketRecord], mode: str = "default") -> PacketBatch:
     """Drop traffic that cannot be backscatter.
 
     Default keeps TCP SYN-ACKs, TCP resets (R, with or without A), and
     ICMP. A lone SYN is scan traffic, not a response. mode="none" keeps
     everything.
     """
+    packets = as_batch(packets)
     if mode == "none":
-        return list(packets)
+        return packets
     if mode != "default":
         raise ValueError(f"unknown backscatter filter {mode!r}")
-    kept = []
-    for p in packets:
-        if p.protocol == 1:
-            kept.append(p)
-        elif p.protocol == 6 and (p.tcp_flags == "SA" or "R" in p.tcp_flags):
-            kept.append(p)
-    return kept
+    flags = packets.flags
+    tcp_response = (flags == FLAG_S | FLAG_A) | (flags & FLAG_R != 0)
+    return packets.take((packets.protocol == 1) | ((packets.protocol == 6) & tcp_response))
 
 
 class _FlowState:
@@ -79,7 +89,7 @@ class _FlowState:
 
 
 def detect_rsdos(
-    packets: Iterable[PacketRecord],
+    packets: PacketBatch | Iterable[PacketRecord],
     cfg: TelescopeConfig,
     observatory: str = "telescope",
 ) -> list[AttackEvent]:
@@ -88,39 +98,40 @@ def detect_rsdos(
     Raises ValueError on out-of-order input, naming the offending record.
     Output is canonicalized: sorted by (start_ts, target).
     """
+    packets = as_batch(packets)
+    unordered = np.flatnonzero(packets.ts[1:] < packets.ts[:-1])
+    if len(unordered):
+        i = int(unordered[0]) + 1
+        raise ValueError(
+            f"packets not time-ordered: record {i} has ts {packets.ts[i]} "
+            f"after ts {packets.ts[i - 1]}"
+        )
     interval_us = int(cfg.interval * US_PER_S)
     duration_us = int(cfg.duration_threshold * US_PER_S)
     slide_us = int(cfg.rate_slide * US_PER_S)
     buckets_per_window = int(round(cfg.rate_window / cfg.rate_slide))
 
-    flows: dict[tuple[int, str], _FlowState] = {}
+    flows: dict[tuple[int, int], _FlowState] = {}
     events: list[AttackEvent] = []
-    prev_ts = -1
     cur_interval = None
 
-    def finalize(key: tuple[int, str], st: _FlowState) -> None:
+    def finalize(key: tuple[int, int], st: _FlowState) -> None:
         if st.is_attack:
             events.append(
                 AttackEvent(
                     observatory=observatory,
                     attack_type="RSDoS",
-                    target=f"{key[1]}/32",
+                    target=f"{int_to_ip(key[1])}/32",
                     start_ts=st.first_ts,
                     end_ts=st.last_ts,
                     packets=st.count,
                 )
             )
 
-    for i, p in enumerate(packets):
-        if p.ts < prev_ts:
-            raise ValueError(
-                f"packets not time-ordered: record {i} has ts {p.ts} after ts {prev_ts}"
-            )
-        prev_ts = p.ts
-
+    for ts, key in zip(packets.ts.tolist(), zip(packets.protocol.tolist(), packets.src.tolist())):
         # A flow ends after a full interval with no packets: on entering
         # interval m, any flow untouched since before interval m-1 is done.
-        pkt_interval = p.ts // interval_us
+        pkt_interval = ts // interval_us
         if cur_interval is None:
             cur_interval = pkt_interval
         elif pkt_interval > cur_interval:
@@ -131,19 +142,18 @@ def detect_rsdos(
                 del flows[k]
             cur_interval = pkt_interval
 
-        key = (p.protocol, p.src_ip)
         st = flows.get(key)
         if st is None:
-            st = flows[key] = _FlowState(p.ts)
+            st = flows[key] = _FlowState(ts)
         st.count += 1
-        st.last_ts = p.ts
+        st.last_ts = ts
 
         if not st.rate_met:
             # Track per-slide-bucket counts over the trailing window. Checking
             # only the window that ends at the current bucket is exact: when
             # any epoch-aligned window first reaches the threshold, all its
             # packets so far lie within the trailing window of that packet.
-            b = p.ts // slide_us
+            b = ts // slide_us
             if st.buckets and st.buckets[-1][0] == b:
                 st.buckets[-1][1] += 1
             else:

@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import date
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ddoscope.cli import main
-from ddoscope.model import US_PER_S
+from ddoscope.model import US_PER_S, TargetTuple
 from ddoscope.overlap import hash_targets
 from ddoscope.ioformats import read_attacks, read_targets
 
@@ -99,8 +100,8 @@ class TestCliMatchesPipeline:
     """Each CLI step gives the same bytes as the matching bundle file."""
 
     def test_outputs_byte_identical(self, runner, generated, tmp_path):
-        # The scenario spans one hour, and the trend stage needs two weeks of
-        # data, so one flow summary from the following week rides along.
+        # The scenario spans one hour; one flow summary from the following
+        # week rides along, so the overlap series spans two weeks.
         late = tmp_path / "late_flows.csv"
         late.write_text(
             "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n"
@@ -357,11 +358,57 @@ class TestPipelineCommand:
         assert "routed" in result.output
 
     def test_failure_removes_partial_outputs(self, runner, tmp_path):
-        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=True, ewma_span=None)
-        # 2 weeks cannot satisfy the 15-week normalization baseline
+        # confirm is the last stage, so every other output is written first
+        hashes = tmp_path / "hashes.txt"
+        hashes.write_text("not a digest\n")
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        doc["analysis"]["confirm"] = {"external": "hashes.txt", "salt": "1f2e"}
+        cfg_path.write_text(json.dumps(doc))
         result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
         assert result.exit_code == 3
-        assert "trends" in result.output
+        assert "stage 'confirm'" in result.output
         out = tmp_path / "out"
         assert not any(out.rglob("*.csv"))
         assert not any(out.rglob("*.json"))
+
+    def test_short_data_skips_trends_and_keeps_detections(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=True, ewma_span=None)
+        # 2 weeks cannot satisfy the 15-week normalization baseline
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        out = tmp_path / "out"
+        trends = json.loads((out / "trends.json").read_text())
+        assert trends == {
+            label: {"skipped": "series has 2 non-null values; need 15 for the baseline"}
+            for label in ("hop:RA", "ixp:DP", "ixp:RA", "scope:RSDoS")
+        }
+        assert not (out / "series").exists()
+        assert json.loads((out / "correlations.json").read_text()) == []
+        for name in ("scope", "hop", "ixp"):
+            assert read_attacks(out / f"attacks_{name}.csv")
+            assert read_targets(out / "targets" / f"{name}.csv")
+        assert "trends.json" in json.loads((out / "manifest.json").read_text())["files"]
+
+    def test_readme_pipeline_example(self, runner, tmp_path):
+        # the scenario and pipeline config of README.md, as written there
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+        scenario, config = (json.loads(b) for b in blocks)
+        assert scenario["duration_s"] == 3600
+        (tmp_path / config["scenario"]).write_text(json.dumps(scenario))
+        (tmp_path / config["routed"]).write_text("prefix,asn\n203.0.113.0/24,64500\n")
+        (tmp_path / config["alloc"]).write_text("prefix,registry\n203.0.0.0/16,ARIN\n")
+        (tmp_path / config["analysis"]["confirm"]["external"]).write_text(
+            hash_targets({TargetTuple(date(1970, 1, 1), "203.0.113.7")}, "1f2e").pop() + "\n"
+        )
+        (tmp_path / "pipeline.json").write_text(json.dumps(config))
+        invoke(runner, ["pipeline", "--config", str(tmp_path / "pipeline.json")])
+        out = tmp_path / config["out_dir"]
+        scope = read_attacks(out / "attacks_scope.csv")
+        assert [e.target for e in scope] == ["203.0.113.7/32"]
+        assert [e.target for e in read_attacks(out / "attacks_hop.csv")] == ["203.0.113.9/32"]
+        assert {"scope.csv", "hop.csv", "ixp.csv"} <= {p.name for p in (out / "targets").iterdir()}
+        # one hour of data is too short for any trend, so each is skipped
+        trends = json.loads((out / "trends.json").read_text())
+        assert trends and all(set(v) == {"skipped"} for v in trends.values())
+        assert json.loads((out / "confirm.json").read_text())["external_digests"] == 1

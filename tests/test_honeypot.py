@@ -108,6 +108,35 @@ class TestDetectHoneypot:
         with pytest.raises(ValueError, match="not time-ordered"):
             detect_honeypot(packets, preset("hopscotch").definition)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_order_error_names_first_late_record(self, seed):
+        # reference: the record-by-record scan over per-sensor last timestamps
+        rng = random.Random(seed)
+        packets = [req(rng.choice([0.0, 1.0, 2.0, 3.0]), sensor=rng.choice(SENSORS))
+                   for _ in range(rng.randint(2, 30))]
+        last: dict = {}
+        expected = None
+        for i, p in enumerate(packets):
+            prev = last.get(p.dst_ip)
+            if prev is not None and p.ts < prev:
+                expected = (f"packets not time-ordered for sensor {p.dst_ip}: "
+                            f"record {i} has ts {p.ts} after ts {prev}")
+                break
+            last[p.dst_ip] = p.ts
+        if expected is None:
+            detect_honeypot(packets, preset("hopscotch").definition)
+        else:
+            with pytest.raises(ValueError) as exc:
+                detect_honeypot(packets, preset("hopscotch").definition)
+            assert str(exc.value) == expected
+
+    def test_tied_events_keep_first_appearance_order(self):
+        # same victim and start at two sensors: events tie on the sort key and
+        # keep the order in which their flow keys first appear in the input
+        packets = [req(i * 10.0, sensor=s) for i in range(5) for s in (SENSORS[2], SENSORS[0])]
+        events = detect_honeypot(packets, preset("hopscotch").definition)
+        assert [e.sensors for e in events] == [{SENSORS[2]}, {SENSORS[0]}]
+
     def test_interleaved_sensors_allowed(self):
         # each sensor's stream is ordered even though the merge is not
         packets = [req(0.0, sensor=SENSORS[0]), req(100.0, sensor=SENSORS[1]),

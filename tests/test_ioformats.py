@@ -1,5 +1,11 @@
-import pytest
+import re
+from unittest import mock
 
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ddoscope import ioformats
 from ddoscope.ioformats import (
     FormatError,
     read_attacks,
@@ -13,7 +19,7 @@ from ddoscope.ioformats import (
     write_series,
     write_targets,
 )
-from ddoscope.model import AttackEvent, TargetTuple, WeeklySeries
+from ddoscope.model import AttackEvent, PacketBatch, PacketRecord, TargetTuple, WeeklySeries, int_to_ip
 from datetime import date
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -26,7 +32,7 @@ class TestPackets:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "packets.csv"
         p.write_text(PACKETS)
-        records = read_packets(p)
+        records = read_packets(p).records()
         assert len(records) == 2
         assert records[0].tcp_flags == "SA"
         out = tmp_path / "out.csv"
@@ -60,7 +66,7 @@ class TestPackets:
             "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags,sensor\n"
             "1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
         )
-        records = read_packets(p, sensor_col="sensor")
+        records = read_packets(p, sensor_col="sensor").records()
         assert records[0].dst_ip == "192.0.2.9"
 
 
@@ -126,3 +132,185 @@ class TestTargets:
         p.write_text("ab" * 32 + "\n\n" + bad + "\n")
         with pytest.raises(FormatError, match=r"hashes\.txt:3: not a lowercase sha256"):
             read_hashed_targets(p)
+
+
+# -- packets.csv grammar: properties and chunk boundaries ----------------------
+
+HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
+COLUMNS = ("ts", "protocol", "src", "src_port", "dst", "dst_port", "len_bytes", "flags")
+
+
+def row_text(p: PacketRecord) -> str:
+    return (f"{p.ts},{p.protocol},{p.src_ip},{p.src_port},"
+            f"{p.dst_ip},{p.dst_port},{p.len_bytes},{p.tcp_flags}")
+
+
+@st.composite
+def packet_records(draw):
+    protocol = draw(st.sampled_from([1, 6, 17, 0, 47, 255]) | st.integers(0, 255))
+    port = st.integers(0, 65535) if protocol in (6, 17) else st.just(0)
+    ip = st.integers(0, 2 ** 32 - 1).map(int_to_ip)
+    return PacketRecord(
+        ts=draw(st.integers(0, 10 ** 18 - 1)), protocol=protocol,
+        src_ip=draw(ip), src_port=draw(port), dst_ip=draw(ip), dst_port=draw(port),
+        len_bytes=draw(st.integers(20, 999_999_999)),
+        tcp_flags=draw(st.text(alphabet="SARF", max_size=6)),
+    )
+
+
+def _field(i: int, change):
+    def mutate(p: PacketRecord, draw) -> str:
+        fields = row_text(p).split(",")
+        fields[i] = change(fields[i], draw)
+        return ",".join(fields)
+    return mutate
+
+
+def _pad_octet(ip: str, i: int) -> str:
+    octets = ip.split(".")
+    octets[i] = "0" + octets[i]
+    return ".".join(octets)
+
+
+def _drop_field(row: str, i: int) -> str:
+    fields = row.split(",")
+    del fields[i]
+    return ",".join(fields)
+
+
+NUMERIC = (0, 1, 3, 5, 6)
+MUTATIONS = {
+    "leading zero": lambda p, draw: _field(draw(st.sampled_from(NUMERIC)), lambda f, d: "0" + f)(p, draw),
+    "leading zero octet": lambda p, draw: _field(
+        draw(st.sampled_from([2, 4])), lambda f, d: _pad_octet(f, d(st.integers(0, 3))))(p, draw),
+    "ipv6": lambda p, draw: _field(
+        draw(st.sampled_from([2, 4])),
+        lambda f, d: d(st.sampled_from(["2001:db8::1", "::1", "::ffff:1.2.3.4", "fe80::"])))(p, draw),
+    "sign or whitespace": lambda p, draw: _field(
+        draw(st.sampled_from(NUMERIC + (2, 4))),
+        lambda f, d: d(st.sampled_from(["+{}", "-{}", " {}", "{} ", "\t{}", "1_{}"])).format(f))(p, draw),
+    "unknown flag": lambda p, draw: _field(
+        7, lambda f, d: f + d(st.sampled_from(list("sarfXUPE0 "))))(p, draw),
+    "port out of range": lambda p, draw: _field(
+        draw(st.sampled_from([3, 5])), lambda f, d: str(d(st.integers(65536, 99999))))(p, draw),
+    "protocol out of range": lambda p, draw: _field(1, lambda f, d: str(d(st.integers(256, 999))))(p, draw),
+    "port on icmp": lambda p, draw: row_text(p).split(",", 2)[0] + ",1," + ",".join([
+        p.src_ip, str(draw(st.integers(1, 65535))), p.dst_ip, "0", str(p.len_bytes), ""]),
+    "short packet": lambda p, draw: _field(6, lambda f, d: str(d(st.integers(0, 19))))(p, draw),
+    "missing column": lambda p, draw: _drop_field(row_text(p), draw(st.integers(0, 7))),
+    "extra column": lambda p, draw: row_text(p) + "," + draw(st.sampled_from(["", "x", "1"])),
+    "quoted field": lambda p, draw: _field(draw(st.integers(0, 7)), lambda f, d: f'"{f}"')(p, draw),
+}
+
+
+def _write(path, lines, crlf=False):
+    path.write_bytes(("\r\n" if crlf else "\n").join([HEADER, *lines, ""]).encode())
+
+
+class TestPacketGrammar:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(packet_records(), min_size=1, max_size=30),
+           blanks=st.lists(st.integers(0, 30), max_size=4), crlf=st.booleans(),
+           chunk=st.sampled_from([1, 13, 64, ioformats._CHUNK_BYTES]))
+    def test_valid_rows_round_trip(self, tmp_path_factory, rows, blanks, crlf, chunk):
+        lines = [row_text(p) for p in rows]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "")
+        path = tmp_path_factory.mktemp("valid") / "packets.csv"
+        _write(path, lines, crlf)
+        with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
+            assert read_packets(path).records() == rows
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(packet_records(), min_size=1, max_size=12), data=st.data(),
+           chunk=st.sampled_from([5, 64, ioformats._CHUNK_BYTES]))
+    def test_mutated_row_names_its_line(self, tmp_path_factory, rows, data, chunk):
+        kind = data.draw(st.sampled_from(sorted(MUTATIONS)))
+        at = data.draw(st.integers(0, len(rows) - 1))
+        lines = [row_text(p) for p in rows]
+        lines[at] = MUTATIONS[kind](rows[at], data.draw)
+        path = tmp_path_factory.mktemp("bad") / "packets.csv"
+        _write(path, ["", *lines])       # a blank line still counts
+        with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
+            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: "):
+                read_packets(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("+5,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
+        (" 5,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
+        ("1_000,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
+        ("0100,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
+        ("٥,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
+        ('"5",6,1.2.3.4,1,1.2.3.4,1,20,', "not a canonical packets row"),
+        ("5,6,1.2.3.4,1,1.2.3.4,1,20,,extra", "not a canonical packets row"),
+        ("5,6,1.2.3.4,1,1.2.3.4,1,20,SX", "unknown TCP flag 'X'"),
+        ("5,1,1.2.3.4,1,1.2.3.4,0,20,", "ports must be 0 for protocol 1"),
+        ("-5,6,1.2.3.4,1,1.2.3.4,1,20,", "negative timestamp: -5"),
+        ("5,6,1.2.3,1,1.2.3.4,1,20,", "not an IPv4 address: '1.2.3'"),
+        ("5,6,1.2.3.4,1", "not enough values to unpack"),
+    ])
+    def test_rejection_messages(self, tmp_path, row, message):
+        path = tmp_path / "packets.csv"
+        _write(path, ["1,6,1.2.3.4,1,1.2.3.4,1,20,", row])
+        with pytest.raises(FormatError, match=rf":3: {re.escape(message)}"):
+            read_packets(path)
+
+    def test_sensor_column_replaces_dst_and_is_checked(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        path.write_text(HEADER + ",sensor\n1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
+                        "2,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.256\n")
+        with pytest.raises(FormatError, match=":3: not an IPv4 address: '192.0.2.256'"):
+            read_packets(path, sensor_col="sensor")
+
+
+def _big_rows(n):
+    return [PacketRecord(ts=1_600_000_000_000_000 + 7 * i, protocol=(6, 17, 1)[i % 3],
+                         src_ip=int_to_ip(0xCB007100 + i % 251),
+                         src_port=0 if i % 3 == 2 else 1024 + i % 60000,
+                         dst_ip=int_to_ip(0x0A000000 + i), dst_port=0 if i % 3 == 2 else 80,
+                         len_bytes=20 + i % 1500, tcp_flags=("SA", "", "")[i % 3])
+            for i in range(n)]
+
+
+class TestPacketChunks:
+    N = 3 * ioformats._CHUNK_BYTES // 60        # rows are 60-70 bytes: about three chunks
+
+    def test_multi_chunk_file_equals_small_files(self, tmp_path):
+        rows = _big_rows(self.N)
+        big = tmp_path / "big.csv"
+        write_packets(big, rows)
+        assert big.stat().st_size > 2 * ioformats._CHUNK_BYTES
+        parts = []
+        for k in range(0, len(rows), 997):
+            part = tmp_path / f"part{k}.csv"
+            write_packets(part, rows[k:k + 997])
+            parts.append(read_packets(part))
+        whole, joined = read_packets(big), PacketBatch.concat(parts)
+        for name in COLUMNS:
+            a, b = getattr(whole, name), getattr(joined, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        assert whole.records() == rows
+
+    def test_bad_row_in_later_chunk_reports_true_line(self, tmp_path):
+        lines = [row_text(p) for p in _big_rows(self.N)]
+        bad_at = len(lines) - 5
+        lines[bad_at] = "0" + lines[bad_at]            # leading zero on ts
+        lines[10:10] = ["", ""]                    # blank lines still count
+        path = tmp_path / "packets.csv"
+        _write(path, lines)
+        assert sum(map(len, lines[:bad_at])) > ioformats._CHUNK_BYTES
+        with pytest.raises(FormatError, match=rf"packets\.csv:{bad_at + 4}: not a canonical"):
+            read_packets(path)
+
+    def test_header_only_file_is_empty_batch(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        path.write_text(HEADER + "\n")
+        batch = read_packets(path)
+        assert len(batch) == 0 and batch.records() == []
+        assert {getattr(batch, c).dtype for c in ("src", "dst")} == {np.dtype(np.uint32)}
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "packets.csv"
+        path.write_text("\n\n")
+        with pytest.raises(FormatError, match="empty file"):
+            read_packets(path)

@@ -50,6 +50,20 @@ class TestDetectRsdos:
         with pytest.raises(ValueError, match="record 1"):
             detect_rsdos(packets, CFG)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_order_error_names_first_late_record(self, seed):
+        rng = random.Random(seed)
+        packets = [pkt(rng.choice([0.0, 1.0, 2.0])) for _ in range(rng.randint(2, 20))]
+        late = [i for i in range(1, len(packets)) if packets[i].ts < packets[i - 1].ts]
+        if not late:
+            detect_rsdos(packets, CFG)
+            return
+        i = late[0]
+        with pytest.raises(ValueError) as exc:
+            detect_rsdos(packets, CFG)
+        assert str(exc.value) == (f"packets not time-ordered: record {i} has ts "
+                                  f"{packets[i].ts} after ts {packets[i - 1].ts}")
+
     def test_flow_expires_after_idle_interval(self):
         # two bursts separated by two full 300-s intervals: separate flows
         burst1 = [pkt(i * 2.0) for i in range(31)]            # [0, 60]: attack
@@ -100,21 +114,21 @@ class TestDetectRsdos:
 
 class TestBackscatterPrefilter:
     def test_syn_ack_kept(self):
-        assert backscatter_prefilter([pkt(0, flags="SA")]) != []
+        assert backscatter_prefilter([pkt(0, flags="SA")]).records() == [pkt(0, flags="SA")]
 
     def test_lone_syn_dropped(self):
-        assert backscatter_prefilter([pkt(0, flags="S")]) == []
+        assert backscatter_prefilter([pkt(0, flags="S")]).records() == []
 
     def test_rst_kept(self):
         assert len(backscatter_prefilter([pkt(0, flags="R"), pkt(1, flags="AR")])) == 2
 
     def test_icmp_kept_udp_dropped(self):
         kept = backscatter_prefilter([pkt(0, proto=1), pkt(1, proto=17)])
-        assert [p.protocol for p in kept] == [1]
+        assert [p.protocol for p in kept.records()] == [1]
 
     def test_none_mode_is_identity(self):
         packets = [pkt(0, flags="S"), pkt(1, proto=17), pkt(2, flags="SA")]
-        assert backscatter_prefilter(packets, "none") == packets
+        assert backscatter_prefilter(packets, "none").records() == packets
 
 
 class TestMinDetectableRate:
