@@ -30,6 +30,7 @@ from .model import (
     FLAG_F,
     FLAG_R,
     FLAG_S,
+    FLAG_STRINGS,
     AttackEvent,
     AllocationTable,
     PacketBatch,
@@ -37,6 +38,7 @@ from .model import (
     RoutedPrefixTable,
     TargetTuple,
     WeeklySeries,
+    as_batch,
     ip_to_int,
 )
 
@@ -229,14 +231,31 @@ def _tcp_flags(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mask & 15, mask < 16
 
 
-def write_packets(path, packets: Iterable[PacketRecord]) -> None:
+# Decimal spelling of each octet value
+_OCTET_TEXT = tuple(str(i) for i in range(256))
+
+
+def _dotted_quads(col: np.ndarray) -> list[str]:
+    """Each address of a uint32 column as a dotted-quad, formatted once per
+    distinct address."""
+    o = _OCTET_TEXT
+    distinct, index = np.unique(col, return_inverse=True)
+    text = [f"{o[v >> 24]}.{o[v >> 16 & 255]}.{o[v >> 8 & 255]}.{o[v & 255]}" for v in distinct.tolist()]
+    return [text[i] for i in index.tolist()]
+
+
+def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
+    """Write packets.csv, one row per packet in batch order."""
+    b = as_batch(packets)
+    flags = [FLAG_STRINGS[f] for f in b.flags.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(PACKETS_HEADER + "\n")
-        for p in packets:
-            fh.write(
-                f"{p.ts},{p.protocol},{p.src_ip},{p.src_port},"
-                f"{p.dst_ip},{p.dst_port},{p.len_bytes},{p.tcp_flags}\n"
-            )
+        fh.write("".join(
+            f"{ts},{proto},{src},{sport},{dst},{dport},{length},{flag}\n"
+            for ts, proto, src, sport, dst, dport, length, flag in zip(
+                b.ts.tolist(), b.protocol.tolist(), _dotted_quads(b.src), b.src_port.tolist(),
+                _dotted_quads(b.dst), b.dst_port.tolist(), b.len_bytes.tolist(), flags)
+        ))
 
 
 # -- attacks ----------------------------------------------------------------

@@ -127,10 +127,6 @@ def week_start(d: date) -> date:
     return d - timedelta(days=d.weekday())
 
 
-def week_index(d: date, start_week: date) -> int:
-    return (week_start(d) - start_week).days // 7
-
-
 def quarter_start(d: date) -> date:
     return date(d.year, 3 * ((d.month - 1) // 3) + 1, 1)
 
@@ -172,10 +168,10 @@ class PacketRecord:
 
 # TCP flag bits of PacketBatch.flags, and the canonical string of each mask
 FLAG_S, FLAG_A, FLAG_R, FLAG_F = 1, 2, 4, 8
-_FLAG_STRINGS = tuple(
+FLAG_STRINGS = tuple(
     "".join(ch for bit, ch in enumerate(_FLAG_ORDER) if mask >> bit & 1) for mask in range(16)
 )
-_FLAG_MASKS = {s: mask for mask, s in enumerate(_FLAG_STRINGS)}
+_FLAG_MASKS = {s: mask for mask, s in enumerate(FLAG_STRINGS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -223,7 +219,7 @@ class PacketBatch:
         """The rows as PacketRecords, for tests and reference implementations."""
         return [
             PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length,
-                         _FLAG_STRINGS[flags])
+                         FLAG_STRINGS[flags])
             for ts, proto, src, sport, dst, dport, length, flags in zip(
                 *(col.tolist() for col in self._columns()))
         ]

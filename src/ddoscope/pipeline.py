@@ -298,26 +298,35 @@ def _expand_inputs(o: ObservatoryConfig) -> list[str]:
     return paths
 
 
+def _settings(o: ObservatoryConfig) -> dict:
+    """The detector settings of one observatory, defaults applied."""
+    if o.type == "telescope":
+        return {"telescope": TelescopeConfig(**o.telescope)}
+    if o.type == "honeypot":
+        definition = preset(o.preset).definition
+        return {"preset": o.preset, "definition": definition, "sensor_col": o.sensor_col,
+                "merge_gap": definition.timeout if o.merge_gap is None else o.merge_gap}
+    return {"ampl_ports": AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)}
+
+
 def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
     """Attack events of one observatory from its input files (globs allowed)."""
     paths = _expand_inputs(o)
+    settings = _settings(o)
     if o.type == "telescope":
-        tcfg = TelescopeConfig(**o.telescope)
+        tcfg = settings["telescope"]
         packets = PacketBatch.concat([read_packets(p) for p in paths])
         packets = packets.take(np.argsort(packets.ts, kind="stable"))
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
     if o.type == "honeypot":
-        pre = preset(o.preset)
         packets = PacketBatch.concat([read_packets(p, sensor_col=o.sensor_col) for p in paths])
-        events = detect_honeypot(packets, pre.definition, observatory=o.name)
-        gap = pre.definition.timeout if o.merge_gap is None else o.merge_gap
-        return aggregate_sensors(events, gap)
-    ports = AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)
+        events = detect_honeypot(packets, settings["definition"], observatory=o.name)
+        return aggregate_sensors(events, settings["merge_gap"])
     events = []
     for p in paths:
         for f in read_flows(p):
-            e = classify_flow(f, ports, observatory=o.name)
+            e = classify_flow(f, settings["ampl_ports"], observatory=o.name)
             if e is not None:
                 events.append(e)
     return events
@@ -474,36 +483,53 @@ def _stage_confirm(cfg, bundle, system: TargetSetSystem) -> None:
         raise PipelineError("confirm", str(exc), "data") from exc
 
 
-def _write_manifest(cfg: PipelineConfig, bundle: _Bundle, seed: Optional[int]) -> None:
-    config_doc = {
-        # input paths are reduced to basenames so the hash is stable across
-        # working directories
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _file_digest(path) -> Optional[dict]:
+    # a basename, so the hash is stable across working directories
+    return None if path is None else {"name": Path(path).name, "sha256": _sha256(path)}
+
+
+def _json_default(value):
+    """JSON form of the settings' dataclasses and port sets."""
+    return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else sorted(value)
+
+
+def _config_digest(cfg: PipelineConfig) -> str:
+    """sha256 of everything that shapes the bundle: every setting after
+    defaults, and the contents of every input file."""
+    doc = {
         "observatories": [
-            {
-                "name": o.name,
-                "type": o.type,
-                "preset": o.preset,
-                "inputs": sorted(Path(i).name for i in o.inputs),
-            }
+            {"name": o.name, "type": o.type, **_settings(o),
+             "inputs": [_file_digest(p) for p in _expand_inputs(o)]}
             for o in cfg.observatories
         ],
-        "aggregate": cfg.aggregate,
-        "normalize": cfg.normalize,
-        "ewma_span": cfg.ewma_span,
-        "correlation": cfg.correlation,
-        "target_mode": cfg.target_mode,
+        "scenario": _file_digest(cfg.scenario),
+        "routed": _file_digest(cfg.routed),
+        "alloc": _file_digest(cfg.alloc),
+        "confirm": {"external": _file_digest(cfg.confirm_external), "salt": cfg.confirm_salt},
+        **{name: getattr(cfg, name) for name in (
+            "aggregate", "concurrency_gap", "min_targets", "normalize", "ewma_span",
+            "correlation", "upset", "overlap_series", "target_mode")},
     }
-    digest = hashlib.sha256(
-        json.dumps(config_doc, sort_keys=True).encode()
-    ).hexdigest()
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, default=_json_default).encode()).hexdigest()
+
+
+def _write_manifest(cfg: PipelineConfig, bundle: _Bundle, seed: Optional[int]) -> None:
     files = {}
     for p in sorted(set(bundle.files)):
         rel = p.relative_to(bundle.root).as_posix()
-        files[rel] = hashlib.sha256(p.read_bytes()).hexdigest()
+        files[rel] = _sha256(p)
     write_json(
         bundle.path("manifest.json"),
         {
-            "config_sha256": digest,
+            "config_sha256": _config_digest(cfg),
             "seed": seed,
             "version": __version__,
             "files": files,

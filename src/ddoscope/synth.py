@@ -20,6 +20,7 @@ identical (spec, seed) yields byte-identical outputs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +29,10 @@ import numpy as np
 from .flowclass import FlowSummary, classify_flow
 from .ioformats import write_flows, write_json, write_packets
 from .model import (
-    PacketRecord,
+    FLAG_A,
+    FLAG_S,
     US_PER_S,
+    PacketBatch,
     int_to_ip,
     ip_to_int,
     parse_prefix,
@@ -74,6 +77,8 @@ class AttackSpec:
             raise ValueError("reflection attacks need at least one sensor")
         if self.amplification <= 0:
             raise ValueError("amplification must be positive")
+        if self.type == "reflection" and not (self.ports and all(0 <= p <= 65535 for p in self.ports)):
+            raise ValueError(f"reflection needs ports in [0, 65535], got {self.ports}")
         parse_prefix(self.victim)  # validates
         object.__setattr__(self, "ports", tuple(self.ports))
 
@@ -141,8 +146,8 @@ class ScenarioSpec:
 
 @dataclass
 class GeneratedScenario:
-    telescope_packets: list[PacketRecord]
-    honeypot_packets: dict[str, list[PacketRecord]]  # sensor IP -> packets
+    telescope_packets: PacketBatch
+    honeypot_packets: dict[str, PacketBatch]  # sensor IP -> packets
     flows: list[FlowSummary]
     ground_truth: dict
 
@@ -151,25 +156,11 @@ def _attack_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _victim_source(rng: np.random.Generator, net: int, plen: int) -> str:
-    if plen == 32:
-        return int_to_ip(net)
-    offset = int(rng.integers(0, 1 << (32 - plen)))
-    return int_to_ip(net | offset)
-
-
-def _jitter_us(rng: np.random.Generator, second: float, count: int, span_s: float = 1.0) -> list[int]:
-    base = int(round(second * US_PER_S))
-    width = max(1, int(round(span_s * US_PER_S)))
-    offsets = sorted(int(u) for u in rng.integers(0, width, count))
-    return [base + o for o in offsets]
-
-
 def generate(spec: ScenarioSpec) -> GeneratedScenario:
     """Materialize a scenario: sensor packet streams, flow summaries, and
     per-attack ground truth. Deterministic given (spec, seed)."""
-    telescope: list[tuple] = []
-    honeypot: dict[str, list[tuple]] = {ip: [] for ip in spec.honeypot_sensors}
+    telescope: list[PacketBatch] = []
+    honeypot: list[PacketBatch] = []   # every sensor's rows; dst is the sensor
     flows: list[FlowSummary] = []
     truth_attacks: list[dict] = []
     sample_prob = spec.telescope_addresses / ADDRESS_SPACE
@@ -189,49 +180,39 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
             "attack_packets": total_pkts,
         }
 
+        # flow summary: (protocol, src port, distinct sources, byte amplification)
         if atk.type == "rsdos":
-            observed = _emit_rsdos(atk, rng, spec.telescope_addresses, telescope)
+            batch = _emit_rsdos(atk, rng, spec.telescope_addresses)
+            telescope.append(batch)
             entry["telescope"] = {
                 "sample_probability": sample_prob,
                 "expected_packets": total_pkts * sample_prob,
-                "observed_packets": observed,
+                "observed_packets": len(batch),
             }
-            flow = FlowSummary(
-                target_ip=int_to_ip(net),
-                protocol=6,
-                src_port=0,
-                distinct_src_ips=min(total_pkts, ADDRESS_SPACE) if atk.spoof == "uniform" else NONSPOOFED_SOURCES,
-                bitrate_bps=atk.rate_pps * atk.packet_bytes * 8.0,
-                start_ts=start_us,
-                end_ts=end_us,
-            )
+            sources = min(total_pkts, ADDRESS_SPACE) if atk.spoof == "uniform" else NONSPOOFED_SOURCES
+            flow_shape = (6, 0, sources, 1.0)
         elif atk.type == "reflection":
-            sensors_hit, per_sensor, ports = _emit_reflection(atk, rng, spec.honeypot_sensors, honeypot)
+            batch, sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors)
+            honeypot.append(batch)
             entry["honeypot"] = {
                 "sensors": sensors_hit,
                 "packets_per_sensor": per_sensor,
-                "dst_ports": ports,
+                "dst_ports": list(atk.ports),
             }
-            flow = FlowSummary(
-                target_ip=int_to_ip(net),
-                protocol=17,
-                src_port=ports[0],
-                distinct_src_ips=atk.reflector_subset,
-                bitrate_bps=atk.rate_pps * atk.packet_bytes * 8.0 * atk.amplification,
-                start_ts=start_us,
-                end_ts=end_us,
-            )
+            flow_shape = (17, atk.ports[0], atk.reflector_subset, atk.amplification)
         else:  # direct_nonspoofed: flows only, invisible to telescope and honeypots
-            flow = FlowSummary(
-                target_ip=int_to_ip(net),
-                protocol=6,
-                src_port=0,
-                distinct_src_ips=NONSPOOFED_SOURCES,
-                bitrate_bps=atk.rate_pps * atk.packet_bytes * 8.0,
-                start_ts=start_us,
-                end_ts=end_us,
-            )
+            flow_shape = (6, 0, NONSPOOFED_SOURCES, 1.0)
 
+        protocol, src_port, sources, amplification = flow_shape
+        flow = FlowSummary(
+            target_ip=int_to_ip(net),
+            protocol=protocol,
+            src_port=src_port,
+            distinct_src_ips=sources,
+            bitrate_bps=atk.rate_pps * atk.packet_bytes * 8.0 * amplification,
+            start_ts=start_us,
+            end_ts=end_us,
+        )
         flows.append(flow)
         classified = classify_flow(flow)
         entry["flow"] = {
@@ -243,11 +224,8 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         }
         truth_attacks.append(entry)
 
-    telescope.sort()
-    for pkts in honeypot.values():
-        pkts.sort()
     flows.sort(key=lambda f: (f.start_ts, ip_to_int(f.target_ip)))
-
+    honeypot_rows = _sorted(PacketBatch.concat(honeypot))
     ground_truth = {
         "seed": spec.seed,
         "duration_s": spec.duration_s,
@@ -259,86 +237,88 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         "attacks": truth_attacks,
     }
     return GeneratedScenario(
-        telescope_packets=[_to_record(t) for t in telescope],
-        honeypot_packets={ip: [_to_record(t) for t in pkts] for ip, pkts in honeypot.items()},
+        telescope_packets=_sorted(PacketBatch.concat(telescope)),
+        honeypot_packets={ip: honeypot_rows.take(honeypot_rows.dst == ip_to_int(ip))
+                          for ip in spec.honeypot_sensors},
         flows=flows,
         ground_truth=ground_truth,
     )
 
 
-def _to_record(t: tuple) -> PacketRecord:
-    ts, src, dst, sport, dport, proto, length, flags = t
-    return PacketRecord(
-        ts=ts, protocol=proto, src_ip=src, src_port=sport,
-        dst_ip=dst, dst_port=dport, len_bytes=length, tcp_flags=flags,
-    )
+def _sorted(batch: PacketBatch) -> PacketBatch:
+    """Rows in (ts, src, dst, src_port, dst_port, protocol, len_bytes, flags)
+    order: a total order on row contents, so it does not depend on the order
+    of the attacks."""
+    return batch.take(np.lexsort((batch.flags, batch.len_bytes, batch.protocol, batch.dst_port,
+                                  batch.src_port, batch.dst, batch.src, batch.ts)))
 
 
-def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int, out: list[tuple]) -> int:
+def _seconds(start_s: float, until: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each attack second's first microsecond and its span in microseconds;
+    second i runs from start_s + i to start_s + until[i]."""
+    sec = np.arange(len(until), dtype=np.float64)
+    base = np.round((start_s + sec) * US_PER_S).astype(np.int64)
+    width = np.maximum(1, np.round((until - sec) * US_PER_S)).astype(np.int64)
+    return base, width
+
+
+def _batch(n: int, ts, protocol, src, src_port, dst, dst_port, len_bytes, flags) -> PacketBatch:
+    """A PacketBatch of `n` rows; scalar arguments fill their whole column."""
+    values = (ts, protocol, src, src_port, dst, dst_port, len_bytes, flags)
+    return PacketBatch(*(np.broadcast_to(np.asarray(v).astype(dtype, copy=False), (n,))
+                         for v, dtype in zip(values, PacketBatch.DTYPES.values())))
+
+
+def _victim_sources(rng, net: int, plen: int, n: int):
+    """`n` uniform draws from the victim prefix, or its address for a /32."""
+    return net | rng.integers(0, 1 << (32 - plen), n) if plen < 32 else net
+
+
+def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int) -> PacketBatch:
     """Backscatter sampling: per attack-second, a binomial draw of the
-    victim's responses lands on telescope addresses. Returns the count.
+    victim's responses lands on telescope addresses.
 
     Per-second attack packet counts follow cumulative quotas, so they sum
     exactly to round(rate * duration) and the total observed count is a
     Binomial(total, n/2^32) sample.
     """
-    sample_prob = n_addresses / ADDRESS_SPACE
+    until = np.minimum(np.arange(1, math.ceil(atk.duration_s) + 1, dtype=np.float64), atk.duration_s)
+    quotas = np.diff(np.round(atk.rate_pps * until), prepend=0.0).astype(np.int64)
+    seen = rng.binomial(quotas, n_addresses / ADDRESS_SPACE)
+    base, width = (np.repeat(col, seen) for col in _seconds(atk.start_s, until))
+    n = len(base)
+    ts = base + rng.integers(0, width)
     net, plen = parse_prefix(atk.victim)
-    seconds = max(1, int(-(-atk.duration_s // 1)))
-    observed = 0
-    emitted = 0
-    for sec in range(seconds):
-        until = min(float(sec + 1), atk.duration_s)
-        quota = int(round(atk.rate_pps * until)) - emitted
-        emitted += quota
-        if quota <= 0:
-            continue
-        k = int(rng.binomial(quota, sample_prob))
-        if k == 0:
-            continue
-        observed += k
-        timestamps = _jitter_us(rng, atk.start_s + sec, k, until - sec)
-        dsts = rng.integers(0, 1 << (32 - plen), k) if plen < 32 else None
-        tele = rng.integers(0, n_addresses, k)
-        ports = rng.integers(1024, 65536, k)
-        for i, ts in enumerate(timestamps):
-            src = int_to_ip(net | int(dsts[i])) if dsts is not None else int_to_ip(net)
-            out.append((
-                ts, src, int_to_ip(TELESCOPE_BASE + int(tele[i])),
-                80, int(ports[i]), 6, atk.packet_bytes, "SA",
-            ))
-    return observed
+    src = _victim_sources(rng, net, plen, n)
+    dst = TELESCOPE_BASE + rng.integers(0, n_addresses, n)
+    if n and dst.max() > 0xFFFFFFFF:
+        raise ValueError(f"IPv4 int out of range: {int(dst.max())}")
+    return _batch(n, ts, 6, src, 80, dst, rng.integers(1024, 65536, n),
+                  atk.packet_bytes, FLAG_S | FLAG_A)
 
 
 def _emit_reflection(
-    atk: AttackSpec,
-    rng,
-    sensors: tuple[str, ...],
-    out: dict[str, list[tuple]],
-) -> tuple[list[str], int, list[int]]:
-    net, plen = parse_prefix(atk.victim)
+    atk: AttackSpec, rng, sensors: tuple[str, ...],
+) -> tuple[PacketBatch, list[str], int]:
+    """Spoofed requests from the victim to a seeded subset of the sensors:
+    per_sensor requests each, spread over the attack's whole seconds, their
+    dst ports cycling through `atk.ports` in time order."""
     chosen_idx = sorted(int(i) for i in rng.choice(len(sensors), atk.reflector_subset, replace=False))
     chosen = [sensors[i] for i in chosen_idx]
     per_sensor = int(round(atk.rate_pps * atk.duration_s / len(chosen)))
     src_port = int(rng.integers(1024, 65536))
-    ports = list(atk.ports)
     whole_seconds = max(1, int(atk.duration_s))
-    for sensor in chosen:
-        emitted = 0
-        for sec in range(whole_seconds):
-            quota = per_sensor * (sec + 1) // whole_seconds - emitted
-            if quota <= 0:
-                continue
-            span = min(float(sec + 1), atk.duration_s) - sec
-            timestamps = _jitter_us(rng, atk.start_s + sec, quota, span)
-            for ts in timestamps:
-                src = _victim_source(rng, net, plen) if plen < 32 else int_to_ip(net)
-                out[sensor].append((
-                    ts, src, sensor, src_port,
-                    ports[emitted % len(ports)], 17, atk.packet_bytes, "",
-                ))
-                emitted += 1
-    return chosen, per_sensor, ports
+    quotas = np.diff(per_sensor * np.arange(whole_seconds + 1) // whole_seconds)
+    until = np.minimum(np.arange(1, whole_seconds + 1, dtype=np.float64), atk.duration_s)
+    base, width = (np.repeat(col, quotas) for col in _seconds(atk.start_s, until))
+    ts = np.sort(base + rng.integers(0, width, (len(chosen), per_sensor)), axis=1).ravel()
+    n = len(ts)
+    net, plen = parse_prefix(atk.victim)
+    src = _victim_sources(rng, net, plen, n)
+    dst = np.repeat([ip_to_int(s) for s in chosen], per_sensor)
+    ports = np.array(atk.ports)
+    dst_port = np.tile(ports[np.arange(per_sensor) % len(ports)], len(chosen))
+    return _batch(n, ts, 17, src, src_port, dst, dst_port, atk.packet_bytes, 0), chosen, per_sensor
 
 
 # ---------------------------------------------------------------------------

@@ -412,3 +412,52 @@ class TestPipelineCommand:
         trends = json.loads((out / "trends.json").read_text())
         assert trends and all(set(v) == {"skipped"} for v in trends.values())
         assert json.loads((out / "confirm.json").read_text())["external_digests"] == 1
+
+
+class TestManifestHash:
+    """config_sha256 changes with every setting and input byte that shapes
+    the bundle, and with nothing else."""
+
+    FLOWS = ("target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n"
+             f"203.0.113.11,6,0,20,200000000,{FIRST_MONDAY * US_PER_S},"
+             f"{(FIRST_MONDAY + 300) * US_PER_S}\n")
+
+    def run(self, runner, root, edit=None, flows=FLOWS):
+        cfg_path = write_pipeline_fixture(root, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        # the flow observatory reads a hand-written file, not synth's
+        (root / "flows.csv").write_text(flows)
+        doc["observatories"][2]["inputs"] = ["flows.csv"]
+        if edit:
+            edit(doc)
+        cfg_path.write_text(json.dumps(doc))
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        out = root / "out"
+        manifest = json.loads((out / "manifest.json").read_text())
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+        return manifest["config_sha256"], files
+
+    def test_identical_runs_hash_equal(self, runner, tmp_path):
+        first, files = self.run(runner, tmp_path / "a")
+        assert self.run(runner, tmp_path / "b") == (first, files)
+
+    def test_one_input_byte_changes_hash(self, runner, tmp_path):
+        first, files = self.run(runner, tmp_path / "a")
+        # 200000000 -> 200000001 bps is still DP: every output but the hash stays
+        edited = self.FLOWS.replace(",200000000,", ",200000001,")
+        assert edited != self.FLOWS
+        second, edited_files = self.run(runner, tmp_path / "b", flows=edited)
+        assert second != first
+        assert edited_files == files
+
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc["observatories"][0].update(config={"pkt_threshold": 400}),
+        lambda doc: doc["observatories"][1].update(merge_gap=1800),
+        lambda doc: doc["observatories"][2].update(ampl_ports=[123]),
+        lambda doc: doc.update(min_targets=3),
+    ], ids=["pkt_threshold", "merge_gap", "ampl_ports", "min_targets"])
+    def test_setting_changes_hash(self, runner, tmp_path, edit):
+        first, _ = self.run(runner, tmp_path / "a")
+        second, _ = self.run(runner, tmp_path / "b", edit)
+        assert second != first
