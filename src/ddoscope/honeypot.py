@@ -1,10 +1,10 @@
-"""Generic attack-definition engine for reflection-amplification honeypots.
+"""Attack definitions for reflection-amplification honeypots.
 
 A honeypot sensor logs the spoofed requests it is asked to reflect, so the
 packet's source address is the victim and the destination is the sensor.
-Packets are grouped by the definition's key fields, flows split on
-inter-packet gaps above the timeout, and completed flows that clear the
-thresholds become RA attack events.
+The flow engine (flows.py) groups packets by the definition's key fields
+and splits flows on inter-packet gaps above the timeout; flows that clear
+the thresholds become RA attack events.
 
 Built-in presets:
 
@@ -24,6 +24,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .flows import distinct, group_flows
 from .model import (
     AttackDefinition,
     AttackEvent,
@@ -112,69 +113,44 @@ def detect_honeypot(
     """
     packets = as_batch(packets)
     _check_sensor_order(packets)
-    if not len(packets):
-        return []
     d = definition
     keys = [
         packets.src & np.uint32(prefix_mask(d.src_prefix_len)) if f == "src_prefix"
         else getattr(packets, _KEY_COLUMNS[f])
         for f in d.key_fields
     ]
-    # group by key, time-ordered within a key (sensors may interleave)
-    order = np.lexsort((packets.ts, *keys))
-    ts = packets.ts[order]
-    new_key = np.zeros(len(order), bool)
-    new_key[0] = True
-    for k in keys:
-        k = k[order]
-        new_key[1:] |= k[1:] != k[:-1]
-    new_flow = new_key.copy()
-    new_flow[1:] |= np.diff(ts) > int(d.timeout * US_PER_S)
-    key_start = np.flatnonzero(new_key)
-    flow_start = np.flatnonzero(new_flow)
-    flow_end = np.append(flow_start[1:], len(order))
-    flow_of = np.cumsum(new_flow) - 1           # flow index of each sorted packet
-
-    n_flows = len(flow_start)
-
-    keep = flow_end - flow_start >= d.pkt_threshold
-    if d.port_threshold is not None:
-        _, port_bounds = _distinct(flow_of, packets.dst_port[order], n_flows)
-        keep &= np.diff(port_bounds) >= d.port_threshold
-    if d.duration_threshold is not None:
-        keep &= ts[flow_end - 1] - ts[flow_start] >= d.duration_threshold * US_PER_S
-    # a key's first input index orders events that tie on event_sort_key
-    key_first = np.minimum.reduceat(order, key_start)[np.cumsum(new_key)[flow_start] - 1]
-    n_bytes = np.add.reduceat(packets.len_bytes[order], flow_start)
-    sensors, sensor_bounds = _distinct(flow_of, packets.dst[order], n_flows)
-    src = packets.src[order]
+    flows = group_flows(
+        packets, keys, lambda prev, cur: cur - prev > int(d.timeout * US_PER_S),
+        min_packets=d.pkt_threshold,
+        min_duration_us=(d.duration_threshold or 0) * US_PER_S,
+        min_ports=d.port_threshold,
+    )
+    order, bounds = flows.order, flows.bounds
+    n_bytes = np.add.reduceat(packets.len_bytes[order], bounds[:-1])
+    sensors, sensor_bounds = distinct(packets.dst[order], bounds)
     by_prefix = "src_prefix" in d.key_fields
     if by_prefix:
-        hosts, host_bounds = _distinct(flow_of, src, n_flows)
+        hosts, host_bounds = distinct(packets.src[order], bounds)
+    plen = d.src_prefix_len if by_prefix else 32
 
     events = []
-    for f in np.flatnonzero(keep).tolist():
-        first, last = int(flow_start[f]), int(flow_end[f]) - 1
-        if by_prefix:
-            net = int(src[first]) & prefix_mask(d.src_prefix_len)
-            target = format_prefix(net, d.src_prefix_len)
-            members = tuple(sorted(map(int_to_ip, hosts[host_bounds[f]:host_bounds[f + 1]].tolist())))
-        else:
-            target, members = f"{int_to_ip(int(src[first]))}/32", None
-        event = AttackEvent(
+    for f in flows.attacks.tolist():
+        first, last = order[bounds[f]], order[bounds[f + 1] - 1]
+        members = (tuple(sorted(map(int_to_ip, hosts[host_bounds[f]:host_bounds[f + 1]].tolist())))
+                   if by_prefix else None)
+        events.append(AttackEvent(
             observatory=observatory,
             attack_type="RA",
-            target=target,
-            start_ts=int(ts[first]),
-            end_ts=int(ts[last]),
-            packets=last - first + 1,
+            target=format_prefix(int(packets.src[first]) & prefix_mask(plen), plen),
+            start_ts=int(packets.ts[first]),
+            end_ts=int(packets.ts[last]),
+            packets=int(bounds[f + 1] - bounds[f]),
             bytes=int(n_bytes[f]),
             sensors=frozenset(map(int_to_ip, sensors[sensor_bounds[f]:sensor_bounds[f + 1]].tolist())),
             member_targets=members,
-        )
-        events.append((event_sort_key(event), int(key_first[f]), event))
-    events.sort(key=lambda t: t[:2])
-    return [e for _, _, e in events]
+        ))
+    events.sort(key=event_sort_key)
+    return events
 
 
 def _check_sensor_order(packets: PacketBatch) -> None:
@@ -188,14 +164,6 @@ def _check_sensor_order(packets: PacketBatch) -> None:
             f"packets not time-ordered for sensor {int_to_ip(int(dst[j]))}: "
             f"record {by_sensor[j + 1]} has ts {ts[j + 1]} after ts {ts[j]}"
         )
-
-
-def _distinct(group: np.ndarray, values: np.ndarray, n_groups: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct values per group: (values sorted by group then value, and
-    the bounds of each group's run in them)."""
-    pairs = np.unique(group.astype(np.int64) << 32 | values)
-    bounds = np.searchsorted(pairs >> 32, np.arange(n_groups + 1))
-    return pairs & 0xFFFFFFFF, bounds
 
 
 def aggregate_sensors(events: Iterable[AttackEvent], merge_gap: float) -> list[AttackEvent]:

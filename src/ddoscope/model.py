@@ -76,24 +76,6 @@ def prefix_contains(net: int, plen: int, other_net: int, other_plen: int) -> boo
     return (other_net & prefix_mask(plen)) == net
 
 
-def covering_prefix(ips: Iterable[str]) -> str:
-    """Smallest prefix (longest length) containing every address in `ips`.
-
-    The common prefix of a set of addresses is the common prefix of the
-    bitwise extremes, so one XOR-fold over the set suffices.
-    """
-    it = iter(ips)
-    try:
-        first = ip_to_int(next(it))
-    except StopIteration:
-        raise ValueError("covering_prefix of empty set") from None
-    diff = 0
-    for ip in it:
-        diff |= ip_to_int(ip) ^ first
-    plen = 32 - diff.bit_length()
-    return format_prefix(first & prefix_mask(plen), plen)
-
-
 def normalize_tcp_flags(flags: str) -> str:
     """Canonicalize a flag string to S,A,R,F order; rejects unknown letters."""
     seen = set()

@@ -174,8 +174,13 @@ def _validate(cfg: PipelineConfig) -> None:
     for o in cfg.observatories:
         if o.type not in OBSERVATORY_TYPES:
             raise _config_error(f"unknown observatory type {o.type!r}")
-        if o.type == "honeypot" and cfg.scenario is None and not o.preset:
-            raise _config_error(f"honeypot {o.name!r} needs a preset")
+        if o.type == "honeypot":
+            if not o.preset:
+                raise _config_error(f"honeypot {o.name!r} needs a preset")
+            try:
+                preset(str(o.preset))
+            except ValueError as exc:
+                raise _config_error(f"honeypot {o.name!r}: {exc}") from None
         if not o.inputs and cfg.scenario is None:
             raise _config_error(f"observatory {o.name!r} has no inputs")
         if o.type == "telescope":

@@ -67,6 +67,9 @@ class AttackSpec:
             raise ValueError(f"unknown attack type {self.type!r}")
         if self.rate_pps <= 0 or self.duration_s <= 0:
             raise ValueError("rate and duration must be positive")
+        if self.type == "rsdos" and round(self.rate_pps * self.duration_s) < 1:
+            raise ValueError(f"rsdos attack on {self.victim} has no packets: "
+                             f"rate_pps * duration_s = {self.rate_pps * self.duration_s:g} rounds to 0")
         if self.start_s < 0:
             raise ValueError("attack cannot start before the scenario")
         if self.packet_bytes < 20:

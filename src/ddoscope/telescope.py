@@ -14,6 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .flows import Rate, group_flows
 from .model import (
     FLAG_A,
     FLAG_R,
@@ -75,19 +76,6 @@ def backscatter_prefilter(packets: PacketBatch | Iterable[PacketRecord], mode: s
     return packets.take((packets.protocol == 1) | ((packets.protocol == 6) & tcp_response))
 
 
-class _FlowState:
-    __slots__ = ("first_ts", "last_ts", "count", "buckets", "winsum", "rate_met", "is_attack")
-
-    def __init__(self, ts: int):
-        self.first_ts = ts
-        self.last_ts = ts
-        self.count = 0
-        self.buckets: list[list[int]] = []  # [slide-bucket index, packet count], ascending
-        self.winsum = 0
-        self.rate_met = False
-        self.is_attack = False
-
-
 def detect_rsdos(
     packets: PacketBatch | Iterable[PacketRecord],
     cfg: TelescopeConfig,
@@ -96,7 +84,9 @@ def detect_rsdos(
     """Infer RSDoS attacks from a time-ordered telescope packet stream.
 
     Raises ValueError on out-of-order input, naming the offending record.
-    Output is canonicalized: sorted by (start_ts, target).
+    Output is canonicalized: sorted by (start_ts, target). Events that tie
+    there (one target's TCP and ICMP flows starting together) come in the
+    order their (protocol, source) keys first appear in the input.
     """
     packets = as_batch(packets)
     unordered = np.flatnonzero(packets.ts[1:] < packets.ts[:-1])
@@ -107,78 +97,24 @@ def detect_rsdos(
             f"after ts {packets.ts[i - 1]}"
         )
     interval_us = int(cfg.interval * US_PER_S)
-    duration_us = int(cfg.duration_threshold * US_PER_S)
-    slide_us = int(cfg.rate_slide * US_PER_S)
-    buckets_per_window = int(round(cfg.rate_window / cfg.rate_slide))
-
-    flows: dict[tuple[int, int], _FlowState] = {}
-    events: list[AttackEvent] = []
-    cur_interval = None
-
-    def finalize(key: tuple[int, int], st: _FlowState) -> None:
-        if st.is_attack:
-            events.append(
-                AttackEvent(
-                    observatory=observatory,
-                    attack_type="RSDoS",
-                    target=f"{int_to_ip(key[1])}/32",
-                    start_ts=st.first_ts,
-                    end_ts=st.last_ts,
-                    packets=st.count,
-                )
-            )
-
-    for ts, key in zip(packets.ts.tolist(), zip(packets.protocol.tolist(), packets.src.tolist())):
-        # A flow ends after a full interval with no packets: on entering
-        # interval m, any flow untouched since before interval m-1 is done.
-        pkt_interval = ts // interval_us
-        if cur_interval is None:
-            cur_interval = pkt_interval
-        elif pkt_interval > cur_interval:
-            cutoff = (pkt_interval - 1) * interval_us
-            expired = [(k, st) for k, st in flows.items() if st.last_ts < cutoff]
-            for k, st in expired:
-                finalize(k, st)
-                del flows[k]
-            cur_interval = pkt_interval
-
-        st = flows.get(key)
-        if st is None:
-            st = flows[key] = _FlowState(ts)
-        st.count += 1
-        st.last_ts = ts
-
-        if not st.rate_met:
-            # Track per-slide-bucket counts over the trailing window. Checking
-            # only the window that ends at the current bucket is exact: when
-            # any epoch-aligned window first reaches the threshold, all its
-            # packets so far lie within the trailing window of that packet.
-            b = ts // slide_us
-            if st.buckets and st.buckets[-1][0] == b:
-                st.buckets[-1][1] += 1
-            else:
-                st.buckets.append([b, 1])
-            st.winsum += 1
-            low = b - buckets_per_window + 1
-            while st.buckets[0][0] < low:
-                st.winsum -= st.buckets.pop(0)[1]
-            if st.winsum >= cfg.rate_pkts:
-                st.rate_met = True
-                st.buckets = []
-                st.winsum = 0
-
-        if (
-            not st.is_attack
-            and st.rate_met
-            and st.count >= cfg.pkt_threshold
-            and st.last_ts - st.first_ts >= duration_us
-        ):
-            st.is_attack = True
-
-    for key, st in flows.items():
-        finalize(key, st)
-    events.sort(key=event_sort_key)
-    return events
+    flows = group_flows(
+        packets,
+        (packets.protocol, packets.src),
+        # a full accounting interval without packets ends a flow
+        lambda prev, cur: cur // interval_us - prev // interval_us >= 2,
+        min_packets=cfg.pkt_threshold,
+        min_duration_us=cfg.duration_threshold * US_PER_S,
+        rate=Rate(cfg.rate_pkts, int(cfg.rate_slide * US_PER_S),
+                  int(round(cfg.rate_window / cfg.rate_slide))),
+    )
+    a, b = flows.bounds[flows.attacks], flows.bounds[flows.attacks + 1]
+    first, last = flows.order[a], flows.order[b - 1]
+    return sorted((
+        AttackEvent(observatory=observatory, attack_type="RSDoS", target=f"{int_to_ip(src)}/32",
+                    start_ts=start, end_ts=end, packets=n)
+        for src, start, end, n in zip(packets.src[first].tolist(), packets.ts[first].tolist(),
+                                      packets.ts[last].tolist(), (b - a).tolist())
+    ), key=event_sort_key)
 
 
 def min_detectable_rate(

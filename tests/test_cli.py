@@ -11,7 +11,7 @@ from ddoscope.model import US_PER_S, TargetTuple
 from ddoscope.overlap import hash_targets
 from ddoscope.ioformats import read_attacks, read_targets
 
-from conftest import FIRST_MONDAY, write_pipeline_fixture
+from conftest import FIRST_MONDAY, build_scenario, write_pipeline_fixture
 
 
 @pytest.fixture
@@ -321,6 +321,27 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert "telescope 'scope'" in result.output and message in result.output
+
+    @pytest.mark.parametrize("with_scenario", [True, False], ids=["scenario", "inputs"])
+    @pytest.mark.parametrize("preset, message", [
+        (None, "honeypot 'hop' needs a preset"),
+        ("bogus", "honeypot 'hop': unknown honeypot preset 'bogus'"),
+    ], ids=["missing", "unknown"])
+    def test_honeypot_preset_errors(self, runner, tmp_path, with_scenario, preset, message):
+        hop = {"name": "hop", "type": "honeypot", "preset": preset}
+        doc = {"out_dir": str(tmp_path / "out"), "observatories": [hop]}
+        if with_scenario:
+            doc["scenario"] = str(tmp_path / "scenario.json")
+            (tmp_path / "scenario.json").write_text(json.dumps(build_scenario(weeks=1)))
+        else:
+            hop["inputs"] = [str(tmp_path / "honeypot.csv")]
+            (tmp_path / "honeypot.csv").write_text(
+                "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags\n")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"stage 'config': {message}" in result.output
 
     def test_newkid_prefix_events_give_host_targets(self, runner, tmp_path):
         # two weeks of /24 multi-protocol attacks, each from three hosts

@@ -9,7 +9,6 @@ from ddoscope.model import (
     PacketRecord,
     RoutedPrefixTable,
     WeeklySeries,
-    covering_prefix,
     int_to_ip,
     ip_to_int,
     parse_prefix,
@@ -114,32 +113,6 @@ class TestLongestPrefixMatch:
                 got = table.lookup(ip)
                 expected = None if best is None else (best[1], best[2])
                 assert got == expected
-
-
-class TestCoveringPrefix:
-    def test_singleton(self):
-        assert covering_prefix({"203.0.113.5"}) == "203.0.113.5/32"
-
-    def test_two_addresses(self):
-        assert covering_prefix({"203.0.113.5", "203.0.113.99"}) == "203.0.113.0/25"
-
-    def test_full_disagreement(self):
-        assert covering_prefix({"0.0.0.0", "255.255.255.255"}) == "0.0.0.0/0"
-
-    def test_contains_all_and_is_tight(self):
-        rng = random.Random(7)
-        for _ in range(300):
-            base = rng.getrandbits(32)
-            ips = {int_to_ip((base + rng.randint(0, 2 ** rng.randint(0, 16))) & 0xFFFFFFFF)
-                   for _ in range(rng.randint(1, 12))}
-            net, plen = parse_prefix(covering_prefix(ips))
-            for ip in ips:
-                assert prefix_contains(net, plen, ip_to_int(ip), 32)
-            if plen < 32:
-                # one more prefix bit must exclude at least one address
-                excluded = [ip for ip in ips
-                            if not prefix_contains(net, plen + 1, ip_to_int(ip), 32)]
-                assert excluded
 
 
 class TestAllocationTable:

@@ -51,6 +51,10 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="past the scenario end"):
             scenario([rsdos(start=3500, duration=300)])
 
+    def test_rsdos_needs_packets(self):
+        with pytest.raises(ValueError, match="rate_pps \\* duration_s = 0.4 rounds to 0"):
+            rsdos(rate=0.4, duration=1)
+
     def test_reflection_needs_sensors(self):
         with pytest.raises(ValueError):
             scenario([reflection(subset=0)])
@@ -230,7 +234,7 @@ def timing(draw, max_rate: float) -> dict:
 @st.composite
 def rsdos_specs(draw):
     t = timing(draw, 5000)
-    assume(round(t["rate"] * t["duration"]) >= 1)    # a flow summary needs a source
+    assume(round(t["rate"] * t["duration"]) >= 1)    # AttackSpec rejects rsdos with no packets
     return rsdos(**t)
 
 

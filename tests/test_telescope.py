@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ddoscope.model import US_PER_S
 from ddoscope.telescope import (
@@ -14,6 +15,42 @@ from conftest import make_telescope_trace as make_trace, telescope_pkt as pkt
 from oracles import oracle_detect_rsdos
 
 CFG = TelescopeConfig(n_addresses=2 ** 22)
+
+
+@st.composite
+def telescope_configs(draw):
+    slide = draw(st.sampled_from([5.0, 10.0, 20.0, 30.0]))
+    return TelescopeConfig(
+        n_addresses=500_000,
+        interval=draw(st.sampled_from([30.0, 60.0, 300.0])),
+        pkt_threshold=draw(st.integers(1, 40)),
+        duration_threshold=draw(st.floats(0.001, 150.0)),
+        rate_pkts=draw(st.integers(1, 40)),
+        rate_window=slide * draw(st.integers(2, 6)),
+        rate_slide=slide,
+    )
+
+
+@st.composite
+def tied_traces(draw):
+    """A few keys on a coarse clock, so that many packets share a timestamp."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    tick = rng.choice([1.0, 5.0, 30.0])
+    ticks = sorted(rng.randint(0, int(rng.choice([120, 600, 1800]) / tick))
+                   for _ in range(rng.randint(0, 400)))
+    return [pkt(t * tick, src=f"198.51.100.{rng.randint(1, 3)}", proto=rng.choice([1, 6]))
+            for t in ticks]
+
+
+def fixed_config_examples(test):
+    """One fixed non-default config over 100 seeded traces."""
+    cfg = TelescopeConfig(
+        n_addresses=500_000, interval=120.0, pkt_threshold=10,
+        duration_threshold=20.0, rate_pkts=8, rate_window=30.0, rate_slide=5.0,
+    )
+    for seed in range(100):
+        test = example(cfg=cfg, packets=make_trace(seed + 10_000))(test)
+    return test
 
 
 class TestDetectRsdos:
@@ -82,18 +119,25 @@ class TestDetectRsdos:
             }
             assert got == oracle_detect_rsdos(packets, CFG), f"seed {seed}"
 
-    def test_matches_oracle_nondefault_config(self):
-        cfg = TelescopeConfig(
-            n_addresses=500_000, interval=120.0, pkt_threshold=10,
-            duration_threshold=20.0, rate_pkts=8, rate_window=30.0, rate_slide=5.0,
-        )
-        for seed in range(100):
-            packets = make_trace(seed + 10_000)
-            got = {
-                (e.target, e.start_ts, e.end_ts, e.packets)
-                for e in detect_rsdos(packets, cfg)
-            }
-            assert got == oracle_detect_rsdos(packets, cfg), f"seed {seed}"
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=telescope_configs(), packets=st.one_of(st.integers(0, 10 ** 6).map(make_trace),
+                                                      tied_traces()))
+    @fixed_config_examples
+    def test_matches_oracle_nondefault_config(self, cfg, packets):
+        got = {
+            (e.target, e.start_ts, e.end_ts, e.packets)
+            for e in detect_rsdos(packets, cfg)
+        }
+        assert got == oracle_detect_rsdos(packets, cfg)
+
+    def test_tied_events_in_key_order(self):
+        # ICMP and TCP flows of one target start together, ICMP first in the
+        # input. TCP ends at 60 s and ICMP runs on to 650 s, so an expiry
+        # scan would close the TCP flow first.
+        burst = [pkt(i * 2.0, proto=proto) for i in range(31) for proto in (1, 6)]
+        packets = burst + [pkt(400.0, proto=1), pkt(650.0, proto=1)]
+        events = detect_rsdos(packets, CFG)
+        assert [(e.start_ts, e.packets) for e in events] == [(0, 33), (0, 31)]
 
     def test_monotonicity_adding_packets_keeps_attack(self):
         # once a flow is an attack it stays one for the rest of its lifetime
