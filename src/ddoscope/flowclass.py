@@ -7,10 +7,9 @@ from direct-path (TCP) attacks on source-count and bitrate thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+import numpy as np
 
-from .model import AttackEvent, ip_to_int
+from .model import AttackEvent, FlowBatch, int_to_ip
 
 UDP = 17
 TCP = 6
@@ -24,62 +23,36 @@ RA_BITRATE_BPS = 1_000_000_000   # strict: > 1 Gbps
 DP_BITRATE_BPS = 100_000_000     # strict: > 100 Mbps
 
 
-@dataclass(frozen=True)
-class FlowSummary:
-    """Aggregate view of one candidate attack flow toward one target."""
-
-    target_ip: str
-    protocol: int
-    src_port: int
-    distinct_src_ips: int
-    bitrate_bps: float
-    start_ts: int
-    end_ts: int
-
-    def __post_init__(self):
-        ip_to_int(self.target_ip)
-        if self.distinct_src_ips < 1:
-            raise ValueError("distinct_src_ips must be >= 1")
-        if self.bitrate_bps < 0:
-            raise ValueError("negative bitrate")
-        if self.start_ts > self.end_ts:
-            raise ValueError("window start after end")
-
-
-def classify_flow(
-    f: FlowSummary,
-    ampl_ports: frozenset[int] = AMPLIFICATION_PORTS,
-    observatory: str = "flow",
-) -> Optional[AttackEvent]:
-    """Classify one flow summary as an RA or DP attack, or neither.
+def attack_masks(
+    flows: FlowBatch, ampl_ports: frozenset[int] = AMPLIFICATION_PORTS,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of `flows` that are RA attacks, and those that are DP attacks.
 
     RA: UDP, amplification source port, >=10 source IPs, >1 Gbps.
     DP: TCP, >=10 source IPs, >100 Mbps.
     Thresholds are strict as written: exactly 1 Gbps does not qualify,
     exactly 10 source IPs does.
     """
-    attack_type = None
-    if (
-        f.protocol == UDP
-        and f.src_port in ampl_ports
-        and f.distinct_src_ips >= MIN_SRC_IPS
-        and f.bitrate_bps > RA_BITRATE_BPS
-    ):
-        attack_type = "RA"
-    elif (
-        f.protocol == TCP
-        and f.distinct_src_ips >= MIN_SRC_IPS
-        and f.bitrate_bps > DP_BITRATE_BPS
-    ):
-        attack_type = "DP"
-    if attack_type is None:
-        return None
-    return AttackEvent(
-        observatory=observatory,
-        attack_type=attack_type,
-        target=f"{f.target_ip}/32",
-        start_ts=f.start_ts,
-        end_ts=f.end_ts,
-        packets=0,  # flow summaries carry no packet counts
-        source_ips=f.distinct_src_ips,
-    )
+    enough = flows.distinct_src_ips >= MIN_SRC_IPS
+    ra = (enough & (flows.protocol == UDP) & np.isin(flows.src_port, sorted(ampl_ports))
+          & (flows.bitrate_bps > RA_BITRATE_BPS))
+    dp = enough & (flows.protocol == TCP) & (flows.bitrate_bps > DP_BITRATE_BPS)
+    return ra, dp
+
+
+def classify_flow(
+    flows: FlowBatch,
+    ampl_ports: frozenset[int] = AMPLIFICATION_PORTS,
+    observatory: str = "flow",
+) -> list[AttackEvent]:
+    """One RA or DP event per row of `flows` that classifies (see
+    `attack_masks`), in row order."""
+    ra, dp = attack_masks(flows, ampl_ports)
+    rows = np.flatnonzero(ra | dp)
+    columns = (ra, flows.target, flows.start_ts, flows.end_ts, flows.distinct_src_ips)
+    return [
+        AttackEvent(observatory=observatory, attack_type="RA" if is_ra else "DP",
+                    target=f"{int_to_ip(target)}/32", start_ts=start, end_ts=end,
+                    packets=0, source_ips=sources)      # flow summaries carry no packet counts
+        for is_ra, target, start, end, sources in zip(*(col[rows].tolist() for col in columns))
+    ]

@@ -38,7 +38,8 @@ def distinct(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.nda
     """Distinct `values` (uint32 or narrower) of each run `bounds` cuts them
     into: the values sorted by run then value, and each run's bounds in them."""
     runs = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64), np.diff(bounds))
-    pairs = np.unique(runs << 32 | values)
+    pairs = np.sort(runs << 32 | values)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
     return pairs & 0xFFFFFFFF, np.searchsorted(pairs >> 32, np.arange(len(bounds)))
 
 

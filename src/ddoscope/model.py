@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta, timezone
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -157,12 +157,47 @@ _FLAG_MASKS = {s: mask for mask, s in enumerate(FLAG_STRINGS)}
 
 
 @dataclass(frozen=True, eq=False)
-class PacketBatch:
+class _Columns:
+    """Rows as numpy columns of one length; a subclass names the columns as
+    its fields and gives their dtypes, in field order, in DTYPES. Rows are
+    validated before they get here: by a CSV reader, or by PacketRecord in
+    `as_batch`."""
+
+    DTYPES: ClassVar[dict] = {}
+
+    def __post_init__(self):
+        if len({len(col) for col in self.columns()}) > 1:
+            raise ValueError(f"{type(self).__name__} columns differ in length")
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The columns in DTYPES order."""
+        return tuple(getattr(self, name) for name in self.DTYPES)
+
+    def __len__(self) -> int:
+        return len(self.columns()[0])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]):
+        """Rows of Python values, each a tuple in column order."""
+        cols = zip(*rows) if rows else [()] * len(cls.DTYPES)
+        return cls(*(np.array(col, dtype=dtype) for col, dtype in zip(cols, cls.DTYPES.values())))
+
+    def take(self, index: np.ndarray):
+        """Rows selected by an index array or a boolean mask."""
+        return type(self)(*(col[index] for col in self.columns()))
+
+    @classmethod
+    def concat(cls, batches: Sequence):
+        if not batches:
+            return cls.from_rows(())
+        return cls(*(np.concatenate(cols) for cols in zip(*(b.columns() for b in batches))))
+
+
+@dataclass(frozen=True, eq=False)
+class PacketBatch(_Columns):
     """Packets as numpy columns, one row per packet, in input order.
 
-    Addresses are uint32 and `flags` is a bitmask of FLAG_S/A/R/F. Rows are
-    validated before they get here: by PacketRecord in `from_records`, or by
-    the packets.csv reader.
+    Addresses are uint32 and `flags` is a bitmask of FLAG_S/A/R/F.
     """
 
     ts: np.ndarray          # microseconds since Unix epoch
@@ -177,49 +212,42 @@ class PacketBatch:
     DTYPES = {"ts": np.int64, "protocol": np.uint8, "src": np.uint32, "src_port": np.uint16,
               "dst": np.uint32, "dst_port": np.uint16, "len_bytes": np.int64, "flags": np.uint8}
 
-    def __post_init__(self):
-        if len({len(col) for col in self._columns()}) > 1:
-            raise ValueError("PacketBatch columns differ in length")
-
-    def _columns(self) -> tuple[np.ndarray, ...]:
-        return tuple(getattr(self, name) for name in self.DTYPES)
-
-    def __len__(self) -> int:
-        return len(self.ts)
-
-    @classmethod
-    def from_records(cls, records: Iterable[PacketRecord]) -> "PacketBatch":
-        rows = [
-            (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
-             p.dst_port, p.len_bytes, _FLAG_MASKS[p.tcp_flags])
-            for p in records
-        ]
-        return cls(*(np.array(col, dtype=dtype) for col, dtype in
-                     zip(zip(*rows) if rows else [()] * 8, cls.DTYPES.values())))
-
     def records(self) -> list[PacketRecord]:
         """The rows as PacketRecords, for tests and reference implementations."""
         return [
             PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length,
                          FLAG_STRINGS[flags])
             for ts, proto, src, sport, dst, dport, length, flags in zip(
-                *(col.tolist() for col in self._columns()))
+                *(col.tolist() for col in self.columns()))
         ]
 
-    def take(self, index: np.ndarray) -> "PacketBatch":
-        """Rows selected by an index array or a boolean mask."""
-        return PacketBatch(*(col[index] for col in self._columns()))
 
-    @classmethod
-    def concat(cls, batches: Sequence["PacketBatch"]) -> "PacketBatch":
-        if not batches:
-            return cls.from_records(())
-        return cls(*(np.concatenate(cols) for cols in zip(*(b._columns() for b in batches))))
+@dataclass(frozen=True, eq=False)
+class FlowBatch(_Columns):
+    """Flow summaries as numpy columns, one row per summary of the traffic
+    toward one target over one window."""
+
+    target: np.ndarray             # uint32 address
+    protocol: np.ndarray
+    src_port: np.ndarray
+    distinct_src_ips: np.ndarray
+    bitrate_bps: np.ndarray
+    start_ts: np.ndarray           # microseconds since Unix epoch
+    end_ts: np.ndarray
+
+    DTYPES = {"target": np.uint32, "protocol": np.uint8, "src_port": np.uint16, "distinct_src_ips": np.int64,
+              "bitrate_bps": np.float64, "start_ts": np.int64, "end_ts": np.int64}
 
 
 def as_batch(packets) -> PacketBatch:
     """`packets` itself if it is a PacketBatch, else its records as one."""
-    return packets if isinstance(packets, PacketBatch) else PacketBatch.from_records(packets)
+    if isinstance(packets, PacketBatch):
+        return packets
+    return PacketBatch.from_rows([
+        (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
+         p.dst_port, p.len_bytes, _FLAG_MASKS[p.tcp_flags])
+        for p in packets
+    ])
 
 
 @dataclass(frozen=True, slots=True)

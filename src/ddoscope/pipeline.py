@@ -190,6 +190,10 @@ def _validate(cfg: PipelineConfig) -> None:
             # synth fills n_addresses in only for observatories without inputs
             if "n_addresses" not in o.telescope and (o.inputs or cfg.scenario is None):
                 raise _config_error(f"telescope {o.name!r} needs config.n_addresses")
+            try:
+                TelescopeConfig(**{"n_addresses": 1, **o.telescope})
+            except (TypeError, ValueError) as exc:
+                raise _config_error(f"telescope {o.name!r}: {exc}") from None
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
         raise _config_error(f"aggregation enabled but the {missing} table is not configured")
@@ -328,13 +332,8 @@ def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
         packets = PacketBatch.concat([read_packets(p, sensor_col=o.sensor_col) for p in paths])
         events = detect_honeypot(packets, settings["definition"], observatory=o.name)
         return aggregate_sensors(events, settings["merge_gap"])
-    events = []
-    for p in paths:
-        for f in read_flows(p):
-            e = classify_flow(f, settings["ampl_ports"], observatory=o.name)
-            if e is not None:
-                events.append(e)
-    return events
+    return [event for p in paths
+            for event in classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)]
 
 
 def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, list[AttackEvent]]:

@@ -26,14 +26,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .flowclass import FlowSummary, classify_flow
+from .flowclass import attack_masks
 from .ioformats import write_flows, write_json, write_packets
 from .model import (
     FLAG_A,
     FLAG_S,
     US_PER_S,
+    FlowBatch,
     PacketBatch,
-    int_to_ip,
     ip_to_int,
     parse_prefix,
 )
@@ -151,7 +151,7 @@ class ScenarioSpec:
 class GeneratedScenario:
     telescope_packets: PacketBatch
     honeypot_packets: dict[str, PacketBatch]  # sensor IP -> packets
-    flows: list[FlowSummary]
+    flows: FlowBatch
     ground_truth: dict
 
 
@@ -164,7 +164,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     per-attack ground truth. Deterministic given (spec, seed)."""
     telescope: list[PacketBatch] = []
     honeypot: list[PacketBatch] = []   # every sensor's rows; dst is the sensor
-    flows: list[FlowSummary] = []
+    flows: list[tuple] = []             # one FlowBatch row per attack
     truth_attacks: list[dict] = []
     sample_prob = spec.telescope_addresses / ADDRESS_SPACE
 
@@ -193,7 +193,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
                 "observed_packets": len(batch),
             }
             sources = min(total_pkts, ADDRESS_SPACE) if atk.spoof == "uniform" else NONSPOOFED_SOURCES
-            flow_shape = (6, 0, sources, 1.0)
+            protocol, src_port, amplification = 6, 0, 1.0
         elif atk.type == "reflection":
             batch, sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors)
             honeypot.append(batch)
@@ -202,32 +202,20 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
                 "packets_per_sensor": per_sensor,
                 "dst_ports": list(atk.ports),
             }
-            flow_shape = (17, atk.ports[0], atk.reflector_subset, atk.amplification)
+            sources = atk.reflector_subset
+            protocol, src_port, amplification = 17, atk.ports[0], atk.amplification
         else:  # direct_nonspoofed: flows only, invisible to telescope and honeypots
-            flow_shape = (6, 0, NONSPOOFED_SOURCES, 1.0)
+            protocol, src_port, sources, amplification = 6, 0, NONSPOOFED_SOURCES, 1.0
 
-        protocol, src_port, sources, amplification = flow_shape
-        flow = FlowSummary(
-            target_ip=int_to_ip(net),
-            protocol=protocol,
-            src_port=src_port,
-            distinct_src_ips=sources,
-            bitrate_bps=atk.rate_pps * atk.packet_bytes * 8.0 * amplification,
-            start_ts=start_us,
-            end_ts=end_us,
-        )
-        flows.append(flow)
-        classified = classify_flow(flow)
-        entry["flow"] = {
-            "protocol": flow.protocol,
-            "src_port": flow.src_port,
-            "distinct_src_ips": flow.distinct_src_ips,
-            "bitrate_bps": flow.bitrate_bps,
-            "classification": None if classified is None else classified.attack_type,
-        }
+        bitrate = atk.rate_pps * atk.packet_bytes * 8.0 * amplification
+        flows.append((net, protocol, src_port, sources, bitrate, start_us, end_us))
+        entry["flow"] = {"protocol": protocol, "src_port": src_port,
+                         "distinct_src_ips": sources, "bitrate_bps": bitrate}
         truth_attacks.append(entry)
 
-    flows.sort(key=lambda f: (f.start_ts, ip_to_int(f.target_ip)))
+    flow_rows = FlowBatch.from_rows(flows)
+    for entry, ra, dp in zip(truth_attacks, *attack_masks(flow_rows)):
+        entry["flow"]["classification"] = "RA" if ra else "DP" if dp else None
     honeypot_rows = _sorted(PacketBatch.concat(honeypot))
     ground_truth = {
         "seed": spec.seed,
@@ -243,7 +231,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         telescope_packets=_sorted(PacketBatch.concat(telescope)),
         honeypot_packets={ip: honeypot_rows.take(honeypot_rows.dst == ip_to_int(ip))
                           for ip in spec.honeypot_sensors},
-        flows=flows,
+        flows=flow_rows.take(np.lexsort((flow_rows.target, flow_rows.start_ts))),
         ground_truth=ground_truth,
     )
 
@@ -337,22 +325,11 @@ def write_scenario(generated: GeneratedScenario, out_dir) -> list[Path]:
     and ground_truth.json into `out_dir`. Returns the paths written."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-
-    path = out_dir / "telescope.csv"
-    write_packets(path, generated.telescope_packets)
-    written.append(path)
-
-    for sensor in sorted(generated.honeypot_packets, key=ip_to_int):
-        path = out_dir / sensor_filename(sensor)
-        write_packets(path, generated.honeypot_packets[sensor])
-        written.append(path)
-
-    path = out_dir / "flows.csv"
-    write_flows(path, generated.flows)
-    written.append(path)
-
-    path = out_dir / "ground_truth.json"
-    write_json(path, generated.ground_truth)
-    written.append(path)
-    return written
+    files = [(out_dir / "telescope.csv", write_packets, generated.telescope_packets)]
+    files += [(out_dir / sensor_filename(sensor), write_packets, generated.honeypot_packets[sensor])
+              for sensor in sorted(generated.honeypot_packets, key=ip_to_int)]
+    files += [(out_dir / "flows.csv", write_flows, generated.flows),
+              (out_dir / "ground_truth.json", write_json, generated.ground_truth)]
+    for path, write, content in files:
+        write(path, content)
+    return [path for path, _, _ in files]

@@ -238,3 +238,16 @@ def oracle_confirm_share(local_tuples, external_tuples):
     if not local_tuples:
         return 0.0
     return len(set(local_tuples) & set(external_tuples)) / len(local_tuples)
+
+
+# -- flow classification --------------------------------------------------------
+
+def oracle_classify_flow(protocol, src_port, distinct_src_ips, bitrate_bps, ampl_ports):
+    """The per-row flow rule: "RA" for UDP from an amplification port with
+    at least 10 sources above 1 Gbit/s, "DP" for TCP with at least 10
+    sources above 100 Mbit/s, else None."""
+    if protocol == 17 and src_port in ampl_ports and distinct_src_ips >= 10 and bitrate_bps > 1e9:
+        return "RA"
+    if protocol == 6 and distinct_src_ips >= 10 and bitrate_bps > 1e8:
+        return "DP"
+    return None

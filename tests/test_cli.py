@@ -308,6 +308,8 @@ class TestPipelineCommand:
     @pytest.mark.parametrize("telescope, message", [
         ({}, "needs config.n_addresses"),
         ({"n_addresses": 2 ** 22, "bogus": 1}, "unknown config keys ['bogus']"),
+        ({"n_addresses": 2 ** 22, "interval": -1}, "thresholds must be positive"),
+        ({"n_addresses": "many"}, "'<=' not supported between instances of 'int' and 'str'"),
     ])
     def test_telescope_config_errors(self, runner, tmp_path, telescope, message):
         packets = tmp_path / "packets.csv"
@@ -320,7 +322,7 @@ class TestPipelineCommand:
         }))
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
-        assert "telescope 'scope'" in result.output and message in result.output
+        assert "stage 'config': telescope 'scope'" in result.output and message in result.output
 
     @pytest.mark.parametrize("with_scenario", [True, False], ids=["scenario", "inputs"])
     @pytest.mark.parametrize("preset, message", [

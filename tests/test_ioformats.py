@@ -7,19 +7,26 @@ from hypothesis import given, settings, strategies as st
 
 from ddoscope import ioformats
 from ddoscope.ioformats import (
+    FLOWS_HEADER,
     FormatError,
+    read_alloc_table,
     read_attacks,
+    read_flows,
     read_hashed_targets,
     read_packets,
+    read_routed_table,
     read_series,
     read_targets,
     write_attacks,
+    write_flows,
     write_hashed_targets,
     write_packets,
     write_series,
     write_targets,
 )
-from ddoscope.model import AttackEvent, PacketBatch, PacketRecord, TargetTuple, WeeklySeries, int_to_ip
+from ddoscope.model import (
+    AttackEvent, FlowBatch, PacketBatch, PacketRecord, TargetTuple, WeeklySeries, int_to_ip, ip_to_int,
+)
 from datetime import date
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -314,3 +321,258 @@ class TestPacketChunks:
         path.write_text("\n\n")
         with pytest.raises(FormatError, match="empty file"):
             read_packets(path)
+
+
+# -- flows.csv grammar ---------------------------------------------------------
+
+FLOW_COLUMNS = ("target", "protocol", "src_port", "distinct_src_ips", "bitrate_bps", "start_ts", "end_ts")
+
+
+@st.composite
+def flow_texts(draw):
+    """One canonical flows.csv row as its seven field texts."""
+    start = draw(st.integers(0, 10 ** 18 - 1))
+    whole = draw(st.sampled_from([0, 100_000_000, 1_000_000_000, 2 ** 33, 10 ** 15 - 1, 10 ** 15])
+                 | st.integers(0, 10 ** 15 - 1))
+    fraction = draw(st.none() | st.text(alphabet="0123456789" if whole < 10 ** 15 else "0",
+                                        min_size=1, max_size=6))
+    return [
+        int_to_ip(draw(st.integers(0, 2 ** 32 - 1))), str(draw(st.integers(0, 255))),
+        str(draw(st.integers(0, 65535))), str(draw(st.integers(1, 2 ** 32))),
+        str(whole) + ("" if fraction is None else "." + fraction),
+        str(start), str(draw(st.integers(start, 10 ** 18 - 1))),
+    ]
+
+
+def _flow_field(i: int, values):
+    def mutate(fields, draw):
+        fields[i] = draw(values(fields[i]))
+    return mutate
+
+
+def _flow_swap_window(fields, draw):
+    fields[5] = str(int(fields[6]) + draw(st.integers(1, 10 ** 6)))
+
+
+FLOW_NUMERIC = (1, 2, 3, 4, 5, 6)
+FLOW_MUTATIONS = {
+    "nan or inf": _flow_field(4, lambda f: st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])),
+    "exponent": _flow_field(4, lambda f: st.sampled_from(["5e9", "1E3", "5.0e9", "1e+09"])),
+    "fraction": _flow_field(4, lambda f: st.sampled_from([".5", "5.", "5.1234567", "5..0", "5.0.0"])),
+    "too wide": _flow_field(4, lambda f: st.sampled_from(["1" * 17, "1000000000000001", "1000000000000000.5"])),
+    "sign": lambda fields, draw: _flow_field(
+        draw(st.sampled_from(FLOW_NUMERIC)), lambda f: st.sampled_from(["+" + f, "-" + f]))(fields, draw),
+    "blank": lambda fields, draw: _flow_field(
+        draw(st.integers(0, 6)), lambda f: st.sampled_from(["", " " + f, f + " ", "\t" + f]))(fields, draw),
+    "underscore": lambda fields, draw: _flow_field(
+        draw(st.sampled_from(FLOW_NUMERIC)), lambda f: st.just(f[0] + "_" + f[1:] if len(f) > 1 else "1_" + f))(fields, draw),
+    "leading zero": lambda fields, draw: _flow_field(
+        draw(st.sampled_from(FLOW_NUMERIC)), lambda f: st.just("0" + f))(fields, draw),
+    "leading zero octet": _flow_field(0, lambda f: st.integers(0, 3).map(lambda i: _pad_octet(f, i))),
+    "protocol 256": _flow_field(1, lambda f: st.integers(256, 999).map(str)),
+    "port 65536": _flow_field(2, lambda f: st.integers(65536, 99999).map(str)),
+    "no sources": _flow_field(3, lambda f: st.just("0")),
+    "too many sources": _flow_field(3, lambda f: st.integers(2 ** 32 + 1, 9_999_999_999).map(str)),
+    "start after end": _flow_swap_window,
+    "missing column": lambda fields, draw: fields.pop(draw(st.integers(0, 6))),
+    "extra column": lambda fields, draw: fields.append(draw(st.sampled_from(["", "x", "1"]))),
+}
+
+
+def _write_flows_text(path, lines, crlf=False):
+    path.write_bytes(("\r\n" if crlf else "\n").join([FLOWS_HEADER, *lines, ""]).encode())
+
+
+class TestFlowGrammar:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(flow_texts(), min_size=1, max_size=30),
+           blanks=st.lists(st.integers(0, 30), max_size=4), crlf=st.booleans(),
+           chunk=st.sampled_from([1, 13, 64, ioformats._CHUNK_BYTES]))
+    def test_valid_rows_round_trip(self, tmp_path_factory, rows, blanks, crlf, chunk):
+        lines = [",".join(r) for r in rows]
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "")
+        work = tmp_path_factory.mktemp("valid")
+        _write_flows_text(work / "flows.csv", lines, crlf)
+        with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
+            flows = read_flows(work / "flows.csv")
+            expected = [(ip_to_int(t), int(p), int(sp), int(n), float(bps), int(s), int(e))
+                        for t, p, sp, n, bps, s, e in rows]
+            assert list(zip(*(getattr(flows, c).tolist() for c in FLOW_COLUMNS))) == expected
+            write_flows(work / "again.csv", flows)
+            again = read_flows(work / "again.csv")
+        for name in FLOW_COLUMNS:
+            a, b = getattr(flows, name), getattr(again, name)
+            assert a.dtype == b.dtype == FlowBatch.DTYPES[name] and np.array_equal(a, b), name
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=st.lists(flow_texts(), min_size=1, max_size=12), data=st.data(),
+           chunk=st.sampled_from([5, 64, ioformats._CHUNK_BYTES]))
+    def test_mutated_row_names_its_line(self, tmp_path_factory, rows, data, chunk):
+        kind = data.draw(st.sampled_from(sorted(FLOW_MUTATIONS)))
+        at = data.draw(st.integers(0, len(rows) - 1))
+        lines, bad = [",".join(r) for r in rows], list(rows[at])
+        FLOW_MUTATIONS[kind](bad, data.draw)
+        lines[at] = ",".join(bad)
+        path = tmp_path_factory.mktemp("bad") / "flows.csv"
+        _write_flows_text(path, ["", *lines])       # a blank line still counts
+        with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
+            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: "):
+                read_flows(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("1.2.3.4,17,123,0,5.0,0,1", "distinct_src_ips outside 1-4294967296"),
+        ("1.2.3.4,17,123,12,5.0,2,1", "start_ts_us after end_ts_us"),
+        ("1.2.3.4,17,123,12,1000000000000000.5,0,1", "bitrate_bps outside 0-1000000000000000"),
+        ("1.2.3.4,17,123,12,nan,0,1", "bitrate_bps outside 0-1000000000000000"),
+        ("1.2.3.4,17,123,12,-1.0,0,1", "bitrate_bps outside 0-1000000000000000"),
+        ("1.2.3.4,256,123,12,5.0,0,1", "protocol above 255"),
+        ("1.2.3.4,17,65536,12,5.0,0,1", "src_port above 65535"),
+        ("1.2.3,17,123,12,5.0,0,1", "not an IPv4 address: '1.2.3'"),
+        ("1.2.3.4,17,123,12,5e9,0,1", "not a canonical flows row"),
+        ("1.2.3.4,17,123,12,1_000,0,1", "not a canonical flows row"),
+        ("1.2.3.4,17,123,12,5.0,0,1,junk", "too many values to unpack"),
+    ])
+    def test_rejection_messages(self, tmp_path, row, message):
+        path = tmp_path / "flows.csv"
+        _write_flows_text(path, ["1.2.3.4,17,123,12,5.0,0,1", row])
+        with pytest.raises(FormatError, match=rf":3: {re.escape(message)}"):
+            read_flows(path)
+
+    def test_summary_checks(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        for row in ("203.0.113.7,17,123,0,1.000000,0,1",      # no sources
+                    "203.0.113.7,17,123,1,-1.000000,0,1",     # negative bitrate
+                    "not-an-ip,17,123,1,1.000000,0,1"):
+            _write_flows_text(path, [row])
+            with pytest.raises(FormatError, match=r"flows\.csv:2: "):
+                read_flows(path)
+
+    def test_header_only_and_empty(self, tmp_path):
+        path = tmp_path / "flows.csv"
+        path.write_text(FLOWS_HEADER + "\n")
+        flows = read_flows(path)
+        assert len(flows) == 0 and flows.target.dtype == np.uint32
+        path.write_text("\n")
+        with pytest.raises(FormatError, match="empty file"):
+            read_flows(path)
+
+
+# -- row-wise csv readers: exact rows, line numbers, fuzzing --------------------
+
+class TestCsvRows:
+    @pytest.mark.parametrize("row", [
+        "hp,RA,203.0.113.5/32, 5,10,7,",
+        "hp,RA,203.0.113.5/32,1_0,10,7,",
+        "hp,RA,203.0.113.5/32,0,10,07,",
+        "hp,RA,203.0.113.5/32,0,10,7,,junk",
+        "hp,RA,203.0.113.5/32,0,10,7",
+        "hp,RA,203.0.113.5/32,0,10,7,192.0.2.1;junk",
+    ])
+    def test_attacks_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "attacks.csv"
+        path.write_text("observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+                        "hp,RA,203.0.113.5/32,0,10,7,\n" + row + "\n")
+        with pytest.raises(FormatError, match=r"attacks\.csv:3: "):
+            read_attacks(path)
+
+    @pytest.mark.parametrize("row", ["10.0.0.0/8,+64500", "10.0.0.0/8,64500,x", "10.0.0.1/8,64500"])
+    def test_routed_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "routed.csv"
+        path.write_text("prefix,asn\n192.0.2.0/24,64501\n" + row + "\n")
+        with pytest.raises(FormatError, match=r"routed\.csv:3: "):
+            read_routed_table(path)
+
+    @pytest.mark.parametrize("row", ["10.0.0.0/8,RIPE,x", "10.0.0.0/33,RIPE", "10.0.0.0/8"])
+    def test_alloc_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "alloc.csv"
+        path.write_text("prefix,registry\n192.0.2.0/24,ARIN\n" + row + "\n")
+        with pytest.raises(FormatError, match=r"alloc\.csv:3: "):
+            read_alloc_table(path)
+
+    @pytest.mark.parametrize("row", ["2022-01-04,10.0.0.9,x", "20220104,10.0.0.9", "2022-01-04,010.0.0.9"])
+    def test_targets_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "targets.csv"
+        path.write_text("date,ip\n2022-01-05,10.0.0.2\n" + row + "\n")
+        with pytest.raises(FormatError, match=r"targets\.csv:3: "):
+            read_targets(path)
+
+
+def _prefix_text(net: int, plen: int) -> str:
+    return f"{int_to_ip(net >> (32 - plen) << (32 - plen) if plen else 0)}/{plen}"
+
+
+ROW_MUTATIONS = {
+    "extra column": lambda fields, draw: fields.append(draw(st.sampled_from(["", "x", "1"]))),
+    "missing column": lambda fields, draw: fields.pop(draw(st.integers(0, len(fields) - 1))),
+    "host bits": lambda fields, draw: fields.__setitem__(0, draw(st.sampled_from(
+        ["10.0.0.1/8", "192.0.2.1/31", "0.0.0.1/0"]))),
+    "bad length": lambda fields, draw: fields.__setitem__(0, draw(st.sampled_from(
+        ["10.0.0.0/33", "10.0.0.0/", "10.0.0.0/+8", "10.0.0.0/ 8"]))),
+    "bad address": lambda fields, draw: fields.__setitem__(0, draw(st.sampled_from(
+        ["10.0.0/8", "010.0.0.0/8", "::1/128", " 10.0.0.0/8"]))),
+}
+ASN_MUTATIONS = {
+    "bad asn": lambda fields, draw: fields.__setitem__(1, draw(st.sampled_from(
+        ["+64500", "-1", " 64500", "64500 ", "64_500", "064500", "", "AS64500", "٥"]))),
+}
+TARGET_MUTATIONS = {
+    "extra column": ROW_MUTATIONS["extra column"],
+    "missing column": ROW_MUTATIONS["missing column"],
+    "bad date": lambda fields, draw: fields.__setitem__(0, draw(st.sampled_from(
+        ["20220104", "2022-1-04", " 2022-01-04", "2022-02-30", "2022-W01-1"]))),
+    "bad address": lambda fields, draw: fields.__setitem__(1, draw(st.sampled_from(
+        ["10.0.0", "010.0.0.1", "::1", "10.0.0.256"]))),
+}
+
+
+def _table_file(path, header, rows):
+    path.write_text("\n".join([header, *(",".join(r) for r in rows)]) + "\n")
+
+
+prefixes = st.tuples(st.integers(0, 2 ** 32 - 1), st.integers(0, 32)).map(lambda t: _prefix_text(*t))
+
+
+class TestTableFuzz:
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(prefixes, st.integers(0, 2 ** 32 - 1).map(str)), max_size=20))
+    def test_routed_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("routed") / "routed.csv"
+        _table_file(path, "prefix,asn", rows)
+        assert read_routed_table(path).entries == [(p, int(a)) for p, a in rows]
+
+    @settings(max_examples=100, deadline=None)
+    @given(plen=st.integers(8, 32), nets=st.sets(st.integers(0, 255), max_size=20),
+           registry=st.text(alphabet="ABCINRPE-_ ", min_size=1, max_size=8))
+    def test_alloc_round_trip(self, tmp_path_factory, plen, nets, registry):
+        rows = [(_prefix_text(n << 24 | 0xFFFFFF, plen), registry) for n in sorted(nets)]
+        path = tmp_path_factory.mktemp("alloc") / "alloc.csv"
+        _table_file(path, "prefix,registry", rows)
+        assert read_alloc_table(path).entries == rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.dates().map(date.isoformat),
+                                   st.integers(0, 2 ** 32 - 1).map(int_to_ip)), max_size=20))
+    def test_targets_round_trip(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("targets") / "targets.csv"
+        _table_file(path, "date,ip", rows)
+        assert read_targets(path) == {TargetTuple(date.fromisoformat(d), ip) for d, ip in rows}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), which=st.sampled_from(["routed", "alloc", "targets"]))
+    def test_mutated_row_names_its_line(self, tmp_path_factory, data, which):
+        if which == "targets":
+            header, read, mutations = "date,ip", read_targets, TARGET_MUTATIONS
+            rows = [["2022-01-0" + str(k + 1), f"10.0.0.{k}"] for k in range(data.draw(st.integers(1, 6)))]
+        else:
+            header, read = ("prefix,asn", read_routed_table) if which == "routed" else \
+                ("prefix,registry", read_alloc_table)
+            mutations = {**ROW_MUTATIONS, **(ASN_MUTATIONS if which == "routed" else {})}
+            rows = [[f"10.{k}.0.0/16", str(64500 + k)] for k in range(data.draw(st.integers(1, 6)))]
+        kind = data.draw(st.sampled_from(sorted(mutations)))
+        at = data.draw(st.integers(0, len(rows) - 1))
+        mutations[kind](rows[at], data.draw)
+        path = tmp_path_factory.mktemp("bad") / f"{which}.csv"
+        _table_file(path, header, rows)
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 2}: "):
+            read(path)

@@ -44,7 +44,7 @@ class TestScenarioValidation:
         g = generate(scenario([]))
         assert len(g.telescope_packets) == 0
         assert all(len(v) == 0 for v in g.honeypot_packets.values())
-        assert g.flows == []
+        assert len(g.flows) == 0
         assert g.ground_truth["attacks"] == []
 
     def test_attack_past_scenario_end(self):
