@@ -51,6 +51,7 @@ from .overlap import (
     overlap_timeseries,
 )
 from .pipeline import (
+    OBSERVATORY_NAME,
     ObservatoryConfig,
     PipelineConfig,
     PipelineError,
@@ -141,6 +142,12 @@ def detect():
     """Infer attacks from observatory data."""
 
 
+def _observatory_name(ctx, param, name):
+    if name is not None and not OBSERVATORY_NAME.fullmatch(name):
+        raise click.BadParameter(f"{name!r} does not match {OBSERVATORY_NAME.pattern}")
+    return name
+
+
 def _detect(o: ObservatoryConfig, out_path) -> None:
     events = detect_observatory(o)
     write_attacks(out_path, events)
@@ -152,7 +159,7 @@ def _detect(o: ObservatoryConfig, out_path) -> None:
               help="JSON with TelescopeConfig fields (n_addresses required).")
 @click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--observatory", default="telescope")
+@click.option("--observatory", default="telescope", callback=_observatory_name)
 @_guarded
 def detect_telescope_cmd(config_path, inputs, out_path, observatory):
     """RSDoS inference from telescope backscatter (packets.csv)."""
@@ -174,7 +181,8 @@ def detect_telescope_cmd(config_path, inputs, out_path, observatory):
 @click.option("--merge-gap", type=float, default=None,
               help="Cross-sensor merge gap in seconds (default: preset timeout).")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--observatory", default=None, help="Defaults to the preset name.")
+@click.option("--observatory", default=None, callback=_observatory_name,
+              help="Defaults to the preset name.")
 @_guarded
 def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, observatory):
     """Reflection-amplification inference from honeypot request logs.
@@ -193,7 +201,7 @@ def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, ob
 @click.option("--ampl-ports", default=None,
               help="Comma-separated amplification source ports "
                    f"(default {sorted(AMPLIFICATION_PORTS)}).")
-@click.option("--observatory", default="flow")
+@click.option("--observatory", default="flow", callback=_observatory_name)
 @_guarded
 def detect_flow_cmd(inputs, out_path, ampl_ports, observatory):
     """RA/DP classification of flow summaries (flows.csv)."""

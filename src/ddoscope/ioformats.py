@@ -1,7 +1,9 @@
 """Readers and writers for the on-disk interchange formats.
 
-Every CSV schema is fixed, its header line (the *_HEADER constants) checked
-byte for byte, and each row must have the header's field count. The
+Every CSV schema is fixed and shares one line rule: lines are UTF-8 and end
+in LF or CRLF, blank lines are skipped but counted, fields are split on
+every comma (nothing is quoted), the header line must equal its *_HEADER
+constant, and each row must have the header's field count. The
 attacks.csv sensors cell is a semicolon-joined sorted list of sensor IPs
 (empty allowed). Hashed-target files hold one lowercase hex digest per
 line; series.json is {"label": str, "start_week": "YYYY-MM-DD", "values":
@@ -10,7 +12,6 @@ line; series.json is {"label": str, "start_week": "YYYY-MM-DD", "values":
 
 from __future__ import annotations
 
-import csv
 import json
 import re
 from datetime import date
@@ -19,22 +20,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    FLAG_A,
-    FLAG_F,
-    FLAG_R,
-    FLAG_S,
-    FLAG_STRINGS,
-    AttackEvent,
-    AllocationTable,
-    FlowBatch,
-    PacketBatch,
-    PacketRecord,
-    RoutedPrefixTable,
-    TargetTuple,
-    WeeklySeries,
-    as_batch,
-    ip_to_int,
-    parse_prefix,
+    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, AttackEvent, AllocationTable, FlowBatch, PacketBatch,
+    PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch, ip_to_int, parse_prefix,
 )
 
 PACKETS_HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
@@ -50,17 +37,26 @@ class FormatError(ValueError):
     """Malformed input file; message carries file and line context."""
 
 
-def _check_header(fh, expected: str, path) -> int:
-    """Read `fh` up to its first non-blank line, check that line as a CSV
-    header against `expected`, and return its line number."""
-    for lineno, line in enumerate(fh, start=1):
-        line = line.decode("utf-8", "replace") if isinstance(line, bytes) else line
-        if line.strip("\r\n"):
-            header = ",".join(next(csv.reader([line])))
-            if header != expected:
-                raise FormatError(f"{path}: expected header {expected!r}, got {header.rstrip()!r}")
-            return lineno
-    raise FormatError(f"{path}: empty file")
+def _lines(raws, path, start: int = 1):
+    """(line number, text) of each non-blank line of `raws`, the binary lines
+    of `path` from line `start` on, without its LF or CRLF end."""
+    for lineno, raw in enumerate(raws, start):
+        try:
+            line = raw.decode().removesuffix("\n").removesuffix("\r")
+        except UnicodeDecodeError:
+            raise FormatError(f"{path}:{lineno}: not UTF-8") from None
+        if line:
+            yield lineno, line
+
+
+def _check_header(lines, expected: str, path) -> int:
+    """The number of the first of `lines`, once it equals `expected`."""
+    lineno, header = next(lines, (None, None))
+    if header is None:
+        raise FormatError(f"{path}: empty file")
+    if header != expected:
+        raise FormatError(f"{path}: expected header {expected!r}, got {header!r}")
+    return lineno
 
 
 # -- column-spec reader: packets.csv and flows.csv ----------------------------
@@ -73,16 +69,16 @@ _FLAG_BITS = np.full(256, 16, np.uint8)
 _FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
 
 
-def _read_columns(path, header: str, fields, checks, row_error) -> list[np.ndarray]:
+def _read_columns(path, header: str, fields, checks) -> list[np.ndarray]:
     """The columns of a CSV file whose rows follow a fixed grammar.
 
-    `fields` holds one (stored dtype, parser, *parser arguments) per column,
-    `checks(*columns)` the range checks each row must pass, and
-    `row_error(line)` the message for a rejected line. The first row that
-    fails a parser or a check raises FormatError naming its line.
+    `fields` holds one (stored dtype, parser, *parser arguments) per column
+    and `checks(*columns)` one (rule, validity) pair per range check. The
+    first row with a wrong field count, a field its parser rejects or a
+    broken rule raises FormatError naming its line and what it breaks.
     """
     with open(path, "rb") as fh:
-        lineno = _check_header(fh, header, path)
+        lineno = _check_header(_lines(fh, path), header, path)
         parts = [[np.empty(0, dtype) for dtype, *_ in fields]]
         pending = b""
         while True:
@@ -94,19 +90,22 @@ def _read_columns(path, header: str, fields, checks, row_error) -> list[np.ndarr
                 chunk, pending = pending[:cut], pending[cut:]
                 columns, bad = _parse_rows(chunk, fields, checks)
                 if bad is not None:
-                    line = chunk.split(b"\n")[bad].decode("utf-8", "replace")
-                    raise FormatError(f"{path}:{lineno + bad + 1}: {row_error(line)}")
+                    index, failed = bad
+                    at, line = next(_lines([chunk.split(b"\n")[index]], path, lineno + index + 1))
+                    raise FormatError(f"{path}:{at}: {_rejection(line, header, fields, failed)}")
                 parts.append(columns)
                 lineno += chunk.count(b"\n")
             if not data:
                 return [np.concatenate(col) for col in zip(*parts)]
 
 
-def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]], Optional[int]]:
+def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]], Optional[tuple]]:
     """Parse the rows of `chunk`, one per line.
 
-    Returns the columns, or None and the index of the first bad line (blank
-    lines count but are skipped).
+    Returns the columns and None, or None and (index of the first bad line,
+    what it fails first): None for its field count, a column's index for a
+    field that column's parser rejects, or a broken rule's text. Blank
+    lines count but are skipped.
     """
     # Field parsers read up to 18 bytes before a field and 17 after its
     # start; the zero padding keeps those reads, wrapped or not, in bounds.
@@ -129,10 +128,15 @@ def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]
 
     parsed = [parse(buf, lo[:, i], hi[:, i], *args) for i, (_, parse, *args) in enumerate(fields)]
     columns = [values for values, _ in parsed]
-    valid = [ok for _, ok in parsed] + checks(*columns)
+    rules = checks(*columns)
+    valid = [ok for _, ok in parsed] + [ok for _, ok in rules]
     bad = np.flatnonzero(~np.logical_and.reduce(valid))
-    if len(bad) or n < len(lines):
-        return None, int(lines[bad[0] if len(bad) else n])
+    if len(bad):
+        first = next(k for k, ok in enumerate(valid) if not ok[bad[0]])
+        failed = first if first < len(fields) else rules[first - len(fields)][0]
+        return None, (int(lines[bad[0]]), failed)
+    if n < len(lines):
+        return None, (int(lines[n]), None)
     return [col.astype(dtype, copy=False) for col, (dtype, *_) in zip(columns, fields)], None
 
 
@@ -202,6 +206,26 @@ def _tcp_flags(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mask & 15, mask < 16
 
 
+# What a field must be, by its column's parser and that parser's arguments
+_MUST_BE = {
+    _decimal: "a canonical decimal of at most {} digits",
+    _fixed: "a canonical decimal of at most {} digits, then optionally '.' and 1 to {} digits",
+    _ipv4: "an IPv4 dotted-quad",
+    _tcp_flags: "a sequence of the TCP flag letters S, A, R, F",
+}
+
+
+def _rejection(line: str, header: str, fields, failed) -> str:
+    """Why `line` is rejected, given what `_parse_rows` found it fails first."""
+    cells = line.split(",")
+    if failed is None:
+        return f"expected {len(fields)} fields, got {len(cells)}"
+    if isinstance(failed, str):
+        return failed
+    _, parse, *args = fields[failed]
+    return f"{header.split(',')[failed]} {cells[failed]!r} is not {_MUST_BE[parse].format(*args)}"
+
+
 # -- packets ----------------------------------------------------------------
 
 # packets.csv columns: (stored dtype, parser, *parser arguments)
@@ -219,8 +243,12 @@ _PACKET_FIELDS = (
 
 def _packet_checks(ts, protocol, src, src_port, dst, dst_port, len_bytes, flags, *sensor):
     return [
-        protocol <= 255, src_port <= 65535, dst_port <= 65535, len_bytes >= 20,
-        (protocol == 6) | (protocol == 17) | ((src_port == 0) & (dst_port == 0)),
+        ("protocol above 255", protocol <= 255),
+        ("src_port above 65535", src_port <= 65535),
+        ("dst_port above 65535", dst_port <= 65535),
+        ("len_bytes below 20", len_bytes >= 20),
+        ("src_port and dst_port must be 0 unless protocol is 6 or 17",
+         (protocol == 6) | (protocol == 17) | ((src_port == 0) & (dst_port == 0))),
     ]
 
 
@@ -233,29 +261,10 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     """
     header = PACKETS_HEADER + (f",{sensor_col}" if sensor_col else "")
     fields = _PACKET_FIELDS + (((np.uint32, _ipv4),) if sensor_col else ())
-    columns = _read_columns(path, header, fields, _packet_checks,
-                            lambda line: _row_error(line, sensor_col))
+    columns = _read_columns(path, header, fields, _packet_checks)
     if sensor_col:
         columns[4] = columns.pop()
     return PacketBatch(*columns)
-
-
-def _row_error(line: str, sensor_col: Optional[str]) -> str:
-    """Why one packets.csv line is rejected: the PacketRecord check's message,
-    or a grammar violation the csv module and PacketRecord let through."""
-    try:
-        row = next(csv.reader([line]))
-        ts, proto, src, sport, dst, dport, length, flags = row[:8]
-        PacketRecord(
-            ts=int(ts), protocol=int(proto), src_ip=src, src_port=int(sport),
-            dst_ip=row[8] if sensor_col else dst, dst_port=int(dport),
-            len_bytes=int(length), tcp_flags=flags,
-        )
-    except (ValueError, IndexError) as exc:
-        return str(exc)
-    except csv.Error:
-        pass
-    return "not a canonical packets row"
 
 
 # Decimal spelling of each octet value
@@ -288,17 +297,19 @@ def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
 # -- row-wise csv readers (attacks, tables, targets) ---------------------------
 
 def _read_csv(path, header: str, parse) -> list:
-    """`parse(*fields)` of each row after the exact `header`. A row whose
-    field count differs from the header's, or that `parse` rejects with
-    ValueError, raises FormatError naming its line."""
+    """`parse(*fields)` of each row after the exact `header`. A row holding
+    a double quote, whose field count differs from the header's, or that
+    `parse` rejects with ValueError, raises FormatError naming its line."""
     width = header.count(",") + 1
     out = []
-    with open(path, newline="") as fh:
-        first = _check_header(fh, header, path)
-        for lineno, row in enumerate(csv.reader(fh), start=first + 1):
-            if not row:
-                continue
+    with open(path, "rb") as fh:
+        lines = _lines(fh, path)
+        _check_header(lines, header, path)
+        for lineno, line in lines:
+            row = line.split(",")
             try:
+                if '"' in line:
+                    raise ValueError("a double quote in a row; fields are never quoted")
                 if len(row) != width:
                     raise ValueError(f"expected {width} fields, got {len(row)}")
                 out.append(parse(*row))
@@ -355,32 +366,20 @@ _FLOW_FIELDS = (
 
 
 def _flow_checks(target, protocol, src_port, sources, bitrate, start, end):
-    return [protocol <= 255, src_port <= 65535, (sources >= 1) & (sources <= 2 ** 32),
-            (bitrate >= 0) & (bitrate <= 1e15), start <= end]
-
-
-# what a row that fails each of _flow_checks breaks; the bitrate bound is
-# a value, not a width, so that every double up to it is written back readable
-_FLOW_CHECK_ERRORS = ("protocol above 255", "src_port above 65535", "distinct_src_ips outside 1-4294967296",
-                      "bitrate_bps outside 0-1000000000000000", "start_ts_us after end_ts_us")
+    # the bitrate bound is a value, not a width, so that every double up to
+    # it is written back readable
+    return [
+        ("protocol above 255", protocol <= 255),
+        ("src_port above 65535", src_port <= 65535),
+        ("distinct_src_ips outside 1-4294967296", (sources >= 1) & (sources <= 2 ** 32)),
+        ("bitrate_bps outside 0-1000000000000000", (bitrate >= 0) & (bitrate <= 1e15)),
+        ("start_ts_us after end_ts_us", start <= end),
+    ]
 
 
 def read_flows(path) -> FlowBatch:
     """Load flows.csv; see README for the row grammar."""
-    return FlowBatch(*_read_columns(path, FLOWS_HEADER, _FLOW_FIELDS, _flow_checks, _flow_row_error))
-
-
-def _flow_row_error(line: str) -> str:
-    """Why one flows.csv line is rejected: the range check it fails, or a
-    grammar violation that int() and float() would let through."""
-    try:
-        target, protocol, src_port, sources, bitrate, start, end = line.split(",")
-        passed = _flow_checks(ip_to_int(target), int(protocol), int(src_port), int(sources),
-                              float(bitrate), int(start), int(end))
-    except ValueError as exc:
-        return str(exc)
-    return next((error for ok, error in zip(passed, _FLOW_CHECK_ERRORS) if not ok),
-                "not a canonical flows row")
+    return FlowBatch(*_read_columns(path, FLOWS_HEADER, _FLOW_FIELDS, _flow_checks))
 
 
 def write_flows(path, flows: FlowBatch) -> None:
@@ -402,8 +401,11 @@ def read_routed_table(path) -> RoutedPrefixTable:
 
 
 def read_alloc_table(path) -> AllocationTable:
-    return AllocationTable(_read_csv(
-        path, ALLOC_HEADER, lambda prefix, registry: (_valid(parse_prefix, prefix), registry)))
+    rows = _read_csv(path, ALLOC_HEADER, lambda prefix, registry: (_valid(parse_prefix, prefix), registry))
+    try:
+        return AllocationTable(rows)
+    except ValueError as exc:       # overlapping blocks
+        raise FormatError(f"{path}: {exc}") from None
 
 
 # -- target tuples -----------------------------------------------------------
@@ -427,8 +429,8 @@ def write_targets(path, tuples: Iterable[TargetTuple]) -> None:
 
 def read_hashed_targets(path) -> set[str]:
     digests = set()
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, line in _lines(fh, path):
             line = line.strip()
             if not line:
                 continue
@@ -446,34 +448,20 @@ def write_hashed_targets(path, digests: Iterable[str]) -> None:
 
 # -- weekly series -----------------------------------------------------------
 
-def series_to_json(series: WeeklySeries) -> dict:
-    return {
-        "label": series.label,
-        "start_week": series.start_week.isoformat(),
-        "values": list(series.values),
-    }
-
-
-def series_from_json(doc: dict) -> WeeklySeries:
-    return WeeklySeries(
-        start_week=date.fromisoformat(doc["start_week"]),
-        values=tuple(None if v is None else float(v) for v in doc["values"]),
-        label=doc.get("label", ""),
-    )
-
-
 def read_series(path) -> WeeklySeries:
     with open(path) as fh:
         try:
-            return series_from_json(json.load(fh))
+            doc = json.load(fh)
+            return WeeklySeries(start_week=date.fromisoformat(doc["start_week"]),
+                                values=tuple(None if v is None else float(v) for v in doc["values"]),
+                                label=doc.get("label", ""))
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad series document: {exc}") from None
 
 
 def write_series(path, series: WeeklySeries) -> None:
-    with open(path, "w") as fh:
-        json.dump(series_to_json(series), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"label": series.label, "start_week": series.start_week.isoformat(),
+                      "values": list(series.values)})
 
 
 def write_weekly_csv(path, header: Sequence[str], series: Sequence[WeeklySeries]) -> None:

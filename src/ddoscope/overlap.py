@@ -73,6 +73,25 @@ def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> se
     return tuples
 
 
+def _exclusive(system: TargetSetSystem) -> dict[frozenset[str], list[TargetTuple]]:
+    """For every non-empty observatory subset, in bitmask order, the tuples
+    that exactly its observatories saw. The lists partition the union."""
+    n = len(system.observatories)
+    if n < 1:
+        raise ValueError("need at least one observatory")
+    if n > MAX_OBSERVATORIES:
+        raise ValueError(f"{n} observatories exceed the {MAX_OBSERVATORIES}-set limit")
+    members: dict[int, list[TargetTuple]] = {}
+    for t in set().union(*system.sets):
+        mask = 0
+        for i, s in enumerate(system.sets):
+            if t in s:
+                mask |= 1 << i
+        members.setdefault(mask, []).append(t)
+    return {frozenset(system.observatories[i] for i in range(n) if mask & (1 << i)): members.get(mask, [])
+            for mask in range(1, 1 << n)}
+
+
 def upset_exclusive(system: TargetSetSystem) -> dict[frozenset[str], int]:
     """Exclusive-intersection counts for every non-empty observatory subset.
 
@@ -80,28 +99,7 @@ def upset_exclusive(system: TargetSetSystem) -> dict[frozenset[str], int]:
     it. Counts therefore partition the union, and all 2^n - 1 subsets are
     present in the result (zeros included).
     """
-    n = len(system.observatories)
-    if n < 1:
-        raise ValueError("need at least one observatory")
-    if n > MAX_OBSERVATORIES:
-        raise ValueError(f"{n} observatories exceed the {MAX_OBSERVATORIES}-set limit")
-    counts: dict[int, int] = {}
-    universe: set[TargetTuple] = set()
-    for s in system.sets:
-        universe |= s
-    for t in universe:
-        mask = 0
-        for i, s in enumerate(system.sets):
-            if t in s:
-                mask |= 1 << i
-        counts[mask] = counts.get(mask, 0) + 1
-    out: dict[frozenset[str], int] = {}
-    for mask in range(1, 1 << n):
-        subset = frozenset(
-            system.observatories[i] for i in range(n) if mask & (1 << i)
-        )
-        out[subset] = counts.get(mask, 0)
-    return out
+    return {subset: len(tuples) for subset, tuples in _exclusive(system).items()}
 
 
 def overlap_timeseries(
@@ -224,25 +222,8 @@ def federated_confirm(
 ) -> dict[frozenset[str], float]:
     """Per exclusive subset, the fraction of its tuples confirmed by the
     external hashed set. Empty subsets confirm at 0.0."""
-    n = len(local.observatories)
-    universe: set[TargetTuple] = set()
-    for s in local.sets:
-        universe |= s
-    counts: dict[int, list[int]] = {}
-    for t in universe:
-        mask = 0
-        for i, s in enumerate(local.sets):
-            if t in s:
-                mask |= 1 << i
-        hit = target_digest(t, salt) in external_hashed
-        row = counts.setdefault(mask, [0, 0])
-        row[0] += 1 if hit else 0
-        row[1] += 1
     out: dict[frozenset[str], float] = {}
-    for mask in range(1, 1 << n):
-        subset = frozenset(
-            local.observatories[i] for i in range(n) if mask & (1 << i)
-        )
-        confirmed, total = counts.get(mask, [0, 0])
-        out[subset] = confirmed / total if total else 0.0
+    for subset, tuples in _exclusive(local).items():
+        confirmed = sum(target_digest(t, salt) in external_hashed for t in tuples)
+        out[subset] = confirmed / len(tuples) if tuples else 0.0
     return out

@@ -18,6 +18,7 @@ import dataclasses
 import glob as globmod
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -55,6 +56,8 @@ from .trends import ewma, linreg_trend, normalize, pearson, spearman, weekly_cou
 
 OBSERVATORY_TYPES = ("telescope", "honeypot", "flow")
 TELESCOPE_KEYS = frozenset(f.name for f in dataclasses.fields(TelescopeConfig))
+# Observatory names become parts of bundle file names (attacks_<name>.csv)
+OBSERVATORY_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 class PipelineError(Exception):
@@ -166,12 +169,11 @@ def _config_error(message: str) -> PipelineError:
 
 
 def _validate(cfg: PipelineConfig) -> None:
-    names = [o.name for o in cfg.observatories]
-    if len(set(names)) != len(names):
-        raise _config_error("observatory names must be unique")
     if not cfg.observatories:
         raise _config_error("no observatories configured")
     for o in cfg.observatories:
+        if not (isinstance(o.name, str) and OBSERVATORY_NAME.fullmatch(o.name)):
+            raise _config_error(f"observatory name {o.name!r} does not match {OBSERVATORY_NAME.pattern}")
         if o.type not in OBSERVATORY_TYPES:
             raise _config_error(f"unknown observatory type {o.type!r}")
         if o.type == "honeypot":
@@ -194,6 +196,9 @@ def _validate(cfg: PipelineConfig) -> None:
                 TelescopeConfig(**{"n_addresses": 1, **o.telescope})
             except (TypeError, ValueError) as exc:
                 raise _config_error(f"telescope {o.name!r}: {exc}") from None
+    names = [o.name for o in cfg.observatories]
+    if len(set(names)) != len(names):
+        raise _config_error("observatory names must be unique")
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
         raise _config_error(f"aggregation enabled but the {missing} table is not configured")

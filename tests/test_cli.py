@@ -95,6 +95,17 @@ class TestDetectCommands:
         assert [e.attack_type for e in events] == ["DP"]
         assert events[0].target == "203.0.113.11/32"
 
+    @pytest.mark.parametrize("name", ["../../escaped", "a,b"])
+    def test_observatory_name_must_be_a_file_name_token(self, runner, tmp_path, name):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n")
+        out = tmp_path / "attacks.csv"
+        result = runner.invoke(main, ["detect", "flow", "--in", str(flows), "--out", str(out),
+                                      "--observatory", name])
+        assert result.exit_code == 2, result.output
+        assert "does not match [A-Za-z0-9][A-Za-z0-9._-]*" in result.output
+        assert not out.exists()
+
 
 class TestCliMatchesPipeline:
     """Each CLI step gives the same bytes as the matching bundle file."""
@@ -323,6 +334,35 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert "stage 'config': telescope 'scope'" in result.output and message in result.output
+
+    @pytest.mark.parametrize("name", ["../../escaped", "a,b", ["x"]])
+    def test_observatory_name_must_be_a_file_name_token(self, runner, tmp_path, name):
+        flows = tmp_path / "flows.csv"
+        flows.write_text("target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n"
+                         "203.0.113.7,17,123,20,2000000000.000000,0,1000000\n")
+        cfg = tmp_path / "sub" / "pipeline.json"
+        cfg.parent.mkdir()
+        cfg.write_text(json.dumps({
+            "out_dir": "out",
+            "observatories": [{"name": name, "type": "flow", "inputs": [str(flows)]}],
+            "analysis": {"normalize": False, "ewma_span": None},
+        }))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert f"stage 'config': observatory name {name!r} does not match" in result.output
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["flows.csv", "pipeline.json", "sub"]
+
+    def test_overlapping_alloc_blocks_name_the_file(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        doc.update(aggregate=True, routed="routed.csv", alloc="alloc.csv")
+        cfg_path.write_text(json.dumps(doc))
+        (tmp_path / "routed.csv").write_text("prefix,asn\n203.0.113.0/24,64500\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n10.0.0.0/8,RIPE\n10.1.0.0/16,ARIN\n")
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 3, result.output
+        assert (f"stage 'aggregate': {tmp_path / 'alloc.csv'}: allocation blocks overlap: "
+                "10.0.0.0/8 and 10.1.0.0/16") in result.output
 
     @pytest.mark.parametrize("with_scenario", [True, False], ids=["scenario", "inputs"])
     @pytest.mark.parametrize("preset, message", [

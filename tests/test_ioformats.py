@@ -210,6 +210,17 @@ MUTATIONS = {
 }
 
 
+# what a ts_us field must be
+TS_US = "a canonical decimal of at most 18 digits"
+
+
+def _changed_column(header: str, old: list[str], new: list[str]) -> str:
+    """A pattern for the header name of the one column `new` changes, or ""
+    when it changes the field count or more than one column."""
+    changed = [name for name, a, b in zip(header.split(","), old, new) if a != b]
+    return rf".*\b{changed[0]}\b" if len(old) == len(new) and len(changed) == 1 else ""
+
+
 def _write(path, lines, crlf=False):
     path.write_bytes(("\r\n" if crlf else "\n").join([HEADER, *lines, ""]).encode())
 
@@ -238,35 +249,36 @@ class TestPacketGrammar:
         lines[at] = MUTATIONS[kind](rows[at], data.draw)
         path = tmp_path_factory.mktemp("bad") / "packets.csv"
         _write(path, ["", *lines])       # a blank line still counts
+        column = _changed_column(HEADER, row_text(rows[at]).split(","), lines[at].split(","))
         with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
-            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: "):
+            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: {column}"):
                 read_packets(path)
 
     @pytest.mark.parametrize("row, message", [
-        ("+5,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
-        (" 5,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
-        ("1_000,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
-        ("0100,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
-        ("٥,6,1.2.3.4,1,1.2.3.4,1,20,", "not a canonical packets row"),
-        ('"5",6,1.2.3.4,1,1.2.3.4,1,20,', "not a canonical packets row"),
-        ("5,6,1.2.3.4,1,1.2.3.4,1,20,,extra", "not a canonical packets row"),
-        ("5,6,1.2.3.4,1,1.2.3.4,1,20,SX", "unknown TCP flag 'X'"),
-        ("5,1,1.2.3.4,1,1.2.3.4,0,20,", "ports must be 0 for protocol 1"),
-        ("-5,6,1.2.3.4,1,1.2.3.4,1,20,", "negative timestamp: -5"),
-        ("5,6,1.2.3,1,1.2.3.4,1,20,", "not an IPv4 address: '1.2.3'"),
-        ("5,6,1.2.3.4,1", "not enough values to unpack"),
+        ("+5,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '+5' is not {TS_US}"),
+        (" 5,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us ' 5' is not {TS_US}"),
+        ("1_000,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '1_000' is not {TS_US}"),
+        ("0100,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '0100' is not {TS_US}"),
+        ("٥,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '٥' is not {TS_US}"),
+        ('"5",6,1.2.3.4,1,1.2.3.4,1,20,', f"ts_us '\"5\"' is not {TS_US}"),
+        ("5,6,1.2.3.4,1,1.2.3.4,1,20,,extra", "expected 8 fields, got 9"),
+        ("5,6,1.2.3.4,1,1.2.3.4,1,20,SX", "tcp_flags 'SX' is not a sequence of the TCP flag letters S, A, R, F"),
+        ("5,1,1.2.3.4,1,1.2.3.4,0,20,", "src_port and dst_port must be 0 unless protocol is 6 or 17"),
+        ("-5,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '-5' is not {TS_US}"),
+        ("5,6,1.2.3,1,1.2.3.4,1,20,", "src_ip '1.2.3' is not an IPv4 dotted-quad"),
+        ("5,6,1.2.3.4,1", "expected 8 fields, got 4"),
     ])
     def test_rejection_messages(self, tmp_path, row, message):
         path = tmp_path / "packets.csv"
         _write(path, ["1,6,1.2.3.4,1,1.2.3.4,1,20,", row])
-        with pytest.raises(FormatError, match=rf":3: {re.escape(message)}"):
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:3: {message}')}$"):
             read_packets(path)
 
     def test_sensor_column_replaces_dst_and_is_checked(self, tmp_path):
         path = tmp_path / "packets.csv"
         path.write_text(HEADER + ",sensor\n1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
                         "2,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.256\n")
-        with pytest.raises(FormatError, match=":3: not an IPv4 address: '192.0.2.256'"):
+        with pytest.raises(FormatError, match=r":3: sensor '192\.0\.2\.256' is not an IPv4 dotted-quad$"):
             read_packets(path, sensor_col="sensor")
 
 
@@ -302,11 +314,12 @@ class TestPacketChunks:
         lines = [row_text(p) for p in _big_rows(self.N)]
         bad_at = len(lines) - 5
         lines[bad_at] = "0" + lines[bad_at]            # leading zero on ts
+        ts = lines[bad_at].split(",")[0]
         lines[10:10] = ["", ""]                    # blank lines still count
         path = tmp_path / "packets.csv"
         _write(path, lines)
         assert sum(map(len, lines[:bad_at])) > ioformats._CHUNK_BYTES
-        with pytest.raises(FormatError, match=rf"packets\.csv:{bad_at + 4}: not a canonical"):
+        with pytest.raises(FormatError, match=rf"packets\.csv:{bad_at + 4}: ts_us '{ts}' is not {TS_US}$"):
             read_packets(path)
 
     def test_header_only_file_is_empty_batch(self, tmp_path):
@@ -379,6 +392,10 @@ FLOW_MUTATIONS = {
 }
 
 
+# what a bitrate_bps field must be
+BITRATE = "a canonical decimal of at most 16 digits, then optionally '.' and 1 to 6 digits"
+
+
 def _write_flows_text(path, lines, crlf=False):
     path.write_bytes(("\r\n" if crlf else "\n").join([FLOWS_HEADER, *lines, ""]).encode())
 
@@ -416,27 +433,28 @@ class TestFlowGrammar:
         lines[at] = ",".join(bad)
         path = tmp_path_factory.mktemp("bad") / "flows.csv"
         _write_flows_text(path, ["", *lines])       # a blank line still counts
+        column = _changed_column(FLOWS_HEADER, rows[at], bad)
         with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
-            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: "):
+            with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: {column}"):
                 read_flows(path)
 
     @pytest.mark.parametrize("row, message", [
         ("1.2.3.4,17,123,0,5.0,0,1", "distinct_src_ips outside 1-4294967296"),
         ("1.2.3.4,17,123,12,5.0,2,1", "start_ts_us after end_ts_us"),
         ("1.2.3.4,17,123,12,1000000000000000.5,0,1", "bitrate_bps outside 0-1000000000000000"),
-        ("1.2.3.4,17,123,12,nan,0,1", "bitrate_bps outside 0-1000000000000000"),
-        ("1.2.3.4,17,123,12,-1.0,0,1", "bitrate_bps outside 0-1000000000000000"),
+        ("1.2.3.4,17,123,12,nan,0,1", f"bitrate_bps 'nan' is not {BITRATE}"),
+        ("1.2.3.4,17,123,12,-1.0,0,1", f"bitrate_bps '-1.0' is not {BITRATE}"),
         ("1.2.3.4,256,123,12,5.0,0,1", "protocol above 255"),
         ("1.2.3.4,17,65536,12,5.0,0,1", "src_port above 65535"),
-        ("1.2.3,17,123,12,5.0,0,1", "not an IPv4 address: '1.2.3'"),
-        ("1.2.3.4,17,123,12,5e9,0,1", "not a canonical flows row"),
-        ("1.2.3.4,17,123,12,1_000,0,1", "not a canonical flows row"),
-        ("1.2.3.4,17,123,12,5.0,0,1,junk", "too many values to unpack"),
+        ("1.2.3,17,123,12,5.0,0,1", "target_ip '1.2.3' is not an IPv4 dotted-quad"),
+        ("1.2.3.4,17,123,12,5e9,0,1", f"bitrate_bps '5e9' is not {BITRATE}"),
+        ("1.2.3.4,17,123,12,1_000,0,1", f"bitrate_bps '1_000' is not {BITRATE}"),
+        ("1.2.3.4,17,123,12,5.0,0,1,junk", "expected 7 fields, got 8"),
     ])
     def test_rejection_messages(self, tmp_path, row, message):
         path = tmp_path / "flows.csv"
         _write_flows_text(path, ["1.2.3.4,17,123,12,5.0,0,1", row])
-        with pytest.raises(FormatError, match=rf":3: {re.escape(message)}"):
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:3: {message}')}$"):
             read_flows(path)
 
     def test_summary_checks(self, tmp_path):
@@ -496,6 +514,45 @@ class TestCsvRows:
         path.write_text("date,ip\n2022-01-05,10.0.0.2\n" + row + "\n")
         with pytest.raises(FormatError, match=r"targets\.csv:3: "):
             read_targets(path)
+
+    @pytest.mark.parametrize("cell", ['"h\np"', '"h,p"', '"hp"'], ids=["multi-line", "comma", "plain"])
+    def test_quoted_cell_rejected_on_its_physical_line(self, tmp_path, cell):
+        path = tmp_path / "attacks.csv"
+        path.write_text("observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n\n"
+                        "hp,RA,203.0.113.5/32,0,10,7,\n" + cell + ",RA,203.0.113.5/32,0,10,7,\n")
+        with pytest.raises(FormatError, match=r"attacks\.csv:4: a double quote in a row; fields are never quoted$"):
+            read_attacks(path)
+
+    def test_quoted_header_rejected(self, tmp_path):
+        path = tmp_path / "routed.csv"
+        path.write_text('"prefix","asn"\n192.0.2.0/24,64501\n')
+        with pytest.raises(FormatError, match=r"""routed\.csv: expected header 'prefix,asn', got '"prefix","asn"'$"""):
+            read_routed_table(path)
+
+    def test_crlf_and_blank_lines(self, tmp_path):
+        path = tmp_path / "routed.csv"
+        path.write_bytes(b"\r\nprefix,asn\r\n192.0.2.0/24,64501\r\n\r\n10.0.0.0/8,64500")
+        assert read_routed_table(path).entries == [("192.0.2.0/24", 64501), ("10.0.0.0/8", 64500)]
+        path.write_bytes(b"\r\nprefix,asn\r\n192.0.2.0/24,64501\r\n\r\n10.0.0.0/8,+1\r\n")
+        with pytest.raises(FormatError, match=r"routed\.csv:5: not a canonical decimal: '\+1'$"):
+            read_routed_table(path)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "routed.csv"
+        path.write_bytes(b"prefix,asn\n192.0.2.0/24,64501\n10.0.0.0/8,6450\xff\n")
+        with pytest.raises(FormatError, match=r"routed\.csv:3: not UTF-8$"):
+            read_routed_table(path)
+        path = tmp_path / "hashes.txt"
+        path.write_bytes(b"ab" * 32 + b"\n\n" + b"cd" * 31 + b"c\xff\n")
+        with pytest.raises(FormatError, match=r"hashes\.txt:3: not UTF-8$"):
+            read_hashed_targets(path)
+
+    def test_overlapping_alloc_blocks_name_the_file(self, tmp_path):
+        path = tmp_path / "alloc.csv"
+        path.write_text("prefix,registry\n10.0.0.0/8,RIPE\n10.1.0.0/16,ARIN\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: allocation blocks overlap: "
+                                              r"10\.0\.0\.0/8 and 10\.1\.0\.0/16$"):
+            read_alloc_table(path)
 
 
 def _prefix_text(net: int, plen: int) -> str:

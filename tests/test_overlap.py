@@ -239,6 +239,13 @@ class TestFederatedConfirm:
         shares = federated_confirm(system, set(), "salt")
         assert shares == {frozenset(["a"]): 0.0}
 
+    def test_set_count_limits(self):
+        with pytest.raises(ValueError, match="at least one observatory"):
+            federated_confirm(TargetSetSystem((), ()), set(), "salt")
+        sets = {f"o{i}": {tt(0, "10.0.0.1")} for i in range(11)}
+        with pytest.raises(ValueError, match="10-set limit"):
+            federated_confirm(TargetSetSystem.from_dict(sets), set(), "salt")
+
     def test_three_of_ten(self):
         tuples = [tt(i, "10.0.0.1") for i in range(10)]
         system = TargetSetSystem.from_dict({"local": set(tuples)})
