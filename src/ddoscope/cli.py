@@ -26,6 +26,7 @@ import sys
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__
 from .carpet import aggregate_carpet
@@ -42,9 +43,7 @@ from .ioformats import (
     write_series,
     write_weekly_csv,
 )
-from .model import TargetTuple
 from .overlap import (
-    TargetSetSystem,
     as_attribution,
     build_targets,
     new_vs_recurring,
@@ -321,7 +320,7 @@ def correlate(a_path, b_path, method, quarterly, out_path):
 
 # -- overlap ------------------------------------------------------------------
 
-def _load_target_set(path: str, mode: str) -> set[TargetTuple]:
+def _load_target_set(path: str, mode: str) -> np.ndarray:
     """targets.csv or attacks.csv, sniffed by header."""
     with open(path) as fh:
         header = fh.readline().rstrip("\r\n")
@@ -330,8 +329,8 @@ def _load_target_set(path: str, mode: str) -> set[TargetTuple]:
     return build_targets(read_attacks(path), mode)
 
 
-def _parse_sets(specs: tuple[str, ...], mode: str) -> dict[str, set[TargetTuple]]:
-    sets: dict[str, set[TargetTuple]] = {}
+def _parse_sets(specs: tuple[str, ...], mode: str) -> dict[str, np.ndarray]:
+    sets: dict[str, np.ndarray] = {}
     for spec in specs:
         for part in spec.split(","):
             label, _, path = part.partition("=")
@@ -363,7 +362,7 @@ def overlap_cmd(set_specs, mode, do_upset, timeseries, new_rec, attribution,
                 routed, top_n, out_path):
     """Target-overlap analyses over observatory target sets."""
     sets = _parse_sets(set_specs, mode)
-    union = set().union(*sets.values())
+    union = functools.reduce(np.union1d, sets.values())
     if do_upset:
         _emit(upset_document(sets), out_path)
     if timeseries:
@@ -410,7 +409,7 @@ def confirm(locals_, external, salt, out_path):
         if not path:
             label, path = (f"local{i}" if len(locals_) > 1 else "local"), label
         sets[label] = read_targets(path)
-    _emit(confirm_document(TargetSetSystem.from_dict(sets), external, salt), out_path)
+    _emit(confirm_document(sets, external, salt), out_path)
 
 
 # -- pipeline -----------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AttackEvent, FlowBatch, int_to_ip
+from .model import AttackEvent, FlowBatch, dotted_quads
 
 UDP = 17
 TCP = 6
@@ -52,7 +52,8 @@ def classify_flow(
     columns = (ra, flows.target, flows.start_ts, flows.end_ts, flows.distinct_src_ips)
     return [
         AttackEvent(observatory=observatory, attack_type="RA" if is_ra else "DP",
-                    target=f"{int_to_ip(target)}/32", start_ts=start, end_ts=end,
+                    target=f"{ip}/32", _network=(target, 32), start_ts=start, end_ts=end,
                     packets=0, source_ips=sources)      # flow summaries carry no packet counts
-        for is_ra, target, start, end, sources in zip(*(col[rows].tolist() for col in columns))
+        for ip, is_ra, target, start, end, sources in zip(
+            dotted_quads(flows.target[rows]), *(col[rows].tolist() for col in columns))
     ]

@@ -138,10 +138,12 @@ def detect_honeypot(
         first, last = order[bounds[f]], order[bounds[f + 1] - 1]
         members = (tuple(sorted(map(int_to_ip, hosts[host_bounds[f]:host_bounds[f + 1]].tolist())))
                    if by_prefix else None)
+        net = int(packets.src[first]) & prefix_mask(plen)
         events.append(AttackEvent(
             observatory=observatory,
             attack_type="RA",
-            target=format_prefix(int(packets.src[first]) & prefix_mask(plen), plen),
+            target=format_prefix(net, plen),
+            _network=(net, plen),
             start_ts=int(packets.ts[first]),
             end_ts=int(packets.ts[last]),
             packets=int(bounds[f + 1] - bounds[f]),

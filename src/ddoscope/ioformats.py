@@ -20,8 +20,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, AttackEvent, AllocationTable, FlowBatch, PacketBatch,
-    PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch, ip_to_int, parse_prefix,
+    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, AttackEvent, AllocationTable, FlowBatch,
+    PacketBatch, PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch, dotted_quads,
+    ip_to_int, parse_prefix, target_text, tuples_to_keys,
 )
 
 PACKETS_HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
@@ -243,6 +244,7 @@ _PACKET_FIELDS = (
 
 def _packet_checks(ts, protocol, src, src_port, dst, dst_port, len_bytes, flags, *sensor):
     return [
+        (f"ts_us above {MAX_TS_US}", ts <= MAX_TS_US),
         ("protocol above 255", protocol <= 255),
         ("src_port above 65535", src_port <= 65535),
         ("dst_port above 65535", dst_port <= 65535),
@@ -267,19 +269,6 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     return PacketBatch(*columns)
 
 
-# Decimal spelling of each octet value
-_OCTET_TEXT = tuple(str(i) for i in range(256))
-
-
-def _dotted_quads(col: np.ndarray) -> list[str]:
-    """Each address of a uint32 column as a dotted-quad, formatted once per
-    distinct address."""
-    o = _OCTET_TEXT
-    distinct, index = np.unique(col, return_inverse=True)
-    text = [f"{o[v >> 24]}.{o[v >> 16 & 255]}.{o[v >> 8 & 255]}.{o[v & 255]}" for v in distinct.tolist()]
-    return [text[i] for i in index.tolist()]
-
-
 def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
     """Write packets.csv, one row per packet in batch order."""
     b = as_batch(packets)
@@ -289,8 +278,8 @@ def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
         fh.write("".join(
             f"{ts},{proto},{src},{sport},{dst},{dport},{length},{flag}\n"
             for ts, proto, src, sport, dst, dport, length, flag in zip(
-                b.ts.tolist(), b.protocol.tolist(), _dotted_quads(b.src), b.src_port.tolist(),
-                _dotted_quads(b.dst), b.dst_port.tolist(), b.len_bytes.tolist(), flags)
+                b.ts.tolist(), b.protocol.tolist(), dotted_quads(b.src), b.src_port.tolist(),
+                dotted_quads(b.dst), b.dst_port.tolist(), b.len_bytes.tolist(), flags)
         ))
 
 
@@ -333,9 +322,18 @@ def _valid(parse, text: str) -> str:
 
 # -- attacks ----------------------------------------------------------------
 
+def _ts(text: str, column: str) -> int:
+    """A timestamp cell: a canonical decimal of at most MAX_TS_US."""
+    value = _int(text)
+    if value > MAX_TS_US:
+        raise ValueError(f"{column} above {MAX_TS_US}")
+    return value
+
+
 def _attack(obs, atype, target, start, end, packets, sensors) -> AttackEvent:
     return AttackEvent(observatory=obs, attack_type=atype, target=target,
-                       start_ts=_int(start), end_ts=_int(end), packets=_int(packets),
+                       start_ts=_ts(start, "start_ts_us"), end_ts=_ts(end, "end_ts_us"),
+                       packets=_int(packets),
                        sensors=frozenset(_valid(ip_to_int, s) for s in sensors.split(";") if s))
 
 
@@ -373,6 +371,8 @@ def _flow_checks(target, protocol, src_port, sources, bitrate, start, end):
         ("src_port above 65535", src_port <= 65535),
         ("distinct_src_ips outside 1-4294967296", (sources >= 1) & (sources <= 2 ** 32)),
         ("bitrate_bps outside 0-1000000000000000", (bitrate >= 0) & (bitrate <= 1e15)),
+        (f"start_ts_us above {MAX_TS_US}", start <= MAX_TS_US),
+        (f"end_ts_us above {MAX_TS_US}", end <= MAX_TS_US),
         ("start_ts_us after end_ts_us", start <= end),
     ]
 
@@ -389,7 +389,7 @@ def write_flows(path, flows: FlowBatch) -> None:
         fh.write("".join(
             f"{target},{proto},{sport},{sources},{bitrate:.6f},{start},{end}\n"
             for target, proto, sport, sources, bitrate, start, end in zip(
-                _dotted_quads(flows.target), *(col.tolist() for col in flows.columns()[1:]))
+                dotted_quads(flows.target), *(col.tolist() for col in flows.columns()[1:]))
         ))
 
 
@@ -416,15 +416,17 @@ def _target(day: str, ip: str) -> TargetTuple:
     return TargetTuple(date.fromisoformat(day), _valid(ip_to_int, ip))
 
 
-def read_targets(path) -> set[TargetTuple]:
-    return set(_read_csv(path, TARGETS_HEADER, _target))
+def read_targets(path) -> np.ndarray:
+    """Load targets.csv as target keys (see `model.pack_targets`)."""
+    return tuples_to_keys(_read_csv(path, TARGETS_HEADER, _target))
 
 
-def write_targets(path, tuples: Iterable[TargetTuple]) -> None:
+def write_targets(path, keys: np.ndarray) -> None:
+    """Write targets.csv, one row per key in key order: by date, then by
+    numeric IP."""
     with open(path, "w", newline="") as fh:
         fh.write(TARGETS_HEADER + "\n")
-        for t in sorted(tuples, key=lambda t: (t.date, ip_to_int(t.ip))):
-            fh.write(f"{t.date.isoformat()},{t.ip}\n")
+        fh.write("".join(f"{day},{ip}\n" for day, ip in zip(*target_text(keys))))
 
 
 def read_hashed_targets(path) -> set[str]:

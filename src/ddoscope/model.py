@@ -44,6 +44,25 @@ def int_to_ip(value: int) -> str:
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
+def _each_distinct(col: np.ndarray, texts) -> list[str]:
+    """The text of each value of `col`, where `texts(values)` spells a list
+    of values and is given each distinct value once."""
+    distinct, index = np.unique(col, return_inverse=True)
+    spelled = texts(distinct.tolist())
+    return [spelled[i] for i in index.tolist()]
+
+
+# Decimal spelling of each octet value
+_OCTET_TEXT = tuple(str(i) for i in range(256))
+
+
+def dotted_quads(col: np.ndarray) -> list[str]:
+    """Each address of a uint32 column as a dotted-quad."""
+    o = _OCTET_TEXT
+    return _each_distinct(col, lambda values: [
+        f"{o[v >> 24]}.{o[v >> 16 & 255]}.{o[v >> 8 & 255]}.{o[v & 255]}" for v in values])
+
+
 def parse_prefix(prefix: str) -> tuple[int, int]:
     """Parse "a.b.c.d/len" into (network int, prefix length).
 
@@ -92,6 +111,9 @@ def normalize_tcp_flags(flags: str) -> str:
 
 US_PER_S = 1_000_000
 US_PER_DAY = 86_400 * US_PER_S
+# 9999-12-31T23:59:59.999999Z, the last instant a `date` can hold
+MAX_TS_US = 253_402_300_799_999_999
+EPOCH = date(1970, 1, 1)
 
 
 def ts_to_date(ts_us: int) -> date:
@@ -299,8 +321,10 @@ class AttackEvent:
     sensors: frozenset[str] = frozenset()
     source_ips: Optional[int] = None
     member_targets: Optional[tuple[str, ...]] = None
-    # (network int, prefix length) of `target`, parsed once at construction
-    _network: tuple[int, int] = field(init=False, repr=False, compare=False)
+    # (network int, prefix length) of `target`: given by a detector that
+    # holds it already, in which case `target` must be its canonical text,
+    # else parsed from `target` at construction
+    _network: Optional[tuple[int, int]] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.attack_type not in ATTACK_TYPES:
@@ -309,13 +333,15 @@ class AttackEvent:
             raise ValueError("start_ts after end_ts")
         if self.packets < 0:
             raise ValueError("negative packet count")
-        net, plen = parse_prefix(self.target)
+        if self._network is None:
+            net, plen = parse_prefix(self.target)
+            # ip_to_int accepts only canonical dotted-quads, so only the length
+            # spelling ("/032", or none for a bare address) may need rewriting
+            object.__setattr__(self, "target", f"{self.target.partition('/')[0]}/{plen}")
+            object.__setattr__(self, "_network", (net, plen))
+        plen = self._network[1]
         if not 11 <= plen <= 32:
             raise ValueError(f"target prefix length {plen} outside [11, 32]")
-        # ip_to_int accepts only canonical dotted-quads, so only the length
-        # spelling ("/032", or none for a bare address) may need rewriting
-        object.__setattr__(self, "target", f"{self.target.partition('/')[0]}/{plen}")
-        object.__setattr__(self, "_network", (net, plen))
         if not isinstance(self.sensors, frozenset):
             object.__setattr__(self, "sensors", frozenset(self.sensors))
 
@@ -336,10 +362,49 @@ class AttackEvent:
 
 
 class TargetTuple(NamedTuple):
-    """Victim identifier used by all overlap analyses."""
+    """Victim identifier used by all overlap analyses, as a readable row.
+
+    The analyses hold target sets as keys (see `pack_targets`);
+    `tuples_to_keys` and `keys_to_tuples` convert between the two.
+    """
 
     date: date
     ip: str
+
+
+def pack_targets(days, ips) -> np.ndarray:
+    """The target set of (UTC day number since 1970-01-01, uint32 host)
+    pairs: one sorted, duplicate-free int64 array of keys day << 32 | ip.
+    Sorting the keys orders the targets by date, then by numeric IP."""
+    keys = np.sort(np.asarray(days, np.int64) << 32 | np.asarray(ips, np.int64))
+    first = np.ones(len(keys), bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return keys[first]
+
+
+def unpack_targets(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(day numbers, uint32 hosts) of target keys."""
+    return keys >> 32, (keys & 0xFFFFFFFF).astype(np.uint32)
+
+
+def target_text(keys: np.ndarray) -> tuple[list[str], list[str]]:
+    """The YYYY-MM-DD date and the dotted-quad of each target key."""
+    days, ips = unpack_targets(keys)
+    iso = _each_distinct(days, lambda values: [(EPOCH + timedelta(days=d)).isoformat() for d in values])
+    return iso, dotted_quads(ips)
+
+
+def tuples_to_keys(tuples: Iterable[TargetTuple]) -> np.ndarray:
+    """The target set of TargetTuples, as keys."""
+    rows = [((t.date - EPOCH).days, ip_to_int(t.ip)) for t in tuples]
+    return pack_targets(*zip(*rows)) if rows else np.empty(0, np.int64)
+
+
+def keys_to_tuples(keys: np.ndarray) -> list[TargetTuple]:
+    """The TargetTuple of each key, in key order."""
+    days, ips = unpack_targets(keys)
+    return [TargetTuple(EPOCH + timedelta(days=d), int_to_ip(ip))
+            for d, ip in zip(days.tolist(), ips.tolist())]
 
 
 def event_sort_key(e: AttackEvent) -> tuple:

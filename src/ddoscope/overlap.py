@@ -1,56 +1,42 @@
 """Cross-observatory target analyses.
 
 Victims are identified by (date, IP) tuples: either the attack start date
-or one tuple per day the attack touched. All dates are UTC. Set systems
-over up to 10 observatories support exclusive-intersection (UpSet) counts,
-per-day overlap time series, new-vs-recurring decomposition, origin-AS
-attribution, and privacy-preserving confirmation against salted hashes.
+or one tuple per day the attack touched. All dates are UTC. A target set
+is held as sorted int64 keys (see `model.pack_targets`), and a set system
+as a dict of up to 10 labelled sets. Set systems support
+exclusive-intersection (UpSet) counts, per-day overlap time series,
+new-vs-recurring decomposition, origin-AS attribution, and
+privacy-preserving confirmation against salted hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import Counter
-from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import timedelta
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .model import (
+    EPOCH,
+    US_PER_DAY,
     AttackEvent,
     RoutedPrefixTable,
     TargetTuple,
     WeeklySeries,
+    dotted_quads,
     ip_to_int,
-    ts_to_date,
-    week_start,
+    pack_targets,
+    target_text,
+    unpack_targets,
 )
 
 MAX_OBSERVATORIES = 10
 UNROUTED = "unrouted"
 
 
-@dataclass(frozen=True)
-class TargetSetSystem:
-    """One deduplicated target-tuple set per observatory, order-preserving."""
-
-    observatories: tuple[str, ...]
-    sets: tuple[frozenset[TargetTuple], ...]
-
-    def __post_init__(self):
-        if len(set(self.observatories)) != len(self.observatories):
-            raise ValueError("observatory labels must be unique")
-        if len(self.observatories) != len(self.sets):
-            raise ValueError("one set per observatory required")
-        object.__setattr__(self, "sets", tuple(frozenset(s) for s in self.sets))
-
-    @classmethod
-    def from_dict(cls, sets: dict[str, Iterable[TargetTuple]]) -> "TargetSetSystem":
-        labels = tuple(sets)
-        return cls(labels, tuple(frozenset(sets[l]) for l in labels))
-
-
-def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> set[TargetTuple]:
-    """Victim tuples for a batch of events.
+def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> np.ndarray:
+    """Victim keys for a batch of events.
 
     start_date: one (UTC start date, host IP) tuple per event.
     per_day:    one tuple per host per day the event's span touches.
@@ -58,123 +44,124 @@ def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> se
     """
     if mode not in ("start_date", "per_day"):
         raise ValueError(f"unknown target mode {mode!r}")
-    tuples: set[TargetTuple] = set()
+    hosts, per_event, starts, ends = [], [], [], []
     for e in events:
-        hosts = e.host_targets()
-        if mode == "start_date":
-            d = ts_to_date(e.start_ts)
-            tuples.update(TargetTuple(d, ip) for ip in hosts)
+        net, plen = e.target_network()
+        if plen == 32:
+            hosts.append(net)
+            per_event.append(1)
         else:
-            d = ts_to_date(e.start_ts)
-            last = ts_to_date(e.end_ts)
-            while d <= last:
-                tuples.update(TargetTuple(d, ip) for ip in hosts)
-                d += timedelta(days=1)
-    return tuples
+            members = e.host_targets()
+            hosts.extend(map(ip_to_int, members))
+            per_event.append(len(members))
+        starts.append(e.start_ts)
+        ends.append(e.end_ts)
+    per_event = np.array(per_event, np.int64)
+    first = np.repeat(np.array(starts, np.int64) // US_PER_DAY, per_event)
+    last = np.repeat(np.array(ends, np.int64) // US_PER_DAY, per_event) if mode == "per_day" else first
+    span = last - first + 1
+    day = np.repeat(first, span) + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
+    return pack_targets(day, np.repeat(np.array(hosts, np.int64), span))
 
 
-def _exclusive(system: TargetSetSystem) -> dict[frozenset[str], list[TargetTuple]]:
-    """For every non-empty observatory subset, in bitmask order, the tuples
-    that exactly its observatories saw. The lists partition the union."""
-    n = len(system.observatories)
+def _exclusive(sets: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The union of the key sets, and per union key the bitmask of the sets
+    holding it (bit i for the i-th set)."""
+    n = len(sets)
     if n < 1:
         raise ValueError("need at least one observatory")
     if n > MAX_OBSERVATORIES:
         raise ValueError(f"{n} observatories exceed the {MAX_OBSERVATORIES}-set limit")
-    members: dict[int, list[TargetTuple]] = {}
-    for t in set().union(*system.sets):
-        mask = 0
-        for i, s in enumerate(system.sets):
-            if t in s:
-                mask |= 1 << i
-        members.setdefault(mask, []).append(t)
-    return {frozenset(system.observatories[i] for i in range(n) if mask & (1 << i)): members.get(mask, [])
-            for mask in range(1, 1 << n)}
+    union, index = np.unique(np.concatenate(list(sets.values())), return_inverse=True)
+    # each set is duplicate-free, so summing its bit per key ORs it in
+    bits = np.repeat(1 << np.arange(n), [len(keys) for keys in sets.values()])
+    return union, np.bincount(index, bits, len(union)).astype(np.int64)
 
 
-def upset_exclusive(system: TargetSetSystem) -> dict[frozenset[str], int]:
+def _subsets(labels) -> dict[int, frozenset[str]]:
+    """Every non-empty subset of `labels`, by bitmask, in bitmask order."""
+    labels = tuple(labels)
+    return {mask: frozenset(l for i, l in enumerate(labels) if mask >> i & 1)
+            for mask in range(1, 1 << len(labels))}
+
+
+def upset_exclusive(sets: dict[str, np.ndarray]) -> dict[frozenset[str], int]:
     """Exclusive-intersection counts for every non-empty observatory subset.
 
     A tuple counts toward exactly one subset: the observatories that saw
     it. Counts therefore partition the union, and all 2^n - 1 subsets are
     present in the result (zeros included).
     """
-    return {subset: len(tuples) for subset, tuples in _exclusive(system).items()}
+    _, masks = _exclusive(sets)
+    counts = np.bincount(masks, minlength=1 << len(sets)).tolist()
+    return {subset: counts[mask] for mask, subset in _subsets(sets).items()}
+
+
+def _weeks(days: np.ndarray) -> np.ndarray:
+    """Index of the Monday-to-Sunday week of each day number; 1970-01-01 was
+    a Thursday."""
+    return (days + 3) // 7
+
+
+def _week_date(week: int):
+    """The Monday that starts week index `week` (see `_weeks`)."""
+    return EPOCH + timedelta(days=7 * week - 3)
 
 
 def overlap_timeseries(
-    a: set[TargetTuple],
-    b: set[TargetTuple],
+    a: np.ndarray,
+    b: np.ndarray,
     labels: tuple[str, str] = ("a", "b"),
 ) -> tuple[WeeklySeries, WeeklySeries, WeeklySeries]:
     """Weekly sums of daily distinct-target counts for a, b, and a & b.
 
-    Inputs should be per-day tuples; the three series share one week grid
+    Inputs should be per-day keys; the three series share one week grid
     covering both sets.
     """
-    union = a | b
-    if not union:
+    if not (len(a) or len(b)):
         raise ValueError("both target sets are empty")
-    start = week_start(min(t.date for t in union))
-    n_weeks = (week_start(max(t.date for t in union)) - start).days // 7 + 1
+    # keys are sorted, so the first and last of each set hold its date range
+    weeks = _weeks(unpack_targets(np.concatenate((a[:1], a[-1:], b[:1], b[-1:])))[0])
+    start, n_weeks = int(weeks.min()), int(weeks.max() - weeks.min()) + 1
 
-    def weekly(tuples: set[TargetTuple], label: str) -> WeeklySeries:
-        values = [0.0] * n_weeks
-        for day, count in Counter(t.date for t in tuples).items():
-            values[(week_start(day) - start).days // 7] += count
-        return WeeklySeries(start, tuple(values), label)
+    def weekly(keys: np.ndarray, label: str) -> WeeklySeries:
+        values = np.bincount(_weeks(unpack_targets(keys)[0]) - start, minlength=n_weeks)
+        return WeeklySeries(_week_date(start), tuple(values.astype(float).tolist()), label)
 
     return (
         weekly(a, labels[0]),
         weekly(b, labels[1]),
-        weekly(a & b, f"{labels[0]}&{labels[1]}"),
+        weekly(np.intersect1d(a, b, assume_unique=True), f"{labels[0]}&{labels[1]}"),
     )
 
 
-def new_vs_recurring(
-    tuples: Iterable[TargetTuple],
-) -> tuple[WeeklySeries, WeeklySeries, WeeklySeries]:
+def new_vs_recurring(keys: np.ndarray) -> tuple[WeeklySeries, WeeklySeries, WeeklySeries]:
     """Split weekly target counts into first-ever-seen IPs vs recurrences.
 
     A tuple is new iff its IP never appeared on an earlier date. Returns
     (new, recurring, cumulative_new); the cumulative series is monotone
     and ends at the distinct-IP count.
     """
-    ordered = sorted(set(tuples), key=lambda t: (t.date, ip_to_int(t.ip)))
-    if not ordered:
+    if not len(keys):
         raise ValueError("no target tuples")
-    start = week_start(ordered[0].date)
-    n_weeks = (week_start(ordered[-1].date) - start).days // 7 + 1
-    new = [0.0] * n_weeks
-    recurring = [0.0] * n_weeks
-    seen: set[str] = set()
-    i = 0
-    while i < len(ordered):
-        j = i
-        while j < len(ordered) and ordered[j].date == ordered[i].date:
-            j += 1
-        week = (week_start(ordered[i].date) - start).days // 7
-        for t in ordered[i:j]:
-            if t.ip in seen:
-                recurring[week] += 1
-            else:
-                new[week] += 1
-        seen.update(t.ip for t in ordered[i:j])
-        i = j
-    cumulative = []
-    total = 0.0
-    for v in new:
-        total += v
-        cumulative.append(total)
+    days, ips = unpack_targets(keys)
+    weeks = _weeks(days)
+    start, n_weeks = int(weeks[0]), int(weeks[-1] - weeks[0]) + 1
+    # keys run in date order, so an IP's first key is its earliest date
+    new = np.zeros(len(keys), bool)
+    new[np.unique(ips, return_index=True)[1]] = True
+    n_new = np.bincount(weeks[new] - start, minlength=n_weeks).astype(float)
+    n_recurring = np.bincount(weeks[~new] - start, minlength=n_weeks).astype(float)
+    week = _week_date(start)
     return (
-        WeeklySeries(start, tuple(new), "new"),
-        WeeklySeries(start, tuple(recurring), "recurring"),
-        WeeklySeries(start, tuple(cumulative), "cumulative_new"),
+        WeeklySeries(week, tuple(n_new.tolist()), "new"),
+        WeeklySeries(week, tuple(n_recurring.tolist()), "recurring"),
+        WeeklySeries(week, tuple(np.cumsum(n_new).tolist()), "cumulative_new"),
     )
 
 
 def as_attribution(
-    tuples: Iterable[TargetTuple],
+    keys: np.ndarray,
     routed: RoutedPrefixTable,
     top_n: Optional[int] = None,
 ) -> list[tuple[str, int, float]]:
@@ -185,12 +172,11 @@ def as_attribution(
     to 1. `top_n` truncates the ranking.
     """
     counts: dict[str, int] = {}
-    total = 0
-    for t in tuples:
-        hit = routed.lookup(t.ip)
+    for ip in dotted_quads(unpack_targets(keys)[1]):
+        hit = routed.lookup(ip)
         bucket = UNROUTED if hit is None else f"AS{hit[1]}"
         counts[bucket] = counts.get(bucket, 0) + 1
-        total += 1
+    total = len(keys)
     if total == 0:
         return []
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -202,28 +188,34 @@ def as_attribution(
 # Federated confirmation against salted digests
 # ---------------------------------------------------------------------------
 
+def _digests(salt: str, days: Iterable[str], ips: Iterable[str]) -> list[str]:
+    return [hashlib.sha256(f"{salt}|{day}|{ip}".encode("ascii")).hexdigest() for day, ip in zip(days, ips)]
+
+
 def target_digest(t: TargetTuple, salt: str) -> str:
     """SHA-256 over "salt|YYYY-MM-DD|dotted-quad" ASCII, lowercase hex.
 
     Fixed encoding so independently built data sets join correctly; a salt
     mismatch is undetectable by construction and simply confirms nothing.
     """
-    return hashlib.sha256(f"{salt}|{t.date.isoformat()}|{t.ip}".encode("ascii")).hexdigest()
+    return _digests(salt, [t.date.isoformat()], [t.ip])[0]
 
 
-def hash_targets(tuples: Iterable[TargetTuple], salt: str) -> set[str]:
-    return {target_digest(t, salt) for t in tuples}
+def hash_targets(keys: np.ndarray, salt: str) -> set[str]:
+    """The digest (see `target_digest`) of each key."""
+    return set(_digests(salt, *target_text(keys)))
 
 
 def federated_confirm(
-    local: TargetSetSystem,
+    local: dict[str, np.ndarray],
     external_hashed: set[str],
     salt: str,
 ) -> dict[frozenset[str], float]:
     """Per exclusive subset, the fraction of its tuples confirmed by the
     external hashed set. Empty subsets confirm at 0.0."""
-    out: dict[frozenset[str], float] = {}
-    for subset, tuples in _exclusive(local).items():
-        confirmed = sum(target_digest(t, salt) in external_hashed for t in tuples)
-        out[subset] = confirmed / len(tuples) if tuples else 0.0
-    return out
+    union, masks = _exclusive(local)
+    confirmed = [digest in external_hashed for digest in _digests(salt, *target_text(union))]
+    size = np.bincount(masks, minlength=1 << len(local))
+    hits = np.bincount(masks, confirmed, 1 << len(local))
+    return {subset: float(hits[mask] / size[mask]) if size[mask] else 0.0
+            for mask, subset in _subsets(local).items()}

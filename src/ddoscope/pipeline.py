@@ -42,9 +42,8 @@ from .ioformats import (
     write_targets,
     write_weekly_csv,
 )
-from .model import AttackEvent, PacketBatch, TargetTuple, ts_to_date
+from .model import AttackEvent, PacketBatch, ts_to_date
 from .overlap import (
-    TargetSetSystem,
     build_targets,
     federated_confirm,
     overlap_timeseries,
@@ -249,9 +248,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             events = _stage_aggregate(cfg, bundle, events)
         serieses = _stage_trends(cfg, bundle, events)
         _stage_correlate(cfg, bundle, serieses)
-        systems = _stage_overlap(cfg, bundle, events)
+        sets = _stage_overlap(cfg, bundle, events)
         if cfg.confirm_external is not None:
-            _stage_confirm(cfg, bundle, systems)
+            _stage_confirm(cfg, bundle, sets)
         _write_manifest(cfg, bundle, seed)
         return bundle.root
     except PipelineError:
@@ -373,15 +372,15 @@ def _stage_aggregate(
 
 
 def _stage_trends(cfg, bundle, events: dict[str, list[AttackEvent]]):
-    all_dates = [
-        ts_to_date(e.start_ts) for evs in events.values() for e in evs
-    ]
-    if not all_dates:
-        raise PipelineError("trends", "no attacks detected by any observatory", "data")
-    span = (min(all_dates), max(all_dates))
     serieses = {}
     summaries = {}
     try:
+        all_dates = [
+            ts_to_date(e.start_ts) for evs in events.values() for e in evs
+        ]
+        if not all_dates:
+            raise PipelineError("trends", "no attacks detected by any observatory", "data")
+        span = (min(all_dates), max(all_dates))
         for name in sorted(events):
             by_type: dict[str, list[AttackEvent]] = {}
             for e in events[name]:
@@ -432,35 +431,37 @@ def _stage_correlate(cfg, bundle, serieses) -> None:
     write_json(bundle.path("correlations.json"), matrix)
 
 
-def upset_document(sets: dict[str, set[TargetTuple]]) -> dict:
-    """Set sizes, union size and UpSet exclusive-intersection counts."""
-    counts = upset_exclusive(TargetSetSystem.from_dict(sets))
+def upset_document(sets: dict[str, np.ndarray]) -> dict:
+    """Set sizes, union size and UpSet exclusive-intersection counts of
+    target key sets."""
+    counts = upset_exclusive(sets)
     return {
-        "sets": {name: len(tuples) for name, tuples in sets.items()},
-        "union": len(frozenset().union(*sets.values())),
+        "sets": {name: len(keys) for name, keys in sets.items()},
+        # the exclusive counts partition the union
+        "union": sum(counts.values()),
         "exclusive": {"&".join(sorted(subset)): count for subset, count in counts.items()},
     }
 
 
-def confirm_document(system: TargetSetSystem, external_path, salt: str) -> dict:
-    """Share of each exclusive subset confirmed by a hashed external set."""
+def confirm_document(sets: dict[str, np.ndarray], external_path, salt: str) -> dict:
+    """Share of each exclusive subset of target key sets confirmed by a
+    hashed external set."""
     external = read_hashed_targets(external_path)
-    shares = federated_confirm(system, external, salt)
+    shares = federated_confirm(sets, external, salt)
     return {
         "external_digests": len(external),
         "shares": {"&".join(sorted(k)): v for k, v in shares.items()},
     }
 
 
-def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
+def _stage_overlap(cfg, bundle, events) -> dict[str, np.ndarray]:
     try:
         sets = {
             name: build_targets(events[name], cfg.target_mode)
             for name in sorted(events)
         }
-        system = TargetSetSystem.from_dict(sets)
-        for name, tuples in sets.items():
-            write_targets(bundle.path("targets", f"{name}.csv"), tuples)
+        for name, keys in sets.items():
+            write_targets(bundle.path("targets", f"{name}.csv"), keys)
         if cfg.upset:
             write_json(bundle.path("upset.json"), upset_document(sets))
         if cfg.overlap_series:
@@ -473,20 +474,20 @@ def _stage_overlap(cfg, bundle, events) -> TargetSetSystem:
             names = sorted(daily)
             for i, a in enumerate(names):
                 for b in names[i + 1:]:
-                    if not (daily[a] | daily[b]):
+                    if not (len(daily[a]) or len(daily[b])):
                         continue
                     write_weekly_csv(
                         bundle.path("overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
                         overlap_timeseries(daily[a], daily[b], (a, b)),
                     )
-        return system
+        return sets
     except ValueError as exc:
         raise PipelineError("overlap", str(exc), "data") from exc
 
 
-def _stage_confirm(cfg, bundle, system: TargetSetSystem) -> None:
+def _stage_confirm(cfg, bundle, sets: dict[str, np.ndarray]) -> None:
     try:
-        doc = confirm_document(system, cfg.confirm_external, cfg.confirm_salt)
+        doc = confirm_document(sets, cfg.confirm_external, cfg.confirm_salt)
         write_json(bundle.path("confirm.json"), doc)
     except (FormatError, ValueError) as exc:
         raise PipelineError("confirm", str(exc), "data") from exc

@@ -111,7 +111,7 @@ def detect_rsdos(
     first, last = flows.order[a], flows.order[b - 1]
     return sorted((
         AttackEvent(observatory=observatory, attack_type="RSDoS", target=f"{int_to_ip(src)}/32",
-                    start_ts=start, end_ts=end, packets=n)
+                    _network=(src, 32), start_ts=start, end_ts=end, packets=n)
         for src, start, end, n in zip(packets.src[first].tolist(), packets.ts[first].tolist(),
                                       packets.ts[last].tolist(), (b - a).tolist())
     ), key=event_sort_key)

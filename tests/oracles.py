@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import bisect
 import statistics
-from collections import defaultdict
+from collections import Counter, defaultdict
+from datetime import timedelta
 
-from ddoscope.model import US_PER_S, ip_to_int, parse_prefix, prefix_contains
+from ddoscope.model import (
+    US_PER_S, TargetTuple, WeeklySeries, ip_to_int, parse_prefix, prefix_contains, ts_to_date, week_start,
+)
 
 
 # -- telescope ----------------------------------------------------------------
@@ -231,6 +234,35 @@ def oracle_upset_exclusive(sets_by_label):
             acc -= s
         out[frozenset(labels[i] for i in range(n) if mask & (1 << i))] = len(acc)
     return out
+
+
+def oracle_build_targets(events, mode="start_date"):
+    """Victim tuples as a set of TargetTuples, one date at a time: the
+    start date, or with mode "per_day" every date from start to end."""
+    tuples = set()
+    for e in events:
+        d = ts_to_date(e.start_ts)
+        last = d if mode == "start_date" else ts_to_date(e.end_ts)
+        while d <= last:
+            tuples.update(TargetTuple(d, ip) for ip in e.host_targets())
+            d += timedelta(days=1)
+    return tuples
+
+
+def oracle_overlap_timeseries(a, b, labels=("a", "b")):
+    """Weekly sums of per-date tuple counts of TargetTuple sets a, b and
+    a & b on one Monday-start week grid covering both."""
+    union = a | b
+    start = week_start(min(t.date for t in union))
+    n_weeks = (week_start(max(t.date for t in union)) - start).days // 7 + 1
+
+    def weekly(tuples, label):
+        values = [0.0] * n_weeks
+        for day, count in Counter(t.date for t in tuples).items():
+            values[(week_start(day) - start).days // 7] += count
+        return WeeklySeries(start, tuple(values), label)
+
+    return weekly(a, labels[0]), weekly(b, labels[1]), weekly(a & b, f"{labels[0]}&{labels[1]}")
 
 
 def oracle_confirm_share(local_tuples, external_tuples):

@@ -25,9 +25,9 @@ from ddoscope.model import (
     US_PER_S,
     WeeklySeries,
     parse_prefix,
+    tuples_to_keys,
 )
 from ddoscope.overlap import (
-    TargetSetSystem,
     federated_confirm,
     hash_targets,
     upset_exclusive,
@@ -337,11 +337,11 @@ def test_c07_upset_partition_law():
     def tt(i):
         return TargetTuple(date(2022, 3, 7), f"10.0.{i // 256}.{i % 256}")
 
-    abc = TargetSetSystem.from_dict({
-        "A": {tt(1), tt(2), tt(3)},
-        "B": {tt(2), tt(3), tt(4)},
-        "C": {tt(3), tt(4), tt(5)},
-    })
+    abc = {
+        "A": tuples_to_keys({tt(1), tt(2), tt(3)}),
+        "B": tuples_to_keys({tt(2), tt(3), tt(4)}),
+        "C": tuples_to_keys({tt(3), tt(4), tt(5)}),
+    }
     counts = upset_exclusive(abc)
     assert counts == {
         frozenset("A"): 1, frozenset(["A", "B"]): 1, frozenset(["A", "B", "C"]): 1,
@@ -361,8 +361,7 @@ def test_c07_upset_partition_law():
             sets[f"obs{i}"] = {t for t in pool if rng.random() < density}
         if not any(sets.values()):
             sets["obs0"] = {tt(1)}
-        system = TargetSetSystem.from_dict(sets)
-        counts = upset_exclusive(system)
+        counts = upset_exclusive({label: tuples_to_keys(s) for label, s in sets.items()})
         union = set().union(*sets.values())
         assert sum(counts.values()) == len(union), f"case {case}"
         if case % 10 == 0:
@@ -380,8 +379,8 @@ def test_c08_federated_confirmation():
 
     # 3-of-10 fixture yields 0.30 exactly
     tuples = [tt(date(2022, 1, 1 + i), "10.0.0.1") for i in range(10)]
-    system = TargetSetSystem.from_dict({"local": set(tuples)})
-    shares = federated_confirm(system, hash_targets(tuples[:3], "pepper"), "pepper")
+    system = {"local": tuples_to_keys(tuples)}
+    shares = federated_confirm(system, hash_targets(tuples_to_keys(tuples[:3]), "pepper"), "pepper")
     assert shares[frozenset(["local"])] == 0.3
 
     rng = random.Random(0xF00D)
@@ -397,8 +396,8 @@ def test_c08_federated_confirmation():
         if not any(sets.values()):
             sets["s0"] = {pool[0]}
         external_plain = {t for t in pool if rng.random() < 0.4}
-        system = TargetSetSystem.from_dict(sets)
-        got = federated_confirm(system, hash_targets(external_plain, salt), salt)
+        system = {label: tuples_to_keys(s) for label, s in sets.items()}
+        got = federated_confirm(system, hash_targets(tuples_to_keys(external_plain), salt), salt)
         union = set().union(*sets.values())
         for subset, share in got.items():
             members = {

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ddoscope.cli import main
-from ddoscope.model import US_PER_S, TargetTuple
+from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
 from ddoscope.overlap import hash_targets
 from ddoscope.ioformats import read_attacks, read_targets
 
@@ -407,7 +407,7 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         assert [e.target for e in read_attacks(out / "attacks_nk.csv")] == ["203.0.113.0/24"] * 2
         hosts = {"203.0.113.5", "203.0.113.77", "203.0.113.200"}
-        assert read_targets(out / "targets" / "nk.csv") == {
+        assert set(keys_to_tuples(read_targets(out / "targets" / "nk.csv"))) == {
             (d, ip) for d in (date(1970, 1, 5), date(1970, 1, 12)) for ip in hosts
         }
 
@@ -435,6 +435,19 @@ class TestPipelineCommand:
         assert not any(out.rglob("*.csv"))
         assert not any(out.rglob("*.json"))
 
+    def test_timestamp_past_9999_is_a_data_error(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        (tmp_path / "flows.csv").write_text(
+            "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n"
+            "203.0.113.11,6,0,20,200000000,999999999999999999,999999999999999999\n")
+        doc["observatories"][2]["inputs"] = ["flows.csv"]
+        cfg_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 3, result.output
+        assert re.search(r"stage 'detect': \S*flows\.csv:2: start_ts_us above 253402300799999999$",
+                         result.output.strip()), result.output
+
     def test_short_data_skips_trends_and_keeps_detections(self, runner, tmp_path):
         cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=True, ewma_span=None)
         # 2 weeks cannot satisfy the 15-week normalization baseline
@@ -449,7 +462,7 @@ class TestPipelineCommand:
         assert json.loads((out / "correlations.json").read_text()) == []
         for name in ("scope", "hop", "ixp"):
             assert read_attacks(out / f"attacks_{name}.csv")
-            assert read_targets(out / "targets" / f"{name}.csv")
+            assert len(read_targets(out / "targets" / f"{name}.csv"))
         assert "trends.json" in json.loads((out / "manifest.json").read_text())["files"]
 
     def test_readme_pipeline_example(self, runner, tmp_path):
@@ -462,7 +475,7 @@ class TestPipelineCommand:
         (tmp_path / config["routed"]).write_text("prefix,asn\n203.0.113.0/24,64500\n")
         (tmp_path / config["alloc"]).write_text("prefix,registry\n203.0.0.0/16,ARIN\n")
         (tmp_path / config["analysis"]["confirm"]["external"]).write_text(
-            hash_targets({TargetTuple(date(1970, 1, 1), "203.0.113.7")}, "1f2e").pop() + "\n"
+            hash_targets(tuples_to_keys({TargetTuple(date(1970, 1, 1), "203.0.113.7")}), "1f2e").pop() + "\n"
         )
         (tmp_path / "pipeline.json").write_text(json.dumps(config))
         invoke(runner, ["pipeline", "--config", str(tmp_path / "pipeline.json")])

@@ -10,7 +10,7 @@ from ddoscope.flowclass import (
     attack_masks,
     classify_flow,
 )
-from ddoscope.model import FlowBatch, int_to_ip, ip_to_int
+from ddoscope.model import FlowBatch, int_to_ip, ip_to_int, parse_prefix
 
 from oracles import oracle_classify_flow
 
@@ -111,3 +111,4 @@ class TestMasksMatchOracle:
             (cls, f"{int_to_ip(t)}/32", n)
             for (t, _, _, n, _, _, _), cls in zip(rows, expected) if cls is not None]
         assert np.array_equal(ra | dp, [cls is not None for cls in expected])
+        assert all(e.target_network() == parse_prefix(e.target) for e in events)

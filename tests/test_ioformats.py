@@ -25,7 +25,8 @@ from ddoscope.ioformats import (
     write_targets,
 )
 from ddoscope.model import (
-    AttackEvent, FlowBatch, PacketBatch, PacketRecord, TargetTuple, WeeklySeries, int_to_ip, ip_to_int,
+    EPOCH, MAX_TS_US, AttackEvent, FlowBatch, PacketBatch, PacketRecord, TargetTuple, WeeklySeries,
+    int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
 )
 from datetime import date
 
@@ -111,9 +112,9 @@ class TestTargets:
             TargetTuple(date(2022, 1, 4), "10.0.0.9"),
         }
         p = tmp_path / "targets.csv"
-        write_targets(p, tuples)
+        write_targets(p, tuples_to_keys(tuples))
         assert p.read_text().splitlines()[1] == "2022-01-04,10.0.0.9"
-        assert read_targets(p) == tuples
+        assert set(keys_to_tuples(read_targets(p))) == tuples
 
     def test_hashed_round_trip(self, tmp_path):
         digests = {"ab" * 32, "cd" * 32}
@@ -158,7 +159,7 @@ def packet_records(draw):
     port = st.integers(0, 65535) if protocol in (6, 17) else st.just(0)
     ip = st.integers(0, 2 ** 32 - 1).map(int_to_ip)
     return PacketRecord(
-        ts=draw(st.integers(0, 10 ** 18 - 1)), protocol=protocol,
+        ts=draw(st.integers(0, MAX_TS_US)), protocol=protocol,
         src_ip=draw(ip), src_port=draw(port), dst_ip=draw(ip), dst_port=draw(port),
         len_bytes=draw(st.integers(20, 999_999_999)),
         tcp_flags=draw(st.text(alphabet="SARF", max_size=6)),
@@ -204,6 +205,8 @@ MUTATIONS = {
     "port on icmp": lambda p, draw: row_text(p).split(",", 2)[0] + ",1," + ",".join([
         p.src_ip, str(draw(st.integers(1, 65535))), p.dst_ip, "0", str(p.len_bytes), ""]),
     "short packet": lambda p, draw: _field(6, lambda f, d: str(d(st.integers(0, 19))))(p, draw),
+    "ts past 9999": lambda p, draw: _field(
+        0, lambda f, d: str(d(st.integers(MAX_TS_US + 1, 10 ** 18 - 1))))(p, draw),
     "missing column": lambda p, draw: _drop_field(row_text(p), draw(st.integers(0, 7))),
     "extra column": lambda p, draw: row_text(p) + "," + draw(st.sampled_from(["", "x", "1"])),
     "quoted field": lambda p, draw: _field(draw(st.integers(0, 7)), lambda f, d: f'"{f}"')(p, draw),
@@ -267,6 +270,7 @@ class TestPacketGrammar:
         ("-5,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '-5' is not {TS_US}"),
         ("5,6,1.2.3,1,1.2.3.4,1,20,", "src_ip '1.2.3' is not an IPv4 dotted-quad"),
         ("5,6,1.2.3.4,1", "expected 8 fields, got 4"),
+        ("253402300800000000,6,1.2.3.4,1,1.2.3.4,1,20,", "ts_us above 253402300799999999"),
     ])
     def test_rejection_messages(self, tmp_path, row, message):
         path = tmp_path / "packets.csv"
@@ -344,7 +348,7 @@ FLOW_COLUMNS = ("target", "protocol", "src_port", "distinct_src_ips", "bitrate_b
 @st.composite
 def flow_texts(draw):
     """One canonical flows.csv row as its seven field texts."""
-    start = draw(st.integers(0, 10 ** 18 - 1))
+    start = draw(st.integers(0, MAX_TS_US))
     whole = draw(st.sampled_from([0, 100_000_000, 1_000_000_000, 2 ** 33, 10 ** 15 - 1, 10 ** 15])
                  | st.integers(0, 10 ** 15 - 1))
     fraction = draw(st.none() | st.text(alphabet="0123456789" if whole < 10 ** 15 else "0",
@@ -353,7 +357,7 @@ def flow_texts(draw):
         int_to_ip(draw(st.integers(0, 2 ** 32 - 1))), str(draw(st.integers(0, 255))),
         str(draw(st.integers(0, 65535))), str(draw(st.integers(1, 2 ** 32))),
         str(whole) + ("" if fraction is None else "." + fraction),
-        str(start), str(draw(st.integers(start, 10 ** 18 - 1))),
+        str(start), str(draw(st.integers(start, MAX_TS_US))),
     ]
 
 
@@ -387,6 +391,9 @@ FLOW_MUTATIONS = {
     "no sources": _flow_field(3, lambda f: st.just("0")),
     "too many sources": _flow_field(3, lambda f: st.integers(2 ** 32 + 1, 9_999_999_999).map(str)),
     "start after end": _flow_swap_window,
+    "ts past 9999": lambda fields, draw: _flow_field(
+        draw(st.sampled_from([5, 6])),
+        lambda f: st.integers(MAX_TS_US + 1, 10 ** 18 - 1).map(str))(fields, draw),
     "missing column": lambda fields, draw: fields.pop(draw(st.integers(0, 6))),
     "extra column": lambda fields, draw: fields.append(draw(st.sampled_from(["", "x", "1"]))),
 }
@@ -450,6 +457,9 @@ class TestFlowGrammar:
         ("1.2.3.4,17,123,12,5e9,0,1", f"bitrate_bps '5e9' is not {BITRATE}"),
         ("1.2.3.4,17,123,12,1_000,0,1", f"bitrate_bps '1_000' is not {BITRATE}"),
         ("1.2.3.4,17,123,12,5.0,0,1,junk", "expected 7 fields, got 8"),
+        ("1.2.3.4,17,123,12,5.0,999999999999999999,999999999999999999",
+         "start_ts_us above 253402300799999999"),
+        ("1.2.3.4,17,123,12,5.0,0,253402300800000000", "end_ts_us above 253402300799999999"),
     ])
     def test_rejection_messages(self, tmp_path, row, message):
         path = tmp_path / "flows.csv"
@@ -492,6 +502,17 @@ class TestCsvRows:
         path.write_text("observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
                         "hp,RA,203.0.113.5/32,0,10,7,\n" + row + "\n")
         with pytest.raises(FormatError, match=r"attacks\.csv:3: "):
+            read_attacks(path)
+
+    @pytest.mark.parametrize("start, end, column", [
+        (253402300800000000, 253402300800000000, "start_ts_us"),
+        (0, 999999999999999999, "end_ts_us"),
+    ])
+    def test_attack_timestamps_end_in_9999(self, tmp_path, start, end, column):
+        path = tmp_path / "attacks.csv"
+        path.write_text("observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+                        f"hp,RA,203.0.113.5/32,0,{MAX_TS_US},7,\nhp,RA,203.0.113.5/32,{start},{end},7,\n")
+        with pytest.raises(FormatError, match=rf"attacks\.csv:3: {column} above {MAX_TS_US}$"):
             read_attacks(path)
 
     @pytest.mark.parametrize("row", ["10.0.0.0/8,+64500", "10.0.0.0/8,64500,x", "10.0.0.1/8,64500"])
@@ -613,7 +634,19 @@ class TestTableFuzz:
     def test_targets_round_trip(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("targets") / "targets.csv"
         _table_file(path, "date,ip", rows)
-        assert read_targets(path) == {TargetTuple(date.fromisoformat(d), ip) for d, ip in rows}
+        assert set(keys_to_tuples(read_targets(path))) == {
+            TargetTuple(date.fromisoformat(d), ip) for d, ip in rows}
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.dates(), st.integers(0, 2 ** 32 - 1)), max_size=20))
+    def test_target_keys_round_trip(self, tmp_path_factory, rows):
+        keys = pack_targets([(d - EPOCH).days for d, _ in rows], [ip for _, ip in rows])
+        path = tmp_path_factory.mktemp("keys") / "targets.csv"
+        write_targets(path, keys)
+        assert path.read_text().splitlines() == ["date,ip"] + [
+            f"{d.isoformat()},{int_to_ip(ip)}" for d, ip in sorted(set(rows))]
+        back = read_targets(path)
+        assert back.dtype == np.int64 and np.array_equal(back, keys)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), which=st.sampled_from(["routed", "alloc", "targets"]))
