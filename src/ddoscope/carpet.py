@@ -6,20 +6,35 @@ BGP-routed prefix covering all its targets has length /11 to /28 and all
 targets sit in a single registry allocation block. Attacks spanning
 multiple allocations stay separate even when a routed prefix covers them
 (an ISP-wide attack is recorded as many attacks, not one).
+
+Clustering is a running max per (observatory, attack type): sorted by
+start, an event opens a new cluster when it starts more than the
+concurrency gap after the latest end of every earlier event of its type.
+That is the greedy rule "join the open cluster when the start is within
+the gap of the latest end seen in it", because an earlier cluster's ends
+are all below the open cluster's first start, so the running max over
+every earlier event is the open cluster's latest end. That needs a gap
+>= 0, so a negative one is rejected. Ties in start cannot change a
+cluster: a tied event starts no later than the end of the event before
+it, so it joins that event's cluster in any order.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+import numpy as np
 
 from .model import (
     AllocationTable,
-    AttackEvent,
+    EventBatch,
+    Ragged,
     RoutedPrefixTable,
     US_PER_S,
-    event_sort_key,
-    int_to_ip,
+    distinct,
+    host_targets,
+    merge_runs,
+    observatory_codes,
     prefix_mask,
+    time_clusters,
 )
 
 MIN_PREFIX_LEN = 11
@@ -27,105 +42,57 @@ MAX_PREFIX_LEN = 28
 
 
 def aggregate_carpet(
-    events: Iterable[AttackEvent],
+    events: EventBatch,
     routed: RoutedPrefixTable,
     alloc: AllocationTable,
     concurrency_gap: float = 60.0,
     min_targets: int = 2,
-) -> list[AttackEvent]:
+) -> EventBatch:
     """Merge concurrent events per (observatory, attack type) into carpet
     events where the routed-prefix and single-allocation conditions hold;
     everything else passes through unchanged.
 
-    Clustering is greedy, earliest start first: an event joins the open
-    cluster of its (observatory, attack type) when its start is within
-    `concurrency_gap` of the latest end seen so far in that cluster, and
-    opens a new cluster otherwise.
-
     Input must be sorted by start_ts. The output is a partition of the
-    input: every event is represented exactly once.
+    input, every event represented exactly once, sorted by (start, target,
+    observatory, attack type).
     """
     if routed is None or alloc is None:
         raise ValueError("aggregate_carpet requires routed and allocation tables")
-    events = list(events)
-    for prev, cur in zip(events, events[1:]):
-        if cur.start_ts < prev.start_ts:
-            raise ValueError(
-                f"events not sorted by start_ts: {cur.target} at {cur.start_ts} "
-                f"after {prev.target} at {prev.start_ts}"
-            )
+    if concurrency_gap < 0:
+        raise ValueError(f"concurrency gap {concurrency_gap} is negative")
+    back = np.flatnonzero(events.start_ts[1:] < events.start_ts[:-1])
+    if len(back):
+        pair = events.take(back[:1] + [0, 1])
+        (prev, cur), (prev_ts, cur_ts) = pair.targets(), pair.start_ts.tolist()
+        raise ValueError(f"events not sorted by start_ts: {cur} at {cur_ts} after {prev} at {prev_ts}")
 
-    gap_us = int(concurrency_gap * US_PER_S)
-    # Ties in start_ts are broken by target. Each key keeps its clusters and
-    # the latest end_ts of its open (last) cluster.
-    groups: dict[tuple[str, str], list[list[AttackEvent]]] = {}
-    open_end: dict[tuple[str, str], int] = {}
-    for e in sorted(events, key=event_sort_key):
-        key = (e.observatory, e.attack_type)
-        clusters = groups.setdefault(key, [])
-        if clusters and e.start_ts <= open_end[key] + gap_us:
-            clusters[-1].append(e)
-            open_end[key] = max(open_end[key], e.end_ts)
-        else:
-            clusters.append([e])
-            open_end[key] = e.end_ts
-
-    out: list[AttackEvent] = []
-    for clusters in groups.values():
-        for cluster in clusters:
-            merged = _try_merge(cluster, routed, alloc, min_targets)
-            if merged is not None:
-                out.append(merged)
-            else:
-                out.extend(cluster)
-    out.sort(key=event_sort_key)
-    return out
-
-
-def _try_merge(
-    cluster: list[AttackEvent],
-    routed: RoutedPrefixTable,
-    alloc: AllocationTable,
-    min_targets: int,
-) -> Optional[AttackEvent]:
-    networks = {e.target_network() for e in cluster}
-    if len(networks) < min_targets:
-        return None
-
+    order, bounds = time_clusters(events, (observatory_codes(events.observatory), events.type_code),
+                                  int(concurrency_gap * US_PER_S))
+    net, plen = events.net[order].astype(np.int64), events.plen[order].astype(np.int64)
+    # distinct target networks per cluster, each network as the rank of its key
+    rank = np.unique(net << 6 | plen, return_inverse=True)[1].astype(np.uint32)
+    networks = np.diff(distinct(rank, bounds)[1])
     # Longest routed prefix containing every target: any covering prefix
     # must contain the span from the lowest to the highest target address,
     # so walk the ancestors of that span's common prefix.
-    lo = min(net for net, _ in networks)
-    hi = max(net | ((1 << (32 - plen)) - 1) for net, plen in networks)
-    cov_len = 32 - (lo ^ hi).bit_length()
-    hit = routed.longest_covering(lo & prefix_mask(cov_len), cov_len)
-    if hit is None:
-        return None
-    prefix, plen, _asn = hit
-    if not MIN_PREFIX_LEN <= plen <= MAX_PREFIX_LEN:
-        return None
+    lo = np.minimum.reduceat(net, bounds[:-1])
+    hi = np.maximum.reduceat(net | (1 << (32 - plen)) - 1, bounds[:-1])
+    merged, nets, plens = [], [], []
+    candidates = np.flatnonzero(networks >= min_targets)
+    for c, span_lo, span_hi in zip(candidates.tolist(), lo[candidates].tolist(), hi[candidates].tolist()):
+        cov_len = 32 - (span_lo ^ span_hi).bit_length()
+        hit = routed.longest_covering(span_lo & prefix_mask(cov_len), cov_len)
+        if (hit is not None and MIN_PREFIX_LEN <= hit[1] <= MAX_PREFIX_LEN
+                and alloc.block_holding(span_lo, span_hi) is not None):
+            merged.append(c)
+            nets.append(span_lo & prefix_mask(hit[1]))
+            plens.append(hit[1])
 
-    # Blocks are disjoint prefixes, so one block holds every target exactly
-    # when it holds both ends of the span.
-    block = alloc.block_of(int_to_ip(lo))
-    if block is None or block != alloc.block_of(int_to_ip(hi)):
-        return None
-
-    members: list[str] = []
-    for e in cluster:
-        members.extend(e.host_targets())
-    total_bytes = None
-    if all(e.bytes is not None for e in cluster):
-        total_bytes = sum(e.bytes for e in cluster)
-    sensors = frozenset().union(*(e.sensors for e in cluster))
-    return AttackEvent(
-        observatory=cluster[0].observatory,
-        attack_type=cluster[0].attack_type,
-        target=prefix,
-        start_ts=min(e.start_ts for e in cluster),
-        end_ts=max(e.end_ts for e in cluster),
-        packets=sum(e.packets for e in cluster),
-        bytes=total_bytes,
-        sensors=sensors,
-        member_targets=tuple(sorted(set(members))),
-    )
+    rows = Ragged(bounds, order)[np.array(merged, np.int64)]
+    clustered = events.take(rows.values)
+    rest = np.ones(len(events), bool)
+    rest[rows.values] = False
+    return EventBatch.concat([
+        events.take(rest),
+        merge_runs(clustered, rows.bounds, nets, plens, host_targets(clustered)),
+    ]).ordered()

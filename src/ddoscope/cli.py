@@ -43,6 +43,7 @@ from .ioformats import (
     write_series,
     write_weekly_csv,
 )
+from .model import type_code
 from .overlap import (
     as_attribution,
     build_targets,
@@ -249,11 +250,11 @@ def trends(in_path, observatory, attack_type, do_normalize, ewma_span,
     """Weekly attack-count series from attacks.csv."""
     events = read_attacks(in_path)
     if observatory:
-        events = [e for e in events if e.observatory == observatory]
+        events = events.take(events.observatory == observatory)
     if attack_type:
-        events = [e for e in events if e.attack_type == attack_type]
-    combos = {(e.observatory, e.attack_type) for e in events}
-    if not events:
+        events = events.take(events.type_code == type_code(attack_type))
+    combos = set(zip(events.observatory.tolist(), events.type_names()))
+    if not len(events):
         raise ValueError("no events left after filtering")
     if len(combos) > 1:
         raise ValueError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import AttackEvent, FlowBatch, dotted_quads
+from .model import EventBatch, FlowBatch, type_code
 
 UDP = 17
 TCP = 6
@@ -44,16 +44,11 @@ def classify_flow(
     flows: FlowBatch,
     ampl_ports: frozenset[int] = AMPLIFICATION_PORTS,
     observatory: str = "flow",
-) -> list[AttackEvent]:
+) -> EventBatch:
     """One RA or DP event per row of `flows` that classifies (see
-    `attack_masks`), in row order."""
+    `attack_masks`), in row order. Flow summaries carry no packet counts."""
     ra, dp = attack_masks(flows, ampl_ports)
     rows = np.flatnonzero(ra | dp)
-    columns = (ra, flows.target, flows.start_ts, flows.end_ts, flows.distinct_src_ips)
-    return [
-        AttackEvent(observatory=observatory, attack_type="RA" if is_ra else "DP",
-                    target=f"{ip}/32", _network=(target, 32), start_ts=start, end_ts=end,
-                    packets=0, source_ips=sources)      # flow summaries carry no packet counts
-        for ip, is_ra, target, start, end, sources in zip(
-            dotted_quads(flows.target[rows]), *(col[rows].tolist() for col in columns))
-    ]
+    return EventBatch.build(observatory, np.where(ra[rows], type_code("RA"), type_code("DP")),
+                            flows.target[rows], 32, flows.start_ts[rows], flows.end_ts[rows], 0,
+                            source_ips=flows.distinct_src_ips[rows])

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import PacketBatch
+from .model import PacketBatch, distinct
 
 
 class Rate(NamedTuple):
@@ -32,15 +32,6 @@ class Flows(NamedTuple):
     order: np.ndarray     # input rows grouped by key, time-ordered within a key
     bounds: np.ndarray    # flow f is order[bounds[f]:bounds[f + 1]]
     attacks: np.ndarray   # flows that met every threshold, in the order their keys first appear
-
-
-def distinct(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct `values` (uint32 or narrower) of each run `bounds` cuts them
-    into: the values sorted by run then value, and each run's bounds in them."""
-    runs = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64), np.diff(bounds))
-    pairs = np.sort(runs << 32 | values)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
-    return pairs & 0xFFFFFFFF, np.searchsorted(pairs >> 32, np.arange(len(bounds)))
 
 
 def group_flows(

@@ -24,18 +24,22 @@ from typing import Iterable
 
 import numpy as np
 
-from .flows import distinct, group_flows
+from .flows import group_flows
 from .model import (
     AttackDefinition,
-    AttackEvent,
+    EventBatch,
     PacketBatch,
     PacketRecord,
+    Ragged,
     US_PER_S,
     as_batch,
-    event_sort_key,
-    format_prefix,
+    distinct,
     int_to_ip,
+    merge_runs,
+    observatory_codes,
     prefix_mask,
+    time_clusters,
+    type_code,
 )
 
 
@@ -104,7 +108,7 @@ def detect_honeypot(
     packets: PacketBatch | Iterable[PacketRecord],
     definition: AttackDefinition,
     observatory: str = "honeypot",
-) -> list[AttackEvent]:
+) -> EventBatch:
     """Run one attack definition over honeypot request logs.
 
     Packets must be time-ordered per sensor (dst_ip); violations raise
@@ -125,34 +129,17 @@ def detect_honeypot(
         min_duration_us=(d.duration_threshold or 0) * US_PER_S,
         min_ports=d.port_threshold,
     )
-    order, bounds = flows.order, flows.bounds
-    n_bytes = np.add.reduceat(packets.len_bytes[order], bounds[:-1])
-    sensors, sensor_bounds = distinct(packets.dst[order], bounds)
+    order, bounds, f = flows.order, flows.bounds, flows.attacks
+    first, last = order[bounds[f]], order[bounds[f + 1] - 1]
     by_prefix = "src_prefix" in d.key_fields
-    if by_prefix:
-        hosts, host_bounds = distinct(packets.src[order], bounds)
     plen = d.src_prefix_len if by_prefix else 32
-
-    events = []
-    for f in flows.attacks.tolist():
-        first, last = order[bounds[f]], order[bounds[f + 1] - 1]
-        members = (tuple(sorted(map(int_to_ip, hosts[host_bounds[f]:host_bounds[f + 1]].tolist())))
-                   if by_prefix else None)
-        net = int(packets.src[first]) & prefix_mask(plen)
-        events.append(AttackEvent(
-            observatory=observatory,
-            attack_type="RA",
-            target=format_prefix(net, plen),
-            _network=(net, plen),
-            start_ts=int(packets.ts[first]),
-            end_ts=int(packets.ts[last]),
-            packets=int(bounds[f + 1] - bounds[f]),
-            bytes=int(n_bytes[f]),
-            sensors=frozenset(map(int_to_ip, sensors[sensor_bounds[f]:sensor_bounds[f + 1]].tolist())),
-            member_targets=members,
-        ))
-    events.sort(key=event_sort_key)
-    return events
+    return EventBatch.build(
+        observatory, type_code("RA"), packets.src[first] & np.uint32(prefix_mask(plen)), plen,
+        packets.ts[first], packets.ts[last], bounds[f + 1] - bounds[f],
+        bytes=np.add.reduceat(packets.len_bytes[order], bounds[:-1])[f],
+        sensors=Ragged(*distinct(packets.dst[order], bounds)[::-1])[f],
+        members=Ragged(*distinct(packets.src[order], bounds)[::-1])[f] if by_prefix else None,
+    ).ordered()
 
 
 def _check_sensor_order(packets: PacketBatch) -> None:
@@ -168,50 +155,22 @@ def _check_sensor_order(packets: PacketBatch) -> None:
         )
 
 
-def aggregate_sensors(events: Iterable[AttackEvent], merge_gap: float) -> list[AttackEvent]:
+def aggregate_sensors(events: EventBatch, merge_gap: float) -> EventBatch:
     """Merge per-sensor events of one platform into per-attack events.
 
-    Events with identical target whose spans overlap or sit within
-    `merge_gap` seconds become one event: span union, packets and bytes
-    summed, sensor sets unioned. Idempotent, packet-conserving.
+    Events with identical observatory, attack type and target become one
+    event when their spans overlap or sit within `merge_gap` seconds: span
+    union, packets and bytes summed, sensor and member sets unioned. The
+    clusters are `model.time_clusters` with those three as the group: in
+    start order, an event joins the cluster before it when it starts
+    within the gap of the running maximum of that cluster's ends.
+    Idempotent, packet-conserving. The gap must be >= 0.
     """
-    gap_us = int(merge_gap * US_PER_S)
-    by_target: dict[tuple[str, str, str], list[AttackEvent]] = {}
-    for e in events:
-        by_target.setdefault((e.observatory, e.attack_type, e.target), []).append(e)
-
-    merged: list[AttackEvent] = []
-    for group in by_target.values():
-        group.sort(key=lambda e: (e.start_ts, e.end_ts))
-        cur = group[0]
-        acc = [cur]
-        for e in group[1:]:
-            if e.start_ts <= cur.end_ts + gap_us:
-                cur = _merge(cur, e)
-                acc[-1] = cur
-            else:
-                cur = e
-                acc.append(e)
-        merged.extend(acc)
-    merged.sort(key=event_sort_key)
-    return merged
-
-
-def _merge(a: AttackEvent, b: AttackEvent) -> AttackEvent:
-    total_bytes = None
-    if a.bytes is not None and b.bytes is not None:
-        total_bytes = a.bytes + b.bytes
-    members = None
-    if a.member_targets is not None or b.member_targets is not None:
-        members = tuple(sorted({*(a.member_targets or ()), *(b.member_targets or ())}))
-    return AttackEvent(
-        observatory=a.observatory,
-        attack_type=a.attack_type,
-        target=a.target,
-        start_ts=min(a.start_ts, b.start_ts),
-        end_ts=max(a.end_ts, b.end_ts),
-        packets=a.packets + b.packets,
-        bytes=total_bytes,
-        sensors=a.sensors | b.sensors,
-        member_targets=members,
-    )
+    if merge_gap < 0:
+        raise ValueError(f"merge gap {merge_gap} is negative")
+    order, bounds = time_clusters(
+        events, (observatory_codes(events.observatory), events.type_code, events.net, events.plen),
+        int(merge_gap * US_PER_S))
+    events = events.take(order)
+    starts = bounds[:-1]
+    return merge_runs(events, bounds, events.net[starts], events.plen[starts], events.members).ordered()

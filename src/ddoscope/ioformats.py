@@ -20,9 +20,9 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .model import (
-    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, AttackEvent, AllocationTable, FlowBatch,
-    PacketBatch, PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch, dotted_quads,
-    ip_to_int, parse_prefix, target_text, tuples_to_keys,
+    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, AllocationTable, EventBatch,
+    FlowBatch, PacketBatch, PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch,
+    dotted_quads, event_violation, ip_to_int, parse_prefix, target_text, tuples_to_keys, type_code,
 )
 
 PACKETS_HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
@@ -285,16 +285,17 @@ def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
 
 # -- row-wise csv readers (attacks, tables, targets) ---------------------------
 
-def _read_csv(path, header: str, parse) -> list:
+def _read_csv(path, header: str, parse, lines: Optional[list] = None) -> list:
     """`parse(*fields)` of each row after the exact `header`. A row holding
     a double quote, whose field count differs from the header's, or that
-    `parse` rejects with ValueError, raises FormatError naming its line."""
+    `parse` rejects with ValueError, raises FormatError naming its line.
+    `lines`, when given, gets the line number of each row."""
     width = header.count(",") + 1
     out = []
     with open(path, "rb") as fh:
-        lines = _lines(fh, path)
-        _check_header(lines, header, path)
-        for lineno, line in lines:
+        rows = _lines(fh, path)
+        _check_header(rows, header, path)
+        for lineno, line in rows:
             row = line.split(",")
             try:
                 if '"' in line:
@@ -304,6 +305,8 @@ def _read_csv(path, header: str, parse) -> list:
                 out.append(parse(*row))
             except ValueError as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from None
+            if lines is not None:
+                lines.append(lineno)
     return out
 
 
@@ -322,31 +325,44 @@ def _valid(parse, text: str) -> str:
 
 # -- attacks ----------------------------------------------------------------
 
-def _ts(text: str, column: str) -> int:
-    """A timestamp cell: a canonical decimal of at most MAX_TS_US."""
-    value = _int(text)
-    if value > MAX_TS_US:
-        raise ValueError(f"{column} above {MAX_TS_US}")
-    return value
+def _decimal_cell(text: str, column: str, most: int = 10 ** 18 - 1) -> int:
+    """An int64 cell: a canonical decimal of at most 18 digits and at most `most`."""
+    if not (len(text) <= 18 and text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"{column} {text!r} is not {_MUST_BE[_decimal].format(18)}")
+    if int(text) > most:
+        raise ValueError(f"{column} above {most}")
+    return int(text)
 
 
-def _attack(obs, atype, target, start, end, packets, sensors) -> AttackEvent:
-    return AttackEvent(observatory=obs, attack_type=atype, target=target,
-                       start_ts=_ts(start, "start_ts_us"), end_ts=_ts(end, "end_ts_us"),
-                       packets=_int(packets),
-                       sensors=frozenset(_valid(ip_to_int, s) for s in sensors.split(";") if s))
+def _attack(obs, atype, target, start, end, packets, sensors) -> tuple:
+    return (obs, type_code(atype), *parse_prefix(target), _decimal_cell(start, "start_ts_us", MAX_TS_US),
+            _decimal_cell(end, "end_ts_us", MAX_TS_US), _decimal_cell(packets, "packets"), 0, False, 0,
+            sorted({ip_to_int(s) for s in sensors.split(";") if s}), ())
 
 
-def read_attacks(path) -> list[AttackEvent]:
-    return _read_csv(path, ATTACKS_HEADER, _attack)
+def read_attacks(path) -> EventBatch:
+    """Load attacks.csv. The first row that breaks the row grammar raises
+    FormatError naming its line; after it, the first that breaks an event
+    rule (see `model.event_violation`)."""
+    lines: list[int] = []
+    events = EventBatch.from_rows(_read_csv(path, ATTACKS_HEADER, _attack, lines))
+    bad = event_violation(events)
+    if bad is not None:
+        raise FormatError(f"{path}:{lines[bad[0]]}: {bad[1]}")
+    return events
 
 
-def write_attacks(path, events: Iterable[AttackEvent]) -> None:
+def write_attacks(path, events: EventBatch) -> None:
+    """Write attacks.csv, one row per event in batch order."""
+    quads, bounds = dotted_quads(events.sensors.values), events.sensors.bounds.tolist()
+    sensors = [";".join(quads[a:b]) for a, b in zip(bounds, bounds[1:])] if quads else [""] * len(events)
     with open(path, "w", newline="") as fh:
         fh.write(ATTACKS_HEADER + "\n")
         fh.write("".join(
-            f"{e.observatory},{e.attack_type},{e.target},{e.start_ts},{e.end_ts},{e.packets},"
-            f"{';'.join(sorted(e.sensors, key=ip_to_int))}\n" for e in events))
+            f"{obs},{name},{target},{start},{end},{packets},{sensor_list}\n"
+            for obs, name, target, start, end, packets, sensor_list in zip(
+                events.observatory.tolist(), events.type_names(), events.targets(), events.start_ts.tolist(),
+                events.end_ts.tolist(), events.packets.tolist(), sensors)))
 
 
 # -- flow summaries ----------------------------------------------------------
@@ -440,12 +456,6 @@ def read_hashed_targets(path) -> set[str]:
                 raise FormatError(f"{path}:{lineno}: not a lowercase sha256 hex digest")
             digests.add(line)
     return digests
-
-
-def write_hashed_targets(path, digests: Iterable[str]) -> None:
-    with open(path, "w") as fh:
-        for d in sorted(digests):
-            fh.write(d + "\n")
 
 
 # -- weekly series -----------------------------------------------------------

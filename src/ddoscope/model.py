@@ -1,19 +1,19 @@
 """Core domain types shared by every detector and analysis stage.
 
-IPv4 only: addresses are dotted-quad strings at the API surface and
-32-bit ints wherever prefix arithmetic happens. All types are immutable
-after construction and safe to share across threads.
+IPv4 only. Packets, flow summaries, attack events and target sets are
+numpy columns, and addresses inside them are uint32; dotted-quad strings
+appear only in files, messages, the readable row types and the prefix
+tables' lookups. All types are immutable after construction and safe to
+share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from datetime import date, datetime, timedelta, timezone
+from dataclasses import dataclass
+from datetime import date, timedelta
 from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
-
-ATTACK_TYPES = ("RSDoS", "RA", "DP")
 
 # Canonical order for the tcp_flags string ("SA", "AR", ...).
 _FLAG_ORDER = "SARF"
@@ -116,19 +116,15 @@ MAX_TS_US = 253_402_300_799_999_999
 EPOCH = date(1970, 1, 1)
 
 
-def ts_to_date(ts_us: int) -> date:
-    """UTC calendar day of a microsecond epoch timestamp."""
-    return datetime.fromtimestamp(ts_us // US_PER_S, tz=timezone.utc).date()
+def week_index(days: np.ndarray) -> np.ndarray:
+    """Index of the Monday-to-Sunday week of each UTC day number;
+    1970-01-01 was a Thursday."""
+    return (days + 3) // 7
 
 
-def date_to_ts(d: date) -> int:
-    """Microsecond timestamp of UTC midnight of `d`."""
-    return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp()) * US_PER_S
-
-
-def week_start(d: date) -> date:
-    """Monday of the ISO week containing `d`."""
-    return d - timedelta(days=d.weekday())
+def week_monday(week: int) -> date:
+    """The Monday that starts week index `week` (see `week_index`)."""
+    return EPOCH + timedelta(days=7 * week - 3)
 
 
 def quarter_start(d: date) -> date:
@@ -136,7 +132,7 @@ def quarter_start(d: date) -> date:
 
 
 # ---------------------------------------------------------------------------
-# Records and events
+# Packets and flow summaries
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
@@ -179,11 +175,57 @@ _FLAG_MASKS = {s: mask for mask, s in enumerate(FLAG_STRINGS)}
 
 
 @dataclass(frozen=True, eq=False)
+class Ragged:
+    """A column of integer lists: row i holds values[bounds[i]:bounds[i + 1]].
+    The lists of an EventBatch hold uint32 addresses."""
+
+    bounds: np.ndarray      # int64, one more than the rows
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.bounds) - 1
+
+    @classmethod
+    def from_lists(cls, lists: Sequence[Sequence[int]]) -> "Ragged":
+        bounds = np.cumsum([0] + [len(values) for values in lists], dtype=np.int64)
+        return cls(bounds, np.array([v for values in lists for v in values], np.uint32))
+
+    def __getitem__(self, index) -> "Ragged":
+        """Rows selected by an index array or a boolean mask."""
+        rows = np.arange(len(self))[index]
+        lengths = np.diff(self.bounds)[rows]
+        bounds = np.cumsum(np.append(0, lengths), dtype=np.int64)
+        return Ragged(bounds, self.values[np.repeat(self.bounds[rows] - bounds[:-1], lengths)
+                                          + np.arange(bounds[-1])])
+
+    @staticmethod
+    def concat(parts: Sequence["Ragged"]) -> "Ragged":
+        shifts = np.cumsum([0] + [len(p.values) for p in parts])
+        return Ragged(np.concatenate([[0]] + [p.bounds[1:] + s for p, s in zip(parts, shifts)]),
+                      np.concatenate([p.values for p in parts]))
+
+    def union(self, runs: np.ndarray) -> "Ragged":
+        """The sorted distinct values of each run of rows, run r being rows
+        runs[r] to runs[r + 1] - 1."""
+        values, bounds = distinct(self.values, self.bounds[runs])
+        return Ragged(bounds, values)
+
+
+def distinct(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct `values` (uint32 or narrower) of each run `bounds` cuts them
+    into: the values sorted by run then value, and each run's bounds in them."""
+    runs = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64), np.diff(bounds))
+    pairs = np.sort(runs << 32 | values)
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    return (pairs & 0xFFFFFFFF).astype(values.dtype), np.searchsorted(pairs >> 32, np.arange(len(bounds)))
+
+
+@dataclass(frozen=True, eq=False)
 class _Columns:
-    """Rows as numpy columns of one length; a subclass names the columns as
-    its fields and gives their dtypes, in field order, in DTYPES. Rows are
-    validated before they get here: by a CSV reader, or by PacketRecord in
-    `as_batch`."""
+    """Rows as columns of one length; a subclass names the columns as its
+    fields and gives their dtypes, in field order, in DTYPES. A column is a
+    numpy array, or a Ragged where DTYPES says so. Rows are validated before
+    they get here: by a CSV reader, or by PacketRecord in `as_batch`."""
 
     DTYPES: ClassVar[dict] = {}
 
@@ -191,7 +233,7 @@ class _Columns:
         if len({len(col) for col in self.columns()}) > 1:
             raise ValueError(f"{type(self).__name__} columns differ in length")
 
-    def columns(self) -> tuple[np.ndarray, ...]:
+    def columns(self) -> tuple:
         """The columns in DTYPES order."""
         return tuple(getattr(self, name) for name in self.DTYPES)
 
@@ -202,7 +244,8 @@ class _Columns:
     def from_rows(cls, rows: Sequence[tuple]):
         """Rows of Python values, each a tuple in column order."""
         cols = zip(*rows) if rows else [()] * len(cls.DTYPES)
-        return cls(*(np.array(col, dtype=dtype) for col, dtype in zip(cols, cls.DTYPES.values())))
+        return cls(*(Ragged.from_lists(col) if dtype is Ragged else np.array(col, dtype=dtype)
+                     for col, dtype in zip(cols, cls.DTYPES.values())))
 
     def take(self, index: np.ndarray):
         """Rows selected by an index array or a boolean mask."""
@@ -212,7 +255,8 @@ class _Columns:
     def concat(cls, batches: Sequence):
         if not batches:
             return cls.from_rows(())
-        return cls(*(np.concatenate(cols) for cols in zip(*(b.columns() for b in batches))))
+        return cls(*(Ragged.concat(cols) if isinstance(cols[0], Ragged) else np.concatenate(cols)
+                     for cols in zip(*(b.columns() for b in batches))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,64 +345,162 @@ class AttackDefinition:
             raise ValueError("src_prefix_len must be in [1, 32]")
 
 
-@dataclass(frozen=True, slots=True)
-class AttackEvent:
-    """One inferred attack, the unit counted by all downstream analyses.
+# ---------------------------------------------------------------------------
+# Attack events
+# ---------------------------------------------------------------------------
 
-    `target` is a host /32 unless prefix aggregation produced it.
-    `member_targets` preserves the pre-aggregation host targets so overlap
-    analysis stays host-granular; it is in-memory only and not part of the
-    attacks.csv schema.
+# Attack types by code; in name order, so codes sort as the names do
+ATTACK_TYPES = ("DP", "RA", "RSDoS")
+_TYPE_CODES = {name: code for code, name in enumerate(ATTACK_TYPES)}
+
+
+def type_code(name: str) -> int:
+    try:
+        return _TYPE_CODES[name]
+    except KeyError:
+        raise ValueError(f"unknown attack type {name!r}") from None
+
+
+@dataclass(frozen=True, eq=False)
+class EventBatch(_Columns):
+    """Inferred attacks as columns, one row per attack: the unit every
+    downstream analysis counts.
+
+    The target is the prefix (net, plen), a host /32 unless prefix keying
+    or carpet aggregation produced it. `members` keeps the host targets of
+    a prefix row so overlap analysis stays host-granular; it is not part of
+    the attacks.csv schema, so prefix rows read back have none recorded.
+    Rows hold the rules of `event_violation`: detectors make them so, and
+    `read_attacks` checks them.
     """
 
-    observatory: str
-    attack_type: str
-    target: str              # "a.b.c.d/len"
-    start_ts: int
-    end_ts: int
-    packets: int
-    bytes: Optional[int] = None
-    sensors: frozenset[str] = frozenset()
-    source_ips: Optional[int] = None
-    member_targets: Optional[tuple[str, ...]] = None
-    # (network int, prefix length) of `target`: given by a detector that
-    # holds it already, in which case `target` must be its canonical text,
-    # else parsed from `target` at construction
-    _network: Optional[tuple[int, int]] = field(default=None, repr=False, compare=False)
+    observatory: np.ndarray     # str
+    type_code: np.ndarray       # index into ATTACK_TYPES
+    net: np.ndarray             # uint32 network address of the target
+    plen: np.ndarray            # target prefix length
+    start_ts: np.ndarray        # microseconds since Unix epoch
+    end_ts: np.ndarray
+    packets: np.ndarray
+    bytes: np.ndarray           # meaningful where has_bytes
+    has_bytes: np.ndarray
+    source_ips: np.ndarray      # 0 where unknown
+    sensors: Ragged             # sorted distinct sensor addresses
+    members: Ragged             # sorted distinct member hosts
 
-    def __post_init__(self):
-        if self.attack_type not in ATTACK_TYPES:
-            raise ValueError(f"unknown attack type {self.attack_type!r}")
-        if self.start_ts > self.end_ts:
-            raise ValueError("start_ts after end_ts")
-        if self.packets < 0:
-            raise ValueError("negative packet count")
-        if self._network is None:
-            net, plen = parse_prefix(self.target)
-            # ip_to_int accepts only canonical dotted-quads, so only the length
-            # spelling ("/032", or none for a bare address) may need rewriting
-            object.__setattr__(self, "target", f"{self.target.partition('/')[0]}/{plen}")
-            object.__setattr__(self, "_network", (net, plen))
-        plen = self._network[1]
-        if not 11 <= plen <= 32:
-            raise ValueError(f"target prefix length {plen} outside [11, 32]")
-        if not isinstance(self.sensors, frozenset):
-            object.__setattr__(self, "sensors", frozenset(self.sensors))
+    DTYPES = {"observatory": np.str_, "type_code": np.uint8, "net": np.uint32, "plen": np.uint8,
+              "start_ts": np.int64, "end_ts": np.int64, "packets": np.int64, "bytes": np.int64,
+              "has_bytes": bool, "source_ips": np.int64, "sensors": Ragged, "members": Ragged}
 
-    def target_network(self) -> tuple[int, int]:
-        return self._network
+    @classmethod
+    def build(cls, observatory: str, type_code, net, plen, start_ts, end_ts, packets, *,
+              bytes=None, source_ips=0, sensors: Optional[Ragged] = None,
+              members: Optional[Ragged] = None) -> "EventBatch":
+        """Rows of one observatory from columns and scalars, which are
+        broadcast; `bytes` None leaves every row without a byte count."""
+        n = len(start_ts)
+        given = {"type_code": type_code, "net": net, "plen": plen, "start_ts": start_ts,
+                 "end_ts": end_ts, "packets": packets, "bytes": 0 if bytes is None else bytes,
+                 "has_bytes": bytes is not None, "source_ips": source_ips}
+        empty = Ragged(np.zeros(n + 1, np.int64), np.empty(0, np.uint32))
+        return cls(np.full(n, observatory), **{k: np.full(n, v, cls.DTYPES[k]) for k, v in given.items()},
+                   sensors=empty if sensors is None else sensors, members=empty if members is None else members)
 
-    def host_targets(self) -> tuple[str, ...]:
-        """Host IPs this event stands for (see build_targets)."""
-        net, plen = self._network
-        if plen == 32:
-            return (int_to_ip(net),)
-        if self.member_targets is not None:
-            return self.member_targets
+    def type_names(self) -> list[str]:
+        return np.array(ATTACK_TYPES)[self.type_code].tolist()
+
+    def targets(self) -> list[str]:
+        """The "a.b.c.d/len" text of each row's target."""
+        o = _OCTET_TEXT
+        return _each_distinct(self.net.astype(np.int64) << 6 | self.plen, lambda values: [
+            f"{o[v >> 30]}.{o[v >> 22 & 255]}.{o[v >> 14 & 255]}.{o[v >> 6 & 255]}/{v & 63}"
+            for v in values])
+
+    def ordered(self) -> "EventBatch":
+        """The rows by (start, net, plen, observatory, attack type), ties in
+        row order."""
+        return self.take(np.lexsort((self.type_code, observatory_codes(self.observatory),
+                                     self.plen, self.net, self.start_ts)))
+
+
+def event_violation(events: EventBatch) -> Optional[tuple[int, str]]:
+    """The first row that breaks an event rule, with the first rule it
+    breaks; None when every row holds them all."""
+    rules = [
+        ("start_ts after end_ts", events.start_ts <= events.end_ts),
+        ("negative packet count", events.packets >= 0),
+        ("target prefix length {} outside [11, 32]", (events.plen >= 11) & (events.plen <= 32)),
+    ]
+    bad = np.flatnonzero(~np.logical_and.reduce([valid for _, valid in rules]))
+    if not len(bad):
+        return None
+    i = int(bad[0])
+    return i, next(rule.format(events.plen[i]) for rule, valid in rules if not valid[i])
+
+
+def observatory_codes(observatory: np.ndarray) -> np.ndarray:
+    """A code per row that orders and groups rows as their observatory
+    names do."""
+    if not len(observatory) or (observatory == observatory[0]).all():
+        return np.zeros(len(observatory), np.int64)
+    return np.unique(observatory, return_inverse=True)[1]
+
+
+def host_targets(events: EventBatch) -> Ragged:
+    """The host addresses each row stands for: its own for a /32, else its
+    recorded members."""
+    prefix = events.plen < 32
+    counts = np.where(prefix, np.diff(events.members.bounds), 1)
+    missing = np.flatnonzero(counts == 0)
+    if len(missing):
         raise ValueError(
-            f"prefix event {self.target} has no recorded member hosts; "
+            f"prefix event {events.take(missing[:1]).targets()[0]} has no recorded member hosts; "
             "derive targets from pre-aggregation events"
         )
+    bounds = np.cumsum(np.append(0, counts), dtype=np.int64)
+    hosts = np.repeat(events.net, counts)
+    members = events.members[prefix]
+    hosts[np.repeat(bounds[:-1][prefix] - members.bounds[:-1], np.diff(members.bounds))
+          + np.arange(len(members.values))] = members.values
+    return Ragged(bounds, hosts)
+
+
+def time_clusters(events: EventBatch, group: Sequence[np.ndarray], gap_us: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cluster the rows of each group in time; rows equal in every column of
+    `group` are one group.
+
+    Rows are ordered by (group, start, net, plen). A row opens a new cluster
+    when it is the first of its group or starts more than `gap_us` after
+    the running maximum of the ends before it in its group. Returns
+    (order, bounds): cluster c is rows order[bounds[c]:bounds[c + 1]].
+    """
+    order = np.lexsort((events.plen, events.net, events.start_ts, *group[::-1]))
+    start, end = events.start_ts[order], events.end_ts[order]
+    first = np.zeros(len(order), bool)
+    first[:1] = True
+    for key in group:
+        key = key[order]
+        first[1:] |= key[1:] != key[:-1]
+    # the running max of end within each group, taken over the ranks of the
+    # ends raised by a per-group offset, so no group sees another's ends
+    ends, rank = np.unique(end, return_inverse=True)
+    offset = (np.cumsum(first) - 1) * len(ends)
+    reach = ends[np.maximum.accumulate(offset + rank) - offset]
+    first[1:] |= start[1:] - reach[:-1] > gap_us
+    return order, np.append(np.flatnonzero(first), len(order))
+
+
+def merge_runs(events: EventBatch, bounds: np.ndarray, net, plen, members: Ragged) -> EventBatch:
+    """One row per run of rows, run r being rows bounds[r] to
+    bounds[r + 1] - 1: target (net[r], plen[r]), the span union, packets
+    summed, bytes summed where every row has them, sensors unioned, and the
+    union of `members` (one list per row) as its members."""
+    starts = bounds[:-1]
+    return EventBatch(
+        events.observatory[starts], events.type_code[starts], np.asarray(net, np.uint32),
+        np.asarray(plen, np.uint8), np.minimum.reduceat(events.start_ts, starts),
+        np.maximum.reduceat(events.end_ts, starts), np.add.reduceat(events.packets, starts),
+        np.add.reduceat(events.bytes, starts), np.logical_and.reduceat(events.has_bytes, starts),
+        np.zeros(len(starts), np.int64), events.sensors.union(bounds), members.union(bounds))
 
 
 class TargetTuple(NamedTuple):
@@ -405,11 +547,6 @@ def keys_to_tuples(keys: np.ndarray) -> list[TargetTuple]:
     days, ips = unpack_targets(keys)
     return [TargetTuple(EPOCH + timedelta(days=d), int_to_ip(ip))
             for d, ip in zip(days.tolist(), ips.tolist())]
-
-
-def event_sort_key(e: AttackEvent) -> tuple:
-    net, plen = e._network
-    return (e.start_ts, net, plen, e.observatory, e.attack_type)
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +623,16 @@ class AllocationTable:
     def block_of(self, ip: str) -> Optional[str]:
         """The unique allocation block containing `ip`, or None."""
         addr = ip_to_int(ip)
+        return self.block_holding(addr, addr)
+
+    def block_holding(self, lo: int, hi: int) -> Optional[str]:
+        """The block holding every address from `lo` to `hi`, or None. Blocks
+        are disjoint, so that is the block of `lo` when it also holds `hi`."""
         for plen in self._lengths:
-            hit = self._by_len[plen].get(addr & prefix_mask(plen))
+            mask = prefix_mask(plen)
+            hit = self._by_len[plen].get(lo & mask)
             if hit is not None:
-                return hit
+                return hit if hi & mask == lo & mask else None
         return None
 
 

@@ -12,30 +12,30 @@ privacy-preserving confirmation against salted hashes.
 from __future__ import annotations
 
 import hashlib
-from datetime import timedelta
 from typing import Iterable, Optional
 
 import numpy as np
 
 from .model import (
-    EPOCH,
     US_PER_DAY,
-    AttackEvent,
+    EventBatch,
     RoutedPrefixTable,
     TargetTuple,
     WeeklySeries,
     dotted_quads,
-    ip_to_int,
+    host_targets,
     pack_targets,
     target_text,
     unpack_targets,
+    week_index,
+    week_monday,
 )
 
 MAX_OBSERVATORIES = 10
 UNROUTED = "unrouted"
 
 
-def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> np.ndarray:
+def build_targets(events: EventBatch, mode: str = "start_date") -> np.ndarray:
     """Victim keys for a batch of events.
 
     start_date: one (UTC start date, host IP) tuple per event.
@@ -44,24 +44,13 @@ def build_targets(events: Iterable[AttackEvent], mode: str = "start_date") -> np
     """
     if mode not in ("start_date", "per_day"):
         raise ValueError(f"unknown target mode {mode!r}")
-    hosts, per_event, starts, ends = [], [], [], []
-    for e in events:
-        net, plen = e.target_network()
-        if plen == 32:
-            hosts.append(net)
-            per_event.append(1)
-        else:
-            members = e.host_targets()
-            hosts.extend(map(ip_to_int, members))
-            per_event.append(len(members))
-        starts.append(e.start_ts)
-        ends.append(e.end_ts)
-    per_event = np.array(per_event, np.int64)
-    first = np.repeat(np.array(starts, np.int64) // US_PER_DAY, per_event)
-    last = np.repeat(np.array(ends, np.int64) // US_PER_DAY, per_event) if mode == "per_day" else first
+    hosts = host_targets(events)
+    per_event = np.diff(hosts.bounds)
+    first = np.repeat(events.start_ts // US_PER_DAY, per_event)
+    last = np.repeat(events.end_ts // US_PER_DAY, per_event) if mode == "per_day" else first
     span = last - first + 1
     day = np.repeat(first, span) + np.arange(span.sum()) - np.repeat(np.cumsum(span) - span, span)
-    return pack_targets(day, np.repeat(np.array(hosts, np.int64), span))
+    return pack_targets(day, np.repeat(hosts.values, span))
 
 
 def _exclusive(sets: dict[str, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
@@ -97,17 +86,6 @@ def upset_exclusive(sets: dict[str, np.ndarray]) -> dict[frozenset[str], int]:
     return {subset: counts[mask] for mask, subset in _subsets(sets).items()}
 
 
-def _weeks(days: np.ndarray) -> np.ndarray:
-    """Index of the Monday-to-Sunday week of each day number; 1970-01-01 was
-    a Thursday."""
-    return (days + 3) // 7
-
-
-def _week_date(week: int):
-    """The Monday that starts week index `week` (see `_weeks`)."""
-    return EPOCH + timedelta(days=7 * week - 3)
-
-
 def overlap_timeseries(
     a: np.ndarray,
     b: np.ndarray,
@@ -121,12 +99,12 @@ def overlap_timeseries(
     if not (len(a) or len(b)):
         raise ValueError("both target sets are empty")
     # keys are sorted, so the first and last of each set hold its date range
-    weeks = _weeks(unpack_targets(np.concatenate((a[:1], a[-1:], b[:1], b[-1:])))[0])
+    weeks = week_index(unpack_targets(np.concatenate((a[:1], a[-1:], b[:1], b[-1:])))[0])
     start, n_weeks = int(weeks.min()), int(weeks.max() - weeks.min()) + 1
 
     def weekly(keys: np.ndarray, label: str) -> WeeklySeries:
-        values = np.bincount(_weeks(unpack_targets(keys)[0]) - start, minlength=n_weeks)
-        return WeeklySeries(_week_date(start), tuple(values.astype(float).tolist()), label)
+        values = np.bincount(week_index(unpack_targets(keys)[0]) - start, minlength=n_weeks)
+        return WeeklySeries(week_monday(start), tuple(values.astype(float).tolist()), label)
 
     return (
         weekly(a, labels[0]),
@@ -145,14 +123,14 @@ def new_vs_recurring(keys: np.ndarray) -> tuple[WeeklySeries, WeeklySeries, Week
     if not len(keys):
         raise ValueError("no target tuples")
     days, ips = unpack_targets(keys)
-    weeks = _weeks(days)
+    weeks = week_index(days)
     start, n_weeks = int(weeks[0]), int(weeks[-1] - weeks[0]) + 1
     # keys run in date order, so an IP's first key is its earliest date
     new = np.zeros(len(keys), bool)
     new[np.unique(ips, return_index=True)[1]] = True
     n_new = np.bincount(weeks[new] - start, minlength=n_weeks).astype(float)
     n_recurring = np.bincount(weeks[~new] - start, minlength=n_weeks).astype(float)
-    week = _week_date(start)
+    week = week_monday(start)
     return (
         WeeklySeries(week, tuple(n_new.tolist()), "new"),
         WeeklySeries(week, tuple(n_recurring.tolist()), "recurring"),
@@ -199,11 +177,6 @@ def target_digest(t: TargetTuple, salt: str) -> str:
     mismatch is undetectable by construction and simply confirms nothing.
     """
     return _digests(salt, [t.date.isoformat()], [t.ip])[0]
-
-
-def hash_targets(keys: np.ndarray, salt: str) -> set[str]:
-    """The digest (see `target_digest`) of each key."""
-    return set(_digests(salt, *target_text(keys)))
 
 
 def federated_confirm(

@@ -20,6 +20,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from datetime import timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -42,7 +43,7 @@ from .ioformats import (
     write_targets,
     write_weekly_csv,
 )
-from .model import AttackEvent, PacketBatch, ts_to_date
+from .model import ATTACK_TYPES, EPOCH, US_PER_DAY, EventBatch, PacketBatch
 from .overlap import (
     build_targets,
     federated_confirm,
@@ -322,7 +323,7 @@ def _settings(o: ObservatoryConfig) -> dict:
     return {"ampl_ports": AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)}
 
 
-def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
+def detect_observatory(o: ObservatoryConfig) -> EventBatch:
     """Attack events of one observatory from its input files (globs allowed)."""
     paths = _expand_inputs(o)
     settings = _settings(o)
@@ -336,12 +337,12 @@ def detect_observatory(o: ObservatoryConfig) -> list[AttackEvent]:
         packets = PacketBatch.concat([read_packets(p, sensor_col=o.sensor_col) for p in paths])
         events = detect_honeypot(packets, settings["definition"], observatory=o.name)
         return aggregate_sensors(events, settings["merge_gap"])
-    return [event for p in paths
-            for event in classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)]
+    return EventBatch.concat([classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)
+                              for p in paths])
 
 
-def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, list[AttackEvent]]:
-    results: dict[str, list[AttackEvent]] = {}
+def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, EventBatch]:
+    results: dict[str, EventBatch] = {}
     try:
         for o in cfg.observatories:
             results[o.name] = detect_observatory(o)
@@ -353,8 +354,8 @@ def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, list[Attack
 
 
 def _stage_aggregate(
-    cfg: PipelineConfig, bundle: _Bundle, events: dict[str, list[AttackEvent]]
-) -> dict[str, list[AttackEvent]]:
+    cfg: PipelineConfig, bundle: _Bundle, events: dict[str, EventBatch]
+) -> dict[str, EventBatch]:
     try:
         routed = read_routed_table(cfg.routed)
         alloc = read_alloc_table(cfg.alloc)
@@ -371,23 +372,21 @@ def _stage_aggregate(
         raise PipelineError("aggregate", str(exc), "data") from exc
 
 
-def _stage_trends(cfg, bundle, events: dict[str, list[AttackEvent]]):
+def _stage_trends(cfg, bundle, events: dict[str, EventBatch]):
     serieses = {}
     summaries = {}
     try:
-        all_dates = [
-            ts_to_date(e.start_ts) for evs in events.values() for e in evs
-        ]
-        if not all_dates:
+        days = np.concatenate([evs.start_ts // US_PER_DAY for evs in events.values()])
+        if not len(days):
             raise PipelineError("trends", "no attacks detected by any observatory", "data")
-        span = (min(all_dates), max(all_dates))
+        span = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max())))
         for name in sorted(events):
-            by_type: dict[str, list[AttackEvent]] = {}
-            for e in events[name]:
-                by_type.setdefault(e.attack_type, []).append(e)
-            for atype in sorted(by_type):
+            evs = events[name]
+            # type codes sort as the type names do
+            for code in np.flatnonzero(np.bincount(evs.type_code, minlength=len(ATTACK_TYPES))).tolist():
+                atype = ATTACK_TYPES[code]
                 label = f"{name}:{atype}"
-                series = weekly_counts(by_type[atype], span, label=label)
+                series = weekly_counts(evs.take(evs.type_code == code), span, label=label)
                 # too short or too sparse for this analysis: skip this series only
                 try:
                     if cfg.normalize:

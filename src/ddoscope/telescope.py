@@ -19,13 +19,12 @@ from .model import (
     FLAG_A,
     FLAG_R,
     FLAG_S,
-    AttackEvent,
+    EventBatch,
     PacketBatch,
     PacketRecord,
     US_PER_S,
     as_batch,
-    event_sort_key,
-    int_to_ip,
+    type_code,
 )
 
 ADDRESS_SPACE = 2 ** 32
@@ -80,7 +79,7 @@ def detect_rsdos(
     packets: PacketBatch | Iterable[PacketRecord],
     cfg: TelescopeConfig,
     observatory: str = "telescope",
-) -> list[AttackEvent]:
+) -> EventBatch:
     """Infer RSDoS attacks from a time-ordered telescope packet stream.
 
     Raises ValueError on out-of-order input, naming the offending record.
@@ -109,31 +108,5 @@ def detect_rsdos(
     )
     a, b = flows.bounds[flows.attacks], flows.bounds[flows.attacks + 1]
     first, last = flows.order[a], flows.order[b - 1]
-    return sorted((
-        AttackEvent(observatory=observatory, attack_type="RSDoS", target=f"{int_to_ip(src)}/32",
-                    _network=(src, 32), start_ts=start, end_ts=end, packets=n)
-        for src, start, end, n in zip(packets.src[first].tolist(), packets.ts[first].tolist(),
-                                      packets.ts[last].tolist(), (b - a).tolist())
-    ), key=event_sort_key)
-
-
-def min_detectable_rate(
-    n_addresses: int,
-    pkt_threshold: int = 25,
-    window_s: float = 300.0,
-    packet_bytes: int = 110,
-) -> tuple[float, float]:
-    """Smallest attack a telescope of `n_addresses` can detect, as (pps, bps).
-
-    Assumes spoofed sources are drawn uniformly from the IPv4 space, so the
-    telescope samples a n/2^32 fraction of the backscatter: an attack is
-    visible when its rate puts `pkt_threshold` sampled packets into one
-    `window_s` window. bps applies a flat per-packet size of `packet_bytes`.
-    """
-    if n_addresses <= 0:
-        raise ValueError("n_addresses must be positive")
-    if pkt_threshold <= 0 or window_s <= 0 or packet_bytes <= 0:
-        raise ValueError("all arguments must be positive")
-    pps = pkt_threshold / ((n_addresses / ADDRESS_SPACE) * window_s)
-    bps = pps * packet_bytes * 8
-    return pps, bps
+    return EventBatch.build(observatory, type_code("RSDoS"), packets.src[first], 32,
+                            packets.ts[first], packets.ts[last], b - a).ordered()

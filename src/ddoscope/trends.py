@@ -1,9 +1,9 @@
 """Weekly time-series machinery: counting, baseline normalization, EWMA
-smoothing, regression-based trend classification, relative shares, and
-rank/linear correlation with significance.
+smoothing, regression-based trend classification, and rank/linear
+correlation with significance.
 
-Missing weeks are None and are propagated, never imputed; correlation and
-shares pair samples by calendar week and skip nulls pairwise.
+Missing weeks are None and are propagated, never imputed; correlation
+pairs samples by calendar week and skips nulls pairwise.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date, timedelta
-from typing import Iterable, Optional
+from typing import Optional
 
-from .model import AttackEvent, WeeklySeries, quarter_start, ts_to_date, week_start
+import numpy as np
+
+from .model import EPOCH, US_PER_DAY, EventBatch, WeeklySeries, quarter_start, week_index, week_monday
 from .stats import t_pvalue_two_sided
 
 WEEKS_4Y = 208
@@ -71,7 +73,7 @@ class CorrelationResult:
 # ---------------------------------------------------------------------------
 
 def weekly_counts(
-    events: Iterable[AttackEvent],
+    events: EventBatch,
     date_range: Optional[tuple[date, date]] = None,
     label: str = "",
 ) -> WeeklySeries:
@@ -80,23 +82,22 @@ def weekly_counts(
     An event is counted once, in its start week, no matter how long it
     runs. Without an explicit range the span of the events is used.
     """
-    events = list(events)
-    starts = [ts_to_date(e.start_ts) for e in events]
+    days = events.start_ts // US_PER_DAY
     if date_range is None:
-        if not events:
+        if not len(events):
             raise ValueError("cannot infer a date range from zero events")
-        date_range = (min(starts), max(starts))
+        date_range = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max())))
     lo, hi = date_range
     if lo > hi:
         raise ValueError(f"bad date range: {lo} > {hi}")
-    start = week_start(lo)
-    n_weeks = (week_start(hi) - start).days // 7 + 1
-    values = [0.0] * n_weeks
-    for e, d in zip(events, starts):
-        if not lo <= d <= hi:
-            raise ValueError(f"event {e.target} starts {d}, outside range {lo}..{hi}")
-        values[(week_start(d) - start).days // 7] += 1
-    return WeeklySeries(start, tuple(values), label)
+    first, last = (week_index((d - EPOCH).days) for d in date_range)
+    outside = np.flatnonzero((days < (lo - EPOCH).days) | (days > (hi - EPOCH).days))
+    if len(outside):
+        i = int(outside[0])
+        raise ValueError(f"event {events.take([i]).targets()[0]} starts "
+                         f"{EPOCH + timedelta(int(days[i]))}, outside range {lo}..{hi}")
+    values = np.bincount(week_index(days) - first, minlength=last - first + 1)
+    return WeeklySeries(week_monday(first), tuple(values.astype(float).tolist()), label)
 
 
 def normalize(series: WeeklySeries, baseline_weeks: int = 15) -> WeeklySeries:
@@ -167,22 +168,6 @@ def linreg_trend(
         raise ValueError("regression window has zero index variance")
     slope = sxy / sxx
     return TrendSummary(slope=slope, intercept=my - slope * mx, n=n)
-
-
-def relative_share(ra: WeeklySeries, dp: WeeklySeries) -> WeeklySeries:
-    """Week-by-week share ra/(ra+dp); null when either is null or both 0."""
-    if ra.start_week != dp.start_week or len(ra.values) != len(dp.values):
-        raise ValueError(
-            f"misaligned series: {ra.start_week}+{len(ra.values)}w vs "
-            f"{dp.start_week}+{len(dp.values)}w"
-        )
-    out: list[Optional[float]] = []
-    for a, d in zip(ra.values, dp.values):
-        if a is None or d is None or a + d == 0:
-            out.append(None)
-        else:
-            out.append(a / (a + d))
-    return WeeklySeries(ra.start_week, tuple(out), f"share({ra.label})")
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,120 @@ from __future__ import annotations
 import bisect
 import statistics
 from collections import Counter, defaultdict
-from datetime import timedelta
+from dataclasses import dataclass
+from datetime import date, datetime, timedelta, timezone
+from typing import Optional
 
 from ddoscope.model import (
-    US_PER_S, TargetTuple, WeeklySeries, ip_to_int, parse_prefix, prefix_contains, ts_to_date, week_start,
+    US_PER_S, EventBatch, TargetTuple, WeeklySeries, event_violation, int_to_ip, ip_to_int,
+    keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
 )
+from ddoscope.overlap import target_digest
+
+
+# -- readable rows and small helpers ----------------------------------------------
+
+@dataclass(frozen=True)
+class AttackEvent:
+    """One inferred attack as a readable row, the form tests build and
+    compare; the package holds attacks as `model.EventBatch` columns.
+    `events_to_batch` and `batch_to_events` convert between the two."""
+
+    observatory: str
+    attack_type: str
+    target: str                  # "a.b.c.d/len"
+    start_ts: int
+    end_ts: int
+    packets: int
+    bytes: Optional[int] = None
+    sensors: frozenset = frozenset()
+    source_ips: Optional[int] = None
+    member_targets: Optional[tuple] = None   # dotted-quads, sorted as text
+
+    def host_targets(self) -> tuple:
+        """Host IPs this event stands for (see overlap.build_targets)."""
+        net, plen = parse_prefix(self.target)
+        if plen == 32:
+            return (int_to_ip(net),)
+        if self.member_targets is not None:
+            return self.member_targets
+        raise ValueError(f"prefix event {self.target} has no recorded member hosts")
+
+
+def events_to_batch(events) -> EventBatch:
+    """The EventBatch of AttackEvent rows. A row that breaks an event rule
+    raises ValueError with the rule's message."""
+    rows = []
+    for e in events:
+        net, plen = parse_prefix(e.target)
+        rows.append((e.observatory, type_code(e.attack_type), net, plen, e.start_ts, e.end_ts,
+                     e.packets, e.bytes or 0, e.bytes is not None, e.source_ips or 0,
+                     sorted(map(ip_to_int, e.sensors)), sorted(map(ip_to_int, e.member_targets or ()))))
+    batch = EventBatch.from_rows(rows)
+    bad = event_violation(batch)
+    if bad is not None:
+        raise ValueError(bad[1])
+    return batch
+
+
+def batch_to_events(batch: EventBatch) -> list:
+    """The AttackEvent of each row, in row order."""
+    return [
+        AttackEvent(obs, atype, target, start, end, packets, n_bytes if has_bytes else None,
+                    frozenset(map(int_to_ip, sensors)), sources or None,
+                    tuple(sorted(map(int_to_ip, members))) or None)
+        for obs, atype, target, start, end, packets, n_bytes, has_bytes, sources, sensors, members in zip(
+            batch.observatory.tolist(), batch.type_names(), batch.targets(), batch.start_ts.tolist(),
+            batch.end_ts.tolist(), batch.packets.tolist(), batch.bytes.tolist(), batch.has_bytes.tolist(),
+            batch.source_ips.tolist(), _lists(batch.sensors), _lists(batch.members))
+    ]
+
+
+def _lists(ragged) -> list:
+    values, bounds = ragged.values.tolist(), ragged.bounds.tolist()
+    return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def ts_to_date(ts_us: int) -> date:
+    """UTC calendar day of a microsecond epoch timestamp."""
+    return datetime.fromtimestamp(ts_us // US_PER_S, tz=timezone.utc).date()
+
+
+def week_start(d: date) -> date:
+    """Monday of the ISO week containing `d`."""
+    return d - timedelta(days=d.weekday())
+
+
+def date_to_ts(d: date) -> int:
+    """Microsecond timestamp of UTC midnight of `d`."""
+    return int(datetime(d.year, d.month, d.day, tzinfo=timezone.utc).timestamp()) * US_PER_S
+
+
+def hash_targets(keys, salt: str) -> set:
+    """The digest (see `overlap.target_digest`) of each target key."""
+    return {target_digest(t, salt) for t in keys_to_tuples(keys)}
+
+
+def write_hashed_targets(path, digests) -> None:
+    """A hashed-target file: one digest per line, sorted."""
+    with open(path, "w") as fh:
+        fh.writelines(d + "\n" for d in sorted(digests))
+
+
+def min_detectable_rate(n_addresses, pkt_threshold=25, window_s=300.0, packet_bytes=110):
+    """Smallest attack a telescope of `n_addresses` can detect, as (pps, bps).
+
+    Assumes spoofed sources are drawn uniformly from the IPv4 space, so the
+    telescope samples a n/2^32 fraction of the backscatter: an attack is
+    visible when its rate puts `pkt_threshold` sampled packets into one
+    `window_s` window. bps applies a flat per-packet size of `packet_bytes`.
+    """
+    if n_addresses <= 0:
+        raise ValueError("n_addresses must be positive")
+    if pkt_threshold <= 0 or window_s <= 0 or packet_bytes <= 0:
+        raise ValueError("all arguments must be positive")
+    pps = pkt_threshold / ((n_addresses / 2 ** 32) * window_s)
+    return pps, pps * packet_bytes * 8
 
 
 # -- telescope ----------------------------------------------------------------
@@ -153,6 +262,61 @@ def oracle_aggregate_sensors(events, merge_gap):
 
 
 # -- carpet aggregation --------------------------------------------------------
+
+def oracle_aggregate_carpet(events, routed, alloc, concurrency_gap=60.0, min_targets=2):
+    """Reference carpet aggregation over AttackEvent rows, one event at a
+    time: greedy clustering, earliest start first, where an event joins
+    the open cluster of its (observatory, attack type) when it starts
+    within the gap of the latest end seen in that cluster. A cluster with
+    at least `min_targets` distinct targets merges into the longest routed
+    prefix covering them when that is /11 to /28 and one allocation block
+    holds them all. Returns rows sorted by (start, network, observatory,
+    attack type)."""
+    def key(e):
+        return (e.start_ts, *parse_prefix(e.target), e.observatory, e.attack_type)
+
+    gap_us = int(concurrency_gap * US_PER_S)
+    groups, open_end = {}, {}
+    for e in sorted(events, key=key):
+        g = (e.observatory, e.attack_type)
+        clusters = groups.setdefault(g, [])
+        if clusters and e.start_ts <= open_end[g] + gap_us:
+            clusters[-1].append(e)
+            open_end[g] = max(open_end[g], e.end_ts)
+        else:
+            clusters.append([e])
+            open_end[g] = e.end_ts
+    out = []
+    for clusters in groups.values():
+        for cluster in clusters:
+            merged = _oracle_merge(cluster, routed, alloc, min_targets)
+            out.extend(cluster if merged is None else [merged])
+    return sorted(out, key=key)
+
+
+def _oracle_merge(cluster, routed, alloc, min_targets):
+    networks = {parse_prefix(e.target) for e in cluster}
+    if len(networks) < min_targets:
+        return None
+    lo = min(net for net, _ in networks)
+    hi = max(net | ((1 << (32 - plen)) - 1) for net, plen in networks)
+    cov_len = 32 - (lo ^ hi).bit_length()
+    hit = routed.longest_covering(lo & prefix_mask(cov_len), cov_len)
+    if hit is None or not 11 <= hit[1] <= 28:
+        return None
+    block = alloc.block_of(int_to_ip(lo))
+    if block is None or block != alloc.block_of(int_to_ip(hi)):
+        return None
+    members = {h for e in cluster for h in e.host_targets()}
+    return AttackEvent(
+        observatory=cluster[0].observatory, attack_type=cluster[0].attack_type, target=hit[0],
+        start_ts=min(e.start_ts for e in cluster), end_ts=max(e.end_ts for e in cluster),
+        packets=sum(e.packets for e in cluster),
+        bytes=sum(e.bytes for e in cluster) if all(e.bytes is not None for e in cluster) else None,
+        sensors=frozenset().union(*(e.sensors for e in cluster)),
+        member_targets=tuple(sorted(members)),
+    )
+
 
 def oracle_longest_covering(routed_entries, targets):
     """Exhaustive scan: most specific routed prefix containing every target

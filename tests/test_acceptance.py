@@ -13,12 +13,10 @@ from datetime import date
 
 import pytest
 
-from ddoscope.carpet import aggregate_carpet
-from ddoscope.honeypot import PRESETS, aggregate_sensors, detect_honeypot, preset
-from ddoscope.ioformats import read_attacks
+from ddoscope import carpet, honeypot, ioformats, telescope
+from ddoscope.honeypot import PRESETS, preset
 from ddoscope.model import (
     AllocationTable,
-    AttackEvent,
     PacketRecord,
     RoutedPrefixTable,
     TargetTuple,
@@ -27,23 +25,19 @@ from ddoscope.model import (
     parse_prefix,
     tuples_to_keys,
 )
-from ddoscope.overlap import (
-    federated_confirm,
-    hash_targets,
-    upset_exclusive,
-)
+from ddoscope.overlap import federated_confirm, upset_exclusive
 from ddoscope.pipeline import PipelineConfig, run_pipeline
 from ddoscope.synth import AttackSpec, ScenarioSpec, generate
-from ddoscope.telescope import (
-    ADDRESS_SPACE,
-    TelescopeConfig,
-    detect_rsdos,
-    min_detectable_rate,
-)
+from ddoscope.telescope import ADDRESS_SPACE, TelescopeConfig
 from ddoscope.trends import ewma, linreg_trend, normalize, pearson, spearman
 
 from conftest import make_telescope_trace, write_pipeline_fixture
 from oracles import (
+    AttackEvent,
+    batch_to_events,
+    events_to_batch,
+    hash_targets,
+    min_detectable_rate,
     oracle_aggregate_sensors,
     oracle_detect_honeypot,
     oracle_detect_rsdos,
@@ -56,6 +50,29 @@ from oracles import (
 )
 
 MONDAY = date(2019, 1, 7)
+
+
+# The package holds attacks as EventBatch columns; the criteria read them
+# as AttackEvent rows.
+
+def detect_rsdos(packets, cfg):
+    return batch_to_events(telescope.detect_rsdos(packets, cfg))
+
+
+def detect_honeypot(packets, definition):
+    return batch_to_events(honeypot.detect_honeypot(packets, definition))
+
+
+def aggregate_sensors(events, merge_gap):
+    return batch_to_events(honeypot.aggregate_sensors(events_to_batch(events), merge_gap))
+
+
+def aggregate_carpet(events, routed, alloc):
+    return batch_to_events(carpet.aggregate_carpet(events_to_batch(events), routed, alloc))
+
+
+def read_attacks(path):
+    return batch_to_events(ioformats.read_attacks(path))
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:

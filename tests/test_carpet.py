@@ -1,19 +1,27 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ddoscope.carpet import aggregate_carpet
+from ddoscope.carpet import aggregate_carpet as aggregate_batch
 from ddoscope.model import (
     AllocationTable,
-    AttackEvent,
     RoutedPrefixTable,
     US_PER_S,
+    int_to_ip,
     ip_to_int,
     parse_prefix,
     prefix_contains,
+    prefix_mask,
 )
 
-from oracles import oracle_longest_covering
+from oracles import (
+    AttackEvent,
+    batch_to_events,
+    events_to_batch,
+    oracle_aggregate_carpet,
+    oracle_longest_covering,
+)
 
 ROUTED = RoutedPrefixTable([
     ("203.0.113.0/24", 64500),
@@ -28,6 +36,11 @@ ALLOC = AllocationTable([
     ("198.51.100.0/24", "arin"),
     ("10.0.0.0/8", "arin"),
 ])
+
+
+def aggregate_carpet(events, *args, **kwargs):
+    """aggregate_carpet over AttackEvent rows."""
+    return batch_to_events(aggregate_batch(events_to_batch(events), *args, **kwargs))
 
 
 def ev(target_ip, start_s, end_s, packets=50, atype="RA"):
@@ -91,6 +104,10 @@ class TestCarpetFixtures:
     def test_missing_tables_error(self):
         with pytest.raises(ValueError):
             aggregate_carpet([ev("203.0.113.5", 0, 1)], None, ALLOC)
+
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="^concurrency gap -1.0 is negative$"):
+            aggregate_carpet([ev("203.0.113.5", 0, 1)], ROUTED, ALLOC, concurrency_gap=-1.0)
 
 
 class TestCarpetProperties:
@@ -198,3 +215,48 @@ class TestCarpetClustering:
         assert len(out) == 1
         assert out[0].target == "10.0.0.0/16"
         assert out[0].member_targets == ("10.0.0.1", "10.0.0.200", "10.0.0.7")
+
+
+# -- the running-max clustering against the greedy reference ---------------------
+
+NESTED_ROUTED = RoutedPrefixTable(ROUTED.entries + [
+    ("203.0.113.0/25", 64510), ("203.0.113.64/26", 64511), ("10.7.0.0/16", 64504),
+    ("10.7.3.0/24", 64505),
+])
+HOSTS = ["203.0.113.5", "203.0.113.70", "203.0.113.99", "203.0.113.200", "203.0.112.9",
+         "203.0.119.9", "10.7.3.1", "10.7.3.77", "10.7.9.4", "198.51.100.3"]
+PREFIXES = ["203.0.113.0/24", "203.0.113.64/26", "203.0.112.0/22", "10.7.3.0/24"]
+
+
+@st.composite
+def carpet_events(draw):
+    events, t = [], 0
+    for _ in range(draw(st.integers(1, 25))):
+        t += draw(st.sampled_from([0, 0, 1, 30, 59, 60, 61, 200])) * US_PER_S
+        if draw(st.integers(0, 4)):
+            target, members = f"{draw(st.sampled_from(HOSTS))}/32", None
+        else:
+            target = draw(st.sampled_from(PREFIXES))
+            net, plen = parse_prefix(target)
+            inside = [h for h in HOSTS if ip_to_int(h) & prefix_mask(plen) == net]
+            members = tuple(sorted(draw(st.sets(st.sampled_from(inside or [int_to_ip(net + 1)]),
+                                                min_size=1))))
+        events.append(AttackEvent(
+            observatory=draw(st.sampled_from(["hp", "ixp"])),
+            attack_type=draw(st.sampled_from(["RA", "RA", "DP", "RSDoS"])),
+            target=target, start_ts=t,
+            end_ts=t + draw(st.sampled_from([0, 5, 60, 150, 1000])) * US_PER_S,
+            packets=draw(st.integers(0, 100)),
+            bytes=draw(st.none() | st.integers(0, 10 ** 6)),
+            sensors=frozenset(draw(st.sets(st.sampled_from(["192.0.2.1", "192.0.2.2", "192.0.2.3"])))),
+            member_targets=members,
+        ))
+    return events
+
+
+class TestCarpetOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(events=carpet_events(), min_targets=st.integers(1, 3), gap=st.sampled_from([0.0, 30.0, 60.0]))
+    def test_equals_greedy_reference(self, events, min_targets, gap):
+        got = aggregate_carpet(events, NESTED_ROUTED, ALLOC, concurrency_gap=gap, min_targets=min_targets)
+        assert got == oracle_aggregate_carpet(events, NESTED_ROUTED, ALLOC, gap, min_targets)

@@ -7,11 +7,17 @@ import pytest
 from click.testing import CliRunner
 
 from ddoscope.cli import main
+from ddoscope import ioformats
 from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
-from ddoscope.overlap import hash_targets
-from ddoscope.ioformats import read_attacks, read_targets
+from ddoscope.ioformats import read_targets
 
 from conftest import FIRST_MONDAY, build_scenario, write_pipeline_fixture
+from oracles import batch_to_events, hash_targets
+
+
+def read_attacks(path):
+    """attacks.csv as AttackEvent rows."""
+    return batch_to_events(ioformats.read_attacks(path))
 
 
 @pytest.fixture

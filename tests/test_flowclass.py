@@ -3,16 +3,21 @@ import random
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from ddoscope import flowclass
 from ddoscope.flowclass import (
     AMPLIFICATION_PORTS,
     TCP,
     UDP,
     attack_masks,
-    classify_flow,
 )
-from ddoscope.model import FlowBatch, int_to_ip, ip_to_int, parse_prefix
+from ddoscope.model import FlowBatch, int_to_ip, ip_to_int
 
-from oracles import oracle_classify_flow
+from oracles import batch_to_events, oracle_classify_flow
+
+
+def classify_flow(flows, ampl_ports=AMPLIFICATION_PORTS, observatory="flow"):
+    """classify_flow as AttackEvent rows."""
+    return batch_to_events(flowclass.classify_flow(flows, ampl_ports, observatory))
 
 TARGET = ip_to_int("203.0.113.7")
 
@@ -111,4 +116,5 @@ class TestMasksMatchOracle:
             (cls, f"{int_to_ip(t)}/32", n)
             for (t, _, _, n, _, _, _), cls in zip(rows, expected) if cls is not None]
         assert np.array_equal(ra | dp, [cls is not None for cls in expected])
-        assert all(e.target_network() == parse_prefix(e.target) for e in events)
+        batch = flowclass.classify_flow(flows, ports)
+        assert (batch.plen == 32).all() and batch.net.dtype == np.uint32 and not batch.has_bytes.any()

@@ -1,16 +1,29 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ddoscope.honeypot import (
-    PRESETS,
-    aggregate_sensors,
-    detect_honeypot,
-    preset,
+from ddoscope import honeypot
+from ddoscope.honeypot import PRESETS, preset
+from ddoscope.model import AttackDefinition, PacketRecord, US_PER_S, parse_prefix
+
+from oracles import (
+    AttackEvent,
+    batch_to_events,
+    events_to_batch,
+    oracle_aggregate_sensors,
+    oracle_detect_honeypot,
 )
-from ddoscope.model import AttackDefinition, AttackEvent, PacketRecord, US_PER_S
 
-from oracles import oracle_aggregate_sensors, oracle_detect_honeypot
+
+def detect_honeypot(packets, definition):
+    """detect_honeypot as AttackEvent rows."""
+    return batch_to_events(honeypot.detect_honeypot(packets, definition))
+
+
+def aggregate_sensors(events, merge_gap):
+    """aggregate_sensors over AttackEvent rows."""
+    return batch_to_events(honeypot.aggregate_sensors(events_to_batch(events), merge_gap))
 
 SENSORS = ["192.0.2.1", "192.0.2.2", "192.0.2.3"]
 VICTIMS = ["203.0.113.5", "203.0.113.9", "203.0.114.20", "198.51.100.77"]
@@ -222,6 +235,10 @@ class TestAggregateSensors:
         (h,) = aggregate_sensors([self.ev(0, 100), self.ev(50, 150)], 900)
         assert h.member_targets is None
 
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValueError, match="^merge gap -0.5 is negative$"):
+            aggregate_sensors([self.ev(0, 100)], -0.5)
+
     def test_different_targets_never_merge(self):
         a = self.ev(0, 100, target="203.0.113.5/32")
         b = self.ev(0, 100, target="203.0.113.9/32")
@@ -261,3 +278,46 @@ class TestAggregateSensors:
                           and m.start_ts <= original.start_ts
                           and original.end_ts <= m.end_ts]
                 assert holder, "every input span is contained in some output"
+
+
+@st.composite
+def sensor_events(draw):
+    events = []
+    for _ in range(draw(st.integers(1, 25))):
+        start = draw(st.sampled_from([0, 10, 100, 1000]) | st.integers(0, 5000)) * US_PER_S
+        if draw(st.booleans()):
+            target, members = f"{draw(st.sampled_from(VICTIMS))}/32", None
+        else:
+            target = draw(st.sampled_from(["203.0.113.0/24", "203.0.114.0/24"]))
+            members = tuple(sorted(draw(st.sets(
+                st.sampled_from([target[:-4] + str(i) for i in (5, 9, 77, 200)]), min_size=1))))
+        events.append(AttackEvent(
+            observatory=draw(st.sampled_from(["hp", "amp"])),
+            attack_type=draw(st.sampled_from(["RA", "DP"])),
+            target=target, start_ts=start,
+            end_ts=start + draw(st.sampled_from([0, 30, 899, 900, 901]) | st.integers(0, 2000)) * US_PER_S,
+            packets=draw(st.integers(1, 500)), bytes=draw(st.none() | st.integers(0, 10 ** 6)),
+            sensors=frozenset(draw(st.sets(st.sampled_from(SENSORS), min_size=1))),
+            member_targets=members,
+        ))
+    return events
+
+
+class TestAggregateSensorsOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(events=sensor_events(), gap=st.sampled_from([0.0, 60.0, 900.0]))
+    def test_equals_fixpoint_reference(self, events, gap):
+        merged = aggregate_sensors(events, gap)
+        for obs, atype in {(e.observatory, e.attack_type) for e in events}:
+            assert {(e.target, e.start_ts, e.end_ts, e.packets, e.sensors) for e in merged
+                    if (e.observatory, e.attack_type) == (obs, atype)} == oracle_aggregate_sensors(
+                [e for e in events if (e.observatory, e.attack_type) == (obs, atype)], gap)
+        for m in merged:
+            held = [e for e in events if (e.observatory, e.attack_type, e.target) ==
+                    (m.observatory, m.attack_type, m.target) and m.start_ts <= e.start_ts <= m.end_ts]
+            assert m.packets == sum(e.packets for e in held)
+            assert m.bytes == (None if None in [e.bytes for e in held] else sum(e.bytes for e in held))
+            assert m.member_targets == (tuple(sorted({h for e in held for h in e.member_targets}))
+                                        if held[0].member_targets else None)
+        keys = [(e.start_ts, parse_prefix(e.target), e.observatory, e.attack_type) for e in merged]
+        assert keys == sorted(keys)

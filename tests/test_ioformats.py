@@ -19,16 +19,17 @@ from ddoscope.ioformats import (
     read_targets,
     write_attacks,
     write_flows,
-    write_hashed_targets,
     write_packets,
     write_series,
     write_targets,
 )
 from ddoscope.model import (
-    EPOCH, MAX_TS_US, AttackEvent, FlowBatch, PacketBatch, PacketRecord, TargetTuple, WeeklySeries,
-    int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
+    EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, PacketRecord, Ragged, TargetTuple,
+    WeeklySeries, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
 )
 from datetime import date
+
+from oracles import AttackEvent, batch_to_events, events_to_batch, write_hashed_targets
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
 1000000,6,203.0.113.5,80,10.0.0.1,4444,110,SA
@@ -88,10 +89,10 @@ class TestAttacks:
                         start_ts=5, end_ts=6, packets=30),
         ]
         p = tmp_path / "attacks.csv"
-        write_attacks(p, events)
+        write_attacks(p, events_to_batch(events))
         text = p.read_text()
         assert "192.0.2.1;192.0.2.2" in text
-        back = read_attacks(p)
+        back = batch_to_events(read_attacks(p))
         assert [(e.target, e.packets, e.sensors) for e in back] == \
                [(e.target, e.packets, e.sensors) for e in events]
 
@@ -666,3 +667,114 @@ class TestTableFuzz:
         _table_file(path, header, rows)
         with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 2}: "):
             read(path)
+
+
+# -- attacks.csv: round trip, mutated rows, messages ------------------------------
+
+ATTACKS_HEADER = "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors"
+ATTACK_FILE_COLUMNS = ("observatory", "type_code", "net", "plen", "start_ts", "end_ts", "packets")
+# what a start_ts_us, end_ts_us or packets field must be
+INT64 = "a canonical decimal of at most 18 digits"
+
+
+@st.composite
+def attack_batches(draw):
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        plen = draw(st.integers(11, 32))
+        start = draw(st.sampled_from([0, MAX_TS_US]) | st.integers(0, MAX_TS_US))
+        rows.append((
+            draw(st.text(alphabet="abcXYZ019._-", min_size=1, max_size=8)),
+            draw(st.integers(0, 2)),
+            draw(st.integers(0, 2 ** 32 - 1)) >> (32 - plen) << (32 - plen), plen,
+            start, draw(st.integers(start, MAX_TS_US)),
+            draw(st.sampled_from([0, 10 ** 18 - 1]) | st.integers(0, 10 ** 18 - 1)),
+            0, False, 0,
+            sorted(draw(st.sets(st.integers(0, 2 ** 32 - 1), max_size=4))), [],
+        ))
+    return EventBatch.from_rows(rows)
+
+
+def _attack_text(batch: EventBatch) -> list[str]:
+    path_lines = []
+    for e in batch_to_events(batch):
+        sensors = ";".join(sorted(e.sensors, key=ip_to_int))
+        path_lines.append(f"{e.observatory},{e.attack_type},{e.target},{e.start_ts},{e.end_ts},"
+                          f"{e.packets},{sensors}")
+    return path_lines
+
+
+ATTACK_MUTATIONS = {
+    "extra column": lambda f, draw: f.append(draw(st.sampled_from(["", "x", "1"]))),
+    "missing column": lambda f, draw: f.pop(draw(st.integers(0, 6))),
+    "unknown type": lambda f, draw: f.__setitem__(1, draw(st.sampled_from(["ra", "", "DDoS", " RA"]))),
+    "bad target": lambda f, draw: f.__setitem__(2, draw(st.sampled_from(
+        ["10.0.0.1/24", "10.0.0.0/33", "10.0.0.0/8", "10.0.0/24", "::1/128", "10.0.0.0/+24"]))),
+    "bad number": lambda f, draw: f.__setitem__(draw(st.integers(3, 5)), draw(st.sampled_from(
+        ["-1", "+5", " 5", "05", "1_0", "", "x", "1234567890123456789"]))),
+    "ts past 9999": lambda f, draw: f.__setitem__(draw(st.integers(3, 4)), str(MAX_TS_US + 1)),
+    "start after end": lambda f, draw: f.__setitem__(3, str(int(f[4]) + 1)),
+    "bad sensor": lambda f, draw: f.__setitem__(6, draw(st.sampled_from(
+        ["192.0.2.256", "192.0.2.1;192.0.2", "192.0.2.1,192.0.2.2", "x"]))),
+    "quoted field": lambda f, draw: f.__setitem__(0, f'"{f[0]}"'),
+}
+
+
+class TestAttackGrammar:
+    @settings(max_examples=150, deadline=None)
+    @given(batch=attack_batches())
+    def test_round_trip_column_by_column(self, tmp_path_factory, batch):
+        path = tmp_path_factory.mktemp("attacks") / "attacks.csv"
+        write_attacks(path, batch)
+        assert path.read_text().splitlines() == [ATTACKS_HEADER, *_attack_text(batch)]
+        back = read_attacks(path)
+        for name in ATTACK_FILE_COLUMNS:
+            assert np.array_equal(getattr(back, name), getattr(batch, name)), name
+            assert getattr(back, name).dtype == getattr(batch, name).dtype, name
+        for name in ("sensors", "members"):
+            got, want = getattr(back, name), getattr(batch, name)
+            assert np.array_equal(got.bounds, want.bounds) and np.array_equal(got.values, want.values)
+        assert not back.has_bytes.any() and not back.source_ips.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=attack_batches().filter(len), data=st.data())
+    def test_mutated_row_names_its_line(self, tmp_path_factory, batch, data):
+        lines = _attack_text(batch)
+        kind = data.draw(st.sampled_from(sorted(ATTACK_MUTATIONS)))
+        at = data.draw(st.integers(0, len(lines) - 1))
+        fields = lines[at].split(",")
+        ATTACK_MUTATIONS[kind](fields, data.draw)
+        lines[at] = ",".join(fields)
+        path = tmp_path_factory.mktemp("bad") / "attacks.csv"
+        path.write_text("\n".join([ATTACKS_HEADER, "", *lines]) + "\n")     # a blank line still counts
+        with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}:{at + 3}: "):
+            read_attacks(path)
+
+    @pytest.mark.parametrize("row, message", [
+        ("hp,RA,203.0.113.5/32,0,10,123456789012345678901234567890,",
+         f"packets '123456789012345678901234567890' is not {INT64}"),
+        ("hp,RA,203.0.113.5/32,0,10,1000000000000000000,", f"packets '1000000000000000000' is not {INT64}"),
+        ("hp,RA,203.0.113.5/32,0,10,-1,", f"packets '-1' is not {INT64}"),
+        ("hp,RA,203.0.113.5/32,+0,10,7,", f"start_ts_us '+0' is not {INT64}"),
+        ("hp,RA,203.0.113.5/32,0,010,7,", f"end_ts_us '010' is not {INT64}"),
+        ("hp,RA,203.0.113.5/32,0,253402300800000000,7,", "end_ts_us above 253402300799999999"),
+        ("hp,RA,203.0.113.5/32,11,10,7,", "start_ts after end_ts"),
+        ("hp,XX,203.0.113.5/32,0,10,7,", "unknown attack type 'XX'"),
+        ("hp,RA,10.0.0.0/8,0,10,7,", "target prefix length 8 outside [11, 32]"),
+        ("hp,RA,203.0.113.5/24,0,10,7,", "host bits set in prefix '203.0.113.5/24'"),
+        ("hp,RA,203.0.113.5/32,0,10,7,192.0.2.1;x", "not an IPv4 address: 'x'"),
+        ("hp,RA,203.0.113.5/32,0,10,7", "expected 7 fields, got 6"),
+    ])
+    def test_rejection_messages(self, tmp_path, row, message):
+        path = tmp_path / "attacks.csv"
+        path.write_text(f"{ATTACKS_HEADER}\nhp,RA,203.0.113.5/32,0,10,7,\n{row}\n")
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:3: {message}')}$"):
+            read_attacks(path)
+
+    def test_header_only_file_is_empty_batch(self, tmp_path):
+        path = tmp_path / "attacks.csv"
+        path.write_text(ATTACKS_HEADER + "\n")
+        events = read_attacks(path)
+        assert len(events) == 0 and events.net.dtype == np.uint32 and len(events.sensors) == 0
+        write_attacks(path, events)
+        assert path.read_text() == ATTACKS_HEADER + "\n"

@@ -1,21 +1,26 @@
 import random
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
 from ddoscope.model import (
+    EPOCH,
+    US_PER_DAY,
     AllocationTable,
-    AttackEvent,
     PacketRecord,
     RoutedPrefixTable,
     WeeklySeries,
     int_to_ip,
     ip_to_int,
+    keys_to_tuples,
     parse_prefix,
     prefix_contains,
-    ts_to_date,
-    week_start,
+    week_index,
+    week_monday,
 )
+from ddoscope.overlap import build_targets
+
+from oracles import AttackEvent, events_to_batch, ts_to_date, week_start
 
 
 class TestIpParsing:
@@ -61,24 +66,33 @@ class TestPacketRecord:
 
 class TestAttackEvent:
     def test_prefix_length_bounds(self):
-        with pytest.raises(ValueError):
-            AttackEvent(observatory="t", attack_type="RSDoS", target="10.0.0.0/8",
-                        start_ts=0, end_ts=1, packets=1)
+        with pytest.raises(ValueError, match=r"^target prefix length 8 outside \[11, 32\]$"):
+            events_to_batch([AttackEvent(observatory="t", attack_type="RSDoS", target="10.0.0.0/8",
+                                         start_ts=0, end_ts=1, packets=1)])
 
     def test_time_order(self):
-        with pytest.raises(ValueError):
-            AttackEvent(observatory="t", attack_type="RA", target="10.0.0.1/32",
-                        start_ts=5, end_ts=4, packets=1)
+        with pytest.raises(ValueError, match="^start_ts after end_ts$"):
+            events_to_batch([AttackEvent(observatory="t", attack_type="RA", target="10.0.0.1/32",
+                                         start_ts=5, end_ts=4, packets=1)])
 
     def test_prefix_event_requires_members(self):
         e = AttackEvent(observatory="t", attack_type="RA", target="10.0.0.0/24",
                         start_ts=0, end_ts=1, packets=2)
-        with pytest.raises(ValueError):
-            e.host_targets()
+        with pytest.raises(ValueError, match="no recorded member hosts"):
+            build_targets(events_to_batch([e]))
         e2 = AttackEvent(observatory="t", attack_type="RA", target="10.0.0.0/24",
                          start_ts=0, end_ts=1, packets=2,
                          member_targets=("10.0.0.5", "10.0.0.9"))
-        assert e2.host_targets() == ("10.0.0.5", "10.0.0.9")
+        assert [ip for _, ip in keys_to_tuples(build_targets(events_to_batch([e2])))] == \
+            ["10.0.0.5", "10.0.0.9"]
+
+    def test_unknown_type_and_negative_packets(self):
+        with pytest.raises(ValueError, match="^unknown attack type 'XX'$"):
+            events_to_batch([AttackEvent(observatory="t", attack_type="XX", target="10.0.0.1/32",
+                                         start_ts=0, end_ts=1, packets=1)])
+        with pytest.raises(ValueError, match="^negative packet count$"):
+            events_to_batch([AttackEvent(observatory="t", attack_type="RA", target="10.0.0.1/32",
+                                         start_ts=0, end_ts=1, packets=-1)])
 
 
 class TestLongestPrefixMatch:
@@ -139,8 +153,13 @@ class TestWeeklySeries:
     def test_week_start_helper(self):
         assert week_start(date(2022, 1, 9)) == date(2022, 1, 3)   # Sunday -> prior Monday
         assert week_start(date(2022, 1, 3)) == date(2022, 1, 3)
+        for day in range(-400, 400):
+            d = date(2022, 1, 3) + timedelta(days=day)
+            assert week_monday(week_index((d - EPOCH).days)) == week_start(d)
 
     def test_ts_to_date_is_utc(self):
         assert ts_to_date(0) == date(1970, 1, 1)
         assert ts_to_date(86_400_000_000 - 1) == date(1970, 1, 1)
         assert ts_to_date(86_400_000_000) == date(1970, 1, 2)
+        for ts in (0, 1, US_PER_DAY - 1, US_PER_DAY, 1_700_000_000_123_456):
+            assert EPOCH + timedelta(days=ts // US_PER_DAY) == ts_to_date(ts)

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ddoscope import overlap
 from ddoscope.model import (
-    AttackEvent,
     RoutedPrefixTable,
     TargetTuple,
     US_PER_S,
-    date_to_ts,
     format_prefix,
     int_to_ip,
     ip_to_int,
@@ -20,9 +19,7 @@ from ddoscope.model import (
 )
 from ddoscope.overlap import (
     as_attribution,
-    build_targets,
     federated_confirm,
-    hash_targets,
     new_vs_recurring,
     overlap_timeseries,
     target_digest,
@@ -30,6 +27,10 @@ from ddoscope.overlap import (
 )
 
 from oracles import (
+    AttackEvent,
+    date_to_ts,
+    events_to_batch,
+    hash_targets,
     oracle_build_targets,
     oracle_confirm_share,
     oracle_overlap_timeseries,
@@ -37,6 +38,11 @@ from oracles import (
 )
 
 D0 = date(2022, 3, 7)  # a Monday
+
+
+def build_targets(events, mode="start_date"):
+    """build_targets over AttackEvent rows."""
+    return overlap.build_targets(events_to_batch(events), mode)
 
 
 def tt(day_offset, ip):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ddoscope.honeypot import aggregate_sensors, detect_honeypot, preset
 from ddoscope.ioformats import read_packets
-from ddoscope.model import PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
+from ddoscope.model import EventBatch, PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
 from ddoscope.synth import (
     TELESCOPE_BASE,
     AttackSpec,
@@ -16,6 +16,8 @@ from ddoscope.synth import (
     write_scenario,
 )
 from ddoscope.telescope import ADDRESS_SPACE, TelescopeConfig, detect_rsdos
+
+from oracles import batch_to_events
 
 SENSORS = tuple(f"198.51.100.{i}" for i in range(1, 11))
 
@@ -144,10 +146,9 @@ class TestReflectionEmission:
         hit = {s: len(p) for s, p in g.honeypot_packets.items() if p}
         assert len(hit) == 5
         assert all(v == 200 for v in hit.values())
-        events = []
-        for pkts in g.honeypot_packets.values():
-            events.extend(detect_honeypot(pkts, preset("hopscotch").definition))
-        merged = aggregate_sensors(events, 900)
+        events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch").definition)
+                                    for pkts in g.honeypot_packets.values()])
+        merged = batch_to_events(aggregate_sensors(events, 900))
         assert len(merged) == 1
         assert len(merged[0].sensors) == 5
         assert merged[0].packets == 1000
@@ -199,15 +200,14 @@ class TestEndToEndRecovery:
         ], n_addresses=2 ** 22)
         g = generate(spec)
 
-        tele_events = detect_rsdos(g.telescope_packets, TelescopeConfig(n_addresses=2 ** 22))
+        tele_events = batch_to_events(detect_rsdos(g.telescope_packets, TelescopeConfig(n_addresses=2 ** 22)))
         want_tele = {"203.0.113.7/32", "203.0.113.8/32"}
         assert {e.target for e in tele_events} == want_tele
         assert len(tele_events) == 2
 
-        hp_events = []
-        for pkts in g.honeypot_packets.values():
-            hp_events.extend(detect_honeypot(pkts, preset("hopscotch").definition))
-        merged = aggregate_sensors(hp_events, 900)
+        hp_events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch").definition)
+                                       for pkts in g.honeypot_packets.values()])
+        merged = batch_to_events(aggregate_sensors(hp_events, 900))
         assert {e.target for e in merged} == {"203.0.114.1/32", "203.0.114.2/32"}
         assert len(merged) == 2
         by_target = {e.target: e for e in merged}

@@ -3,16 +3,17 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ddoscope import telescope
 from ddoscope.model import US_PER_S
-from ddoscope.telescope import (
-    TelescopeConfig,
-    backscatter_prefilter,
-    detect_rsdos,
-    min_detectable_rate,
-)
+from ddoscope.telescope import TelescopeConfig, backscatter_prefilter
 
 from conftest import make_telescope_trace as make_trace, telescope_pkt as pkt
-from oracles import oracle_detect_rsdos
+from oracles import batch_to_events, min_detectable_rate, oracle_detect_rsdos
+
+
+def detect_rsdos(packets, cfg):
+    """detect_rsdos as AttackEvent rows."""
+    return batch_to_events(telescope.detect_rsdos(packets, cfg))
 
 CFG = TelescopeConfig(n_addresses=2 ** 22)
 

@@ -3,8 +3,10 @@ import random
 from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ddoscope.model import AttackEvent, US_PER_S, WeeklySeries, date_to_ts
+from ddoscope import trends
+from ddoscope.model import US_PER_S, WeeklySeries
 from ddoscope.stats import betainc_reg, t_pvalue_two_sided
 from ddoscope.trends import (
     ewma,
@@ -12,21 +14,29 @@ from ddoscope.trends import (
     normalize,
     pearson,
     quarterly_correlations,
-    relative_share,
     spearman,
-    weekly_counts,
 )
 
 from oracles import (
+    AttackEvent,
+    date_to_ts,
+    events_to_batch,
     oracle_ewma,
     oracle_normalize,
     oracle_pearson,
     oracle_slope,
     oracle_spearman,
     oracle_t_pvalue,
+    ts_to_date,
+    week_start,
 )
 
 MONDAY = date(2019, 1, 7)
+
+
+def weekly_counts(events, date_range=None, label=""):
+    """weekly_counts over AttackEvent rows."""
+    return trends.weekly_counts(events_to_batch(events), date_range, label)
 
 
 def series(values, start=MONDAY, label="x"):
@@ -73,8 +83,35 @@ class TestWeeklyCounts:
             assert len(s.values) == math.ceil(days / 7)
 
     def test_event_outside_range_errors(self):
-        with pytest.raises(ValueError, match="outside range"):
-            weekly_counts([ev(MONDAY + timedelta(days=30))], (MONDAY, MONDAY + timedelta(days=6)))
+        with pytest.raises(ValueError, match="^event 203.0.113.5/32 starts 2019-02-06, "
+                                             "outside range 2019-01-07..2019-01-13$"):
+            weekly_counts([ev(MONDAY), ev(MONDAY + timedelta(days=30))],
+                          (MONDAY, MONDAY + timedelta(days=6)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(starts=st.lists(st.integers(0, 3 * 10 ** 13), max_size=30), lead=st.integers(0, 20),
+           tail=st.integers(0, 20))
+    def test_counts_match_a_loop_over_start_dates(self, starts, lead, tail):
+        events = [AttackEvent(observatory="t", attack_type="RA", target="203.0.113.5/32",
+                              start_ts=t, end_ts=t, packets=1) for t in starts]
+        dates = [ts_to_date(t) for t in starts]
+        span = None
+        if dates:
+            span = (min(dates) - timedelta(days=lead), max(dates) + timedelta(days=tail))
+        elif lead:
+            span = (MONDAY, MONDAY + timedelta(days=lead))
+        if span is None:
+            with pytest.raises(ValueError, match="zero events"):
+                weekly_counts(events)
+            return
+        s = weekly_counts(events, span)
+        first = week_start(span[0])
+        want = [0.0] * ((week_start(span[1]) - first).days // 7 + 1)
+        for d in dates:
+            want[(week_start(d) - first).days // 7] += 1
+        assert s.start_week == first and s.values == tuple(want)
+        if lead == tail == 0:
+            assert weekly_counts(events) == s
 
 
 class TestNormalize:
@@ -171,26 +208,6 @@ class TestLinregTrend:
             s = normalize(series(values))
             again = normalize(s)
             assert linreg_trend(s).trend_class == linreg_trend(again).trend_class
-
-
-class TestRelativeShare:
-    def test_equal_series_is_half(self):
-        ra = series([10.0, 4.0, 7.0])
-        assert relative_share(ra, ra).values == (0.5, 0.5, 0.5)
-
-    def test_thirty_seventy(self):
-        s = relative_share(series([30.0]), series([70.0]))
-        assert s.values == (0.3,)
-
-    def test_zero_zero_is_null(self):
-        s = relative_share(series([0.0, 1.0]), series([0.0, 0.0]))
-        assert s.values == (None, 1.0)
-
-    def test_misaligned_errors(self):
-        with pytest.raises(ValueError, match="misaligned"):
-            relative_share(series([1.0]), series([1.0, 2.0]))
-        with pytest.raises(ValueError, match="misaligned"):
-            relative_share(series([1.0]), series([1.0], start=MONDAY + timedelta(weeks=1)))
 
 
 class TestSpearman:
