@@ -20,7 +20,6 @@ Prefix-keyed events record the hosts they saw as member targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -29,10 +28,8 @@ from .model import (
     AttackDefinition,
     EventBatch,
     PacketBatch,
-    PacketRecord,
     Ragged,
     US_PER_S,
-    as_batch,
     distinct,
     int_to_ip,
     merge_runs,
@@ -105,7 +102,7 @@ _KEY_COLUMNS = {"protocol": "protocol", "src_ip": "src", "src_port": "src_port",
 
 
 def detect_honeypot(
-    packets: PacketBatch | Iterable[PacketRecord],
+    packets: PacketBatch,
     definition: AttackDefinition,
     observatory: str = "honeypot",
 ) -> EventBatch:
@@ -115,7 +112,6 @@ def detect_honeypot(
     ValueError naming the offending record. Output is sorted by
     (start_ts, target), ties in the order their flow keys first appear.
     """
-    packets = as_batch(packets)
     _check_sensor_order(packets)
     d = definition
     keys = [

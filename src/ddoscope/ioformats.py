@@ -15,13 +15,13 @@ from __future__ import annotations
 import json
 import re
 from datetime import date
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .model import (
     FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, AllocationTable, EventBatch,
-    FlowBatch, PacketBatch, PacketRecord, RoutedPrefixTable, TargetTuple, WeeklySeries, as_batch,
+    FlowBatch, PacketBatch, RoutedPrefixTable, TargetTuple, WeeklySeries,
     dotted_quads, event_violation, ip_to_int, parse_prefix, target_text, tuples_to_keys, type_code,
 )
 
@@ -269,17 +269,17 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     return PacketBatch(*columns)
 
 
-def write_packets(path, packets: PacketBatch | Iterable[PacketRecord]) -> None:
+def write_packets(path, packets: PacketBatch) -> None:
     """Write packets.csv, one row per packet in batch order."""
-    b = as_batch(packets)
-    flags = [FLAG_STRINGS[f] for f in b.flags.tolist()]
+    flags = [FLAG_STRINGS[f] for f in packets.flags.tolist()]
     with open(path, "w", newline="") as fh:
         fh.write(PACKETS_HEADER + "\n")
         fh.write("".join(
             f"{ts},{proto},{src},{sport},{dst},{dport},{length},{flag}\n"
             for ts, proto, src, sport, dst, dport, length, flag in zip(
-                b.ts.tolist(), b.protocol.tolist(), dotted_quads(b.src), b.src_port.tolist(),
-                dotted_quads(b.dst), b.dst_port.tolist(), b.len_bytes.tolist(), flags)
+                packets.ts.tolist(), packets.protocol.tolist(), dotted_quads(packets.src),
+                packets.src_port.tolist(), dotted_quads(packets.dst), packets.dst_port.tolist(),
+                packets.len_bytes.tolist(), flags)
         ))
 
 

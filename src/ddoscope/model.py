@@ -15,9 +15,6 @@ from typing import ClassVar, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-# Canonical order for the tcp_flags string ("SA", "AR", ...).
-_FLAG_ORDER = "SARF"
-
 KEY_FIELDS = ("protocol", "src_ip", "src_prefix", "src_port", "dst_ip", "dst_port")
 
 
@@ -95,16 +92,6 @@ def prefix_contains(net: int, plen: int, other_net: int, other_plen: int) -> boo
     return (other_net & prefix_mask(plen)) == net
 
 
-def normalize_tcp_flags(flags: str) -> str:
-    """Canonicalize a flag string to S,A,R,F order; rejects unknown letters."""
-    seen = set()
-    for ch in flags:
-        if ch not in _FLAG_ORDER:
-            raise ValueError(f"unknown TCP flag {ch!r} in {flags!r}")
-        seen.add(ch)
-    return "".join(ch for ch in _FLAG_ORDER if ch in seen)
-
-
 # ---------------------------------------------------------------------------
 # Time helpers: microsecond timestamps, UTC dates, ISO weeks starting Monday
 # ---------------------------------------------------------------------------
@@ -135,43 +122,12 @@ def quarter_start(d: date) -> date:
 # Packets and flow summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class PacketRecord:
-    """One timestamped packet (or honeypot request) seen at a sensor."""
-
-    ts: int                 # microseconds since Unix epoch
-    protocol: int           # IP protocol number
-    src_ip: str
-    src_port: int           # 0 when the protocol has no ports
-    dst_ip: str
-    dst_port: int
-    len_bytes: int
-    tcp_flags: str = ""     # canonical subset of "SARF"
-
-    def __post_init__(self):
-        if self.ts < 0:
-            raise ValueError(f"negative timestamp: {self.ts}")
-        ip_to_int(self.src_ip)
-        ip_to_int(self.dst_ip)
-        if not 0 <= self.protocol <= 255:
-            raise ValueError(f"protocol out of range: {self.protocol}")
-        for port in (self.src_port, self.dst_port):
-            if not 0 <= port <= 65535:
-                raise ValueError(f"port out of range: {port}")
-        if self.protocol not in (6, 17) and (self.src_port or self.dst_port):
-            raise ValueError(f"ports must be 0 for protocol {self.protocol}")
-        if self.len_bytes < 20:
-            raise ValueError(f"len_bytes below IPv4 minimum: {self.len_bytes}")
-        if self.tcp_flags:
-            object.__setattr__(self, "tcp_flags", normalize_tcp_flags(self.tcp_flags))
-
-
-# TCP flag bits of PacketBatch.flags, and the canonical string of each mask
+# TCP flag bits of PacketBatch.flags, and the canonical string of each
+# mask, its letters in S, A, R, F order ("SA", "AR", ...)
 FLAG_S, FLAG_A, FLAG_R, FLAG_F = 1, 2, 4, 8
 FLAG_STRINGS = tuple(
-    "".join(ch for bit, ch in enumerate(_FLAG_ORDER) if mask >> bit & 1) for mask in range(16)
+    "".join(ch for bit, ch in enumerate("SARF") if mask >> bit & 1) for mask in range(16)
 )
-_FLAG_MASKS = {s: mask for mask, s in enumerate(FLAG_STRINGS)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,7 +181,7 @@ class _Columns:
     """Rows as columns of one length; a subclass names the columns as its
     fields and gives their dtypes, in field order, in DTYPES. A column is a
     numpy array, or a Ragged where DTYPES says so. Rows are validated before
-    they get here: by a CSV reader, or by PacketRecord in `as_batch`."""
+    they get here, by a CSV reader or the code that made them."""
 
     DTYPES: ClassVar[dict] = {}
 
@@ -278,15 +234,6 @@ class PacketBatch(_Columns):
     DTYPES = {"ts": np.int64, "protocol": np.uint8, "src": np.uint32, "src_port": np.uint16,
               "dst": np.uint32, "dst_port": np.uint16, "len_bytes": np.int64, "flags": np.uint8}
 
-    def records(self) -> list[PacketRecord]:
-        """The rows as PacketRecords, for tests and reference implementations."""
-        return [
-            PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length,
-                         FLAG_STRINGS[flags])
-            for ts, proto, src, sport, dst, dport, length, flags in zip(
-                *(col.tolist() for col in self.columns()))
-        ]
-
 
 @dataclass(frozen=True, eq=False)
 class FlowBatch(_Columns):
@@ -303,17 +250,6 @@ class FlowBatch(_Columns):
 
     DTYPES = {"target": np.uint32, "protocol": np.uint8, "src_port": np.uint16, "distinct_src_ips": np.int64,
               "bitrate_bps": np.float64, "start_ts": np.int64, "end_ts": np.int64}
-
-
-def as_batch(packets) -> PacketBatch:
-    """`packets` itself if it is a PacketBatch, else its records as one."""
-    if isinstance(packets, PacketBatch):
-        return packets
-    return PacketBatch.from_rows([
-        (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
-         p.dst_port, p.len_bytes, _FLAG_MASKS[p.tcp_flags])
-        for p in packets
-    ])
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,6 +5,12 @@ emitted as one reproducible bundle.
 The CLI's detect, overlap and confirm commands call the same stage
 functions (`detect_observatory`, `upset_document`, `confirm_document`).
 
+Each packet file is parsed at most once per run. Detection looks packets
+up in one map from (resolved path, sensor column) to PacketBatch that
+lives only as long as the detect stage: synth fills it with the packets
+it wrote, and the first observatory to read any other file adds it, so
+observatories that share an input share one parse.
+
 The bundle is deterministic: identical config and inputs produce
 byte-identical files, and manifest.json records the config hash, seed,
 version, and a sha256 per output file. Detection runs serially, so the
@@ -243,8 +249,9 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
     bundle = _Bundle(Path(cfg.out_dir))
     bundle.root.mkdir(parents=True, exist_ok=True)
     try:
-        seed = _stage_synth(cfg, bundle)
-        events = _stage_detect(cfg, bundle)
+        seed, parsed = _stage_synth(cfg, bundle)
+        events = _stage_detect(cfg, bundle, parsed)
+        del parsed  # later stages hold no packets
         if cfg.aggregate:
             events = _stage_aggregate(cfg, bundle, events)
         serieses = _stage_trends(cfg, bundle, events)
@@ -267,17 +274,19 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
 
 # -- stages -------------------------------------------------------------------
 
-def _stage_synth(cfg: PipelineConfig, bundle: _Bundle) -> Optional[int]:
+def _stage_synth(cfg: PipelineConfig, bundle: _Bundle) -> tuple[Optional[int], dict]:
+    """The seed, and the packets of each packet file synth wrote keyed as
+    `detect_observatory` looks them up, so detection never parses them."""
     if cfg.scenario is None:
-        return cfg.seed
+        return cfg.seed, {}
     try:
         spec = ScenarioSpec.load(cfg.scenario)
         if cfg.seed is not None:
             spec = dataclasses.replace(spec, seed=cfg.seed)
         generated = generate(spec)
         input_dir = bundle.root / "inputs"
-        for p in write_scenario(generated, input_dir):
-            bundle.files.append(p)
+        written = write_scenario(generated, input_dir)
+        bundle.files.extend(written)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise PipelineError("synth", str(exc), "config") from exc
 
@@ -294,22 +303,25 @@ def _stage_synth(cfg: PipelineConfig, bundle: _Bundle) -> Optional[int]:
             )
         else:
             o.inputs = [str(input_dir / "flows.csv")]
-    return spec.seed
+    return spec.seed, {(p.resolve(), None): content for p, content in written.items()
+                       if isinstance(content, PacketBatch)}
 
 
 def _expand_inputs(o: ObservatoryConfig) -> list[str]:
-    paths: list[str] = []
+    """Each input file of `o` once, at its first position; the hits of a
+    glob come in sorted order."""
+    paths: dict[Path, str] = {}
     for pattern in o.inputs:
         hits = sorted(globmod.glob(pattern))
-        if hits:
-            paths.extend(hits)
-        elif Path(pattern).exists():
-            paths.append(pattern)
-        else:
+        if not hits and Path(pattern).exists():
+            hits = [pattern]
+        if not hits:
             raise PipelineError("detect", f"{o.name}: input not found: {pattern}", "config")
+        for p in hits:
+            paths.setdefault(Path(p).resolve(), p)
     if not paths:
         raise PipelineError("detect", f"{o.name}: no input files", "config")
-    return paths
+    return list(paths.values())
 
 
 def _settings(o: ObservatoryConfig) -> dict:
@@ -323,29 +335,43 @@ def _settings(o: ObservatoryConfig) -> dict:
     return {"ampl_ports": AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)}
 
 
-def detect_observatory(o: ObservatoryConfig) -> EventBatch:
-    """Attack events of one observatory from its input files (globs allowed)."""
+def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None) -> EventBatch:
+    """Attack events of one observatory from its input files (globs allowed).
+
+    `parsed` maps (resolved path, sensor_col) to the PacketBatch of a packet
+    file; a file missing from it is read and added, so observatories that
+    share a map parse a shared file once."""
+    parsed = {} if parsed is None else parsed
     paths = _expand_inputs(o)
     settings = _settings(o)
+    if o.type == "flow":
+        return EventBatch.concat([classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)
+                                  for p in paths])
+    sensor_col = o.sensor_col if o.type == "honeypot" else None
+    packets = PacketBatch.concat([_packets(p, sensor_col, parsed) for p in paths])
     if o.type == "telescope":
         tcfg = settings["telescope"]
-        packets = PacketBatch.concat([read_packets(p) for p in paths])
         packets = packets.take(np.argsort(packets.ts, kind="stable"))
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
-    if o.type == "honeypot":
-        packets = PacketBatch.concat([read_packets(p, sensor_col=o.sensor_col) for p in paths])
-        events = detect_honeypot(packets, settings["definition"], observatory=o.name)
-        return aggregate_sensors(events, settings["merge_gap"])
-    return EventBatch.concat([classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)
-                              for p in paths])
+    events = detect_honeypot(packets, settings["definition"], observatory=o.name)
+    return aggregate_sensors(events, settings["merge_gap"])
 
 
-def _stage_detect(cfg: PipelineConfig, bundle: _Bundle) -> dict[str, EventBatch]:
+def _packets(path: str, sensor_col: Optional[str], parsed: dict) -> PacketBatch:
+    key = (Path(path).resolve(), sensor_col)
+    if key not in parsed:
+        parsed[key] = read_packets(path, sensor_col=sensor_col)
+    return parsed[key]
+
+
+def _stage_detect(cfg: PipelineConfig, bundle: _Bundle, parsed: dict) -> dict[str, EventBatch]:
+    """Detection over every observatory; `parsed` starts with the packets
+    synth wrote and gains each packet file as it is first read."""
     results: dict[str, EventBatch] = {}
     try:
         for o in cfg.observatories:
-            results[o.name] = detect_observatory(o)
+            results[o.name] = detect_observatory(o, parsed)
     except (FormatError, ValueError) as exc:
         raise PipelineError("detect", str(exc), "data") from exc
     for o in cfg.observatories:

@@ -31,6 +31,7 @@ from .ioformats import write_flows, write_json, write_packets
 from .model import (
     FLAG_A,
     FLAG_S,
+    MAX_TS_US,
     US_PER_S,
     FlowBatch,
     PacketBatch,
@@ -42,6 +43,10 @@ from .telescope import ADDRESS_SPACE
 TELESCOPE_BASE = ip_to_int("10.0.0.0")  # synthetic telescope block
 ATTACK_TYPES = ("rsdos", "reflection", "direct_nonspoofed")
 DEFAULT_REFLECTION_PORTS = (123,)
+# Bounds of what packets.csv can hold, so every file synth writes reads
+# back: a 9-digit len_bytes, and timestamps up to 9999-12-31T23:59:59.
+MAX_PACKET_BYTES = 999_999_999
+MAX_DURATION_S = MAX_TS_US // US_PER_S
 
 # Flow-summary source counts are modeled, not measured: uniform spoofing
 # makes nearly every packet a fresh source; a non-spoofed flood comes from
@@ -74,6 +79,8 @@ class AttackSpec:
             raise ValueError("attack cannot start before the scenario")
         if self.packet_bytes < 20:
             raise ValueError("packet_bytes below IPv4 minimum")
+        if self.packet_bytes > MAX_PACKET_BYTES:
+            raise ValueError(f"packet_bytes {self.packet_bytes} above {MAX_PACKET_BYTES}")
         if self.spoof not in ("uniform", "none"):
             raise ValueError(f"unknown spoof mode {self.spoof!r}")
         if self.type == "reflection" and self.reflector_subset < 1:
@@ -99,6 +106,8 @@ class ScenarioSpec:
             raise ValueError("seed must fit in 64 bits")
         if self.duration_s <= 0:
             raise ValueError("duration must be positive")
+        if not self.duration_s <= MAX_DURATION_S:
+            raise ValueError(f"duration_s {self.duration_s:g} ends the scenario past 9999-12-31T23:59:59")
         if not 1 <= self.telescope_addresses <= ADDRESS_SPACE:
             raise ValueError("telescope size out of range")
         for ip in self.honeypot_sensors:
@@ -320,9 +329,10 @@ def sensor_filename(sensor_ip: str) -> str:
     return f"honeypot_{sensor_ip}.csv"
 
 
-def write_scenario(generated: GeneratedScenario, out_dir) -> list[Path]:
+def write_scenario(generated: GeneratedScenario, out_dir) -> dict[Path, object]:
     """Write telescope.csv, one honeypot_<sensor>.csv per sensor, flows.csv,
-    and ground_truth.json into `out_dir`. Returns the paths written."""
+    and ground_truth.json into `out_dir`. Returns each path written, in that
+    order, with what was written to it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = [(out_dir / "telescope.csv", write_packets, generated.telescope_packets)]
@@ -332,4 +342,4 @@ def write_scenario(generated: GeneratedScenario, out_dir) -> list[Path]:
               (out_dir / "ground_truth.json", write_json, generated.ground_truth)]
     for path, write, content in files:
         write(path, content)
-    return [path for path, _, _ in files]
+    return {path: content for path, _, content in files}

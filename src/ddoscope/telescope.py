@@ -10,7 +10,6 @@ its lifetime. Flows end after a full accounting interval without packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -21,9 +20,7 @@ from .model import (
     FLAG_S,
     EventBatch,
     PacketBatch,
-    PacketRecord,
     US_PER_S,
-    as_batch,
     type_code,
 )
 
@@ -58,14 +55,13 @@ class TelescopeConfig:
             raise ValueError(f"unknown backscatter filter {self.backscatter_filter!r}")
 
 
-def backscatter_prefilter(packets: PacketBatch | Iterable[PacketRecord], mode: str = "default") -> PacketBatch:
+def backscatter_prefilter(packets: PacketBatch, mode: str = "default") -> PacketBatch:
     """Drop traffic that cannot be backscatter.
 
     Default keeps TCP SYN-ACKs, TCP resets (R, with or without A), and
     ICMP. A lone SYN is scan traffic, not a response. mode="none" keeps
     everything.
     """
-    packets = as_batch(packets)
     if mode == "none":
         return packets
     if mode != "default":
@@ -76,7 +72,7 @@ def backscatter_prefilter(packets: PacketBatch | Iterable[PacketRecord], mode: s
 
 
 def detect_rsdos(
-    packets: PacketBatch | Iterable[PacketRecord],
+    packets: PacketBatch,
     cfg: TelescopeConfig,
     observatory: str = "telescope",
 ) -> EventBatch:
@@ -87,7 +83,6 @@ def detect_rsdos(
     there (one target's TCP and ICMP flows starting together) come in the
     order their (protocol, source) keys first appear in the input.
     """
-    packets = as_batch(packets)
     unordered = np.flatnonzero(packets.ts[1:] < packets.ts[:-1])
     if len(unordered):
         i = int(unordered[0]) + 1

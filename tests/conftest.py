@@ -2,7 +2,9 @@ import json
 import random
 from pathlib import Path
 
-from ddoscope.model import PacketRecord, US_PER_S
+from ddoscope.model import US_PER_S
+
+from oracles import PacketRecord
 
 # Scenario used by the CLI and acceptance pipeline tests: a multi-week,
 # multi-observatory schedule with per-week attack counts that vary

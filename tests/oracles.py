@@ -16,8 +16,8 @@ from datetime import date, datetime, timedelta, timezone
 from typing import Optional
 
 from ddoscope.model import (
-    US_PER_S, EventBatch, TargetTuple, WeeklySeries, event_violation, int_to_ip, ip_to_int,
-    keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
+    FLAG_STRINGS, US_PER_S, EventBatch, PacketBatch, TargetTuple, WeeklySeries, event_violation,
+    int_to_ip, ip_to_int, keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
 )
 from ddoscope.overlap import target_digest
 
@@ -83,6 +83,67 @@ def batch_to_events(batch: EventBatch) -> list:
 def _lists(ragged) -> list:
     values, bounds = ragged.values.tolist(), ragged.bounds.tolist()
     return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+def normalize_tcp_flags(flags: str) -> str:
+    """Canonicalize a flag string to S,A,R,F order; rejects unknown letters."""
+    for ch in flags:
+        if ch not in "SARF":
+            raise ValueError(f"unknown TCP flag {ch!r} in {flags!r}")
+    return "".join(ch for ch in "SARF" if ch in flags)
+
+
+@dataclass(frozen=True, slots=True)
+class PacketRecord:
+    """One timestamped packet (or honeypot request) seen at a sensor, as a
+    readable row; the package holds packets as `model.PacketBatch` columns.
+    `as_batch` and `batch_to_records` convert between the two."""
+
+    ts: int                 # microseconds since Unix epoch
+    protocol: int           # IP protocol number
+    src_ip: str
+    src_port: int           # 0 when the protocol has no ports
+    dst_ip: str
+    dst_port: int
+    len_bytes: int
+    tcp_flags: str = ""     # canonical subset of "SARF"
+
+    def __post_init__(self):
+        if self.ts < 0:
+            raise ValueError(f"negative timestamp: {self.ts}")
+        ip_to_int(self.src_ip)
+        ip_to_int(self.dst_ip)
+        if not 0 <= self.protocol <= 255:
+            raise ValueError(f"protocol out of range: {self.protocol}")
+        for port in (self.src_port, self.dst_port):
+            if not 0 <= port <= 65535:
+                raise ValueError(f"port out of range: {port}")
+        if self.protocol not in (6, 17) and (self.src_port or self.dst_port):
+            raise ValueError(f"ports must be 0 for protocol {self.protocol}")
+        if self.len_bytes < 20:
+            raise ValueError(f"len_bytes below IPv4 minimum: {self.len_bytes}")
+        if self.tcp_flags:
+            object.__setattr__(self, "tcp_flags", normalize_tcp_flags(self.tcp_flags))
+
+
+def as_batch(packets) -> PacketBatch:
+    """`packets` itself if it is a PacketBatch, else its PacketRecords as one."""
+    if isinstance(packets, PacketBatch):
+        return packets
+    return PacketBatch.from_rows([
+        (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
+         p.dst_port, p.len_bytes, FLAG_STRINGS.index(p.tcp_flags))
+        for p in packets
+    ])
+
+
+def batch_to_records(batch: PacketBatch) -> list:
+    """The PacketRecord of each row, in row order."""
+    return [
+        PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length, FLAG_STRINGS[flags])
+        for ts, proto, src, sport, dst, dport, length, flags in zip(
+            *(col.tolist() for col in batch.columns()))
+    ]
 
 
 def ts_to_date(ts_us: int) -> date:

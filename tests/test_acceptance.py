@@ -17,7 +17,6 @@ from ddoscope import carpet, honeypot, ioformats, telescope
 from ddoscope.honeypot import PRESETS, preset
 from ddoscope.model import (
     AllocationTable,
-    PacketRecord,
     RoutedPrefixTable,
     TargetTuple,
     US_PER_S,
@@ -34,6 +33,8 @@ from ddoscope.trends import ewma, linreg_trend, normalize, pearson, spearman
 from conftest import make_telescope_trace, write_pipeline_fixture
 from oracles import (
     AttackEvent,
+    PacketRecord,
+    as_batch,
     batch_to_events,
     events_to_batch,
     hash_targets,
@@ -52,15 +53,15 @@ from oracles import (
 MONDAY = date(2019, 1, 7)
 
 
-# The package holds attacks as EventBatch columns; the criteria read them
-# as AttackEvent rows.
+# The package holds packets and attacks as columns; the criteria build
+# packets as PacketRecord rows and read attacks as AttackEvent rows.
 
 def detect_rsdos(packets, cfg):
-    return batch_to_events(telescope.detect_rsdos(packets, cfg))
+    return batch_to_events(telescope.detect_rsdos(as_batch(packets), cfg))
 
 
 def detect_honeypot(packets, definition):
-    return batch_to_events(honeypot.detect_honeypot(packets, definition))
+    return batch_to_events(honeypot.detect_honeypot(as_batch(packets), definition))
 
 
 def aggregate_sensors(events, merge_gap):

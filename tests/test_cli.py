@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from ddoscope.cli import main
-from ddoscope import ioformats
+from ddoscope import ioformats, pipeline
 from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
 from ddoscope.ioformats import read_targets
 
@@ -543,3 +543,116 @@ class TestManifestHash:
         first, _ = self.run(runner, tmp_path / "a")
         second, _ = self.run(runner, tmp_path / "b", edit)
         assert second != first
+
+
+def bundle_files(out: Path) -> dict:
+    return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The name of each file the pipeline parses as packets.csv."""
+    calls = []
+    real = pipeline.read_packets
+
+    def counting(path, sensor_col=None):
+        calls.append(Path(path).name)
+        return real(path, sensor_col=sensor_col)
+
+    monkeypatch.setattr(pipeline, "read_packets", counting)
+    return calls
+
+
+class TestParseOnce:
+    """Each packet file is parsed at most once per run, and never when synth
+    wrote it in the same run; outputs do not depend on how often it is."""
+
+    def run(self, runner, root, observatories):
+        root.mkdir(parents=True, exist_ok=True)
+        cfg = root / "pipeline.json"
+        cfg.write_text(json.dumps({"out_dir": "out", "observatories": observatories}))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        return bundle_files(root / "out")
+
+    def test_scenario_run_parses_no_packets(self, runner, tmp_path, parses):
+        cfg = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        assert parses == []
+
+    def test_observatories_sharing_a_glob_parse_each_file_once(self, runner, generated, tmp_path, parses):
+        shared = str(generated / "honeypot_*.csv")
+        self.run(runner, tmp_path / "run", [
+            {"name": "hop", "type": "honeypot", "preset": "hopscotch", "inputs": [shared]},
+            {"name": "amp", "type": "honeypot", "preset": "amppot", "inputs": [shared]},
+        ])
+        assert parses == sorted(p.name for p in generated.glob("honeypot_*.csv"))
+
+    def test_shared_files_give_the_bundle_of_copies(self, runner, generated, tmp_path, parses):
+        copies = tmp_path / "copies"
+        copies.mkdir()
+        for p in generated.glob("honeypot_*.csv"):
+            (copies / p.name).write_bytes(p.read_bytes())
+
+        def observatories(amp_dir):
+            return [{"name": "hop", "type": "honeypot", "preset": "hopscotch",
+                     "inputs": [str(generated / "honeypot_*.csv")]},
+                    {"name": "amp", "type": "honeypot", "preset": "amppot",
+                     "inputs": [str(amp_dir / "honeypot_*.csv")]}]
+
+        shared = self.run(runner, tmp_path / "shared", observatories(generated))
+        n_files = len(parses)
+        apart = self.run(runner, tmp_path / "apart", observatories(copies))
+        assert len(parses) == 3 * n_files
+        assert "manifest.json" in shared and shared == apart
+
+    def test_scenario_run_equals_its_inputs_given_explicitly(self, runner, tmp_path, parses):
+        cfg = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        inputs = tmp_path / "out" / "inputs"
+        explicit = self.run(runner, tmp_path / "explicit", [
+            {"name": "scope", "type": "telescope", "config": {"n_addresses": 2 ** 22},
+             "inputs": [str(inputs / "telescope.csv")]},
+            {"name": "hop", "type": "honeypot", "preset": "hopscotch",
+             "inputs": [str(inputs / "honeypot_*.csv")]},
+            {"name": "ixp", "type": "flow", "inputs": [str(inputs / "flows.csv")]},
+        ])
+        assert len(parses) == 1 + len(list(inputs.glob("honeypot_*.csv")))
+        scenario = bundle_files(tmp_path / "out")
+        attacks = [name for name in scenario if name.startswith("attacks_")]
+        assert len(attacks) == 3
+        assert {name: explicit[name] for name in attacks} == {name: scenario[name] for name in attacks}
+
+    @pytest.mark.parametrize("name, overlapping", [
+        ("scope", ["telescope.csv", "telescope*.csv"]),
+        ("hop", ["honeypot_*.csv", "honeypot_198.51.100.1.csv"]),
+    ])
+    def test_overlapping_patterns_read_each_file_once(self, runner, generated, tmp_path, parses,
+                                                      name, overlapping):
+        def observatories(patterns):
+            inputs = {"scope": ["telescope.csv"], "hop": ["honeypot_*.csv"], name: patterns}
+            return [
+                {"name": "scope", "type": "telescope", "config": {"n_addresses": 2 ** 22},
+                 "inputs": [str(generated / p) for p in inputs["scope"]]},
+                {"name": "hop", "type": "honeypot", "preset": "hopscotch",
+                 "inputs": [str(generated / p) for p in inputs["hop"]]},
+            ]
+
+        once = self.run(runner, tmp_path / "once", observatories(overlapping[:1]))
+        assert self.run(runner, tmp_path / "twice", observatories(overlapping)) == once
+        assert len(parses) == 2 * len(set(parses))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["attacks"][0].update(packet_bytes=10 ** 9),
+         "packet_bytes 1000000000 above 999999999"),
+        (lambda doc: (doc.update(duration_s=3e11), doc["attacks"][0].update(start_s=2.6e11)),
+         "duration_s 3e+11 ends the scenario past 9999-12-31T23:59:59"),
+    ], ids=["packet_bytes", "duration_s"])
+    def test_spec_packets_csv_cannot_hold_is_a_synth_error(self, runner, tmp_path, edit, message):
+        cfg = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        edit(doc)
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: stage 'synth': {message}"
+        assert not any((tmp_path / "out").rglob("*.csv"))

@@ -5,10 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from ddoscope import honeypot
 from ddoscope.honeypot import PRESETS, preset
-from ddoscope.model import AttackDefinition, PacketRecord, US_PER_S, parse_prefix
+from ddoscope.model import AttackDefinition, US_PER_S, parse_prefix
 
 from oracles import (
     AttackEvent,
+    PacketRecord,
+    as_batch,
     batch_to_events,
     events_to_batch,
     oracle_aggregate_sensors,
@@ -17,8 +19,8 @@ from oracles import (
 
 
 def detect_honeypot(packets, definition):
-    """detect_honeypot as AttackEvent rows."""
-    return batch_to_events(honeypot.detect_honeypot(packets, definition))
+    """detect_honeypot over PacketRecords, as AttackEvent rows."""
+    return batch_to_events(honeypot.detect_honeypot(as_batch(packets), definition))
 
 
 def aggregate_sensors(events, merge_gap):

@@ -24,12 +24,15 @@ from ddoscope.ioformats import (
     write_targets,
 )
 from ddoscope.model import (
-    EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, PacketRecord, Ragged, TargetTuple,
+    EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, TargetTuple,
     WeeklySeries, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
 )
 from datetime import date
 
-from oracles import AttackEvent, batch_to_events, events_to_batch, write_hashed_targets
+from oracles import (
+    AttackEvent, PacketRecord, as_batch, batch_to_events, batch_to_records, events_to_batch,
+    write_hashed_targets,
+)
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
 1000000,6,203.0.113.5,80,10.0.0.1,4444,110,SA
@@ -41,11 +44,11 @@ class TestPackets:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "packets.csv"
         p.write_text(PACKETS)
-        records = read_packets(p).records()
+        records = batch_to_records(read_packets(p))
         assert len(records) == 2
         assert records[0].tcp_flags == "SA"
         out = tmp_path / "out.csv"
-        write_packets(out, records)
+        write_packets(out, as_batch(records))
         assert out.read_text() == PACKETS
 
     def test_header_must_be_exact(self, tmp_path):
@@ -75,7 +78,7 @@ class TestPackets:
             "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags,sensor\n"
             "1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
         )
-        records = read_packets(p, sensor_col="sensor").records()
+        records = batch_to_records(read_packets(p, sensor_col="sensor"))
         assert records[0].dst_ip == "192.0.2.9"
 
 
@@ -241,7 +244,7 @@ class TestPacketGrammar:
         path = tmp_path_factory.mktemp("valid") / "packets.csv"
         _write(path, lines, crlf)
         with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
-            assert read_packets(path).records() == rows
+            assert batch_to_records(read_packets(path)) == rows
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(packet_records(), min_size=1, max_size=12), data=st.data(),
@@ -302,18 +305,18 @@ class TestPacketChunks:
     def test_multi_chunk_file_equals_small_files(self, tmp_path):
         rows = _big_rows(self.N)
         big = tmp_path / "big.csv"
-        write_packets(big, rows)
+        write_packets(big, as_batch(rows))
         assert big.stat().st_size > 2 * ioformats._CHUNK_BYTES
         parts = []
         for k in range(0, len(rows), 997):
             part = tmp_path / f"part{k}.csv"
-            write_packets(part, rows[k:k + 997])
+            write_packets(part, as_batch(rows[k:k + 997]))
             parts.append(read_packets(part))
         whole, joined = read_packets(big), PacketBatch.concat(parts)
         for name in COLUMNS:
             a, b = getattr(whole, name), getattr(joined, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert whole.records() == rows
+        assert batch_to_records(whole) == rows
 
     def test_bad_row_in_later_chunk_reports_true_line(self, tmp_path):
         lines = [row_text(p) for p in _big_rows(self.N)]
@@ -331,7 +334,7 @@ class TestPacketChunks:
         path = tmp_path / "packets.csv"
         path.write_text(HEADER + "\n")
         batch = read_packets(path)
-        assert len(batch) == 0 and batch.records() == []
+        assert len(batch) == 0 and batch_to_records(batch) == []
         assert {getattr(batch, c).dtype for c in ("src", "dst")} == {np.dtype(np.uint32)}
 
     def test_empty_file_rejected(self, tmp_path):

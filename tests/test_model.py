@@ -7,7 +7,6 @@ from ddoscope.model import (
     EPOCH,
     US_PER_DAY,
     AllocationTable,
-    PacketRecord,
     RoutedPrefixTable,
     WeeklySeries,
     int_to_ip,
@@ -20,7 +19,7 @@ from ddoscope.model import (
 )
 from ddoscope.overlap import build_targets
 
-from oracles import AttackEvent, events_to_batch, ts_to_date, week_start
+from oracles import AttackEvent, PacketRecord, events_to_batch, ts_to_date, week_start
 
 
 class TestIpParsing:

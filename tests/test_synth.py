@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ddoscope.honeypot import aggregate_sensors, detect_honeypot, preset
 from ddoscope.ioformats import read_packets
-from ddoscope.model import EventBatch, PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
+from ddoscope.model import MAX_TS_US, EventBatch, PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
 from ddoscope.synth import (
+    MAX_DURATION_S,
+    MAX_PACKET_BYTES,
     TELESCOPE_BASE,
     AttackSpec,
     ScenarioSpec,
@@ -17,7 +19,7 @@ from ddoscope.synth import (
 )
 from ddoscope.telescope import ADDRESS_SPACE, TelescopeConfig, detect_rsdos
 
-from oracles import batch_to_events
+from oracles import batch_to_events, batch_to_records
 
 SENSORS = tuple(f"198.51.100.{i}" for i in range(1, 11))
 
@@ -69,6 +71,31 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="ports"):
             reflection(ports=ports)
 
+    def test_packet_bytes_fit_packets_csv(self):
+        assert rsdos(packet_bytes=MAX_PACKET_BYTES).packet_bytes == 999_999_999
+        with pytest.raises(ValueError, match="^packet_bytes 1000000000 above 999999999$"):
+            rsdos(packet_bytes=10 ** 9)
+
+    @pytest.mark.parametrize("duration", [MAX_DURATION_S + 1, 3e11, math.inf, math.nan])
+    def test_scenario_ends_by_year_9999(self, duration):
+        with pytest.raises(ValueError, match="^duration_s .* ends the scenario past 9999-12-31T23:59:59$"):
+            scenario([], duration=duration)
+
+    def test_largest_spec_reads_back(self, tmp_path):
+        # the last second and the widest packets a spec allows still fit packets.csv
+        end = MAX_DURATION_S
+        widest = MAX_PACKET_BYTES
+        g = generate(scenario([rsdos(start=end - 2, duration=2, rate=5e6, packet_bytes=widest),
+                               reflection(start=end - 1, duration=1, rate=100, packet_bytes=widest)],
+                              duration=end))
+        write_scenario(g, tmp_path)
+        assert len(g.telescope_packets) and g.telescope_packets.ts.max() <= MAX_TS_US
+        for path, batch in [(tmp_path / "telescope.csv", g.telescope_packets),
+                            *((tmp_path / sensor_filename(s), b) for s, b in g.honeypot_packets.items())]:
+            back = read_packets(path)
+            for name, col in columns(batch).items():
+                assert np.array_equal(getattr(back, name), col), name
+
     def test_json_round_trip(self):
         doc = {
             "seed": 9, "duration_s": 600,
@@ -110,7 +137,7 @@ class TestDeterminism:
         # adding a second attack must not perturb the first one's packets
         one = generate(scenario([rsdos()]))
         two = generate(scenario([rsdos(), reflection(start=1000, victim="203.0.113.99")]))
-        assert one.telescope_packets.records() == two.telescope_packets.records()
+        assert batch_to_records(one.telescope_packets) == batch_to_records(two.telescope_packets)
 
 
 class TestTelescopeSampling:
@@ -228,7 +255,8 @@ def timing(draw, max_rate: float) -> dict:
     """Fractional start, duration and rate; at most 40 * max_rate packets."""
     return dict(victim=draw(victims()), start=draw(st.floats(0, 1000)),
                 duration=draw(st.floats(0.1, 40)), rate=draw(st.floats(0.05, max_rate)),
-                packet_bytes=draw(st.integers(20, 1500)))
+                packet_bytes=draw(st.sampled_from([20, MAX_PACKET_BYTES])
+                                  | st.integers(20, MAX_PACKET_BYTES)))
 
 
 @st.composite

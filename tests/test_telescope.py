@@ -5,15 +5,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from ddoscope import telescope
 from ddoscope.model import US_PER_S
-from ddoscope.telescope import TelescopeConfig, backscatter_prefilter
+from ddoscope.telescope import TelescopeConfig
 
 from conftest import make_telescope_trace as make_trace, telescope_pkt as pkt
-from oracles import batch_to_events, min_detectable_rate, oracle_detect_rsdos
+from oracles import as_batch, batch_to_events, batch_to_records, min_detectable_rate, oracle_detect_rsdos
 
 
 def detect_rsdos(packets, cfg):
-    """detect_rsdos as AttackEvent rows."""
-    return batch_to_events(telescope.detect_rsdos(packets, cfg))
+    """detect_rsdos over PacketRecords, as AttackEvent rows."""
+    return batch_to_events(telescope.detect_rsdos(as_batch(packets), cfg))
+
+
+def backscatter_prefilter(packets, mode="default"):
+    """backscatter_prefilter over PacketRecords, as PacketRecords."""
+    return batch_to_records(telescope.backscatter_prefilter(as_batch(packets), mode))
 
 CFG = TelescopeConfig(n_addresses=2 ** 22)
 
@@ -159,21 +164,21 @@ class TestDetectRsdos:
 
 class TestBackscatterPrefilter:
     def test_syn_ack_kept(self):
-        assert backscatter_prefilter([pkt(0, flags="SA")]).records() == [pkt(0, flags="SA")]
+        assert backscatter_prefilter([pkt(0, flags="SA")]) == [pkt(0, flags="SA")]
 
     def test_lone_syn_dropped(self):
-        assert backscatter_prefilter([pkt(0, flags="S")]).records() == []
+        assert backscatter_prefilter([pkt(0, flags="S")]) == []
 
     def test_rst_kept(self):
         assert len(backscatter_prefilter([pkt(0, flags="R"), pkt(1, flags="AR")])) == 2
 
     def test_icmp_kept_udp_dropped(self):
         kept = backscatter_prefilter([pkt(0, proto=1), pkt(1, proto=17)])
-        assert [p.protocol for p in kept.records()] == [1]
+        assert [p.protocol for p in kept] == [1]
 
     def test_none_mode_is_identity(self):
         packets = [pkt(0, flags="S"), pkt(1, proto=17), pkt(2, flags="SA")]
-        assert backscatter_prefilter(packets, "none").records() == packets
+        assert backscatter_prefilter(packets, "none") == packets
 
 
 class TestMinDetectableRate:
