@@ -19,7 +19,6 @@ File schemas (headers are exact):
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import json
 import sys
@@ -58,9 +57,10 @@ from .pipeline import (
     confirm_document,
     detect_observatory,
     run_pipeline,
+    synthesize,
     upset_document,
 )
-from .synth import ScenarioSpec, generate, write_scenario
+from .synth import write_scenario
 from .trends import (
     ewma,
     linreg_trend,
@@ -127,10 +127,8 @@ def main():
 @_guarded
 def synth(spec_path, out_dir, seed):
     """Generate a synthetic scenario with ground truth."""
-    spec = ScenarioSpec.load(spec_path)
-    if seed is not None:
-        spec = dataclasses.replace(spec, seed=seed)
-    written = write_scenario(generate(spec), out_dir)
+    _, generated = synthesize(spec_path, seed)
+    written = write_scenario(generated, out_dir)
     for p in written:
         click.echo(p)
 

@@ -13,9 +13,13 @@ observatories that share an input share one parse.
 
 The bundle is deterministic: identical config and inputs produce
 byte-identical files, and manifest.json records the config hash, seed,
-version, and a sha256 per output file. Detection runs serially, so the
-validated `parallelism` setting does not change any output. Any stage
-failure removes the partial outputs and aborts with the stage name.
+version, and a sha256 per file. Detection runs serially, so the validated
+`parallelism` setting does not change any output. A bundle is complete or
+absent: a run writes into a hidden sibling of `out_dir` (`.<name>.*`) and
+renames it into place after the manifest, replacing an earlier bundle or
+an empty directory and nothing else. Any failure removes the sibling,
+leaves `out_dir` as it was, and aborts with the stage name; only a hard
+kill can leave the sibling behind.
 """
 
 from __future__ import annotations
@@ -25,6 +29,8 @@ import glob as globmod
 import hashlib
 import json
 import re
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from datetime import timedelta
 from pathlib import Path
@@ -56,7 +62,7 @@ from .overlap import (
     overlap_timeseries,
     upset_exclusive,
 )
-from .synth import ScenarioSpec, generate, write_scenario
+from .synth import GeneratedScenario, ScenarioSpec, generate, write_scenario
 from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 from .trends import ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
 
@@ -64,6 +70,13 @@ OBSERVATORY_TYPES = ("telescope", "honeypot", "flow")
 TELESCOPE_KEYS = frozenset(f.name for f in dataclasses.fields(TelescopeConfig))
 # Observatory names become parts of bundle file names (attacks_<name>.csv)
 OBSERVATORY_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
+CONFIG_KEYS = frozenset({"out_dir", "observatories", "scenario", "seed", "routed", "alloc", "aggregate",
+                         "concurrency_gap", "min_targets", "parallelism", "analysis"})
+# an observatory's keys are ObservatoryConfig's fields, `telescope` spelt `config`
+OBSERVATORY_KEYS = frozenset({"name", "type", "inputs", "preset", "merge_gap", "sensor_col", "config",
+                              "ampl_ports"})
+ANALYSIS_KEYS = frozenset({"normalize", "ewma_span", "correlation", "upset", "overlap_timeseries",
+                           "target_mode", "confirm"})
 
 
 class PipelineError(Exception):
@@ -110,33 +123,33 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path) -> "PipelineConfig":
+        """The config of a pipeline JSON document, relative paths taken from
+        `base_dir`. An unknown key, a switch that is not a JSON boolean, or
+        `inputs` that are not a list of strings is a config error."""
         def path_of(value):
             if value is None:
                 return None
             p = Path(value)
             return p if p.is_absolute() else base_dir / p
 
+        def flag(section: dict, key: str, default: bool) -> bool:
+            if not isinstance(value := section.get(key, default), bool):
+                raise _config_error(f"{key} must be true or false, not {value!r}")
+            return value
+
+        _known(doc, CONFIG_KEYS, "pipeline")
         observatories = []
-        for o in doc.get("observatories", []):
-            inputs = o.get("inputs", [])
-            if isinstance(inputs, str):
-                inputs = [inputs]
-            if "input" in o:
-                inputs = [o["input"]] + list(inputs)
-            observatories.append(
-                ObservatoryConfig(
-                    name=o["name"],
-                    type=o["type"],
-                    inputs=[str(path_of(i)) for i in inputs],
-                    preset=o.get("preset"),
-                    merge_gap=o.get("merge_gap"),
-                    sensor_col=o.get("sensor_col"),
-                    telescope=o.get("config", {}),
-                    ampl_ports=o.get("ampl_ports"),
-                )
-            )
-        analysis = doc.get("analysis", {})
-        confirm = analysis.get("confirm") or {}
+        for i, o in enumerate(doc.get("observatories", [])):
+            where = f"observatories[{i}]"
+            fields = {("telescope" if key == "config" else key): value
+                      for key, value in _known(o, OBSERVATORY_KEYS, where).items()}
+            inputs = fields.get("inputs", [])
+            if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
+                raise _config_error(f"{where}: inputs must be a list of strings, not {inputs!r}")
+            fields["inputs"] = [str(path_of(p)) for p in inputs]
+            observatories.append(ObservatoryConfig(**fields))
+        analysis = _known(doc.get("analysis", {}), ANALYSIS_KEYS, "analysis")
+        confirm = _known(analysis.get("confirm") or {}, {"external", "salt"}, "analysis.confirm")
         return cls(
             out_dir=path_of(doc["out_dir"]),
             observatories=observatories,
@@ -144,14 +157,14 @@ class PipelineConfig:
             seed=doc.get("seed"),
             routed=path_of(doc.get("routed")),
             alloc=path_of(doc.get("alloc")),
-            aggregate=bool(doc.get("aggregate", False)),
+            aggregate=flag(doc, "aggregate", False),
             concurrency_gap=float(doc.get("concurrency_gap", 60.0)),
             min_targets=int(doc.get("min_targets", 2)),
-            normalize=bool(analysis.get("normalize", True)),
+            normalize=flag(analysis, "normalize", True),
             ewma_span=analysis.get("ewma_span", 12),
             correlation=analysis.get("correlation", "spearman"),
-            upset=bool(analysis.get("upset", True)),
-            overlap_series=bool(analysis.get("overlap_timeseries", True)),
+            upset=flag(analysis, "upset", True),
+            overlap_series=flag(analysis, "overlap_timeseries", True),
             target_mode=analysis.get("target_mode", "start_date"),
             confirm_external=path_of(confirm.get("external")),
             confirm_salt=confirm.get("salt"),
@@ -174,6 +187,16 @@ def _config_error(message: str) -> PipelineError:
     return PipelineError("config", message, "config")
 
 
+def _known(doc, keys: frozenset, where: str) -> dict:
+    """`doc`, which must be a JSON object holding only `keys`."""
+    if not isinstance(doc, dict):
+        raise _config_error(f"{where} must be an object, not {doc!r}")
+    unknown = sorted(set(doc) - keys)
+    if unknown:
+        raise _config_error(f"{where}: unknown config keys {unknown}")
+    return doc
+
+
 def _validate(cfg: PipelineConfig) -> None:
     if not cfg.observatories:
         raise _config_error("no observatories configured")
@@ -192,9 +215,7 @@ def _validate(cfg: PipelineConfig) -> None:
         if not o.inputs and cfg.scenario is None:
             raise _config_error(f"observatory {o.name!r} has no inputs")
         if o.type == "telescope":
-            unknown = sorted(set(o.telescope) - TELESCOPE_KEYS)
-            if unknown:
-                raise _config_error(f"telescope {o.name!r}: unknown config keys {unknown}")
+            _known(o.telescope, TELESCOPE_KEYS, f"telescope {o.name!r}")
             # synth fills n_addresses in only for observatories without inputs
             if "n_addresses" not in o.telescope and (o.inputs or cfg.scenario is None):
                 raise _config_error(f"telescope {o.name!r} needs config.n_addresses")
@@ -220,91 +241,99 @@ def _validate(cfg: PipelineConfig) -> None:
             raise _config_error(f"{what} file not found: {p}")
     if cfg.parallelism < 1:
         raise _config_error("parallelism must be >= 1")
-
-
-class _Bundle:
-    """Tracks files written so a failed run can clean up after itself."""
-
-    def __init__(self, root: Path):
-        self.root = root
-        self.files: list[Path] = []
-
-    def path(self, *parts: str) -> Path:
-        p = self.root.joinpath(*parts)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        self.files.append(p)
-        return p
-
-    def discard(self) -> None:
-        for p in self.files:
-            try:
-                p.unlink()
-            except FileNotFoundError:
-                pass
+    # a bundle replaces only an empty directory or an earlier bundle, so a
+    # mistyped out_dir never deletes anything else
+    out = Path(cfg.out_dir)
+    if out.name in ("", ".."):
+        raise _config_error(f"out_dir {str(out)!r} does not end in a directory name")
+    bundle_or_empty = out.is_dir() and ((out / "manifest.json").is_file() or not any(out.iterdir()))
+    if out.exists() and not bundle_or_empty:
+        raise _config_error(f"out_dir {out} is neither empty nor a bundle with a manifest.json")
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
-    """Run all configured stages; returns the bundle directory."""
+    """Run all configured stages and rename the bundle into place at
+    `cfg.out_dir`, which it returns; `cfg` is not changed."""
     _validate(cfg)
-    bundle = _Bundle(Path(cfg.out_dir))
-    bundle.root.mkdir(parents=True, exist_ok=True)
+    out = Path(cfg.out_dir)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
-        seed, parsed = _stage_synth(cfg, bundle)
-        events = _stage_detect(cfg, bundle, parsed)
+        # the bundle is a subdirectory, so it gets the permissions of a
+        # plain mkdir rather than mkdtemp's 0700
+        root = work / "bundle"
+        root.mkdir()
+        cfg, seed, parsed = _stage_synth(cfg, root)
+        events = _stage_detect(cfg, root, parsed)
         del parsed  # later stages hold no packets
         if cfg.aggregate:
-            events = _stage_aggregate(cfg, bundle, events)
-        serieses = _stage_trends(cfg, bundle, events)
-        _stage_correlate(cfg, bundle, serieses)
-        sets = _stage_overlap(cfg, bundle, events)
+            events = _stage_aggregate(cfg, root, events)
+        serieses = _stage_trends(cfg, root, events)
+        _stage_correlate(cfg, root, serieses)
+        sets = _stage_overlap(cfg, root, events)
         if cfg.confirm_external is not None:
-            _stage_confirm(cfg, bundle, sets)
-        _write_manifest(cfg, bundle, seed)
-        return bundle.root
+            _stage_confirm(cfg, root, sets)
+        _write_manifest(cfg, root, seed)
+        if out.exists():
+            out.rename(work / "old")
+        root.rename(out)
+        return out
     except PipelineError:
-        bundle.discard()
         raise
     except FormatError as exc:
-        bundle.discard()
         raise PipelineError("io", str(exc), "data") from exc
     except Exception as exc:
-        bundle.discard()
         raise PipelineError("internal", f"{type(exc).__name__}: {exc}", "internal") from exc
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
+def _path(root: Path, *parts: str) -> Path:
+    """`root` joined with `parts`, its parent directory created."""
+    p = root.joinpath(*parts)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
 
 
 # -- stages -------------------------------------------------------------------
 
-def _stage_synth(cfg: PipelineConfig, bundle: _Bundle) -> tuple[Optional[int], dict]:
-    """The seed, and the packets of each packet file synth wrote keyed as
-    `detect_observatory` looks them up, so detection never parses them."""
-    if cfg.scenario is None:
-        return cfg.seed, {}
+def synthesize(spec_path, seed: Optional[int] = None) -> tuple[ScenarioSpec, GeneratedScenario]:
+    """The scenario spec at `spec_path`, its seed replaced when `seed` is
+    given, and what it generates; an invalid spec is a config error at
+    stage `synth`."""
     try:
-        spec = ScenarioSpec.load(cfg.scenario)
-        if cfg.seed is not None:
-            spec = dataclasses.replace(spec, seed=cfg.seed)
-        generated = generate(spec)
-        input_dir = bundle.root / "inputs"
-        written = write_scenario(generated, input_dir)
-        bundle.files.extend(written)
+        spec = ScenarioSpec.load(spec_path)
+        if seed is not None:
+            spec = dataclasses.replace(spec, seed=seed)
+        return spec, generate(spec)
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         raise PipelineError("synth", str(exc), "config") from exc
 
-    # Wire scenario outputs into observatories that name no inputs.
+
+def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, Optional[int], dict]:
+    """A copy of `cfg` whose observatories without inputs read the scenario
+    written under `root`, the seed, and the packets of each packet file
+    written keyed as `detect_observatory` looks them up, so detection
+    never parses them."""
+    if cfg.scenario is None:
+        return cfg, cfg.seed, {}
+    spec, generated = synthesize(cfg.scenario, cfg.seed)
+    input_dir = root / "inputs"
+    written = write_scenario(generated, input_dir)
+
+    inputs = {"telescope": [str(input_dir / "telescope.csv")],
+              "honeypot": sorted(str(p) for p in input_dir.glob("honeypot_*.csv")),
+              "flow": [str(input_dir / "flows.csv")]}
+    wired = []
     for o in cfg.observatories:
-        if o.inputs:
-            continue
-        if o.type == "telescope":
-            o.inputs = [str(input_dir / "telescope.csv")]
-            o.telescope.setdefault("n_addresses", spec.telescope_addresses)
-        elif o.type == "honeypot":
-            o.inputs = sorted(
-                str(p) for p in input_dir.glob("honeypot_*.csv")
-            )
-        else:
-            o.inputs = [str(input_dir / "flows.csv")]
-    return spec.seed, {(p.resolve(), None): content for p, content in written.items()
-                       if isinstance(content, PacketBatch)}
+        if not o.inputs:
+            o = dataclasses.replace(o, inputs=inputs[o.type])
+            if o.type == "telescope":
+                o.telescope = {"n_addresses": spec.telescope_addresses, **o.telescope}
+        wired.append(o)
+    cfg = dataclasses.replace(cfg, observatories=wired)
+    return cfg, spec.seed, {(p.resolve(), None): content for p, content in written.items()
+                            if isinstance(content, PacketBatch)}
 
 
 def _expand_inputs(o: ObservatoryConfig) -> list[str]:
@@ -365,7 +394,7 @@ def _packets(path: str, sensor_col: Optional[str], parsed: dict) -> PacketBatch:
     return parsed[key]
 
 
-def _stage_detect(cfg: PipelineConfig, bundle: _Bundle, parsed: dict) -> dict[str, EventBatch]:
+def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, EventBatch]:
     """Detection over every observatory; `parsed` starts with the packets
     synth wrote and gains each packet file as it is first read."""
     results: dict[str, EventBatch] = {}
@@ -375,12 +404,12 @@ def _stage_detect(cfg: PipelineConfig, bundle: _Bundle, parsed: dict) -> dict[st
     except (FormatError, ValueError) as exc:
         raise PipelineError("detect", str(exc), "data") from exc
     for o in cfg.observatories:
-        write_attacks(bundle.path(f"attacks_{o.name}.csv"), results[o.name])
+        write_attacks(_path(root, f"attacks_{o.name}.csv"), results[o.name])
     return results
 
 
 def _stage_aggregate(
-    cfg: PipelineConfig, bundle: _Bundle, events: dict[str, EventBatch]
+    cfg: PipelineConfig, root: Path, events: dict[str, EventBatch]
 ) -> dict[str, EventBatch]:
     try:
         routed = read_routed_table(cfg.routed)
@@ -392,20 +421,19 @@ def _stage_aggregate(
                 concurrency_gap=cfg.concurrency_gap,
                 min_targets=cfg.min_targets,
             )
-            write_attacks(bundle.path(f"attacks_{name}_agg.csv"), out[name])
+            write_attacks(_path(root, f"attacks_{name}_agg.csv"), out[name])
         return out
     except (FormatError, ValueError) as exc:
         raise PipelineError("aggregate", str(exc), "data") from exc
 
 
-def _stage_trends(cfg, bundle, events: dict[str, EventBatch]):
+def _stage_trends(cfg, root, events: dict[str, EventBatch]):
     serieses = {}
     summaries = {}
     try:
         days = np.concatenate([evs.start_ts // US_PER_DAY for evs in events.values()])
-        if not len(days):
-            raise PipelineError("trends", "no attacks detected by any observatory", "data")
-        span = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max())))
+        # with no events there is no span, and no series needs one
+        span = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max()))) if len(days) else None
         for name in sorted(events):
             evs = events[name]
             # type codes sort as the type names do
@@ -431,14 +459,14 @@ def _stage_trends(cfg, bundle, events: dict[str, EventBatch]):
                     "marker": trend.marker,
                     "weeks": trend.n,
                 }
-                write_series(bundle.path("series", f"{name}_{atype}.json"), series)
+                write_series(_path(root, "series", f"{name}_{atype}.json"), series)
     except ValueError as exc:
         raise PipelineError("trends", str(exc), "data") from exc
-    write_json(bundle.path("trends.json"), summaries)
+    write_json(_path(root, "trends.json"), summaries)
     return serieses
 
 
-def _stage_correlate(cfg, bundle, serieses) -> None:
+def _stage_correlate(cfg, root, serieses) -> None:
     corr = spearman if cfg.correlation == "spearman" else pearson
     labels = sorted(serieses)
     matrix = []
@@ -453,7 +481,7 @@ def _stage_correlate(cfg, bundle, serieses) -> None:
             except ValueError as exc:
                 entry["error"] = str(exc)
             matrix.append(entry)
-    write_json(bundle.path("correlations.json"), matrix)
+    write_json(_path(root, "correlations.json"), matrix)
 
 
 def upset_document(sets: dict[str, np.ndarray]) -> dict:
@@ -479,16 +507,16 @@ def confirm_document(sets: dict[str, np.ndarray], external_path, salt: str) -> d
     }
 
 
-def _stage_overlap(cfg, bundle, events) -> dict[str, np.ndarray]:
+def _stage_overlap(cfg, root, events) -> dict[str, np.ndarray]:
     try:
         sets = {
             name: build_targets(events[name], cfg.target_mode)
             for name in sorted(events)
         }
         for name, keys in sets.items():
-            write_targets(bundle.path("targets", f"{name}.csv"), keys)
+            write_targets(_path(root, "targets", f"{name}.csv"), keys)
         if cfg.upset:
-            write_json(bundle.path("upset.json"), upset_document(sets))
+            write_json(_path(root, "upset.json"), upset_document(sets))
         if cfg.overlap_series:
             if cfg.target_mode == "per_day":
                 daily = sets
@@ -502,7 +530,7 @@ def _stage_overlap(cfg, bundle, events) -> dict[str, np.ndarray]:
                     if not (len(daily[a]) or len(daily[b])):
                         continue
                     write_weekly_csv(
-                        bundle.path("overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
+                        _path(root, "overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
                         overlap_timeseries(daily[a], daily[b], (a, b)),
                     )
         return sets
@@ -510,10 +538,10 @@ def _stage_overlap(cfg, bundle, events) -> dict[str, np.ndarray]:
         raise PipelineError("overlap", str(exc), "data") from exc
 
 
-def _stage_confirm(cfg, bundle, sets: dict[str, np.ndarray]) -> None:
+def _stage_confirm(cfg, root, sets: dict[str, np.ndarray]) -> None:
     try:
         doc = confirm_document(sets, cfg.confirm_external, cfg.confirm_salt)
-        write_json(bundle.path("confirm.json"), doc)
+        write_json(_path(root, "confirm.json"), doc)
     except (FormatError, ValueError) as exc:
         raise PipelineError("confirm", str(exc), "data") from exc
 
@@ -556,13 +584,11 @@ def _config_digest(cfg: PipelineConfig) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=_json_default).encode()).hexdigest()
 
 
-def _write_manifest(cfg: PipelineConfig, bundle: _Bundle, seed: Optional[int]) -> None:
-    files = {}
-    for p in sorted(set(bundle.files)):
-        rel = p.relative_to(bundle.root).as_posix()
-        files[rel] = _sha256(p)
+def _write_manifest(cfg: PipelineConfig, root: Path, seed: Optional[int]) -> None:
+    """manifest.json: the sha256 of every file under `root`."""
+    files = {p.relative_to(root).as_posix(): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
     write_json(
-        bundle.path("manifest.json"),
+        root / "manifest.json",
         {
             "config_sha256": _config_digest(cfg),
             "seed": seed,

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from datetime import date
@@ -438,8 +439,7 @@ class TestPipelineCommand:
         assert result.exit_code == 3
         assert "stage 'confirm'" in result.output
         out = tmp_path / "out"
-        assert not any(out.rglob("*.csv"))
-        assert not any(out.rglob("*.json"))
+        assert not out.exists() and hidden_siblings(out) == []
 
     def test_timestamp_past_9999_is_a_data_error(self, runner, tmp_path):
         cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
@@ -495,6 +495,85 @@ class TestPipelineCommand:
         assert trends and all(set(v) == {"skipped"} for v in trends.values())
         assert json.loads((out / "confirm.json").read_text())["external_digests"] == 1
 
+    def test_empty_detections_are_data(self, runner, tmp_path):
+        (tmp_path / "packets.csv").write_text(
+            "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags\n")
+        (tmp_path / "routed.csv").write_text("prefix,asn\n203.0.113.0/24,64500\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n203.0.0.0/16,ARIN\n")
+        (tmp_path / "hashes.txt").write_text("0" * 64 + "\n")
+        cfg = tmp_path / "pipeline.json"
+        cfg.write_text(json.dumps({
+            "out_dir": "out",
+            "observatories": [
+                {"name": "scope", "type": "telescope", "inputs": ["packets.csv"],
+                 "config": {"n_addresses": 2 ** 22}},
+                {"name": "hop", "type": "honeypot", "preset": "hopscotch", "inputs": ["packets.csv"]},
+            ],
+            "routed": "routed.csv", "alloc": "alloc.csv", "aggregate": True,
+            "analysis": {"confirm": {"external": "hashes.txt", "salt": "1f2e"}},
+        }))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        out = tmp_path / "out"
+        header = "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+        for name in ("scope", "hop"):
+            assert (out / f"attacks_{name}.csv").read_text() == header
+            assert (out / f"attacks_{name}_agg.csv").read_text() == header
+            assert (out / "targets" / f"{name}.csv").read_text() == "date,ip\n"
+        assert json.loads((out / "trends.json").read_text()) == {}
+        assert json.loads((out / "correlations.json").read_text()) == []
+        assert json.loads((out / "upset.json").read_text()) == {
+            "sets": {"hop": 0, "scope": 0}, "union": 0,
+            "exclusive": {"hop": 0, "scope": 0, "hop&scope": 0}}
+        assert json.loads((out / "confirm.json").read_text()) == {
+            "external_digests": 1, "shares": {"hop": 0.0, "scope": 0.0, "hop&scope": 0.0}}
+        assert not (out / "series").exists() and not (out / "overlap").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) | {"manifest.json"} == set(bundle_files(out))
+
+    def test_synth_and_pipeline_reject_a_bad_spec_alike(self, runner, tmp_path):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        doc["duration_s"] = -5
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        expected = "error: stage 'synth': duration must be positive"
+        for args in (["synth", "--spec", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "gen")],
+                     ["pipeline", "--config", str(cfg)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert result.output.strip() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json", "scenario.json"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(concurency_gap=30), "pipeline: unknown config keys ['concurency_gap']"),
+        (lambda doc: doc["analysis"].update(normalise=False), "analysis: unknown config keys ['normalise']"),
+        (lambda doc: doc["analysis"].update(confirm={"external": "h.txt", "salt": "s", "pepper": "p"}),
+         "analysis.confirm: unknown config keys ['pepper']"),
+        (lambda doc: doc["observatories"][1].update(sensorcol="sensor"),
+         "observatories[1]: unknown config keys ['sensorcol']"),
+        (lambda doc: doc["observatories"][2].update(input="flows.csv"),
+         "observatories[2]: unknown config keys ['input']"),
+        (lambda doc: doc.update(analysis=[]), "analysis must be an object, not []"),
+        (lambda doc: doc.update(aggregate="false"), "aggregate must be true or false, not 'false'"),
+        (lambda doc: doc["analysis"].update(upset="no"), "upset must be true or false, not 'no'"),
+        (lambda doc: doc["analysis"].update(normalize=1), "normalize must be true or false, not 1"),
+        (lambda doc: doc["analysis"].update(overlap_timeseries=None),
+         "overlap_timeseries must be true or false, not None"),
+        (lambda doc: doc["observatories"][2].update(inputs="flows.csv"),
+         "observatories[2]: inputs must be a list of strings, not 'flows.csv'"),
+        (lambda doc: doc["observatories"][2].update(inputs=[["flows.csv"]]),
+         "observatories[2]: inputs must be a list of strings, not [['flows.csv']]"),
+    ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
+            "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested"])
+    def test_config_fields_that_would_not_take_effect_are_rejected(self, runner, tmp_path, edit, message):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        doc = json.loads(cfg.read_text())
+        edit(doc)
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: stage 'config': {message}"
+        assert not (tmp_path / "out").exists()
+
 
 class TestManifestHash:
     """config_sha256 changes with every setting and input byte that shapes
@@ -547,6 +626,11 @@ class TestManifestHash:
 
 def bundle_files(out: Path) -> dict:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def hidden_siblings(out: Path) -> list:
+    """Staging directories of `out` left next to it."""
+    return sorted(p.name for p in out.parent.glob(f".{out.name}.*"))
 
 
 @pytest.fixture
@@ -656,3 +740,72 @@ class TestParseOnce:
         assert result.exit_code == 2, result.output
         assert result.output.strip() == f"error: stage 'synth': {message}"
         assert not any((tmp_path / "out").rglob("*.csv"))
+
+
+class TestBundleGuarantee:
+    """A bundle is complete or absent: a run replaces an earlier bundle only
+    when it succeeds, the manifest lists every file of the bundle, and no
+    staging directory outlives the run."""
+
+    def test_failed_rerun_leaves_the_earlier_bundle(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        out = tmp_path / "out"
+        before = bundle_files(out)
+        # confirm is the last stage, so every other output is written first
+        (tmp_path / "hashes.txt").write_text("not a digest\n")
+        doc = json.loads(cfg_path.read_text())
+        doc["analysis"]["confirm"] = {"external": "hashes.txt", "salt": "1f2e"}
+        cfg_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 3, result.output
+        assert "stage 'confirm'" in result.output
+        assert "manifest.json" in before and bundle_files(out) == before
+        assert hidden_siblings(out) == []
+
+    def test_rerun_drops_files_the_manifest_does_not_list(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        out = tmp_path / "out"
+        first = bundle_files(out)
+        (out / "stray.txt").write_text("left over\n")
+        (out / "series").mkdir(exist_ok=True)
+        (out / "series" / "gone_RA.json").write_text("{}\n")
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(bundle_files(out)) == set(manifest["files"]) | {"manifest.json"}
+        assert bundle_files(out) == first
+        assert hidden_siblings(out) == []
+
+    @pytest.mark.parametrize("out_dir", ["out", ".", "out/..", "pipeline.json"])
+    def test_out_dir_that_is_not_a_bundle_is_left_alone(self, runner, tmp_path, out_dir):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "notes.txt").write_text("mine\n")
+        doc = json.loads(cfg_path.read_text())
+        doc["out_dir"] = out_dir
+        cfg_path.write_text(json.dumps(doc))
+        before = bundle_files(tmp_path)
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert "stage 'config': out_dir" in result.output
+        assert bundle_files(tmp_path) == before
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
+
+    def test_an_empty_out_dir_is_filled(self, runner, tmp_path):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        (tmp_path / "out").mkdir()
+        invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+    def test_two_runs_of_one_config_give_one_bundle(self, tmp_path):
+        cfg = pipeline.PipelineConfig.load(
+            write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None))
+        given = copy.deepcopy(cfg)
+        out = pipeline.run_pipeline(cfg)
+        assert cfg == given
+        first = bundle_files(out)
+        assert pipeline.run_pipeline(cfg) == out
+        assert cfg == given
+        assert bundle_files(out) == first
+        assert hidden_siblings(out) == []
