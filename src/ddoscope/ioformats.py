@@ -60,6 +60,19 @@ def _check_header(lines, expected: str, path) -> int:
     return lineno
 
 
+# Rows formatted per writing step, so a writer's memory does not grow with its file
+_WRITE_ROWS = 2048
+
+
+def _write_csv(path, header: str, table, lines) -> None:
+    """Write `header`, then `lines(part)` for each _WRITE_ROWS rows of `table`, a batch or an array."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, len(table), _WRITE_ROWS):
+            part = slice(lo, lo + _WRITE_ROWS)
+            fh.write("".join(lines(table[part] if isinstance(table, np.ndarray) else table.take(part))))
+
+
 # -- column-spec reader: packets.csv and flows.csv ----------------------------
 
 # Bytes read per parsing step; a step always ends at a line break, so a row
@@ -271,16 +284,11 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
 
 def write_packets(path, packets: PacketBatch) -> None:
     """Write packets.csv, one row per packet in batch order."""
-    flags = [FLAG_STRINGS[f] for f in packets.flags.tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.write(PACKETS_HEADER + "\n")
-        fh.write("".join(
-            f"{ts},{proto},{src},{sport},{dst},{dport},{length},{flag}\n"
-            for ts, proto, src, sport, dst, dport, length, flag in zip(
-                packets.ts.tolist(), packets.protocol.tolist(), dotted_quads(packets.src),
-                packets.src_port.tolist(), dotted_quads(packets.dst), packets.dst_port.tolist(),
-                packets.len_bytes.tolist(), flags)
-        ))
+    _write_csv(path, PACKETS_HEADER, packets, lambda part: (
+        f"{ts},{proto},{src},{sport},{dst},{dport},{length},{FLAG_STRINGS[flags]}\n"
+        for ts, proto, src, sport, dst, dport, length, flags in zip(
+            part.ts.tolist(), part.protocol.tolist(), dotted_quads(part.src), part.src_port.tolist(),
+            dotted_quads(part.dst), part.dst_port.tolist(), part.len_bytes.tolist(), part.flags.tolist())))
 
 
 # -- row-wise csv readers (attacks, tables, targets) ---------------------------
@@ -354,15 +362,13 @@ def read_attacks(path) -> EventBatch:
 
 def write_attacks(path, events: EventBatch) -> None:
     """Write attacks.csv, one row per event in batch order."""
-    quads, bounds = dotted_quads(events.sensors.values), events.sensors.bounds.tolist()
-    sensors = [";".join(quads[a:b]) for a, b in zip(bounds, bounds[1:])] if quads else [""] * len(events)
-    with open(path, "w", newline="") as fh:
-        fh.write(ATTACKS_HEADER + "\n")
-        fh.write("".join(
-            f"{obs},{name},{target},{start},{end},{packets},{sensor_list}\n"
-            for obs, name, target, start, end, packets, sensor_list in zip(
-                events.observatory.tolist(), events.type_names(), events.targets(), events.start_ts.tolist(),
-                events.end_ts.tolist(), events.packets.tolist(), sensors)))
+    def lines(part):
+        quads, bounds = dotted_quads(part.sensors.values), part.sensors.bounds.tolist()
+        return (f"{obs},{name},{target},{start},{end},{packets},{';'.join(quads[a:b])}\n"
+                for obs, name, target, start, end, packets, a, b in zip(
+                    part.observatory.tolist(), part.type_names(), part.targets(), part.start_ts.tolist(),
+                    part.end_ts.tolist(), part.packets.tolist(), bounds, bounds[1:]))
+    _write_csv(path, ATTACKS_HEADER, events, lines)
 
 
 # -- flow summaries ----------------------------------------------------------
@@ -400,13 +406,10 @@ def read_flows(path) -> FlowBatch:
 
 def write_flows(path, flows: FlowBatch) -> None:
     """Write flows.csv, one row per flow in batch order."""
-    with open(path, "w", newline="") as fh:
-        fh.write(FLOWS_HEADER + "\n")
-        fh.write("".join(
-            f"{target},{proto},{sport},{sources},{bitrate:.6f},{start},{end}\n"
-            for target, proto, sport, sources, bitrate, start, end in zip(
-                dotted_quads(flows.target), *(col.tolist() for col in flows.columns()[1:]))
-        ))
+    _write_csv(path, FLOWS_HEADER, flows, lambda part: (
+        f"{target},{proto},{sport},{sources},{bitrate:.6f},{start},{end}\n"
+        for target, proto, sport, sources, bitrate, start, end in zip(
+            dotted_quads(part.target), *(col.tolist() for col in part.columns()[1:]))))
 
 
 # -- prefix tables -----------------------------------------------------------
@@ -438,11 +441,8 @@ def read_targets(path) -> np.ndarray:
 
 
 def write_targets(path, keys: np.ndarray) -> None:
-    """Write targets.csv, one row per key in key order: by date, then by
-    numeric IP."""
-    with open(path, "w", newline="") as fh:
-        fh.write(TARGETS_HEADER + "\n")
-        fh.write("".join(f"{day},{ip}\n" for day, ip in zip(*target_text(keys))))
+    """Write targets.csv, one row per key in key order: by date, then by numeric IP."""
+    _write_csv(path, TARGETS_HEADER, keys, lambda part: (f"{day},{ip}\n" for day, ip in zip(*target_text(part))))
 
 
 def read_hashed_targets(path) -> set[str]:

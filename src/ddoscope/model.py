@@ -147,12 +147,11 @@ class Ragged:
         return cls(bounds, np.array([v for values in lists for v in values], np.uint32))
 
     def __getitem__(self, index) -> "Ragged":
-        """Rows selected by an index array or a boolean mask."""
-        rows = np.arange(len(self))[index]
-        lengths = np.diff(self.bounds)[rows]
+        """Rows selected by a slice, an index array or a boolean mask."""
+        starts = self.bounds[:-1][index]
+        lengths = self.bounds[1:][index] - starts
         bounds = np.cumsum(np.append(0, lengths), dtype=np.int64)
-        return Ragged(bounds, self.values[np.repeat(self.bounds[rows] - bounds[:-1], lengths)
-                                          + np.arange(bounds[-1])])
+        return Ragged(bounds, self.values[np.repeat(starts - bounds[:-1], lengths) + np.arange(bounds[-1])])
 
     @staticmethod
     def concat(parts: Sequence["Ragged"]) -> "Ragged":

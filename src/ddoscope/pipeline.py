@@ -102,7 +102,7 @@ class ObservatoryConfig:
 
 @dataclass
 class PipelineConfig:
-    out_dir: Path
+    out_dir: Optional[Path]      # required; None until --out gives it
     observatories: list[ObservatoryConfig]
     scenario: Optional[Path] = None
     seed: Optional[int] = None
@@ -124,8 +124,9 @@ class PipelineConfig:
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path) -> "PipelineConfig":
         """The config of a pipeline JSON document, relative paths taken from
-        `base_dir`. An unknown key, a switch that is not a JSON boolean, or
-        `inputs` that are not a list of strings is a config error."""
+        `base_dir`. An unknown key, an observatory without a name or type, a
+        switch that is not a JSON boolean, or `inputs` that are not a list of
+        strings is a config error."""
         def path_of(value):
             if value is None:
                 return None
@@ -143,6 +144,9 @@ class PipelineConfig:
             where = f"observatories[{i}]"
             fields = {("telescope" if key == "config" else key): value
                       for key, value in _known(o, OBSERVATORY_KEYS, where).items()}
+            for key in ("name", "type"):
+                if key not in fields:
+                    raise _config_error(f"{where}: missing required key {key!r}")
             inputs = fields.get("inputs", [])
             if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
                 raise _config_error(f"{where}: inputs must be a list of strings, not {inputs!r}")
@@ -151,7 +155,7 @@ class PipelineConfig:
         analysis = _known(doc.get("analysis", {}), ANALYSIS_KEYS, "analysis")
         confirm = _known(analysis.get("confirm") or {}, {"external", "salt"}, "analysis.confirm")
         return cls(
-            out_dir=path_of(doc["out_dir"]),
+            out_dir=path_of(doc.get("out_dir")),
             observatories=observatories,
             scenario=path_of(doc.get("scenario")),
             seed=doc.get("seed"),
@@ -241,6 +245,8 @@ def _validate(cfg: PipelineConfig) -> None:
             raise _config_error(f"{what} file not found: {p}")
     if cfg.parallelism < 1:
         raise _config_error("parallelism must be >= 1")
+    if cfg.out_dir is None:
+        raise _config_error("missing required key 'out_dir' (in the config, or from --out)")
     # a bundle replaces only an empty directory or an earlier bundle, so a
     # mistyped out_dir never deletes anything else
     out = Path(cfg.out_dir)

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Optional
 
+from ddoscope.ioformats import ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, TARGETS_HEADER
 from ddoscope.model import (
-    FLAG_STRINGS, US_PER_S, EventBatch, PacketBatch, TargetTuple, WeeklySeries, event_violation,
+    FLAG_STRINGS, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple, WeeklySeries, event_violation,
     int_to_ip, ip_to_int, keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
 )
 from ddoscope.overlap import target_digest
@@ -170,6 +171,31 @@ def write_hashed_targets(path, digests) -> None:
     """A hashed-target file: one digest per line, sorted."""
     with open(path, "w") as fh:
         fh.writelines(d + "\n" for d in sorted(digests))
+
+
+# -- CSV text of whole files, each built row by row in one join ----------------
+
+def packets_csv(batch: PacketBatch) -> str:
+    return "".join([PACKETS_HEADER + "\n"] + [
+        f"{p.ts},{p.protocol},{p.src_ip},{p.src_port},{p.dst_ip},{p.dst_port},{p.len_bytes},{p.tcp_flags}\n"
+        for p in batch_to_records(batch)])
+
+
+def attacks_csv(batch: EventBatch) -> str:
+    return "".join([ATTACKS_HEADER + "\n"] + [
+        f"{e.observatory},{e.attack_type},{e.target},{e.start_ts},{e.end_ts},{e.packets},"
+        f"{';'.join(sorted(e.sensors, key=ip_to_int))}\n" for e in batch_to_events(batch)])
+
+
+def flows_csv(batch: FlowBatch) -> str:
+    return "".join([FLOWS_HEADER + "\n"] + [
+        f"{int_to_ip(target)},{proto},{sport},{sources},{bitrate:.6f},{start},{end}\n"
+        for target, proto, sport, sources, bitrate, start, end in zip(
+            *(col.tolist() for col in batch.columns()))])
+
+
+def targets_csv(keys) -> str:
+    return "".join([TARGETS_HEADER + "\n"] + [f"{t.date.isoformat()},{t.ip}\n" for t in keys_to_tuples(keys)])
 
 
 def min_detectable_rate(n_addresses, pkt_threshold=25, window_s=300.0, packet_bytes=110):

@@ -562,8 +562,12 @@ class TestPipelineCommand:
          "observatories[2]: inputs must be a list of strings, not 'flows.csv'"),
         (lambda doc: doc["observatories"][2].update(inputs=[["flows.csv"]]),
          "observatories[2]: inputs must be a list of strings, not [['flows.csv']]"),
+        (lambda doc: doc.pop("out_dir"), "missing required key 'out_dir' (in the config, or from --out)"),
+        (lambda doc: doc["observatories"][1].pop("name"), "observatories[1]: missing required key 'name'"),
+        (lambda doc: doc["observatories"][0].pop("type"), "observatories[0]: missing required key 'type'"),
     ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
-            "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested"])
+            "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested", "no-out_dir",
+            "no-name", "no-type"])
     def test_config_fields_that_would_not_take_effect_are_rejected(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
         doc = json.loads(cfg.read_text())
@@ -572,6 +576,18 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert result.output.strip() == f"error: stage 'config': {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_out_supplies_a_missing_out_dir(self, runner, tmp_path):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        doc = json.loads(cfg.read_text())
+        del doc["out_dir"]
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "elsewhere"
+        result = invoke(runner, ["pipeline", "--config", str(cfg), "--out", str(out)])
+        assert result.output.strip() == str(out)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert set(manifest["files"]) | {"manifest.json"} == set(bundle_files(out))
         assert not (tmp_path / "out").exists()
 
 

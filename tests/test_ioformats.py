@@ -1,4 +1,6 @@
+import dataclasses
 import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,14 +26,14 @@ from ddoscope.ioformats import (
     write_targets,
 )
 from ddoscope.model import (
-    EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, TargetTuple,
+    EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, Ragged, TargetTuple,
     WeeklySeries, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
 )
 from datetime import date
 
 from oracles import (
-    AttackEvent, PacketRecord, as_batch, batch_to_events, batch_to_records, events_to_batch,
-    write_hashed_targets,
+    AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch,
+    flows_csv, packets_csv, targets_csv, write_hashed_targets,
 )
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -299,6 +301,11 @@ def _big_rows(n):
             for i in range(n)]
 
 
+# Row counts around the writers' step of _WRITE_ROWS rows
+STEP = ioformats._WRITE_ROWS
+WRITE_STEP_ROWS = (0, 1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1)
+
+
 class TestPacketChunks:
     N = 3 * ioformats._CHUNK_BYTES // 60        # rows are 60-70 bytes: about three chunks
 
@@ -307,10 +314,14 @@ class TestPacketChunks:
         big = tmp_path / "big.csv"
         write_packets(big, as_batch(rows))
         assert big.stat().st_size > 2 * ioformats._CHUNK_BYTES
+        assert big.read_text() == packets_csv(as_batch(rows))
+        # parts of every size around a write step, then the rest
+        cuts = np.cumsum([0, *WRITE_STEP_ROWS, self.N - sum(WRITE_STEP_ROWS)])
         parts = []
-        for k in range(0, len(rows), 997):
-            part = tmp_path / f"part{k}.csv"
-            write_packets(part, as_batch(rows[k:k + 997]))
+        for lo, hi in zip(cuts, cuts[1:]):
+            part = tmp_path / f"part{lo}.csv"
+            write_packets(part, as_batch(rows[lo:hi]))
+            assert part.read_text() == packets_csv(as_batch(rows[lo:hi]))
             parts.append(read_packets(part))
         whole, joined = read_packets(big), PacketBatch.concat(parts)
         for name in COLUMNS:
@@ -698,15 +709,6 @@ def attack_batches(draw):
     return EventBatch.from_rows(rows)
 
 
-def _attack_text(batch: EventBatch) -> list[str]:
-    path_lines = []
-    for e in batch_to_events(batch):
-        sensors = ";".join(sorted(e.sensors, key=ip_to_int))
-        path_lines.append(f"{e.observatory},{e.attack_type},{e.target},{e.start_ts},{e.end_ts},"
-                          f"{e.packets},{sensors}")
-    return path_lines
-
-
 ATTACK_MUTATIONS = {
     "extra column": lambda f, draw: f.append(draw(st.sampled_from(["", "x", "1"]))),
     "missing column": lambda f, draw: f.pop(draw(st.integers(0, 6))),
@@ -729,7 +731,7 @@ class TestAttackGrammar:
     def test_round_trip_column_by_column(self, tmp_path_factory, batch):
         path = tmp_path_factory.mktemp("attacks") / "attacks.csv"
         write_attacks(path, batch)
-        assert path.read_text().splitlines() == [ATTACKS_HEADER, *_attack_text(batch)]
+        assert path.read_text() == attacks_csv(batch)
         back = read_attacks(path)
         for name in ATTACK_FILE_COLUMNS:
             assert np.array_equal(getattr(back, name), getattr(batch, name)), name
@@ -742,7 +744,7 @@ class TestAttackGrammar:
     @settings(max_examples=300, deadline=None)
     @given(batch=attack_batches().filter(len), data=st.data())
     def test_mutated_row_names_its_line(self, tmp_path_factory, batch, data):
-        lines = _attack_text(batch)
+        lines = attacks_csv(batch).splitlines()[1:]
         kind = data.draw(st.sampled_from(sorted(ATTACK_MUTATIONS)))
         at = data.draw(st.integers(0, len(lines) - 1))
         fields = lines[at].split(",")
@@ -781,3 +783,92 @@ class TestAttackGrammar:
         assert len(events) == 0 and events.net.dtype == np.uint32 and len(events.sensors) == 0
         write_attacks(path, events)
         assert path.read_text() == ATTACKS_HEADER + "\n"
+
+
+# -- writers: fixed steps, bounded memory -------------------------------------
+
+def _packet_batch(n: int, seed: int = 0) -> PacketBatch:
+    rng = np.random.default_rng(seed)
+    protocol = rng.choice(np.array([6, 17, 1], np.uint8), n)
+    ports = lambda: np.where(protocol == 1, 0, rng.integers(0, 65536, n)).astype(np.uint16)
+    return PacketBatch(np.sort(rng.integers(0, MAX_TS_US, n)), protocol, rng.integers(0, 2 ** 32, n, np.uint32),
+                       ports(), rng.integers(0, 2 ** 32, n, np.uint32), ports(), rng.integers(20, 1500, n),
+                       rng.integers(0, 16, n).astype(np.uint8))
+
+
+def _event_batch(n: int, seed: int = 0) -> EventBatch:
+    """Events of three observatories, with 0 to 3 sensors each."""
+    rng = np.random.default_rng(seed)
+    plen = rng.integers(11, 33, n).astype(np.uint8)
+    net = rng.integers(0, 2 ** 32, n, np.uint32) >> (32 - plen) << (32 - plen)
+    start = rng.integers(0, MAX_TS_US - 10 ** 9, n)
+    counts = rng.integers(0, 4, n)
+    bounds = np.cumsum(np.append(0, counts))
+    # row i holds sensors 4i, 4i + 1, ... above 192.0.2.0
+    sensors = 0xC0000200 + np.repeat(4 * np.arange(n) - bounds[:-1], counts) + np.arange(bounds[-1])
+    batch = EventBatch.build("hp", rng.integers(0, 3, n), net, plen, start, start + rng.integers(0, 10 ** 9, n),
+                             rng.integers(0, 10 ** 18, n), sensors=Ragged(bounds, sensors.astype(np.uint32)))
+    # as narrow a string dtype as attacks.csv reads back
+    observatory = np.array(rng.choice(["hp", "scope", "ixp-1"], n).tolist(), np.str_)
+    return dataclasses.replace(batch, observatory=observatory)
+
+
+def _flow_batch(n: int, seed: int = 0) -> FlowBatch:
+    rng = np.random.default_rng(seed)
+    start = rng.integers(0, MAX_TS_US - 10 ** 9, n)
+    return FlowBatch(rng.integers(0, 2 ** 32, n, np.uint32), rng.integers(0, 256, n).astype(np.uint8),
+                     rng.integers(0, 65536, n).astype(np.uint16), rng.integers(1, 2 ** 32 + 1, n),
+                     rng.integers(0, 10 ** 15, n) / 1000, start, start + rng.integers(0, 10 ** 9, n))
+
+
+def _target_keys(n: int, seed: int = 0) -> np.ndarray:
+    """`n` distinct target keys over 40 days."""
+    rng = np.random.default_rng(seed)
+    ips = np.arange(n, dtype=np.int64) * 2654435761 % 2 ** 32 ^ rng.integers(0, 2 ** 32)
+    return pack_targets(19_000 + rng.integers(0, 40, n), ips)
+
+
+# per writer: (write, read, synthetic rows, one-join reference text)
+WRITERS = {
+    "packets": (write_packets, read_packets, _packet_batch, packets_csv),
+    "attacks": (write_attacks, read_attacks, _event_batch, attacks_csv),
+    "flows": (write_flows, read_flows, _flow_batch, flows_csv),
+    "targets": (write_targets, read_targets, _target_keys, targets_csv),
+}
+
+
+def _same_columns(got, want) -> bool:
+    if isinstance(want, np.ndarray):
+        return got.dtype == want.dtype and np.array_equal(got, want)
+    if isinstance(want, Ragged):
+        return _same_columns(got.bounds, want.bounds) and _same_columns(got.values, want.values)
+    return all(_same_columns(a, b) for a, b in zip(got.columns(), want.columns()))
+
+
+class TestWriteSteps:
+    @pytest.mark.parametrize("rows", WRITE_STEP_ROWS)
+    @pytest.mark.parametrize("kind", ["attacks", "flows", "targets"])
+    def test_rows_around_a_step_match_one_join_and_read_back(self, tmp_path, kind, rows):
+        write, read, make, reference = WRITERS[kind]
+        table = make(rows)
+        assert len(table) == rows
+        path = tmp_path / f"{kind}.csv"
+        write(path, table)
+        assert path.read_text() == reference(table)
+        back = read(path)
+        if kind == "attacks":       # the attacks.csv columns only
+            table = dataclasses.replace(back, **{name: getattr(table, name) for name in ATTACK_FILE_COLUMNS},
+                                        sensors=table.sensors)
+        assert _same_columns(back, table)
+
+    @pytest.mark.parametrize("kind", ["packets", "attacks"])
+    def test_write_memory_does_not_grow_with_rows(self, tmp_path, kind):
+        write, _, make, _ = WRITERS[kind]
+        table = make(40_000)
+        tracemalloc.start()
+        try:
+            write(tmp_path / f"{kind}.csv", table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, f"{kind}: {peak} bytes at peak for 40 000 rows"
