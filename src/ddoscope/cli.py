@@ -8,6 +8,9 @@ The commands call the pipeline's stage functions (`detect_observatory`,
 `upset_document`, `confirm_document`), so a step run on its own gives the
 same bytes as the matching file of a pipeline bundle.
 
+No stage calls BLAS, so the CLI runs OpenBLAS with one thread unless
+OPENBLAS_NUM_THREADS is already set.
+
 File schemas (headers are exact):
   packets.csv  ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
   attacks.csv  observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors
@@ -21,8 +24,12 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 from pathlib import Path
+
+# No stage calls BLAS: spare each process the idle OpenBLAS pool numpy would start on import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import click
 import numpy as np

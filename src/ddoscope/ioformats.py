@@ -446,15 +446,27 @@ def write_targets(path, keys: np.ndarray) -> None:
 
 
 def read_hashed_targets(path) -> set[str]:
-    digests = set()
+    """The digests of a hashed-target file, one lowercase sha256 hex digest a
+    line; blank lines, CRLF ends and whitespace around a digest are allowed."""
     with open(path, "rb") as fh:
-        for lineno, line in _lines(fh, path):
-            line = line.strip()
-            if not line:
-                continue
-            if not _SHA256_HEX.fullmatch(line):
-                raise FormatError(f"{path}:{lineno}: not a lowercase sha256 hex digest")
-            digests.add(line)
+        data = fh.read()
+    # the usual shape, checked over the whole file at once: lowercase hex digests on LF-ended lines, blank lines allowed
+    buf = np.frombuffer(data, np.uint8)
+    newline = buf == ord("\n")
+    lengths = np.diff(np.flatnonzero(newline), prepend=-1, append=len(buf)) - 1
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    letter = (buf >= ord("a")) & (buf <= ord("f"))
+    if ((lengths == 0) | (lengths == 64)).all() and (newline | digit | letter).all():
+        return set(data.decode().split())
+    # any other shape: check line by line, so an error names the first bad line
+    digests = set()
+    for lineno, line in _lines(data.split(b"\n"), path):
+        line = line.strip()
+        if not line:
+            continue
+        if not _SHA256_HEX.fullmatch(line):
+            raise FormatError(f"{path}:{lineno}: not a lowercase sha256 hex digest")
+        digests.add(line)
     return digests
 
 

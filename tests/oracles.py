@@ -9,13 +9,14 @@ compare two genuinely separate routes to the same answer.
 from __future__ import annotations
 
 import bisect
+import re
 import statistics
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Optional
 
-from ddoscope.ioformats import ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, TARGETS_HEADER
+from ddoscope.ioformats import ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, TARGETS_HEADER, FormatError
 from ddoscope.model import (
     FLAG_STRINGS, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple, WeeklySeries, event_violation,
     int_to_ip, ip_to_int, keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
@@ -171,6 +172,25 @@ def write_hashed_targets(path, digests) -> None:
     """A hashed-target file: one digest per line, sorted."""
     with open(path, "w") as fh:
         fh.writelines(d + "\n" for d in sorted(digests))
+
+
+def oracle_read_hashed_targets(path) -> set:
+    """Read a hashed-target file line by line: decode each line, strip its
+    LF or CRLF end and surrounding whitespace, skip it if that leaves it
+    blank, and reject it unless it is 64 lowercase hex digits."""
+    digests = set()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode().strip()
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}:{lineno}: not UTF-8") from None
+            if not line:
+                continue
+            if not re.fullmatch("[0-9a-f]{64}", line):
+                raise FormatError(f"{path}:{lineno}: not a lowercase sha256 hex digest")
+            digests.add(line)
+    return digests
 
 
 # -- CSV text of whole files, each built row by row in one join ----------------

@@ -1,12 +1,16 @@
 import copy
 import json
+import os
 import re
+import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import ddoscope
 from ddoscope.cli import main
 from ddoscope import ioformats, pipeline
 from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
@@ -825,3 +829,24 @@ class TestBundleGuarantee:
         assert cfg == given
         assert bundle_files(out) == first
         assert hidden_siblings(out) == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc/self/task")
+class TestBlasThreads:
+    @staticmethod
+    def import_cli(blas_threads=None) -> list[str]:
+        """The thread count and OPENBLAS_NUM_THREADS of a fresh process after `import ddoscope.cli`."""
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(ddoscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
+        code = "import os, ddoscope.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.split()
+
+    def test_cli_starts_no_blas_pool(self):
+        assert self.import_cli() == ["1", "1"]
+
+    def test_caller_setting_wins(self):
+        assert self.import_cli("3")[1] == "3"

@@ -33,7 +33,7 @@ from datetime import date
 
 from oracles import (
     AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch,
-    flows_csv, packets_csv, targets_csv, write_hashed_targets,
+    flows_csv, oracle_read_hashed_targets, packets_csv, targets_csv, write_hashed_targets,
 )
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -111,6 +111,26 @@ class TestSeries:
         assert '"values"' in p.read_text() and "null" in p.read_text()
 
 
+DIGESTS = st.binary(min_size=32, max_size=32).map(lambda b: b.hex().encode())
+# bytes that str.strip removes, in UTF-8: ASCII, C1 and Unicode whitespace
+STRIPPED = st.sampled_from([b" ", b"\t", b"\x0b", b"\x0c", b"\r", b"\x1c", b"\xc2\x85", b"\xc2\xa0", b"\xe3\x80\x80"])
+HASHED_LINE_MUTATIONS = {
+    "surrounded": lambda line, draw: draw(STRIPPED) + line + draw(STRIPPED),
+    "whitespace only": lambda line, draw: draw(STRIPPED),
+    "upper case": lambda line, draw: line.upper(),
+    "one short": lambda line, draw: line[:-1],
+    "one long": lambda line, draw: line + draw(st.sampled_from([b"0", b"f"])),
+    "joined by CR": lambda line, draw: line + b"\r" + draw(DIGESTS),
+    "byte replaced": lambda line, draw: _replace_byte(line, draw, st.sampled_from(
+        [b"g", b"A", b" ", b"\r", b"\x00", b"\xc3\xa9", b"\xff", b"\xc3"])),
+}
+
+
+def _replace_byte(line, draw, replacements):
+    at = draw(st.integers(0, max(len(line) - 1, 0)))
+    return line[:at] + draw(replacements) + line[at + 1:]
+
+
 class TestTargets:
     def test_round_trip_sorted(self, tmp_path):
         tuples = {
@@ -146,6 +166,26 @@ class TestTargets:
         p.write_text("ab" * 32 + "\n\n" + bad + "\n")
         with pytest.raises(FormatError, match=r"hashes\.txt:3: not a lowercase sha256"):
             read_hashed_targets(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), lines=st.lists(DIGESTS | st.just(b""), max_size=8),
+           ends=st.sampled_from([b"\n", b"\r\n"]), last_end=st.booleans())
+    def test_hashed_matches_line_reader(self, tmp_path_factory, data, lines, ends, last_end):
+        """The same digests as the line-by-line reader, or the same error, on
+        digest files as written and with one line mutated."""
+        if lines and data.draw(st.booleans()):
+            at = data.draw(st.integers(0, len(lines) - 1))
+            lines[at] = HASHED_LINE_MUTATIONS[data.draw(st.sampled_from(sorted(HASHED_LINE_MUTATIONS)))](
+                lines[at], data.draw)
+        path = tmp_path_factory.mktemp("hashed") / "hashes.txt"
+        path.write_bytes(ends.join(lines) + (ends if last_end and lines else b""))
+
+        def outcome(read):
+            try:
+                return read(path)
+            except FormatError as exc:
+                return str(exc)
+        assert outcome(read_hashed_targets) == outcome(oracle_read_hashed_targets)
 
 
 # -- packets.csv grammar: properties and chunk boundaries ----------------------
