@@ -81,6 +81,8 @@ _CHUNK_BYTES = 1 << 18
 # Bit of each TCP flag letter; 16 marks a byte that is not one.
 _FLAG_BITS = np.full(256, 16, np.uint8)
 _FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
+# An octet's length by which of its 2nd-4th bytes (bits 0-2) are dots: to the first, or 4 for none
+_DOT_AT = np.array([4, 1, 2, 1, 3, 1, 2, 1], np.uint8)
 
 
 def _read_columns(path, header: str, fields, checks) -> list[np.ndarray]:
@@ -102,29 +104,30 @@ def _read_columns(path, header: str, fields, checks) -> list[np.ndarray]:
             cut = pending.rfind(b"\n") + 1 if data else len(pending)
             if cut:
                 chunk, pending = pending[:cut], pending[cut:]
-                columns, bad = _parse_rows(chunk, fields, checks)
+                columns, bad, breaks = _parse_rows(chunk, fields, checks)
                 if bad is not None:
                     index, failed = bad
                     at, line = next(_lines([chunk.split(b"\n")[index]], path, lineno + index + 1))
                     raise FormatError(f"{path}:{at}: {_rejection(line, header, fields, failed)}")
                 parts.append(columns)
-                lineno += chunk.count(b"\n")
+                lineno += breaks
             if not data:
                 return [np.concatenate(col) for col in zip(*parts)]
 
 
-def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]], Optional[tuple]]:
+def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]], Optional[tuple], int]:
     """Parse the rows of `chunk`, one per line.
 
     Returns the columns and None, or None and (index of the first bad line,
     what it fails first): None for its field count, a column's index for a
     field that column's parser rejects, or a broken rule's text. Blank
-    lines count but are skipped.
+    lines count but are skipped. Last comes the chunk's number of LFs.
     """
-    # Field parsers read up to 18 bytes before a field and 17 after its
-    # start; the zero padding keeps those reads, wrapped or not, in bounds.
+    # Field parsers read from 18 bytes before a field's start to 17 past it, or
+    # to its end; the 32 zero bytes keep those reads, wrapped or not, in bounds.
     buf = np.frombuffer(chunk + bytes(32), np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
+    breaks = len(ends)
     if not chunk.endswith(b"\n"):
         ends = np.append(ends, len(chunk))
     starts = np.concatenate(([0], ends[:-1] + 1))
@@ -132,15 +135,21 @@ def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]
     lines = np.flatnonzero(ends > starts)
     starts, ends = starts[lines], ends[lines]
     commas = np.flatnonzero(buf == ord(","))
-    per_row = np.bincount(np.searchsorted(starts, commas, "right") - 1, minlength=len(lines))
-    miscounted = np.flatnonzero(per_row != len(fields) - 1)
-    n = miscounted[0] if len(miscounted) else len(lines)
-    # field bounds of the rows before the first with a wrong field count
-    cuts = commas[: n * (len(fields) - 1)].reshape(n, len(fields) - 1)
-    lo = np.column_stack((starts[:n], cuts + 1))
-    hi = np.column_stack((cuts, ends[:n]))
+    per_row, n = len(fields) - 1, len(lines)
+    # every row has its field count when the commas split evenly and each
+    # row's share starts and ends inside it; if not, count them row by row
+    first_comma, last_comma = commas[::per_row], commas[per_row - 1::per_row]
+    if not (len(commas) == n * per_row and ((first_comma >= starts) & (last_comma < ends)).all()):
+        counts = np.bincount(np.searchsorted(starts, commas, "right") - 1, minlength=len(lines))
+        miscounted = np.flatnonzero(counts != per_row)
+        n = miscounted[0] if len(miscounted) else n
+    # bounds of the rows before the first with a wrong field count: row i
+    # holds what precedes field i, row i + 1 what ends it
+    bounds = np.empty((len(fields) + 1, n), np.int64)
+    bounds[0], bounds[1:-1], bounds[-1] = starts[:n] - 1, commas[: n * per_row].reshape(n, per_row).T, ends[:n]
+    lo, hi = bounds[:-1] + 1, bounds[1:]
 
-    parsed = [parse(buf, lo[:, i], hi[:, i], *args) for i, (_, parse, *args) in enumerate(fields)]
+    parsed = [parse(buf, lo[i], hi[i], *args) for i, (_, parse, *args) in enumerate(fields)]
     columns = [values for values, _ in parsed]
     rules = checks(*columns)
     valid = [ok for _, ok in parsed] + [ok for _, ok in rules]
@@ -148,10 +157,10 @@ def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]
     if len(bad):
         first = next(k for k, ok in enumerate(valid) if not ok[bad[0]])
         failed = first if first < len(fields) else rules[first - len(fields)][0]
-        return None, (int(lines[bad[0]]), failed)
+        return None, (int(lines[bad[0]]), failed), breaks
     if n < len(lines):
-        return None, (int(lines[n]), None)
-    return [col.astype(dtype, copy=False) for col, (dtype, *_) in zip(columns, fields)], None
+        return None, (int(lines[n]), None), breaks
+    return [col.astype(dtype, copy=False) for col, (dtype, *_) in zip(columns, fields)], None, breaks
 
 
 def _decimal(buf, lo, hi, width: int, leading_zeros: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -174,10 +183,11 @@ def _fixed(buf, lo, hi, width: int, places: int) -> tuple[np.ndarray, np.ndarray
     Below 2**53 each value is the double nearest the decimal, as float()
     gives it."""
     length = hi - lo
-    span = np.arange(width + 1)
-    dot = (buf[lo[:, None] + span] == ord(".")) & (span < length[:, None])
-    has_point = dot.any(axis=1)
-    point = np.where(has_point, lo + dot.argmax(axis=1), hi)
+    # the point, if any: the last dot among the field's 2nd- to (places + 1)th-last bytes
+    point = hi
+    for f in range(places, 0, -1):
+        point = np.where((buf[hi - 1 - f] == ord(".")) & (length > f), hi - 1 - f, point)
+    has_point = point < hi
     whole, ok = _decimal(buf, lo, point, width)
     frac, frac_ok = _decimal(buf, point + 1, hi, places, leading_zeros=True)
     ok &= ~has_point | frac_ok
@@ -195,16 +205,26 @@ def _fixed(buf, lo, hi, width: int, places: int) -> tuple[np.ndarray, np.ndarray
 
 def _ipv4(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Fields buf[lo:hi] as dotted-quads: (uint32 values, validity)."""
-    width = len("255.255.255.255")
-    dot = (buf[lo[:, None] + np.arange(width)] == ord(".")) & (np.arange(width) < (hi - lo)[:, None])
-    ok = (hi - lo <= width) & (dot.sum(axis=1) == 3)
-    dot[~ok] = np.arange(width) < 3      # any three dots, so every row yields three
-    dots = lo[:, None] + np.nonzero(dot)[1].reshape(-1, 3)
-    value = np.zeros(len(lo), np.uint32)
-    for o_lo, o_hi in zip((lo, *(dots.T + 1)), (*dots.T, hi)):
-        octet, octet_ok = _decimal(buf, o_lo, o_hi, 3)
-        ok &= octet_ok & (octet <= 255)
-        value = value << 8 | octet.astype(np.uint32)
+    value, ok, pos = np.zeros(len(lo), np.uint32), np.ones(len(lo), bool), lo
+    shifted = [buf[j:] for j in range(4)]       # shifted[j][pos] is buf[pos + j]
+    for octet in range(4):
+        # the octet's first three bytes less "0": 0-9 for a digit, 254 for a dot
+        d0, d1, d2 = (b[pos] - np.uint8(ord("0")) for b in shifted[:3])
+        if octet < 3:
+            # a dot past hi needs no check: the octet would then hold the byte
+            # at hi, a separator or padding, which is no digit
+            dots = (d1 == 254, d2 == 254, shifted[3][pos] == ord("."))
+            length = _DOT_AT.take(sum(bit * dot.view(np.uint8) for bit, dot in zip((1, 2, 4), dots)))
+        else:
+            length = hi - pos
+        two, three = length >= 2, length >= 3
+        number = d0.astype(np.uint16)
+        number = np.where(two, number * 10 + d1, number)
+        number = np.where(three, number * 10 + d2, number)
+        ok &= (length >= 1) & (length <= 3) & (d0 <= 9) & (~two | (d0 > 0) & (d1 <= 9)) & (~three | (d2 <= 9))
+        ok &= number <= 255
+        value = value << 8 | number
+        pos = pos + length + 1
     return value, ok
 
 

@@ -560,11 +560,6 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _file_digest(path) -> Optional[dict]:
-    # a basename, so the hash is stable across working directories
-    return None if path is None else {"name": Path(path).name, "sha256": _sha256(path)}
-
-
 def _json_default(value):
     """JSON form of the settings' dataclasses and port sets."""
     return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else sorted(value)
@@ -573,16 +568,27 @@ def _json_default(value):
 def _config_digest(cfg: PipelineConfig) -> str:
     """sha256 of everything that shapes the bundle: every setting after
     defaults, and the contents of every input file."""
+    hashes: dict[Path, str] = {}    # by resolved path, as observatories may share files
+
+    def file_digest(path) -> Optional[dict]:
+        if path is None:
+            return None
+        key = Path(path).resolve()
+        if key not in hashes:
+            hashes[key] = _sha256(path)
+        # a basename, so the hash is stable across working directories
+        return {"name": Path(path).name, "sha256": hashes[key]}
+
     doc = {
         "observatories": [
             {"name": o.name, "type": o.type, **_settings(o),
-             "inputs": [_file_digest(p) for p in _expand_inputs(o)]}
+             "inputs": [file_digest(p) for p in _expand_inputs(o)]}
             for o in cfg.observatories
         ],
-        "scenario": _file_digest(cfg.scenario),
-        "routed": _file_digest(cfg.routed),
-        "alloc": _file_digest(cfg.alloc),
-        "confirm": {"external": _file_digest(cfg.confirm_external), "salt": cfg.confirm_salt},
+        "scenario": file_digest(cfg.scenario),
+        "routed": file_digest(cfg.routed),
+        "alloc": file_digest(cfg.alloc),
+        "confirm": {"external": file_digest(cfg.confirm_external), "salt": cfg.confirm_salt},
         **{name: getattr(cfg, name) for name in (
             "aggregate", "concurrency_gap", "min_targets", "normalize", "ewma_span",
             "correlation", "upset", "overlap_series", "target_mode")},

@@ -193,6 +193,24 @@ def oracle_read_hashed_targets(path) -> set:
     return digests
 
 
+def oracle_decimal(text: str, width: int, leading_zeros: bool = False) -> Optional[int]:
+    """The value of 1 to `width` ASCII digits, with no leading zero unless
+    `leading_zeros` allows one, else None."""
+    if not re.fullmatch(f"[0-9]{{1,{width}}}", text) or (text[0] == "0" and len(text) > 1 and not leading_zeros):
+        return None
+    return int(text)
+
+
+def oracle_ipv4(text: str) -> Optional[int]:
+    """The value of four dot-separated canonical octets of 0-255, the rule
+    model.ip_to_int applies, else None."""
+    octets = [oracle_decimal(octet, 3) for octet in text.split(".")]
+    if len(octets) != 4 or any(o is None or o > 255 for o in octets):
+        return None
+    a, b, c, d = octets
+    return a * 2 ** 24 + b * 2 ** 16 + c * 2 ** 8 + d
+
+
 # -- CSV text of whole files, each built row by row in one join ----------------
 
 def packets_csv(batch: PacketBatch) -> str:

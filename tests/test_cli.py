@@ -643,6 +643,21 @@ class TestManifestHash:
         second, _ = self.run(runner, tmp_path / "b", edit)
         assert second != first
 
+    def test_each_input_file_is_hashed_once(self, tmp_path, monkeypatch):
+        for name in ("shared.csv", "own.csv"):
+            (tmp_path / name).write_text(ioformats.PACKETS_HEADER + "\n")
+        (tmp_path / "sub").mkdir()
+        cfg_path = tmp_path / "pipeline.json"
+        cfg_path.write_text(json.dumps({"out_dir": "out", "observatories": [
+            {"name": "hop", "type": "honeypot", "preset": "hopscotch", "inputs": ["shared.csv", "own.csv"]},
+            {"name": "amp", "type": "honeypot", "preset": "amppot", "inputs": ["sub/../shared.csv"]},
+        ]}))
+        cfg = pipeline.PipelineConfig.load(cfg_path)
+        hashed, real = [], pipeline._sha256
+        monkeypatch.setattr(pipeline, "_sha256", lambda path: hashed.append(Path(path).resolve()) or real(path))
+        pipeline._config_digest(cfg)
+        assert sorted(hashed) == sorted(tmp_path.resolve() / name for name in ("shared.csv", "own.csv"))
+
 
 def bundle_files(out: Path) -> dict:
     return {p.relative_to(out).as_posix(): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}

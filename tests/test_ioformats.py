@@ -33,7 +33,8 @@ from datetime import date
 
 from oracles import (
     AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch,
-    flows_csv, oracle_read_hashed_targets, packets_csv, targets_csv, write_hashed_targets,
+    flows_csv, oracle_decimal, oracle_ipv4, oracle_read_hashed_targets, packets_csv, targets_csv,
+    write_hashed_targets,
 )
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -315,6 +316,8 @@ class TestPacketGrammar:
         ("5,1,1.2.3.4,1,1.2.3.4,0,20,", "src_port and dst_port must be 0 unless protocol is 6 or 17"),
         ("-5,6,1.2.3.4,1,1.2.3.4,1,20,", f"ts_us '-5' is not {TS_US}"),
         ("5,6,1.2.3,1,1.2.3.4,1,20,", "src_ip '1.2.3' is not an IPv4 dotted-quad"),
+        *[(f"5,6,{ip},1,1.2.3.4,1,20,", f"src_ip '{ip}' is not an IPv4 dotted-quad") for ip in (
+            "1.2.3.4.", ".1.2.3", "1..2.3", "1.2.3.1234", "1234.1.1.1", "1.2.3.256", "1.02.3.4", "1.2.3.4 ")],
         ("5,6,1.2.3.4,1", "expected 8 fields, got 4"),
         ("253402300800000000,6,1.2.3.4,1,1.2.3.4,1,20,", "ts_us above 253402300799999999"),
     ])
@@ -330,6 +333,55 @@ class TestPacketGrammar:
                         "2,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.256\n")
         with pytest.raises(FormatError, match=r":3: sensor '192\.0\.2\.256' is not an IPv4 dotted-quad$"):
             read_packets(path, sensor_col="sensor")
+
+    @pytest.mark.parametrize("sensor", ["192.0.2.256", "192.0.2.", "192.0.2.1234", ""])
+    def test_bad_last_sensor_without_final_newline(self, tmp_path, sensor):
+        path = tmp_path / "packets.csv"
+        path.write_text(HEADER + ",sensor\n1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
+                        f"2,17,203.0.113.5,53,10.0.0.1,53,60,,{sensor}")
+        message = f"{path}:3: sensor {sensor!r} is not an IPv4 dotted-quad"
+        with pytest.raises(FormatError, match=rf"^{re.escape(message)}$"):
+            read_packets(path, sensor_col="sensor")
+
+
+# Field bytes: digits, dot, separators, signs and one non-ASCII byte; and
+# dot-joined runs of digits, so that near-valid quads and decimals are common
+FIELDS = (st.lists(st.sampled_from([*b"0123456789.,\r +-", 0xE9]), max_size=20).map(bytes)
+          | st.lists(st.text("0123456789", max_size=4), max_size=5).map(".".join).map(str.encode)
+          .filter(lambda field: len(field) <= 20))
+
+
+def _parsed(parse, field: bytes, *args) -> list:
+    """What `parse` reads from `field` placed first in a buffer, then last in
+    one with no final newline, each padded as `_parse_rows` pads a chunk:
+    its value, or None when it rejects the field."""
+    out = []
+    for before, after in ((b"", b",1.2.3.4,5\n"), (b"1.2.3.4,5,", b"")):
+        buf = np.frombuffer(before + field + after + bytes(32), np.uint8)
+        value, ok = parse(buf, np.array([len(before)]), np.array([len(before) + len(field)]), *args)
+        out.append(value[0].item() if ok[0] else None)
+    return out
+
+
+class TestFieldParsers:
+    @settings(max_examples=600, deadline=None)
+    @given(field=FIELDS, width=st.sampled_from([1, 3, 5, 9, 10, 18]), leading_zeros=st.booleans())
+    def test_parsers_match_oracles(self, field, width, leading_zeros):
+        text = field.decode("latin-1")
+        expected = oracle_ipv4(text)
+        try:
+            assert ip_to_int(text) == expected
+        except ValueError:
+            assert expected is None
+        assert _parsed(ioformats._ipv4, field) == [expected] * 2
+        decimal = oracle_decimal(text, width, leading_zeros)
+        assert _parsed(ioformats._decimal, field, width, leading_zeros) == [decimal] * 2
+        whole, point, fraction = text.partition(".")
+        valid = oracle_decimal(whole, 16) is not None and (not point or oracle_decimal(fraction, 6, True) is not None)
+        for value in _parsed(ioformats._fixed, field, 16, 6):
+            assert (value is not None) == valid
+            # below 2**53 the double nearest the decimal
+            assert not valid or float(text) >= 2 ** 53 or value == float(text)
 
 
 def _big_rows(n):
