@@ -26,7 +26,6 @@ import functools
 import json
 import os
 import sys
-from pathlib import Path
 
 # No stage calls BLAS: spare each process the idle OpenBLAS pool numpy would start on import.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -57,16 +56,16 @@ from .overlap import (
     overlap_timeseries,
 )
 from .pipeline import (
-    OBSERVATORY_NAME,
-    ObservatoryConfig,
     PipelineConfig,
     PipelineError,
     confirm_document,
     detect_observatory,
+    observatory_config,
     run_pipeline,
     synthesize,
     upset_document,
 )
+from .schema import ConfigError
 from .synth import write_scenario
 from .trends import (
     ewma,
@@ -95,12 +94,12 @@ def _guarded(fn):
         except PipelineError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit({"config": EXIT_CONFIG, "data": EXIT_DATA}.get(exc.kind, EXIT_INTERNAL))
+        except (ConfigError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
         except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(EXIT_CONFIG)
         except Exception as exc:  # invariant violation
             click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
             sys.exit(EXIT_INTERNAL)
@@ -147,33 +146,23 @@ def detect():
     """Infer attacks from observatory data."""
 
 
-def _observatory_name(ctx, param, name):
-    if name is not None and not OBSERVATORY_NAME.fullmatch(name):
-        raise click.BadParameter(f"{name!r} does not match {OBSERVATORY_NAME.pattern}")
-    return name
-
-
-def _detect(o: ObservatoryConfig, out_path) -> None:
-    events = detect_observatory(o)
+def _detect(doc: dict, out_path) -> None:
+    events = detect_observatory(observatory_config(doc, "detect"))
     write_attacks(out_path, events)
     click.echo(f"{len(events)} attacks -> {out_path}")
 
 
 @detect.command("telescope")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None,
+@click.option("--config", "config_file", type=click.File(), default=None,
               help="JSON with TelescopeConfig fields (n_addresses required).")
 @click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--observatory", default="telescope", callback=_observatory_name)
+@click.option("--observatory", default="telescope")
 @_guarded
-def detect_telescope_cmd(config_path, inputs, out_path, observatory):
+def detect_telescope_cmd(config_file, inputs, out_path, observatory):
     """RSDoS inference from telescope backscatter (packets.csv)."""
-    telescope = {}
-    if config_path:
-        with open(config_path) as fh:
-            telescope = json.load(fh)
-    _detect(ObservatoryConfig(observatory, "telescope", list(inputs), telescope=telescope),
-            out_path)
+    _detect({"name": observatory, "type": "telescope", "inputs": list(inputs),
+             "config": json.load(config_file) if config_file else {}}, out_path)
 
 
 @detect.command("honeypot")
@@ -186,18 +175,15 @@ def detect_telescope_cmd(config_path, inputs, out_path, observatory):
 @click.option("--merge-gap", type=float, default=None,
               help="Cross-sensor merge gap in seconds (default: preset timeout).")
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--observatory", default=None, callback=_observatory_name,
-              help="Defaults to the preset name.")
+@click.option("--observatory", default=None, help="Defaults to the preset name.")
 @_guarded
 def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, observatory):
     """Reflection-amplification inference from honeypot request logs.
 
     Per-sensor events are merged into per-attack events.
     """
-    _detect(ObservatoryConfig(observatory or preset_name, "honeypot", list(inputs),
-                              preset=preset_name, merge_gap=merge_gap,
-                              sensor_col=sensor_col),
-            out_path)
+    _detect({"name": observatory or preset_name, "type": "honeypot", "inputs": list(inputs),
+             "preset": preset_name, "merge_gap": merge_gap, "sensor_col": sensor_col}, out_path)
 
 
 @detect.command("flow")
@@ -206,12 +192,14 @@ def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, ob
 @click.option("--ampl-ports", default=None,
               help="Comma-separated amplification source ports "
                    f"(default {sorted(AMPLIFICATION_PORTS)}).")
-@click.option("--observatory", default="flow", callback=_observatory_name)
+@click.option("--observatory", default="flow")
 @_guarded
 def detect_flow_cmd(inputs, out_path, ampl_ports, observatory):
     """RA/DP classification of flow summaries (flows.csv)."""
-    ports = [int(p) for p in ampl_ports.split(",")] if ampl_ports else None
-    _detect(ObservatoryConfig(observatory, "flow", list(inputs), ampl_ports=ports), out_path)
+    # a field that is no integer stays text, for the check of ampl_ports to name
+    ports = [int(p) if p.strip().removeprefix("-").isdecimal() else p
+             for p in ampl_ports.split(",")] if ampl_ports else None
+    _detect({"name": observatory, "type": "flow", "inputs": list(inputs), "ampl_ports": ports}, out_path)
 
 
 # -- aggregate ----------------------------------------------------------------
@@ -432,7 +420,7 @@ def pipeline_cmd(config_path, out_dir, parallelism, seed):
     """Run the full detection/analysis pipeline into one bundle."""
     cfg = PipelineConfig.load(
         config_path,
-        out_dir=Path(out_dir) if out_dir else None,
+        out_dir=out_dir,
         parallelism=parallelism,
         seed=seed,
     )

@@ -41,7 +41,7 @@ import numpy as np
 from . import __version__
 from .carpet import aggregate_carpet
 from .flowclass import AMPLIFICATION_PORTS, classify_flow
-from .honeypot import aggregate_sensors, detect_honeypot, preset
+from .honeypot import PRESETS, aggregate_sensors, detect_honeypot, preset
 from .ioformats import (
     FormatError,
     read_alloc_table,
@@ -62,21 +62,62 @@ from .overlap import (
     overlap_timeseries,
     upset_exclusive,
 )
+from .schema import (INTEGER, NUMBER, OBJECT, REQUIRED, STRING, SWITCH, ConfigError, Kind, fields_of, list_of,
+                     one_of, read)
 from .synth import GeneratedScenario, ScenarioSpec, generate, write_scenario
 from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 from .trends import ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
 
-OBSERVATORY_TYPES = ("telescope", "honeypot", "flow")
-TELESCOPE_KEYS = frozenset(f.name for f in dataclasses.fields(TelescopeConfig))
 # Observatory names become parts of bundle file names (attacks_<name>.csv)
 OBSERVATORY_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
-CONFIG_KEYS = frozenset({"out_dir", "observatories", "scenario", "seed", "routed", "alloc", "aggregate",
-                         "concurrency_gap", "min_targets", "parallelism", "analysis"})
-# an observatory's keys are ObservatoryConfig's fields, `telescope` spelt `config`
-OBSERVATORY_KEYS = frozenset({"name", "type", "inputs", "preset", "merge_gap", "sensor_col", "config",
-                              "ampl_ports"})
-ANALYSIS_KEYS = frozenset({"normalize", "ewma_span", "correlation", "upset", "overlap_timeseries",
-                           "target_mode", "confirm"})
+NAME = Kind(f"a name matching {OBSERVATORY_NAME.pattern}",
+            lambda value: type(value) is str and OBSERVATORY_NAME.fullmatch(value),
+            message="observatory name {value!r} does not match " + OBSERVATORY_NAME.pattern)
+PATH = Kind("a string", lambda value: isinstance(value, (str, Path)), Path)  # an override may be a Path
+GAP = Kind("a number of at least 0", lambda value: NUMBER.test(value) and value >= 0)
+PORTS = list_of("a list of integers from 0 to 65535", lambda port: type(port) is int and 0 <= port <= 65535)
+
+PIPELINE = {
+    "out_dir": (PATH, None),
+    "observatories": (Kind("a non-empty list", lambda value: type(value) is list and len(value) > 0), REQUIRED),
+    "scenario": (PATH, None),
+    "seed": (INTEGER, None),
+    "routed": (PATH, None),
+    "alloc": (PATH, None),
+    "aggregate": (SWITCH, False),
+    "concurrency_gap": (Kind(GAP.what, GAP.test, float), 60.0),
+    "min_targets": (INTEGER, 2),
+    "parallelism": (Kind("an integer of at least 1", lambda value: type(value) is int and value >= 1), 1),
+    "analysis": (OBJECT, {}),
+}
+ANALYSIS = {
+    "normalize": (SWITCH, True),
+    "ewma_span": (Kind("a number of at least 1, or null",
+                       lambda value: value is None or NUMBER.test(value) and value >= 1), 12),
+    "correlation": (one_of("spearman", "pearson"), "spearman"),
+    "upset": (SWITCH, True),
+    "overlap_timeseries": (SWITCH, True),
+    "target_mode": (one_of("start_date", "per_day"), "start_date"),
+    "confirm": (OBJECT, {}),
+}
+CONFIRM = {"external": (PATH, None), "salt": (STRING, None)}
+BY_TYPE = {
+    "telescope": {"config": (OBJECT, {})},
+    # preset() refuses an unknown name; a known one is kept as written
+    "honeypot": {"preset": (Kind(f"one of {sorted(PRESETS)}", bool, lambda value: preset(str(value)) and value,
+                                 message="{where} needs a preset"), REQUIRED),
+                 "merge_gap": (GAP, None),                # default: the preset's timeout
+                 "sensor_col": (STRING, None)},
+    "flow": {"ampl_ports": (PORTS, None)},                # default: AMPLIFICATION_PORTS
+}
+OBSERVATORY = {
+    "name": (NAME, REQUIRED),
+    "type": (one_of(*BY_TYPE, message="unknown observatory type {value!r}"), REQUIRED),
+    "inputs": (list_of("a list of strings", STRING.test), []),
+}
+# a telescope's config; synth fills n_addresses in for observatories without inputs
+TELESCOPE_CONFIG = {**fields_of(TelescopeConfig, {"int": INTEGER, "float": NUMBER, "str": STRING}),
+                    "n_addresses": (INTEGER, None)}
 
 
 class PipelineError(Exception):
@@ -104,147 +145,92 @@ class ObservatoryConfig:
 class PipelineConfig:
     out_dir: Optional[Path]      # required; None until --out gives it
     observatories: list[ObservatoryConfig]
-    scenario: Optional[Path] = None
-    seed: Optional[int] = None
-    routed: Optional[Path] = None
-    alloc: Optional[Path] = None
-    aggregate: bool = False
-    concurrency_gap: float = 60.0
-    min_targets: int = 2
-    normalize: bool = True
-    ewma_span: Optional[float] = 12
-    correlation: str = "spearman"
-    upset: bool = True
-    overlap_series: bool = True
-    target_mode: str = "start_date"
-    confirm_external: Optional[Path] = None
-    confirm_salt: Optional[str] = None
-    parallelism: int = 1
+    scenario: Optional[Path]
+    seed: Optional[int]
+    routed: Optional[Path]
+    alloc: Optional[Path]
+    aggregate: bool
+    concurrency_gap: float
+    min_targets: int
+    normalize: bool
+    ewma_span: Optional[float]
+    correlation: str
+    upset: bool
+    overlap_timeseries: bool
+    target_mode: str
+    confirm_external: Optional[Path]
+    confirm_salt: Optional[str]
+    parallelism: int
 
     @classmethod
     def from_json(cls, doc: dict, base_dir: Path) -> "PipelineConfig":
-        """The config of a pipeline JSON document, relative paths taken from
-        `base_dir`. An unknown key, an observatory without a name or type, a
-        switch that is not a JSON boolean, or `inputs` that are not a list of
-        strings is a config error."""
-        def path_of(value):
-            if value is None:
-                return None
-            p = Path(value)
-            return p if p.is_absolute() else base_dir / p
-
-        def flag(section: dict, key: str, default: bool) -> bool:
-            if not isinstance(value := section.get(key, default), bool):
-                raise _config_error(f"{key} must be true or false, not {value!r}")
-            return value
-
-        _known(doc, CONFIG_KEYS, "pipeline")
-        observatories = []
-        for i, o in enumerate(doc.get("observatories", [])):
-            where = f"observatories[{i}]"
-            fields = {("telescope" if key == "config" else key): value
-                      for key, value in _known(o, OBSERVATORY_KEYS, where).items()}
-            for key in ("name", "type"):
-                if key not in fields:
-                    raise _config_error(f"{where}: missing required key {key!r}")
-            inputs = fields.get("inputs", [])
-            if not (isinstance(inputs, list) and all(isinstance(p, str) for p in inputs)):
-                raise _config_error(f"{where}: inputs must be a list of strings, not {inputs!r}")
-            fields["inputs"] = [str(path_of(p)) for p in inputs]
-            observatories.append(ObservatoryConfig(**fields))
-        analysis = _known(doc.get("analysis", {}), ANALYSIS_KEYS, "analysis")
-        confirm = _known(analysis.get("confirm") or {}, {"external", "salt"}, "analysis.confirm")
-        return cls(
-            out_dir=path_of(doc.get("out_dir")),
-            observatories=observatories,
-            scenario=path_of(doc.get("scenario")),
-            seed=doc.get("seed"),
-            routed=path_of(doc.get("routed")),
-            alloc=path_of(doc.get("alloc")),
-            aggregate=flag(doc, "aggregate", False),
-            concurrency_gap=float(doc.get("concurrency_gap", 60.0)),
-            min_targets=int(doc.get("min_targets", 2)),
-            normalize=flag(analysis, "normalize", True),
-            ewma_span=analysis.get("ewma_span", 12),
-            correlation=analysis.get("correlation", "spearman"),
-            upset=flag(analysis, "upset", True),
-            overlap_series=flag(analysis, "overlap_timeseries", True),
-            target_mode=analysis.get("target_mode", "start_date"),
-            confirm_external=path_of(confirm.get("external")),
-            confirm_salt=confirm.get("salt"),
-            parallelism=int(doc.get("parallelism", 1)),
-        )
+        """The config of a pipeline JSON document, each field read from the key
+        of its name, relative paths taken from `base_dir`."""
+        top = read(doc, PIPELINE, "pipeline")
+        top["observatories"] = [observatory_config(o, f"observatories[{i}]", base_dir, top["scenario"])
+                                for i, o in enumerate(top["observatories"])]
+        analysis = read(top.pop("analysis"), ANALYSIS, "analysis")
+        confirm = read(analysis.pop("confirm"), CONFIRM, "analysis.confirm")
+        fields = {**top, **analysis, "confirm_external": confirm["external"], "confirm_salt": confirm["salt"]}
+        for key in ("out_dir", "scenario", "routed", "alloc", "confirm_external"):
+            fields[key] = None if fields[key] is None else base_dir / fields[key]
+        return cls(**fields)
 
     @classmethod
     def load(cls, path, **overrides) -> "PipelineConfig":
+        """The config at `path`, each override that is not None (`out_dir`,
+        `parallelism`, `seed`) read as its key is and replacing it."""
         path = Path(path)
         with open(path) as fh:
             doc = json.load(fh)
-        cfg = cls.from_json(doc, path.parent)
-        for key, value in overrides.items():
-            if value is not None:
-                setattr(cfg, key, value)
-        return cfg
+        given = {key: value for key, value in overrides.items() if value is not None}
+        try:
+            cfg = cls.from_json(doc, path.parent)
+            return dataclasses.replace(cfg, **read(given, {key: PIPELINE[key] for key in given}, "overrides"))
+        except ConfigError as exc:
+            raise _config_error(str(exc)) from None
+
+
+def observatory_config(doc, where: str, base_dir: Path = Path(),
+                       scenario: Optional[Path] = None) -> ObservatoryConfig:
+    """One observatory of a config, relative inputs taken from `base_dir`; without
+    inputs it reads the files synth writes from `scenario`, a telescope taking
+    the scenario's n_addresses unless it gives its own. Errors in the keys every
+    observatory takes name it by position, those in its type's by type and name."""
+    o = read(doc, OBSERVATORY, where, others=BY_TYPE.values())
+    if not o["inputs"] and scenario is None:
+        raise ConfigError(f"observatory {o['name']!r} has no inputs")
+    where = f"{o['type']} {o['name']!r}"
+    typed = read({key: value for key, value in doc.items() if key not in OBSERVATORY}, BY_TYPE[o["type"]], where)
+    if o["type"] == "telescope":
+        typed = {"telescope": read(typed["config"], TELESCOPE_CONFIG, where)}
+        n_addresses = typed["telescope"]["n_addresses"]
+        if n_addresses is None and o["inputs"]:
+            raise ConfigError(f"{where} needs config.n_addresses")
+        try:
+            TelescopeConfig(**{**typed["telescope"], "n_addresses": 1 if n_addresses is None else n_addresses})
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return ObservatoryConfig(o["name"], o["type"], [str(base_dir / p) for p in o["inputs"]], **typed)
 
 
 def _config_error(message: str) -> PipelineError:
     return PipelineError("config", message, "config")
 
 
-def _known(doc, keys: frozenset, where: str) -> dict:
-    """`doc`, which must be a JSON object holding only `keys`."""
-    if not isinstance(doc, dict):
-        raise _config_error(f"{where} must be an object, not {doc!r}")
-    unknown = sorted(set(doc) - keys)
-    if unknown:
-        raise _config_error(f"{where}: unknown config keys {unknown}")
-    return doc
-
-
 def _validate(cfg: PipelineConfig) -> None:
-    if not cfg.observatories:
-        raise _config_error("no observatories configured")
-    for o in cfg.observatories:
-        if not (isinstance(o.name, str) and OBSERVATORY_NAME.fullmatch(o.name)):
-            raise _config_error(f"observatory name {o.name!r} does not match {OBSERVATORY_NAME.pattern}")
-        if o.type not in OBSERVATORY_TYPES:
-            raise _config_error(f"unknown observatory type {o.type!r}")
-        if o.type == "honeypot":
-            if not o.preset:
-                raise _config_error(f"honeypot {o.name!r} needs a preset")
-            try:
-                preset(str(o.preset))
-            except ValueError as exc:
-                raise _config_error(f"honeypot {o.name!r}: {exc}") from None
-        if not o.inputs and cfg.scenario is None:
-            raise _config_error(f"observatory {o.name!r} has no inputs")
-        if o.type == "telescope":
-            _known(o.telescope, TELESCOPE_KEYS, f"telescope {o.name!r}")
-            # synth fills n_addresses in only for observatories without inputs
-            if "n_addresses" not in o.telescope and (o.inputs or cfg.scenario is None):
-                raise _config_error(f"telescope {o.name!r} needs config.n_addresses")
-            try:
-                TelescopeConfig(**{"n_addresses": 1, **o.telescope})
-            except (TypeError, ValueError) as exc:
-                raise _config_error(f"telescope {o.name!r}: {exc}") from None
     names = [o.name for o in cfg.observatories]
     if len(set(names)) != len(names):
         raise _config_error("observatory names must be unique")
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
         raise _config_error(f"aggregation enabled but the {missing} table is not configured")
-    if cfg.correlation not in ("spearman", "pearson"):
-        raise _config_error(f"unknown correlation {cfg.correlation!r}")
-    if cfg.target_mode not in ("start_date", "per_day"):
-        raise _config_error(f"unknown target mode {cfg.target_mode!r}")
     if (cfg.confirm_external is None) != (cfg.confirm_salt is None):
         raise _config_error("confirm needs both external file and salt")
     for p, what in ((cfg.scenario, "scenario"), (cfg.routed, "routed table"),
                     (cfg.alloc, "allocation table"), (cfg.confirm_external, "external hashes")):
         if p is not None and not Path(p).exists():
             raise _config_error(f"{what} file not found: {p}")
-    if cfg.parallelism < 1:
-        raise _config_error("parallelism must be >= 1")
     if cfg.out_dir is None:
         raise _config_error("missing required key 'out_dir' (in the config, or from --out)")
     # a bundle replaces only an empty directory or an earlier bundle, so a
@@ -334,8 +320,8 @@ def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, Optio
     for o in cfg.observatories:
         if not o.inputs:
             o = dataclasses.replace(o, inputs=inputs[o.type])
-            if o.type == "telescope":
-                o.telescope = {"n_addresses": spec.telescope_addresses, **o.telescope}
+            if o.type == "telescope" and o.telescope["n_addresses"] is None:
+                o.telescope = {**o.telescope, "n_addresses": spec.telescope_addresses}
         wired.append(o)
     cfg = dataclasses.replace(cfg, observatories=wired)
     return cfg, spec.seed, {(p.resolve(), None): content for p, content in written.items()
@@ -523,7 +509,7 @@ def _stage_overlap(cfg, root, events) -> dict[str, np.ndarray]:
             write_targets(_path(root, "targets", f"{name}.csv"), keys)
         if cfg.upset:
             write_json(_path(root, "upset.json"), upset_document(sets))
-        if cfg.overlap_series:
+        if cfg.overlap_timeseries:
             if cfg.target_mode == "per_day":
                 daily = sets
             else:
@@ -591,7 +577,8 @@ def _config_digest(cfg: PipelineConfig) -> str:
         "confirm": {"external": file_digest(cfg.confirm_external), "salt": cfg.confirm_salt},
         **{name: getattr(cfg, name) for name in (
             "aggregate", "concurrency_gap", "min_targets", "normalize", "ewma_span",
-            "correlation", "upset", "overlap_series", "target_mode")},
+            "correlation", "upset", "target_mode")},
+        "overlap_series": cfg.overlap_timeseries,   # the hash's name for the key
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=_json_default).encode()).hexdigest()
 

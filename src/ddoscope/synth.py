@@ -38,6 +38,7 @@ from .model import (
     ip_to_int,
     parse_prefix,
 )
+from .schema import INTEGER, NUMBER, OBJECT, REQUIRED, STRING, Kind, fields_of, list_of, read
 from .telescope import ADDRESS_SPACE
 
 TELESCOPE_BASE = ip_to_int("10.0.0.0")  # synthetic telescope block
@@ -93,6 +94,15 @@ class AttackSpec:
         object.__setattr__(self, "ports", tuple(self.ports))
 
 
+# a spec's numbers are kept as float()
+FLOAT = Kind(NUMBER.what, NUMBER.test, float)
+ATTACK = fields_of(AttackSpec, {"str": STRING, "float": FLOAT, "int": INTEGER,
+                                "tuple[int, ...]": list_of("a list of integers", INTEGER.test, tuple)})
+SCENARIO = {"seed": (INTEGER, REQUIRED), "duration_s": (FLOAT, REQUIRED), "telescope": (OBJECT, REQUIRED),
+            "honeypot_sensors": (list_of("a list of strings", STRING.test, tuple), ()),
+            "attacks": (list_of("a list", OBJECT.test), REQUIRED)}
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     seed: int
@@ -127,28 +137,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
-        attacks = tuple(
-            AttackSpec(
-                type=a["type"],
-                victim=a["victim"],
-                start_s=float(a["start_s"]),
-                duration_s=float(a["duration_s"]),
-                rate_pps=float(a["rate_pps"]),
-                packet_bytes=int(a.get("packet_bytes", 110)),
-                reflector_subset=int(a.get("reflector_subset", 0)),
-                spoof=a.get("spoof", "uniform"),
-                ports=tuple(a.get("ports", DEFAULT_REFLECTION_PORTS)),
-                amplification=float(a.get("amplification", 1.0)),
-            )
-            for a in doc["attacks"]
-        )
-        return cls(
-            seed=int(doc["seed"]),
-            duration_s=float(doc["duration_s"]),
-            telescope_addresses=int(doc["telescope"]["n_addresses"]),
-            honeypot_sensors=tuple(doc.get("honeypot_sensors", ())),
-            attacks=attacks,
-        )
+        spec = read(doc, SCENARIO, "scenario")
+        spec["telescope_addresses"] = read(spec.pop("telescope"), {"n_addresses": (INTEGER, REQUIRED)},
+                                           "telescope")["n_addresses"]
+        spec["attacks"] = tuple(AttackSpec(**read(a, ATTACK, f"attacks[{i}]")) for i, a in enumerate(spec["attacks"]))
+        return cls(**spec)
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":

@@ -15,6 +15,7 @@ from ddoscope.cli import main
 from ddoscope import ioformats, pipeline
 from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
 from ddoscope.ioformats import read_targets
+from ddoscope.schema import REQUIRED
 
 from conftest import FIRST_MONDAY, build_scenario, write_pipeline_fixture
 from oracles import batch_to_events, hash_targets
@@ -86,7 +87,8 @@ class TestDetectCommands:
             "--in", str(generated / "telescope.csv"),
             "--out", str(tmp_path / "x.csv"),
         ])
-        assert result.exit_code == 3
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == "error: telescope 'telescope' needs config.n_addresses"
 
     def test_honeypot_multi_file(self, runner, generated, tmp_path):
         out = tmp_path / "attacks.csv"
@@ -105,6 +107,29 @@ class TestDetectCommands:
         events = read_attacks(out)
         assert [e.attack_type for e in events] == ["DP"]
         assert events[0].target == "203.0.113.11/32"
+
+    @pytest.mark.parametrize("command, settings, message", [
+        ("flow", ["--ampl-ports", "70000,-1"],
+         "flow 'flow': ampl_ports must be a list of integers from 0 to 65535, not [70000, -1]"),
+        ("flow", ["--ampl-ports", "53,5x"],
+         "flow 'flow': ampl_ports must be a list of integers from 0 to 65535, not [53, '5x']"),
+        ("honeypot", ["--preset", "hopscotch", "--merge-gap", "-1"],
+         "honeypot 'hopscotch': merge_gap must be a number of at least 0, not -1.0"),
+        ("telescope", {"n_addresses": 2 ** 22, "bogus": 1}, "telescope 'telescope': unknown config keys ['bogus']"),
+        ("telescope", {"n_addresses": "5"}, "telescope 'telescope': n_addresses must be an integer, not '5'"),
+        ("telescope", {"n_addresses": 2 ** 22, "interval": -1}, "telescope 'telescope': thresholds must be positive"),
+    ], ids=["ampl_ports-range", "ampl_ports-text", "merge_gap", "telescope-key", "telescope-type", "telescope-range"])
+    def test_settings_are_read_as_in_a_pipeline(self, runner, generated, tmp_path, command, settings, message):
+        if isinstance(settings, dict):
+            (tmp_path / "tcfg.json").write_text(json.dumps(settings))
+            settings = ["--config", str(tmp_path / "tcfg.json")]
+        inputs = {"flow": "flows.csv", "honeypot": "honeypot_198.51.100.1.csv", "telescope": "telescope.csv"}
+        out = tmp_path / "attacks.csv"
+        result = runner.invoke(main, ["detect", command, *settings, "--in", str(generated / inputs[command]),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: {message}"
+        assert not out.exists()
 
     @pytest.mark.parametrize("name", ["../../escaped", "a,b"])
     def test_observatory_name_must_be_a_file_name_token(self, runner, tmp_path, name):
@@ -331,7 +356,7 @@ class TestPipelineCommand:
         ({}, "needs config.n_addresses"),
         ({"n_addresses": 2 ** 22, "bogus": 1}, "unknown config keys ['bogus']"),
         ({"n_addresses": 2 ** 22, "interval": -1}, "thresholds must be positive"),
-        ({"n_addresses": "many"}, "'<=' not supported between instances of 'int' and 'str'"),
+        ({"n_addresses": "many"}, "n_addresses must be an integer, not 'many'"),
     ])
     def test_telescope_config_errors(self, runner, tmp_path, telescope, message):
         packets = tmp_path / "packets.csv"
@@ -498,6 +523,26 @@ class TestPipelineCommand:
         trends = json.loads((out / "trends.json").read_text())
         assert trends and all(set(v) == {"skipped"} for v in trends.values())
         assert json.loads((out / "confirm.json").read_text())["external_digests"] == 1
+        # pinned: a change that moves the hash of a config that still runs must change this value
+        assert json.loads((out / "manifest.json").read_text())["config_sha256"] == (
+            "203d486d4c7c696630ea811d2d81e6d9b1eec4acb2f3df334097e91169831e9d")
+
+    def test_readme_config_tables_match_the_schema(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        text = readme[readme.index("## Pipeline config"):]
+        tables = {}
+        for name, rows in re.findall(r"^Section `([^`]+)`.*\n\n\| key \| JSON type \| default \|\n\|---\|---\|---\|\n"
+                                     r"((?:\|.*\|\n)+)", text, re.M):
+            cells = ([cell.strip().replace("`", "") for cell in row.strip("|").split("|")] for row in rows.splitlines())
+            tables[name] = {key: (what, default) for key, what, default in cells}
+        sections = {"pipeline": pipeline.PIPELINE, "analysis": pipeline.ANALYSIS, "analysis.confirm": pipeline.CONFIRM,
+                    "observatories[i]": pipeline.OBSERVATORY, "telescope config": pipeline.TELESCOPE_CONFIG,
+                    **pipeline.BY_TYPE}
+        assert tables == {
+            name: {key: (kind.what, "required" if default is REQUIRED else json.dumps(default))
+                   for key, (kind, default) in section.items()}
+            for name, section in sections.items()
+        }
 
     def test_empty_detections_are_data(self, runner, tmp_path):
         (tmp_path / "packets.csv").write_text(
@@ -569,9 +614,51 @@ class TestPipelineCommand:
         (lambda doc: doc.pop("out_dir"), "missing required key 'out_dir' (in the config, or from --out)"),
         (lambda doc: doc["observatories"][1].pop("name"), "observatories[1]: missing required key 'name'"),
         (lambda doc: doc["observatories"][0].pop("type"), "observatories[0]: missing required key 'type'"),
+        (lambda doc: doc["observatories"][1].update(config={"n_addresses": 5}),
+         "honeypot 'hop': unknown config keys ['config']"),
+        (lambda doc: doc["observatories"][0].update(preset="amppot"), "telescope 'scope': unknown config keys ['preset']"),
+        (lambda doc: doc["observatories"][0].update(merge_gap=5), "telescope 'scope': unknown config keys ['merge_gap']"),
+        (lambda doc: doc["observatories"][2].update(sensor_col="x"), "flow 'ixp': unknown config keys ['sensor_col']"),
+        (lambda doc: doc.update(min_targets=2.9), "pipeline: min_targets must be an integer, not 2.9"),
+        (lambda doc: doc.update(min_targets=True), "pipeline: min_targets must be an integer, not True"),
+        (lambda doc: doc.update(concurrency_gap="60"),
+         "pipeline: concurrency_gap must be a number of at least 0, not '60'"),
+        (lambda doc: doc.update(concurrency_gap=-1), "pipeline: concurrency_gap must be a number of at least 0, not -1"),
+        (lambda doc: doc.update(parallelism="2"), "pipeline: parallelism must be an integer of at least 1, not '2'"),
+        (lambda doc: doc.update(parallelism=1.7), "pipeline: parallelism must be an integer of at least 1, not 1.7"),
+        (lambda doc: doc.update(seed="7"), "pipeline: seed must be an integer, not '7'"),
+        (lambda doc: doc["observatories"][1].update(merge_gap="5"),
+         "honeypot 'hop': merge_gap must be a number of at least 0, not '5'"),
+        (lambda doc: doc["observatories"][1].update(merge_gap=-1),
+         "honeypot 'hop': merge_gap must be a number of at least 0, not -1"),
+        (lambda doc: doc["analysis"].update(ewma_span="12"),
+         "analysis: ewma_span must be a number of at least 1, or null, not '12'"),
+        (lambda doc: doc["analysis"].update(ewma_span=0.5),
+         "analysis: ewma_span must be a number of at least 1, or null, not 0.5"),
+        (lambda doc: doc["analysis"].update(ewma_span=0),
+         "analysis: ewma_span must be a number of at least 1, or null, not 0"),
+        (lambda doc: doc["observatories"][2].update(ampl_ports="53"),
+         "flow 'ixp': ampl_ports must be a list of integers from 0 to 65535, not '53'"),
+        (lambda doc: doc["observatories"][2].update(ampl_ports=[70000]),
+         "flow 'ixp': ampl_ports must be a list of integers from 0 to 65535, not [70000]"),
+        (lambda doc: doc["observatories"][2].update(ampl_ports=[-1]),
+         "flow 'ixp': ampl_ports must be a list of integers from 0 to 65535, not [-1]"),
+        (lambda doc: doc["observatories"][1].update(sensor_col=3), "honeypot 'hop': sensor_col must be a string, not 3"),
+        (lambda doc: doc.update(scenario=5), "pipeline: scenario must be a string, not 5"),
+        (lambda doc: doc["observatories"][0].update(config={"n_addresses": 4194304.0}),
+         "telescope 'scope': n_addresses must be an integer, not 4194304.0"),
+        (lambda doc: doc["observatories"][0].update(config={"n_addresses": "5"}),
+         "telescope 'scope': n_addresses must be an integer, not '5'"),
+        (lambda doc: doc["analysis"].update(confirm=[]), "analysis.confirm must be an object, not []"),
+        (lambda doc: doc.update(observatories=[]), "pipeline: observatories must be a non-empty list, not []"),
     ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
             "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested", "no-out_dir",
-            "no-name", "no-type"])
+            "no-name", "no-type", "honeypot-config", "telescope-preset", "telescope-merge_gap", "flow-sensor_col",
+            "min_targets-float", "min_targets-bool", "concurrency_gap-string", "concurrency_gap-negative",
+            "parallelism-string", "parallelism-float", "seed-string", "merge_gap-string", "merge_gap-negative",
+            "ewma_span-string", "ewma_span-half", "ewma_span-zero", "ampl_ports-string", "ampl_ports-high",
+            "ampl_ports-negative", "sensor_col-int", "scenario-int", "n_addresses-float", "n_addresses-string",
+            "confirm-list", "no-observatories"])
     def test_config_fields_that_would_not_take_effect_are_rejected(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
         doc = json.loads(cfg.read_text())
@@ -580,6 +667,14 @@ class TestPipelineCommand:
         result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
         assert result.exit_code == 2, result.output
         assert result.output.strip() == f"error: stage 'config': {message}"
+        assert not (tmp_path / "out").exists()
+
+    def test_overrides_are_read_as_their_keys(self, runner, tmp_path):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg), "--parallelism", "0"])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == ("error: stage 'config': overrides: parallelism must be an integer "
+                                         "of at least 1, not 0")
         assert not (tmp_path / "out").exists()
 
     def test_out_supplies_a_missing_out_dir(self, runner, tmp_path):
@@ -642,6 +737,16 @@ class TestManifestHash:
         first, _ = self.run(runner, tmp_path / "a")
         second, _ = self.run(runner, tmp_path / "b", edit)
         assert second != first
+
+    @pytest.mark.parametrize("normalize, ewma_span, digest", [
+        (True, 12, "c0617001910d2a867e576bf0c9a778058e59fb35d744b94c2d635fe740bdd24e"),
+        (False, None, "358c6dc364d35296202b5795c4d5dae553515c9b3cad18e2155219dba6f3ef60"),
+    ], ids=["normalized", "raw"])
+    def test_fixture_hashes_are_pinned(self, runner, tmp_path, normalize, ewma_span, digest):
+        # a change that moves the hash of a config that still runs must change these values
+        cfg = write_pipeline_fixture(tmp_path, weeks=3, normalize=normalize, ewma_span=ewma_span)
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["config_sha256"] == digest
 
     def test_each_input_file_is_hashed_once(self, tmp_path, monkeypatch):
         for name in ("shared.csv", "own.csv"):

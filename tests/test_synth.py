@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 from ddoscope.honeypot import aggregate_sensors, detect_honeypot, preset
 from ddoscope.ioformats import read_packets
 from ddoscope.model import MAX_TS_US, EventBatch, PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
+from ddoscope.schema import ConfigError
 from ddoscope.synth import (
     MAX_DURATION_S,
     MAX_PACKET_BYTES,
@@ -112,6 +113,32 @@ class TestScenarioValidation:
         spec = ScenarioSpec.from_json(doc)
         assert spec.attacks[1].ports == (19, 123)
         assert spec.attacks[1].amplification == 50.0
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(seed=7.9), "scenario: seed must be an integer, not 7.9"),
+        (lambda doc: doc.update(seed="7"), "scenario: seed must be an integer, not '7'"),
+        (lambda doc: doc["telescope"].update(n_addresses=4194304.5),
+         "telescope: n_addresses must be an integer, not 4194304.5"),
+        (lambda doc: doc["attacks"][0].update(packet_bytes=110.7),
+         "attacks[0]: packet_bytes must be an integer, not 110.7"),
+        (lambda doc: doc["attacks"][1].update(ports="53"), "attacks[1]: ports must be a list of integers, not '53'"),
+        (lambda doc: doc.update(sensors=[]), "scenario: unknown config keys ['sensors']"),
+        (lambda doc: doc["attacks"][0].update(rate=5), "attacks[0]: unknown config keys ['rate']"),
+    ], ids=["seed-float", "seed-string", "n_addresses", "packet_bytes", "ports", "top-key", "attack-key"])
+    def test_values_that_would_not_run_as_written_are_rejected(self, edit, message):
+        doc = {
+            "seed": 9, "duration_s": 600, "telescope": {"n_addresses": 1024},
+            "honeypot_sensors": list(SENSORS),
+            "attacks": [
+                {"type": "rsdos", "victim": "203.0.113.7", "start_s": 0, "duration_s": 60, "rate_pps": 100},
+                {"type": "reflection", "victim": "203.0.113.8", "start_s": 0, "duration_s": 60,
+                 "rate_pps": 5, "reflector_subset": 2},
+            ],
+        }
+        edit(doc)
+        with pytest.raises(ConfigError) as err:
+            ScenarioSpec.from_json(doc)
+        assert str(err.value) == message
 
 
 class TestDeterminism:
