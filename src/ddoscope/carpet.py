@@ -60,6 +60,8 @@ def aggregate_carpet(
         raise ValueError("aggregate_carpet requires routed and allocation tables")
     if concurrency_gap < 0:
         raise ValueError(f"concurrency gap {concurrency_gap} is negative")
+    if min_targets < 2:
+        raise ValueError(f"min_targets {min_targets} is below 2: a single target is no carpet")
     back = np.flatnonzero(events.start_ts[1:] < events.start_ts[:-1])
     if len(back):
         pair = events.take(back[:1] + [0, 1])

@@ -4,9 +4,10 @@ Subcommands: synth, detect (telescope|honeypot|flow), aggregate, trends,
 correlate, overlap, confirm, pipeline. Exit codes: 0 success, 2 config
 error, 3 data error, 4 internal invariant violation.
 
-The commands call the pipeline's stage functions (`detect_observatory`,
-`upset_document`, `confirm_document`), so a step run on its own gives the
-same bytes as the matching file of a pipeline bundle.
+The commands call the pipeline's stage functions and read their options
+as its config keys, so a step run on its own gives the same bytes as the
+matching file of a pipeline bundle, and refuses what a config refuses.
+`trends` spans its own events unless --start/--end give the span it prints.
 
 No stage calls BLAS, so the CLI runs OpenBLAS with one thread unless
 OPENBLAS_NUM_THREADS is already set.
@@ -34,7 +35,6 @@ import click
 import numpy as np
 
 from . import __version__
-from .carpet import aggregate_carpet
 from .flowclass import AMPLIFICATION_PORTS
 from .honeypot import PRESETS
 from .ioformats import (
@@ -56,26 +56,24 @@ from .overlap import (
     overlap_timeseries,
 )
 from .pipeline import (
+    ANALYSIS,
+    PIPELINE,
     PipelineConfig,
     PipelineError,
+    aggregate_carpet,
     confirm_document,
+    correlation_entry,
     detect_observatory,
+    event_span,
     observatory_config,
     run_pipeline,
     synthesize,
+    trend_series,
     upset_document,
 )
-from .schema import ConfigError
+from .schema import ConfigError, read
 from .synth import write_scenario
-from .trends import (
-    ewma,
-    linreg_trend,
-    normalize,
-    pearson,
-    quarterly_correlations,
-    spearman,
-    weekly_counts,
-)
+from .trends import quarterly_correlations
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -210,14 +208,16 @@ def detect_flow_cmd(inputs, out_path, ampl_ports, observatory):
 @click.option("--in", "in_path", required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--gap", type=float, default=60.0, help="Concurrency gap, seconds.")
-@click.option("--min-targets", type=int, default=2)
+@click.option("--min-targets", type=int, default=2, help="Distinct targets of a carpet, at least 2.")
 @_guarded
 def aggregate(routed, alloc, in_path, out_path, gap, min_targets):
     """Merge concurrent attacks into carpet-bombing prefix events."""
+    given = read({"--gap": gap, "--min-targets": min_targets},
+                 {"--gap": PIPELINE["concurrency_gap"], "--min-targets": PIPELINE["min_targets"]}, "aggregate")
     events = read_attacks(in_path)
     merged = aggregate_carpet(
         events, read_routed_table(routed), read_alloc_table(alloc),
-        concurrency_gap=gap, min_targets=min_targets,
+        concurrency_gap=given["--gap"], min_targets=given["--min-targets"],
     )
     write_attacks(out_path, merged)
     click.echo(f"{len(events)} events -> {len(merged)} after aggregation -> {out_path}")
@@ -232,15 +232,18 @@ def aggregate(routed, alloc, in_path, out_path, gap, min_targets):
 @click.option("--normalize", "do_normalize", is_flag=True,
               help="Divide by the median of the first 15 non-null weeks.")
 @click.option("--ewma", "ewma_span", type=float, default=None,
-              help="Smooth with the given span after normalization.")
+              help="Smooth with the given span (at least 1) after normalization.")
 @click.option("--start", type=click.DateTime(["%Y-%m-%d"]), default=None)
 @click.option("--end", type=click.DateTime(["%Y-%m-%d"]), default=None)
 @click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--summary", is_flag=True, help="Print the regression trend class.")
+@click.option("--summary", is_flag=True, help="Print the series' trends.json entry.")
 @_guarded
 def trends(in_path, observatory, attack_type, do_normalize, ewma_span,
            start, end, out_path, summary):
-    """Weekly attack-count series from attacks.csv."""
+    """Weekly attack-count series from attacks.csv over its events' span or --start/--end."""
+    ewma_span = read({"--ewma": ewma_span}, {"--ewma": ANALYSIS["ewma_span"]}, "trends")["--ewma"]
+    if (start is None) != (end is None):
+        raise click.UsageError("--start and --end must be given together")
     events = read_attacks(in_path)
     if observatory:
         events = events.take(events.observatory == observatory)
@@ -255,26 +258,12 @@ def trends(in_path, observatory, attack_type, do_normalize, ewma_span,
             "filter with --observatory/--attack-type"
         )
     obs, atype = next(iter(combos))
-    span = None
-    if start or end:
-        if not (start and end):
-            raise ValueError("--start and --end must be given together")
-        span = (start.date(), end.date())
-    series = weekly_counts(events, span, label=f"{obs}:{atype}")
-    if do_normalize:
-        series = normalize(series)
-    trend = linreg_trend(series) if summary else None
-    if ewma_span:
-        series = ewma(series, ewma_span)
+    span = (start.date(), end.date()) if start else event_span(events)
+    series, entry = trend_series(events, f"{obs}:{atype}", span, do_normalize, ewma_span)
     write_series(out_path, series)
-    click.echo(f"{len(series.values)} weeks -> {out_path}")
+    click.echo(f"{len(series.values)} weeks, --start {span[0]} --end {span[1]} -> {out_path}")
     if summary:
-        click.echo(json.dumps({
-            "slope_per_week": trend.slope,
-            "net_change_4y": trend.net_change_4y,
-            "class": trend.trend_class,
-            "marker": trend.marker,
-        }, sort_keys=True))
+        click.echo(json.dumps(entry, sort_keys=True))
 
 
 # -- correlate ----------------------------------------------------------------
@@ -303,12 +292,7 @@ def correlate(a_path, b_path, method, quarterly, out_path):
             })
         doc = {"method": method, "a": a.label, "b": b.label, "quarters": rows}
     else:
-        r = (spearman if method == "spearman" else pearson)(a, b)
-        doc = {
-            "method": method, "a": a.label, "b": b.label,
-            "rho": r.rho, "p_value": r.p_value, "n": r.n,
-            "significant": r.significant,
-        }
+        doc = correlation_entry(a, b, method)
     _emit(doc, out_path)
 
 
@@ -323,17 +307,20 @@ def _load_target_set(path: str, mode: str) -> np.ndarray:
     return build_targets(read_attacks(path), mode)
 
 
-def _parse_sets(specs: tuple[str, ...], mode: str) -> dict[str, np.ndarray]:
-    sets: dict[str, np.ndarray] = {}
-    for spec in specs:
-        for part in spec.split(","):
-            label, _, path = part.partition("=")
-            if not path:
-                raise ValueError(f"--sets wants label=path, got {part!r}")
-            if label in sets:
-                raise ValueError(f"duplicate set label {label!r}")
-            sets[label] = _load_target_set(path, mode)
-    return sets
+def _set_paths(option: str, specs, default_label=None) -> dict[str, str]:
+    """{label: path} of `label=path` specs; a spec without a label is named
+    `default_label(i)`, or refused without one. A repeated label is refused."""
+    paths: dict[str, str] = {}
+    for i, spec in enumerate(specs):
+        label, _, path = spec.partition("=")
+        if not path:
+            if default_label is None:
+                raise click.UsageError(f"{option} wants label=path, got {spec!r}")
+            label, path = default_label(i), label
+        if label in paths:
+            raise click.UsageError(f"{option}: duplicate set label {label!r}")
+        paths[label] = path
+    return paths
 
 
 @main.command("overlap")
@@ -349,19 +336,22 @@ def _parse_sets(specs: tuple[str, ...], mode: str) -> dict[str, np.ndarray]:
 @click.option("--attribution", type=click.Path(), default=None,
               help="Per-AS ranking JSON of the union (needs --routed).")
 @click.option("--routed", type=click.Path(exists=True), default=None)
-@click.option("--top-n", type=int, default=10)
+@click.option("--top-n", type=click.IntRange(min=1), default=10)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @_guarded
 def overlap_cmd(set_specs, mode, do_upset, timeseries, new_rec, attribution,
                 routed, top_n, out_path):
     """Target-overlap analyses over observatory target sets."""
-    sets = _parse_sets(set_specs, mode)
+    paths = _set_paths("--sets", [part for spec in set_specs for part in spec.split(",")])
+    if timeseries and len(paths) != 2:
+        raise click.UsageError("--timeseries needs exactly two sets")
+    if attribution and not routed:
+        raise click.UsageError("--attribution needs --routed")
+    sets = {label: _load_target_set(path, mode) for label, path in paths.items()}
     union = functools.reduce(np.union1d, sets.values())
     if do_upset:
         _emit(upset_document(sets), out_path)
     if timeseries:
-        if len(sets) != 2:
-            raise ValueError("--timeseries needs exactly two sets")
         (la, ta), (lb, tb) = sets.items()
         write_weekly_csv(timeseries, (la, lb, "intersection"),
                          overlap_timeseries(ta, tb, (la, lb)))
@@ -371,8 +361,6 @@ def overlap_cmd(set_specs, mode, do_upset, timeseries, new_rec, attribution,
                          new_vs_recurring(union))
         click.echo(new_rec)
     if attribution:
-        if not routed:
-            raise ValueError("--attribution needs --routed")
         rows = as_attribution(union, read_routed_table(routed), top_n)
         write_json(attribution, [
             {"asn": asn, "tuples": count, "share": share}
@@ -397,12 +385,8 @@ def confirm(locals_, external, salt, out_path):
     Digests are sha256 over "salt|YYYY-MM-DD|ip"; a salt mismatch is
     undetectable and simply confirms nothing.
     """
-    sets = {}
-    for i, spec in enumerate(locals_):
-        label, _, path = spec.partition("=")
-        if not path:
-            label, path = (f"local{i}" if len(locals_) > 1 else "local"), label
-        sets[label] = read_targets(path)
+    paths = _set_paths("--local", locals_, lambda i: f"local{i}" if len(locals_) > 1 else "local")
+    sets = {label: read_targets(path) for label, path in paths.items()}
     _emit(confirm_document(sets, external, salt), out_path)
 
 

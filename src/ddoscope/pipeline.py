@@ -2,8 +2,8 @@
 prefix aggregation, trend series, correlation matrix, and target overlap,
 emitted as one reproducible bundle.
 
-The CLI's detect, overlap and confirm commands call the same stage
-functions (`detect_observatory`, `upset_document`, `confirm_document`).
+The CLI's commands run the stage functions and config kinds defined here,
+so a step run alone gives the bytes of the matching bundle file.
 
 Each packet file is parsed at most once per run. Detection looks packets
 up in one map from (resolved path, sensor column) to PacketBatch that
@@ -32,7 +32,6 @@ import re
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from datetime import timedelta
 from pathlib import Path
 from typing import Optional
 
@@ -55,7 +54,7 @@ from .ioformats import (
     write_targets,
     write_weekly_csv,
 )
-from .model import ATTACK_TYPES, EPOCH, US_PER_DAY, EventBatch, PacketBatch
+from .model import ATTACK_TYPES, EventBatch, PacketBatch, WeeklySeries
 from .overlap import (
     build_targets,
     federated_confirm,
@@ -66,7 +65,7 @@ from .schema import (INTEGER, NUMBER, OBJECT, REQUIRED, STRING, SWITCH, ConfigEr
                      one_of, read)
 from .synth import GeneratedScenario, ScenarioSpec, generate, write_scenario
 from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
-from .trends import ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
+from .trends import event_span, ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
 
 # Observatory names become parts of bundle file names (attacks_<name>.csv)
 OBSERVATORY_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
@@ -86,7 +85,7 @@ PIPELINE = {
     "alloc": (PATH, None),
     "aggregate": (SWITCH, False),
     "concurrency_gap": (Kind(GAP.what, GAP.test, float), 60.0),
-    "min_targets": (INTEGER, 2),
+    "min_targets": (Kind("an integer of at least 2", lambda value: type(value) is int and value >= 2), 2),
     "parallelism": (Kind("an integer of at least 1", lambda value: type(value) is int and value >= 1), 1),
     "analysis": (OBJECT, {}),
 }
@@ -419,60 +418,65 @@ def _stage_aggregate(
         raise PipelineError("aggregate", str(exc), "data") from exc
 
 
+def trend_series(events: EventBatch, label: str, span, normalized: bool,
+                 ewma_span: Optional[float]) -> tuple[WeeklySeries, dict]:
+    """The series of `events` over `span`, normalized and then smoothed as asked, and its
+    trends.json entry; ValueError when it is too short or too sparse for a trend."""
+    series = weekly_counts(events, span, label=label)
+    if normalized:
+        series = normalize(series)
+    trend = linreg_trend(series)
+    if ewma_span is not None:
+        series = ewma(series, ewma_span)
+    return series, {
+        "slope_per_week": trend.slope,
+        "net_change_4y": trend.net_change_4y,
+        "class": trend.trend_class,
+        "marker": trend.marker,
+        "weeks": trend.n,
+    }
+
+
 def _stage_trends(cfg, root, events: dict[str, EventBatch]):
     serieses = {}
     summaries = {}
-    try:
-        days = np.concatenate([evs.start_ts // US_PER_DAY for evs in events.values()])
-        # with no events there is no span, and no series needs one
-        span = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max()))) if len(days) else None
-        for name in sorted(events):
-            evs = events[name]
-            # type codes sort as the type names do
-            for code in np.flatnonzero(np.bincount(evs.type_code, minlength=len(ATTACK_TYPES))).tolist():
-                atype = ATTACK_TYPES[code]
-                label = f"{name}:{atype}"
-                series = weekly_counts(evs.take(evs.type_code == code), span, label=label)
+    # with no events there is no span, and no series needs one
+    span = event_span(*events.values()) if any(map(len, events.values())) else None
+    for name in sorted(events):
+        evs = events[name]
+        # type codes sort as the type names do
+        for code in np.flatnonzero(np.bincount(evs.type_code, minlength=len(ATTACK_TYPES))).tolist():
+            atype = ATTACK_TYPES[code]
+            label = f"{name}:{atype}"
+            try:
+                series, summaries[label] = trend_series(evs.take(evs.type_code == code), label, span,
+                                                        cfg.normalize, cfg.ewma_span)
+            except ValueError as exc:
                 # too short or too sparse for this analysis: skip this series only
-                try:
-                    if cfg.normalize:
-                        series = normalize(series)
-                    trend = linreg_trend(series)
-                except ValueError as exc:
-                    summaries[label] = {"skipped": str(exc)}
-                    continue
-                if cfg.ewma_span:
-                    series = ewma(series, cfg.ewma_span)
-                serieses[label] = series
-                summaries[label] = {
-                    "slope_per_week": trend.slope,
-                    "net_change_4y": trend.net_change_4y,
-                    "class": trend.trend_class,
-                    "marker": trend.marker,
-                    "weeks": trend.n,
-                }
-                write_series(_path(root, "series", f"{name}_{atype}.json"), series)
-    except ValueError as exc:
-        raise PipelineError("trends", str(exc), "data") from exc
+                summaries[label] = {"skipped": str(exc)}
+                continue
+            serieses[label] = series
+            write_series(_path(root, "series", f"{name}_{atype}.json"), series)
     write_json(_path(root, "trends.json"), summaries)
     return serieses
 
 
+def correlation_entry(a: WeeklySeries, b: WeeklySeries, method: str) -> dict:
+    """The correlations.json entry of series `a` and `b`; ValueError when they cannot be correlated."""
+    r = (spearman if method == "spearman" else pearson)(a, b)
+    return {"a": a.label, "b": b.label, "method": method,
+            "rho": r.rho, "p_value": r.p_value, "n": r.n, "significant": r.significant}
+
+
 def _stage_correlate(cfg, root, serieses) -> None:
-    corr = spearman if cfg.correlation == "spearman" else pearson
     labels = sorted(serieses)
     matrix = []
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            entry = {"a": a, "b": b, "method": cfg.correlation}
             try:
-                r = corr(serieses[a], serieses[b])
-                entry.update(
-                    rho=r.rho, p_value=r.p_value, n=r.n, significant=r.significant
-                )
+                matrix.append(correlation_entry(serieses[a], serieses[b], cfg.correlation))
             except ValueError as exc:
-                entry["error"] = str(exc)
-            matrix.append(entry)
+                matrix.append({"a": a, "b": b, "method": cfg.correlation, "error": str(exc)})
     write_json(_path(root, "correlations.json"), matrix)
 
 

@@ -72,6 +72,14 @@ class CorrelationResult:
 # Series construction
 # ---------------------------------------------------------------------------
 
+def event_span(*batches: EventBatch) -> tuple[date, date]:
+    """The first and last UTC day on which an event of `batches` starts."""
+    days = np.concatenate([events.start_ts for events in batches]) // US_PER_DAY
+    if not len(days):
+        raise ValueError("cannot infer a date range from zero events")
+    return EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max()))
+
+
 def weekly_counts(
     events: EventBatch,
     date_range: Optional[tuple[date, date]] = None,
@@ -84,9 +92,7 @@ def weekly_counts(
     """
     days = events.start_ts // US_PER_DAY
     if date_range is None:
-        if not len(events):
-            raise ValueError("cannot infer a date range from zero events")
-        date_range = (EPOCH + timedelta(int(days.min())), EPOCH + timedelta(int(days.max())))
+        date_range = event_span(events)
     lo, hi = date_range
     if lo > hi:
         raise ValueError(f"bad date range: {lo} > {hi}")

@@ -109,6 +109,12 @@ class TestCarpetFixtures:
         with pytest.raises(ValueError, match="^concurrency gap -1.0 is negative$"):
             aggregate_carpet([ev("203.0.113.5", 0, 1)], ROUTED, ALLOC, concurrency_gap=-1.0)
 
+    @pytest.mark.parametrize("min_targets", [1, 0, -3])
+    def test_min_targets_below_two_rejected(self, min_targets):
+        # a lone /32 under a routed prefix would otherwise become a carpet event
+        with pytest.raises(ValueError, match=f"^min_targets {min_targets} is below 2: a single target is no carpet$"):
+            aggregate_carpet([ev("203.0.113.5", 0, 1)], ROUTED, ALLOC, min_targets=min_targets)
+
 
 class TestCarpetProperties:
     def _random_events(self, rng):
@@ -256,7 +262,7 @@ def carpet_events(draw):
 
 class TestCarpetOracle:
     @settings(max_examples=200, deadline=None)
-    @given(events=carpet_events(), min_targets=st.integers(1, 3), gap=st.sampled_from([0.0, 30.0, 60.0]))
+    @given(events=carpet_events(), min_targets=st.integers(2, 3), gap=st.sampled_from([0.0, 30.0, 60.0]))
     def test_equals_greedy_reference(self, events, min_targets, gap):
         got = aggregate_carpet(events, NESTED_ROUTED, ALLOC, concurrency_gap=gap, min_targets=min_targets)
         assert got == oracle_aggregate_carpet(events, NESTED_ROUTED, ALLOC, gap, min_targets)

@@ -4,7 +4,7 @@ import os
 import re
 import subprocess
 import sys
-from datetime import date
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -13,7 +13,7 @@ from click.testing import CliRunner
 import ddoscope
 from ddoscope.cli import main
 from ddoscope import ioformats, pipeline
-from ddoscope.model import US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
+from ddoscope.model import EPOCH, US_PER_DAY, US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
 from ddoscope.ioformats import read_targets
 from ddoscope.schema import REQUIRED
 
@@ -202,6 +202,59 @@ class TestCliMatchesPipeline:
         invoke(runner, ["overlap", "--sets", sets, "--upset", "--out", str(cli / "upset.json")])
         assert (cli / "upset.json").read_bytes() == (bundle / "upset.json").read_bytes()
 
+    def test_trends_and_correlate_give_the_bundle_entries(self, runner, tmp_path):
+        # A 20-week bundle, plus a flow monitor that saw two attacks in it:
+        # the pipeline skips that monitor's series (its baseline median is 0).
+        cfg = write_pipeline_fixture(tmp_path, weeks=20, normalize=True, ewma_span=12)
+        doc = json.loads(cfg.read_text())
+        (tmp_path / "sparse.csv").write_text(
+            "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us\n" + "".join(
+                f"203.0.113.11,6,0,20,200000000,{start * US_PER_S},{(start + 300) * US_PER_S}\n"
+                for start in (FIRST_MONDAY + 86_400, FIRST_MONDAY + 18 * 7 * 86_400)))
+        doc["observatories"].append({"name": "sparse", "type": "flow", "inputs": ["sparse.csv"]})
+        cfg.write_text(json.dumps(doc))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        bundle = tmp_path / "out"
+        trends = json.loads((bundle / "trends.json").read_text())
+        assert trends["sparse:DP"] == {"skipped": "baseline median is zero; series cannot be normalized"}
+        assert sum("skipped" not in entry for entry in trends.values()) == 4
+
+        # the bundle's span: the first and last event start of every observatory
+        starts = [e.start_ts for name in ("scope", "hop", "ixp", "sparse")
+                  for e in read_attacks(bundle / f"attacks_{name}.csv")]
+        start, end = (str(EPOCH + timedelta(ts // US_PER_DAY)) for ts in (min(starts), max(starts)))
+        for label, entry in trends.items():
+            obs, atype = label.split(":")
+            out = tmp_path / f"{obs}_{atype}.json"
+            args = ["trends", "--in", str(bundle / f"attacks_{obs}.csv"), "--attack-type", atype,
+                    "--normalize", "--ewma", "12", "--start", start, "--end", end, "--out", str(out), "--summary"]
+            if "skipped" in entry:
+                result = invoke(runner, args, expect=3)
+                assert result.output.strip() == f"error: {entry['skipped']}"
+                assert not out.exists()
+                continue
+            result = invoke(runner, args)
+            first, summary = result.output.splitlines()
+            assert first == f"20 weeks, --start {start} --end {end} -> {out}"
+            assert out.read_bytes() == (bundle / "series" / out.name).read_bytes(), label
+            assert json.loads(summary) == entry, label
+
+        correlations = json.loads((bundle / "correlations.json").read_text())
+        assert len(correlations) == 6
+        for entry in correlations:
+            result = invoke(runner, ["correlate", "--method", "spearman",
+                                     *(arg for side in "ab" for arg in (
+                                         f"--{side}", str(bundle / "series" / f"{entry[side].replace(':', '_')}.json")))])
+            assert json.loads(result.output) == entry
+
+        # on its own, trends spans its own events, and prints that span
+        result = invoke(runner, ["trends", "--in", str(bundle / "attacks_ixp.csv"), "--attack-type", "RA",
+                                 "--out", str(tmp_path / "own.json")])
+        own = [e.start_ts for e in read_attacks(bundle / "attacks_ixp.csv") if e.attack_type == "RA"]
+        own_start, own_end = (str(EPOCH + timedelta(ts // US_PER_DAY)) for ts in (min(own), max(own)))
+        assert (own_start, own_end) != (start, end)
+        assert result.output.startswith(f"19 weeks, --start {own_start} --end {own_end} -> ")
+
 
 class TestAggregateCommand:
     def test_merges_concurrent_hosts(self, runner, tmp_path):
@@ -324,6 +377,76 @@ class TestOverlapAndConfirm:
         assert lines[2] == "2022-01-10,1,1,2"
         doc = json.loads(attr.read_text())
         assert doc == [{"asn": "AS64500", "tuples": 3, "share": 1.0}]
+
+
+class TestOptionErrors:
+    """Option values a pipeline config would refuse, and options that do not
+    fit together, are configuration errors: exit 2, nothing written."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        (tmp_path / "attacks.csv").write_text(
+            "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+            "hp,RA,20.1.2.3/32,0,1000000,50,\n")
+        (tmp_path / "routed.csv").write_text("prefix,asn\n20.1.0.0/16,64500\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n20.0.0.0/8,ARIN\n")
+        (tmp_path / "targets.csv").write_text("date,ip\n1970-01-01,20.1.2.3\n")
+        (tmp_path / "hashes.txt").write_text("0" * 64 + "\n")
+        return tmp_path
+
+    @pytest.mark.parametrize("args, message", [
+        ("trends --in {d}/attacks.csv --ewma 0", "error: trends: --ewma must be a number of at least 1, or null, not 0.0"),
+        ("trends --in {d}/attacks.csv --ewma 0.5",
+         "error: trends: --ewma must be a number of at least 1, or null, not 0.5"),
+        ("trends --in {d}/attacks.csv --ewma -2",
+         "error: trends: --ewma must be a number of at least 1, or null, not -2.0"),
+        ("trends --in {d}/attacks.csv --start 1970-01-01", "Error: --start and --end must be given together"),
+        ("aggregate --routed {d}/routed.csv --alloc {d}/alloc.csv --in {d}/attacks.csv --gap -1",
+         "error: aggregate: --gap must be a number of at least 0, not -1.0"),
+        ("aggregate --routed {d}/routed.csv --alloc {d}/alloc.csv --in {d}/attacks.csv --min-targets 1",
+         "error: aggregate: --min-targets must be an integer of at least 2, not 1"),
+        ("overlap --sets a={d}/targets.csv --attribution {d}/out", "Error: --attribution needs --routed"),
+        ("overlap --sets a={d}/targets.csv,b={d}/targets.csv,c={d}/attacks.csv --timeseries {d}/out",
+         "Error: --timeseries needs exactly two sets"),
+        ("overlap --sets {d}/targets.csv --upset --out {d}/out", "Error: --sets wants label=path, got '{d}/targets.csv'"),
+        ("overlap --sets a={d}/targets.csv --sets a={d}/attacks.csv --upset --out {d}/out",
+         "Error: --sets: duplicate set label 'a'"),
+        ("confirm --local a={d}/targets.csv --local a={d}/targets.csv --external {d}/hashes.txt --salt s --out {d}/out",
+         "Error: --local: duplicate set label 'a'"),
+        ("overlap --sets a={d}/targets.csv --attribution {d}/out --routed {d}/routed.csv --top-n 0",
+         "Error: Invalid value for '--top-n': 0 is not in the range x>=1."),
+        ("overlap --sets a={d}/targets.csv --attribution {d}/out --routed {d}/routed.csv --top-n -1",
+         "Error: Invalid value for '--top-n': -1 is not in the range x>=1."),
+    ], ids=["ewma-zero", "ewma-half", "ewma-negative", "start-alone", "gap-negative", "min_targets-one",
+            "attribution-unrouted", "timeseries-three", "sets-unlabelled", "sets-repeated", "local-repeated",
+            "top-n-zero", "top-n-negative"])
+    def test_exit_2(self, runner, files, args, message):
+        args = args.format(d=files).split()
+        if args[0] in ("trends", "aggregate"):
+            args += ["--out", str(files / "out")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert result.output.strip().splitlines()[-1] == message.format(d=files)
+        assert not (files / "out").exists()
+
+    def test_min_targets_two_keeps_a_lone_target(self, runner, files):
+        invoke(runner, ["aggregate", "--routed", str(files / "routed.csv"), "--alloc", str(files / "alloc.csv"),
+                        "--in", str(files / "attacks.csv"), "--out", str(files / "out"), "--min-targets", "2"])
+        assert [e.target for e in read_attacks(files / "out")] == ["20.1.2.3/32"]
+
+
+def test_readme_cli_lines_name_existing_options(runner):
+    # each README CLI line, optional parts included, with --help added: click
+    # refuses an unknown option before it handles --help
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 10
+    for line in lines:
+        command, *args = line.replace("[", "").replace("]", "").split()
+        assert command == "ddoscope"
+        result = runner.invoke(main, [*args, "--help"])
+        assert result.exit_code == 0, (line, result.output)
 
 
 class TestPipelineCommand:
@@ -619,8 +742,9 @@ class TestPipelineCommand:
         (lambda doc: doc["observatories"][0].update(preset="amppot"), "telescope 'scope': unknown config keys ['preset']"),
         (lambda doc: doc["observatories"][0].update(merge_gap=5), "telescope 'scope': unknown config keys ['merge_gap']"),
         (lambda doc: doc["observatories"][2].update(sensor_col="x"), "flow 'ixp': unknown config keys ['sensor_col']"),
-        (lambda doc: doc.update(min_targets=2.9), "pipeline: min_targets must be an integer, not 2.9"),
-        (lambda doc: doc.update(min_targets=True), "pipeline: min_targets must be an integer, not True"),
+        (lambda doc: doc.update(min_targets=2.9), "pipeline: min_targets must be an integer of at least 2, not 2.9"),
+        (lambda doc: doc.update(min_targets=True), "pipeline: min_targets must be an integer of at least 2, not True"),
+        (lambda doc: doc.update(min_targets=1), "pipeline: min_targets must be an integer of at least 2, not 1"),
         (lambda doc: doc.update(concurrency_gap="60"),
          "pipeline: concurrency_gap must be a number of at least 0, not '60'"),
         (lambda doc: doc.update(concurrency_gap=-1), "pipeline: concurrency_gap must be a number of at least 0, not -1"),
@@ -654,7 +778,7 @@ class TestPipelineCommand:
     ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
             "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested", "no-out_dir",
             "no-name", "no-type", "honeypot-config", "telescope-preset", "telescope-merge_gap", "flow-sensor_col",
-            "min_targets-float", "min_targets-bool", "concurrency_gap-string", "concurrency_gap-negative",
+            "min_targets-float", "min_targets-bool", "min_targets-one", "concurrency_gap-string", "concurrency_gap-negative",
             "parallelism-string", "parallelism-float", "seed-string", "merge_gap-string", "merge_gap-negative",
             "ewma_span-string", "ewma_span-half", "ewma_span-zero", "ampl_ports-string", "ampl_ports-high",
             "ampl_ports-negative", "sensor_col-int", "scenario-int", "n_addresses-float", "n_addresses-string",
