@@ -24,16 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from .model import (
-    AllocationTable,
     EventBatch,
+    PrefixTable,
     Ragged,
-    RoutedPrefixTable,
     US_PER_S,
     distinct,
     host_targets,
     merge_runs,
     observatory_codes,
-    prefix_mask,
     time_clusters,
 )
 
@@ -43,8 +41,8 @@ MAX_PREFIX_LEN = 28
 
 def aggregate_carpet(
     events: EventBatch,
-    routed: RoutedPrefixTable,
-    alloc: AllocationTable,
+    routed: PrefixTable,
+    alloc: PrefixTable,
     concurrency_gap: float = 60.0,
     min_targets: int = 2,
 ) -> EventBatch:
@@ -74,27 +72,21 @@ def aggregate_carpet(
     # distinct target networks per cluster, each network as the rank of its key
     rank = np.unique(net << 6 | plen, return_inverse=True)[1].astype(np.uint32)
     networks = np.diff(distinct(rank, bounds)[1])
-    # Longest routed prefix containing every target: any covering prefix
-    # must contain the span from the lowest to the highest target address,
-    # so walk the ancestors of that span's common prefix.
+    # the span from each cluster's lowest to its highest target address
     lo = np.minimum.reduceat(net, bounds[:-1])
     hi = np.maximum.reduceat(net | (1 << (32 - plen)) - 1, bounds[:-1])
-    merged, nets, plens = [], [], []
-    candidates = np.flatnonzero(networks >= min_targets)
-    for c, span_lo, span_hi in zip(candidates.tolist(), lo[candidates].tolist(), hi[candidates].tolist()):
-        cov_len = 32 - (span_lo ^ span_hi).bit_length()
-        hit = routed.longest_covering(span_lo & prefix_mask(cov_len), cov_len)
-        if (hit is not None and MIN_PREFIX_LEN <= hit[1] <= MAX_PREFIX_LEN
-                and alloc.block_holding(span_lo, span_hi) is not None):
-            merged.append(c)
-            nets.append(span_lo & prefix_mask(hit[1]))
-            plens.append(hit[1])
+    merged = np.flatnonzero(networks >= min_targets)
+    route = routed.containing(lo[merged], hi[merged])
+    merged, route = merged[route >= 0], route[route >= 0]
+    keep = ((routed.plen[route] >= MIN_PREFIX_LEN) & (routed.plen[route] <= MAX_PREFIX_LEN)
+            & (alloc.containing(lo[merged], hi[merged]) >= 0))
+    merged, route = merged[keep], route[keep]
 
-    rows = Ragged(bounds, order)[np.array(merged, np.int64)]
+    rows = Ragged(bounds, order)[merged]
     clustered = events.take(rows.values)
     rest = np.ones(len(events), bool)
     rest[rows.values] = False
     return EventBatch.concat([
         events.take(rest),
-        merge_runs(clustered, rows.bounds, nets, plens, host_targets(clustered)),
+        merge_runs(clustered, rows.bounds, routed.net[route], routed.plen[route], host_targets(clustered)),
     ]).ordered()

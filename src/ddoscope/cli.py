@@ -244,6 +244,8 @@ def trends(in_path, observatory, attack_type, do_normalize, ewma_span,
     ewma_span = read({"--ewma": ewma_span}, {"--ewma": ANALYSIS["ewma_span"]}, "trends")["--ewma"]
     if (start is None) != (end is None):
         raise click.UsageError("--start and --end must be given together")
+    if start and start > end:
+        raise click.UsageError(f"--start {start.date()} is after --end {end.date()}")
     events = read_attacks(in_path)
     if observatory:
         events = events.take(events.observatory == observatory)

@@ -19,8 +19,6 @@ Prefix-keyed events record the hosts they saw as member targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .flows import group_flows
@@ -39,57 +37,38 @@ from .model import (
     type_code,
 )
 
-
-@dataclass(frozen=True)
-class HoneypotPreset:
-    name: str
-    definition: AttackDefinition
-
-
-PRESETS: dict[str, HoneypotPreset] = {
-    "amppot": HoneypotPreset(
-        "amppot",
-        AttackDefinition(
-            key_fields=("src_ip", "src_port", "dst_ip", "dst_port"),
-            timeout=3600.0,
-            pkt_threshold=100,
-        ),
+PRESETS: dict[str, AttackDefinition] = {
+    "amppot": AttackDefinition(
+        key_fields=("src_ip", "src_port", "dst_ip", "dst_port"),
+        timeout=3600.0,
+        pkt_threshold=100,
     ),
-    "hopscotch": HoneypotPreset(
-        "hopscotch",
-        AttackDefinition(
-            key_fields=("src_ip", "dst_ip", "dst_port"),
-            timeout=900.0,
-            pkt_threshold=5,
-        ),
+    "hopscotch": AttackDefinition(
+        key_fields=("src_ip", "dst_ip", "dst_port"),
+        timeout=900.0,
+        pkt_threshold=5,
     ),
     # NewKid carries two thresholds: mono-port attacks need >=5 packets to
     # one (dst IP, dst port); multi-protocol attacks need >=5 packets over
     # >=2 distinct dst ports of one dst IP. "newkid" is the multi-protocol
     # rule; use "newkid-mono" for the port-keyed variant.
-    "newkid": HoneypotPreset(
-        "newkid",
-        AttackDefinition(
-            key_fields=("src_prefix", "dst_ip"),
-            timeout=60.0,
-            pkt_threshold=5,
-            port_threshold=2,
-            src_prefix_len=24,
-        ),
+    "newkid": AttackDefinition(
+        key_fields=("src_prefix", "dst_ip"),
+        timeout=60.0,
+        pkt_threshold=5,
+        port_threshold=2,
+        src_prefix_len=24,
     ),
-    "newkid-mono": HoneypotPreset(
-        "newkid-mono",
-        AttackDefinition(
-            key_fields=("src_prefix", "dst_ip", "dst_port"),
-            timeout=60.0,
-            pkt_threshold=5,
-            src_prefix_len=24,
-        ),
+    "newkid-mono": AttackDefinition(
+        key_fields=("src_prefix", "dst_ip", "dst_port"),
+        timeout=60.0,
+        pkt_threshold=5,
+        src_prefix_len=24,
     ),
 }
 
 
-def preset(name: str) -> HoneypotPreset:
+def preset(name: str) -> AttackDefinition:
     try:
         return PRESETS[name.lower()]
     except KeyError:

@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (
-    FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, AllocationTable, EventBatch,
-    FlowBatch, PacketBatch, RoutedPrefixTable, TargetTuple, WeeklySeries,
-    dotted_quads, event_violation, ip_to_int, parse_prefix, target_text, tuples_to_keys, type_code,
+    ATTACK_TYPES, FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, EventBatch, FlowBatch, PacketBatch,
+    PrefixTable, Ragged, WeeklySeries, distinct, dotted_quads, format_prefix, pack_targets, target_text,
 )
 
 PACKETS_HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
@@ -73,11 +72,15 @@ def _write_csv(path, header: str, table, lines) -> None:
             fh.write("".join(lines(table[part] if isinstance(table, np.ndarray) else table.take(part))))
 
 
-# -- column-spec reader: packets.csv and flows.csv ----------------------------
+# -- column-spec reader: every CSV file ----------------------------------------
 
 # Bytes read per parsing step; a step always ends at a line break, so a row
 # is never split between two steps.
 _CHUNK_BYTES = 1 << 18
+# Field parsers read from 18 bytes before a field's start to 17 past it, or
+# to its end; the zero bytes after the data keep those reads, wrapped or not,
+# in bounds, and past the file's last line they are no digit or dot.
+_PAD = 32
 # Bit of each TCP flag letter; 16 marks a byte that is not one.
 _FLAG_BITS = np.full(256, 16, np.uint8)
 _FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
@@ -85,56 +88,60 @@ _FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
 _DOT_AT = np.array([4, 1, 2, 1, 3, 1, 2, 1], np.uint8)
 
 
-def _read_columns(path, header: str, fields, checks) -> list[np.ndarray]:
+def _read_columns(path, header: str, fields, checks=lambda *columns: ()) -> list:
     """The columns of a CSV file whose rows follow a fixed grammar.
 
-    `fields` holds one (stored dtype, parser, *parser arguments) per column
-    and `checks(*columns)` one (rule, validity) pair per range check. The
-    first row with a wrong field count, a field its parser rejects or a
-    broken rule raises FormatError naming its line and what it breaks.
+    `fields` holds one (stored dtype, parser, *parser arguments) per column,
+    where the dtype Ragged stores the parser's Ragged as it is, and
+    `checks(*columns)` one (rule, validity) pair per range check. The first
+    row with a wrong field count, a field its parser rejects or a broken
+    rule raises FormatError naming its line and what it breaks.
     """
     with open(path, "rb") as fh:
         lineno = _check_header(_lines(fh, path), header, path)
-        parts = [[np.empty(0, dtype) for dtype, *_ in fields]]
-        pending = b""
+        parts = [[Ragged.from_lists(()) if dtype is Ragged else np.empty(0, dtype) for dtype, *_ in fields]]
+        # one buffer for every step: the lines not parsed yet, then _PAD zero bytes
+        buf, size = bytearray(_CHUNK_BYTES + _PAD), 0
         while True:
-            data = fh.read(_CHUNK_BYTES)
-            pending += data
+            got = fh.readinto(memoryview(buf)[size:-_PAD])
+            size += got
+            buf[size:size + _PAD] = bytes(_PAD)
             # whole lines only, but the last line of the file may lack its break
-            cut = pending.rfind(b"\n") + 1 if data else len(pending)
+            cut = buf.rfind(b"\n", 0, size) + 1 if got else size
             if cut:
-                chunk, pending = pending[:cut], pending[cut:]
-                columns, bad, breaks = _parse_rows(chunk, fields, checks)
+                columns, bad, breaks = _parse_rows(np.frombuffer(buf, np.uint8), cut, fields, checks)
                 if bad is not None:
                     index, failed = bad
-                    at, line = next(_lines([chunk.split(b"\n")[index]], path, lineno + index + 1))
+                    at, line = next(_lines([bytes(buf[:cut]).split(b"\n")[index]], path, lineno + index + 1))
                     raise FormatError(f"{path}:{at}: {_rejection(line, header, fields, failed)}")
                 parts.append(columns)
                 lineno += breaks
-            if not data:
-                return [np.concatenate(col) for col in zip(*parts)]
+                buf[:size - cut], size = buf[cut:size], size - cut
+            elif size == len(buf) - _PAD:       # a line longer than the buffer
+                buf = buf + bytes(len(buf))
+            if not got:
+                return [Ragged.concat(col) if dtype is Ragged else np.concatenate(col)
+                        for col, (dtype, *_) in zip(zip(*parts), fields)]
 
 
-def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]], Optional[tuple], int]:
-    """Parse the rows of `chunk`, one per line.
+def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[list], Optional[tuple], int]:
+    """Parse the rows of buf[:size], one per line; `buf` runs on at least _PAD bytes.
 
     Returns the columns and None, or None and (index of the first bad line,
     what it fails first): None for its field count, a column's index for a
     field that column's parser rejects, or a broken rule's text. Blank
-    lines count but are skipped. Last comes the chunk's number of LFs.
+    lines count but are skipped. Last comes the number of LFs.
     """
-    # Field parsers read from 18 bytes before a field's start to 17 past it, or
-    # to its end; the 32 zero bytes keep those reads, wrapped or not, in bounds.
-    buf = np.frombuffer(chunk + bytes(32), np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    data = buf[:size]
+    ends = np.flatnonzero(data == ord("\n"))
     breaks = len(ends)
-    if not chunk.endswith(b"\n"):
-        ends = np.append(ends, len(chunk))
+    if data[-1] != ord("\n"):
+        ends = np.append(ends, size)
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))
     lines = np.flatnonzero(ends > starts)
     starts, ends = starts[lines], ends[lines]
-    commas = np.flatnonzero(buf == ord(","))
+    commas = np.flatnonzero(data == ord(","))
     per_row, n = len(fields) - 1, len(lines)
     # every row has its field count when the commas split evenly and each
     # row's share starts and ends inside it; if not, count them row by row
@@ -160,7 +167,8 @@ def _parse_rows(chunk: bytes, fields, checks) -> tuple[Optional[list[np.ndarray]
         return None, (int(lines[bad[0]]), failed), breaks
     if n < len(lines):
         return None, (int(lines[n]), None), breaks
-    return [col.astype(dtype, copy=False) for col, (dtype, *_) in zip(columns, fields)], None, breaks
+    return [col if dtype is Ragged else col.astype(dtype, copy=False)
+            for col, (dtype, *_) in zip(columns, fields)], None, breaks
 
 
 def _decimal(buf, lo, hi, width: int, leading_zeros: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -240,12 +248,82 @@ def _tcp_flags(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return mask & 15, mask < 16
 
 
+def _prefix(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as a dotted-quad, optionally then "/" and a length
+    of 0 to 32, with no host bits set; a bare dotted-quad is a /32: (int64
+    values net << 6 | length, validity)."""
+    # a length has one or two digits, so a slash is 2 or 3 bytes from the end
+    slash = np.where(buf[hi - 2] == ord("/"), hi - 2, np.where(buf[hi - 3] == ord("/"), hi - 3, hi))
+    net, ok = _ipv4(buf, lo, slash)
+    length, length_ok = _decimal(buf, slash + 1, hi, 2)
+    ok &= (slash == hi) | length_ok & (length <= 32)
+    length = np.where(slash < hi, np.minimum(length, 32), 32)
+    net = net.astype(np.int64)
+    ok &= (net & (1 << (32 - length)) - 1) == 0
+    return net << 6 | length, ok
+
+
+def _date(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as YYYY-MM-DD dates of the years 1 to 9999: (int64
+    days since 1970-01-01, validity)."""
+    (year, year_ok), (month, month_ok), (day, day_ok) = (
+        _decimal(buf, lo + at, lo + at + width, width, leading_zeros=True) for at, width in ((0, 4), (5, 2), (8, 2)))
+    # the first day of the month and of the next, in days since 1970-01-01
+    months = (year - 1970) * 12 + np.clip(month, 1, 12) - 1
+    first, following = ((months + k).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+                        for k in (0, 1))
+    ok = (hi - lo == 10) & (buf[lo + 4] == ord("-")) & (buf[lo + 7] == ord("-")) & year_ok & month_ok & day_ok
+    ok &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= following - first)
+    return first + day - 1, ok
+
+
+def _attack_type(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as attack type names: (codes into ATTACK_TYPES, validity)."""
+    code = np.full(len(lo), len(ATTACK_TYPES))
+    for k, name in enumerate(ATTACK_TYPES):
+        same = hi - lo == len(name)
+        for j, byte in enumerate(name.encode()):
+            same &= buf[lo + j] == byte
+        code[same] = k
+    return code, code < len(ATTACK_TYPES)
+
+
+def _text(buf, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Fields buf[lo:hi] as UTF-8 text without a double quote: (str objects, validity)."""
+    data = buf.tobytes()
+    cells = [data[a:b] for a, b in zip(lo.tolist(), hi.tolist())]
+    text = {cell: cell.decode(errors="replace") for cell in set(cells)}
+    # a cell is UTF-8 when its decoded text encodes back to it
+    valid = {cell: b'"' not in cell and value.encode() == cell for cell, value in text.items()}
+    return np.array([text[cell] for cell in cells], object), np.array([valid[cell] for cell in cells], bool)
+
+
+def _ipv4_list(buf, lo, hi) -> tuple[Ragged, np.ndarray]:
+    """Fields buf[lo:hi] as ";"-joined dotted-quads, empty items skipped:
+    (each field's sorted distinct addresses, validity)."""
+    semis = np.flatnonzero(buf[:hi.max(initial=0)] == ord(";"))
+    field = np.searchsorted(lo, semis, "right") - 1
+    semis = semis[np.searchsorted(hi, semis, "right") == field]     # those inside a field
+    # an item runs from a field's start or a semicolon to the next semicolon or the field's end
+    starts, ends = np.sort(np.concatenate((lo, semis + 1))), np.sort(np.concatenate((semis, hi)))
+    filled = ends > starts
+    values, ok = _ipv4(buf, starts[filled], ends[filled])
+    owner = np.searchsorted(lo, starts[filled], "right") - 1
+    values, bounds = distinct(values, np.searchsorted(owner, np.arange(len(lo) + 1)))
+    return Ragged(bounds, values), np.bincount(owner[~ok], minlength=len(lo)) == 0
+
+
 # What a field must be, by its column's parser and that parser's arguments
 _MUST_BE = {
     _decimal: "a canonical decimal of at most {} digits",
     _fixed: "a canonical decimal of at most {} digits, then optionally '.' and 1 to {} digits",
     _ipv4: "an IPv4 dotted-quad",
     _tcp_flags: "a sequence of the TCP flag letters S, A, R, F",
+    _prefix: "a dotted-quad, optionally then '/' and a length of 0 to 32, with no host bits set",
+    _date: "a YYYY-MM-DD date",
+    _attack_type: f"one of {', '.join(ATTACK_TYPES)}",
+    _text: "UTF-8 text without a double quote",
+    _ipv4_list: "a ';'-joined list of IPv4 dotted-quads",
 }
 
 
@@ -311,73 +389,35 @@ def write_packets(path, packets: PacketBatch) -> None:
             dotted_quads(part.dst), part.dst_port.tolist(), part.len_bytes.tolist(), part.flags.tolist())))
 
 
-# -- row-wise csv readers (attacks, tables, targets) ---------------------------
-
-def _read_csv(path, header: str, parse, lines: Optional[list] = None) -> list:
-    """`parse(*fields)` of each row after the exact `header`. A row holding
-    a double quote, whose field count differs from the header's, or that
-    `parse` rejects with ValueError, raises FormatError naming its line.
-    `lines`, when given, gets the line number of each row."""
-    width = header.count(",") + 1
-    out = []
-    with open(path, "rb") as fh:
-        rows = _lines(fh, path)
-        _check_header(rows, header, path)
-        for lineno, line in rows:
-            row = line.split(",")
-            try:
-                if '"' in line:
-                    raise ValueError("a double quote in a row; fields are never quoted")
-                if len(row) != width:
-                    raise ValueError(f"expected {width} fields, got {len(row)}")
-                out.append(parse(*row))
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: {exc}") from None
-            if lines is not None:
-                lines.append(lineno)
-    return out
-
-
-def _int(text: str) -> int:
-    """A canonical ASCII decimal: no sign, blank, separator or leading zero."""
-    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
-        raise ValueError(f"not a canonical decimal: {text!r}")
-    return int(text)
-
-
-def _valid(parse, text: str) -> str:
-    """`text`, once `parse` accepts it."""
-    parse(text)
-    return text
-
-
 # -- attacks ----------------------------------------------------------------
 
-def _decimal_cell(text: str, column: str, most: int = 10 ** 18 - 1) -> int:
-    """An int64 cell: a canonical decimal of at most 18 digits and at most `most`."""
-    if not (len(text) <= 18 and text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
-        raise ValueError(f"{column} {text!r} is not {_MUST_BE[_decimal].format(18)}")
-    if int(text) > most:
-        raise ValueError(f"{column} above {most}")
-    return int(text)
+# attacks.csv columns: (stored dtype, parser, *parser arguments)
+_ATTACK_FIELDS = (
+    (np.str_, _text),               # observatory
+    (np.uint8, _attack_type),       # attack_type
+    (np.int64, _prefix),            # target
+    (np.int64, _decimal, 18),       # start_ts_us
+    (np.int64, _decimal, 18),       # end_ts_us
+    (np.int64, _decimal, 18),       # packets
+    (Ragged, _ipv4_list),           # sensors
+)
 
 
-def _attack(obs, atype, target, start, end, packets, sensors) -> tuple:
-    return (obs, type_code(atype), *parse_prefix(target), _decimal_cell(start, "start_ts_us", MAX_TS_US),
-            _decimal_cell(end, "end_ts_us", MAX_TS_US), _decimal_cell(packets, "packets"), 0, False, 0,
-            sorted({ip_to_int(s) for s in sensors.split(";") if s}), ())
+def _attack_checks(observatory, attack_type, target, start, end, packets, sensors):
+    return [
+        (f"start_ts_us above {MAX_TS_US}", start <= MAX_TS_US),
+        (f"end_ts_us above {MAX_TS_US}", end <= MAX_TS_US),
+        ("start_ts after end_ts", start <= end),
+        ("target prefix length outside 11-32", target & 63 >= 11),
+    ]
 
 
 def read_attacks(path) -> EventBatch:
-    """Load attacks.csv. The first row that breaks the row grammar raises
-    FormatError naming its line; after it, the first that breaks an event
-    rule (see `model.event_violation`)."""
-    lines: list[int] = []
-    events = EventBatch.from_rows(_read_csv(path, ATTACKS_HEADER, _attack, lines))
-    bad = event_violation(events)
-    if bad is not None:
-        raise FormatError(f"{path}:{lines[bad[0]]}: {bad[1]}")
-    return events
+    """Load attacks.csv; see README for the row grammar. Rows read back
+    without byte counts, source counts or members."""
+    observatory, code, target, start, end, packets, sensors = _read_columns(
+        path, ATTACKS_HEADER, _ATTACK_FIELDS, _attack_checks)
+    return EventBatch.build(observatory, code, target >> 6, target & 63, start, end, packets, sensors=sensors)
 
 
 def write_attacks(path, events: EventBatch) -> None:
@@ -434,30 +474,35 @@ def write_flows(path, flows: FlowBatch) -> None:
 
 # -- prefix tables -----------------------------------------------------------
 
-def read_routed_table(path) -> RoutedPrefixTable:
-    return RoutedPrefixTable(_read_csv(
-        path, ROUTED_HEADER, lambda prefix, asn: (_valid(parse_prefix, prefix), _int(asn))))
+def _prefix_table(prefix: np.ndarray, value: np.ndarray) -> PrefixTable:
+    return PrefixTable((prefix >> 6).astype(np.uint32), (prefix & 63).astype(np.uint8), value)
 
 
-def read_alloc_table(path) -> AllocationTable:
-    rows = _read_csv(path, ALLOC_HEADER, lambda prefix, registry: (_valid(parse_prefix, prefix), registry))
-    try:
-        return AllocationTable(rows)
-    except ValueError as exc:       # overlapping blocks
-        raise FormatError(f"{path}: {exc}") from None
+def read_routed_table(path) -> PrefixTable:
+    """Load routed.csv: a prefix table of origin ASNs."""
+    return _prefix_table(*_read_columns(path, ROUTED_HEADER, ((np.int64, _prefix), (np.int64, _decimal, 10))))
+
+
+def read_alloc_table(path) -> PrefixTable:
+    """Load alloc.csv: a prefix table of registry names, whose blocks must
+    be pairwise disjoint."""
+    table = _prefix_table(*_read_columns(path, ALLOC_HEADER, ((np.int64, _prefix), (object, _text))))
+    # sorted by (net, length), a block that overlaps another overlaps the next
+    order = np.lexsort((table.plen, table.net))
+    net, plen = table.net[order].astype(np.int64), table.plen[order].astype(np.int64)
+    overlaps = np.flatnonzero(net[1:] <= (net | (1 << (32 - plen)) - 1)[:-1])
+    if len(overlaps):
+        pair = order[overlaps[0]:overlaps[0] + 2]
+        raise FormatError(f"{path}: allocation blocks overlap: "
+                          + " and ".join(map(format_prefix, table.net[pair].tolist(), table.plen[pair].tolist())))
+    return table
 
 
 # -- target tuples -----------------------------------------------------------
 
-def _target(day: str, ip: str) -> TargetTuple:
-    if date.fromisoformat(day).isoformat() != day:
-        raise ValueError(f"not a YYYY-MM-DD date: {day!r}")
-    return TargetTuple(date.fromisoformat(day), _valid(ip_to_int, ip))
-
-
 def read_targets(path) -> np.ndarray:
     """Load targets.csv as target keys (see `model.pack_targets`)."""
-    return tuples_to_keys(_read_csv(path, TARGETS_HEADER, _target))
+    return pack_targets(*_read_columns(path, TARGETS_HEADER, ((np.int64, _date), (np.uint32, _ipv4))))
 
 
 def write_targets(path, keys: np.ndarray) -> None:

@@ -2,9 +2,8 @@
 
 IPv4 only. Packets, flow summaries, attack events and target sets are
 numpy columns, and addresses inside them are uint32; dotted-quad strings
-appear only in files, messages, the readable row types and the prefix
-tables' lookups. All types are immutable after construction and safe to
-share across threads.
+appear only in files, messages and the readable row types. All types
+are immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -83,13 +82,6 @@ def prefix_mask(plen: int) -> int:
 
 def format_prefix(net: int, plen: int) -> str:
     return f"{int_to_ip(net)}/{plen}"
-
-
-def prefix_contains(net: int, plen: int, other_net: int, other_plen: int) -> bool:
-    """True when prefix (net, plen) fully contains prefix (other_net, other_plen)."""
-    if other_plen < plen:
-        return False
-    return (other_net & prefix_mask(plen)) == net
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +297,8 @@ class EventBatch(_Columns):
     or carpet aggregation produced it. `members` keeps the host targets of
     a prefix row so overlap analysis stays host-granular; it is not part of
     the attacks.csv schema, so prefix rows read back have none recorded.
-    Rows hold the rules of `event_violation`: detectors make them so, and
-    `read_attacks` checks them.
+    Rows start no later than they end and target a /11 to /32: detectors
+    make them so, and `read_attacks` checks them.
     """
 
     observatory: np.ndarray     # str
@@ -327,11 +319,11 @@ class EventBatch(_Columns):
               "has_bytes": bool, "source_ips": np.int64, "sensors": Ragged, "members": Ragged}
 
     @classmethod
-    def build(cls, observatory: str, type_code, net, plen, start_ts, end_ts, packets, *,
+    def build(cls, observatory, type_code, net, plen, start_ts, end_ts, packets, *,
               bytes=None, source_ips=0, sensors: Optional[Ragged] = None,
               members: Optional[Ragged] = None) -> "EventBatch":
-        """Rows of one observatory from columns and scalars, which are
-        broadcast; `bytes` None leaves every row without a byte count."""
+        """Rows from columns and scalars, which are broadcast; `bytes` None
+        leaves every row without a byte count."""
         n = len(start_ts)
         given = {"type_code": type_code, "net": net, "plen": plen, "start_ts": start_ts,
                  "end_ts": end_ts, "packets": packets, "bytes": 0 if bytes is None else bytes,
@@ -355,21 +347,6 @@ class EventBatch(_Columns):
         row order."""
         return self.take(np.lexsort((self.type_code, observatory_codes(self.observatory),
                                      self.plen, self.net, self.start_ts)))
-
-
-def event_violation(events: EventBatch) -> Optional[tuple[int, str]]:
-    """The first row that breaks an event rule, with the first rule it
-    breaks; None when every row holds them all."""
-    rules = [
-        ("start_ts after end_ts", events.start_ts <= events.end_ts),
-        ("negative packet count", events.packets >= 0),
-        ("target prefix length {} outside [11, 32]", (events.plen >= 11) & (events.plen <= 32)),
-    ]
-    bad = np.flatnonzero(~np.logical_and.reduce([valid for _, valid in rules]))
-    if not len(bad):
-        return None
-    i = int(bad[0])
-    return i, next(rule.format(events.plen[i]) for rule, valid in rules if not valid[i])
 
 
 def observatory_codes(observatory: np.ndarray) -> np.ndarray:
@@ -488,87 +465,32 @@ def keys_to_tuples(keys: np.ndarray) -> list[TargetTuple]:
 # Prefix tables
 # ---------------------------------------------------------------------------
 
-class RoutedPrefixTable:
-    """BGP-style routed prefix table with longest-prefix match.
+@dataclass(frozen=True, eq=False)
+class PrefixTable(_Columns):
+    """Prefixes with one value each: a routed table's origin ASNs, or a
+    registry's allocation blocks. Prefixes may nest."""
 
-    Overlapping prefixes are allowed; the most specific entry wins. Lookup
-    probes one hash table per occupied prefix length, longest first.
-    """
+    net: np.ndarray         # uint32 network address
+    plen: np.ndarray        # prefix length
+    value: np.ndarray
 
-    def __init__(self, entries: Iterable[tuple[str, int]]):
-        self._by_len: dict[int, dict[int, tuple[str, int]]] = {}
-        self.entries: list[tuple[str, int]] = []
-        for prefix, asn in entries:
-            net, plen = parse_prefix(prefix)
-            canon = format_prefix(net, plen)
-            self._by_len.setdefault(plen, {})[net] = (canon, int(asn))
-            self.entries.append((canon, int(asn)))
-        self._lengths = sorted(self._by_len, reverse=True)
+    DTYPES = {"net": np.uint32, "plen": np.uint8, "value": None}
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def lookup(self, ip: str) -> Optional[tuple[str, int]]:
-        """Most specific (prefix, ASN) covering `ip`, or None."""
-        addr = ip_to_int(ip)
-        for plen in self._lengths:
-            hit = self._by_len[plen].get(addr & prefix_mask(plen))
-            if hit is not None:
-                return hit
-        return None
-
-    def longest_covering(self, net: int, plen: int) -> Optional[tuple[str, int, int]]:
-        """Most specific routed prefix fully containing (net, plen).
-
-        Returns (prefix string, prefix length, ASN) or None. Candidates are
-        exactly the ancestors of the query prefix, so at most plen+1 probes.
-        """
-        for length in range(plen, -1, -1):
-            bucket = self._by_len.get(length)
-            if bucket is None:
-                continue
-            hit = bucket.get(net & prefix_mask(length))
-            if hit is not None:
-                return (hit[0], length, hit[1])
-        return None
-
-
-class AllocationTable:
-    """Registry allocation blocks; blocks must be pairwise disjoint."""
-
-    def __init__(self, entries: Iterable[tuple[str, str]]):
-        self._by_len: dict[int, dict[int, str]] = {}
-        self.entries: list[tuple[str, str]] = []
-        parsed = []
-        for prefix, registry in entries:
-            net, plen = parse_prefix(prefix)
-            canon = format_prefix(net, plen)
-            parsed.append((net, plen, canon))
-            self._by_len.setdefault(plen, {})[net] = canon
-            self.entries.append((canon, registry))
-        self._lengths = sorted(self._by_len, reverse=True)
-        parsed.sort(key=lambda t: (t[0], t[1]))
-        for (na, la, pa), (nb, lb, pb) in zip(parsed, parsed[1:]):
-            if prefix_contains(na, la, nb, lb) or prefix_contains(nb, lb, na, la):
-                raise ValueError(f"allocation blocks overlap: {pa} and {pb}")
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def block_of(self, ip: str) -> Optional[str]:
-        """The unique allocation block containing `ip`, or None."""
-        addr = ip_to_int(ip)
-        return self.block_holding(addr, addr)
-
-    def block_holding(self, lo: int, hi: int) -> Optional[str]:
-        """The block holding every address from `lo` to `hi`, or None. Blocks
-        are disjoint, so that is the block of `lo` when it also holds `hi`."""
-        for plen in self._lengths:
-            mask = prefix_mask(plen)
-            hit = self._by_len[plen].get(lo & mask)
-            if hit is not None:
-                return hit if hi & mask == lo & mask else None
-        return None
+    def containing(self, lo, hi) -> np.ndarray:
+        """For each pair of `lo` and `hi` addresses, the row of the longest
+        prefix that holds every address from lo to hi, or -1; of equal
+        prefixes, the last row."""
+        lo, hi = np.asarray(lo, np.int64), np.asarray(hi, np.int64)
+        found = np.full(len(lo), -1, np.int64)
+        for plen in np.flatnonzero(np.bincount(self.plen, minlength=33))[::-1].tolist():
+            rows = np.flatnonzero(self.plen == plen)
+            shift = 32 - plen
+            nets = self.net[rows].astype(np.int64) >> shift
+            order = np.argsort(nets, kind="stable")
+            at = np.searchsorted(nets[order], lo >> shift, "right") - 1
+            hit = (found < 0) & (at >= 0) & (hi >> shift == lo >> shift) & (nets[order[at]] == lo >> shift)
+            found[hit] = rows[order[at[hit]]]
+        return found
 
 
 # ---------------------------------------------------------------------------

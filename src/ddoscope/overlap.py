@@ -19,10 +19,9 @@ import numpy as np
 from .model import (
     US_PER_DAY,
     EventBatch,
-    RoutedPrefixTable,
+    PrefixTable,
     TargetTuple,
     WeeklySeries,
-    dotted_quads,
     host_targets,
     pack_targets,
     target_text,
@@ -140,7 +139,7 @@ def new_vs_recurring(keys: np.ndarray) -> tuple[WeeklySeries, WeeklySeries, Week
 
 def as_attribution(
     keys: np.ndarray,
-    routed: RoutedPrefixTable,
+    routed: PrefixTable,
     top_n: Optional[int] = None,
 ) -> list[tuple[str, int, float]]:
     """Rank origin ASes by target-tuple count via longest-prefix match.
@@ -149,15 +148,14 @@ def as_attribution(
     bucket. Shares are fractions of all tuples, so the full ranking sums
     to 1. `top_n` truncates the ranking.
     """
-    counts: dict[str, int] = {}
-    for ip in dotted_quads(unpack_targets(keys)[1]):
-        hit = routed.lookup(ip)
-        bucket = UNROUTED if hit is None else f"AS{hit[1]}"
-        counts[bucket] = counts.get(bucket, 0) + 1
     total = len(keys)
     if total == 0:
         return []
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ips = unpack_targets(keys)[1]
+    # the ASN of each key's longest routed prefix; -1, appended, for none
+    asns, counts = np.unique(np.append(routed.value, -1)[routed.containing(ips, ips)], return_counts=True)
+    buckets = {UNROUTED if asn < 0 else f"AS{asn}": count for asn, count in zip(asns.tolist(), counts.tolist())}
+    ranked = sorted(buckets.items(), key=lambda kv: (-kv[1], kv[0]))
     rows = [(asn, c, c / total) for asn, c in ranked]
     return rows[:top_n] if top_n is not None else rows
 

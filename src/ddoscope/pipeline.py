@@ -349,7 +349,7 @@ def _settings(o: ObservatoryConfig) -> dict:
     if o.type == "telescope":
         return {"telescope": TelescopeConfig(**o.telescope)}
     if o.type == "honeypot":
-        definition = preset(o.preset).definition
+        definition = preset(o.preset)
         return {"preset": o.preset, "definition": definition, "sensor_col": o.sensor_col,
                 "merge_gap": definition.timeout if o.merge_gap is None else o.merge_gap}
     return {"ampl_ports": AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)}

@@ -148,21 +148,10 @@ def ewma(series: WeeklySeries, span: float = 12) -> WeeklySeries:
 # Trends
 # ---------------------------------------------------------------------------
 
-def linreg_trend(
-    series: WeeklySeries,
-    window: Optional[tuple[int, int]] = None,
-) -> TrendSummary:
-    """Ordinary least-squares slope over (week index, value) pairs.
-
-    `window` is a half-open index range; default is the whole series.
-    Needs at least two non-null points.
-    """
-    lo, hi = window if window is not None else (0, len(series.values))
-    pts = [
-        (i, v)
-        for i, v in enumerate(series.values)
-        if lo <= i < hi and v is not None
-    ]
+def linreg_trend(series: WeeklySeries) -> TrendSummary:
+    """Ordinary least-squares slope over the (week index, value) pairs of
+    the non-null weeks; needs at least two."""
+    pts = [(i, v) for i, v in enumerate(series.values) if v is not None]
     if len(pts) < 2:
         raise ValueError(f"regression window holds {len(pts)} points; need >= 2")
     n = len(pts)
@@ -247,8 +236,6 @@ def spearman(a: WeeklySeries, b: WeeklySeries) -> CorrelationResult:
     correlation of the rank vectors, p-value from the t approximation
     (exactly 0 at rho = +-1)."""
     pairs = _paired(a, b)
-    if len(pairs) < 3:
-        raise ValueError(f"{len(pairs)} paired samples; need >= 3")
     rx = _ranks([x for x, _ in pairs])
     ry = _ranks([y for _, y in pairs])
     return _correlate(rx, ry)

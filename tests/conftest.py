@@ -2,9 +2,20 @@ import json
 import random
 from pathlib import Path
 
-from ddoscope.model import US_PER_S
+from ddoscope.model import US_PER_S, PrefixTable, format_prefix, parse_prefix
 
 from oracles import PacketRecord
+
+
+def prefix_table(rows) -> PrefixTable:
+    """The PrefixTable of ("a.b.c.d/len", value) rows."""
+    return PrefixTable.from_rows([(*parse_prefix(prefix), value) for prefix, value in rows])
+
+
+def table_rows(table: PrefixTable) -> list:
+    """The ("a.b.c.d/len", value) rows of a PrefixTable."""
+    net, plen, value = (col.tolist() for col in table.columns())
+    return [(format_prefix(*prefix), v) for *prefix, v in zip(net, plen, value)]
 
 # Scenario used by the CLI and acceptance pipeline tests: a multi-week,
 # multi-observatory schedule with per-week attack counts that vary

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
 from typing import Optional
 
-from ddoscope.ioformats import ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, TARGETS_HEADER, FormatError
+from ddoscope.ioformats import (
+    ALLOC_HEADER, ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, ROUTED_HEADER, TARGETS_HEADER, FormatError,
+)
 from ddoscope.model import (
-    FLAG_STRINGS, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple, WeeklySeries, event_violation,
-    int_to_ip, ip_to_int, keys_to_tuples, parse_prefix, prefix_contains, prefix_mask, type_code,
+    EPOCH, FLAG_STRINGS, MAX_TS_US, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple, WeeklySeries,
+    format_prefix, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, parse_prefix, prefix_mask, type_code,
 )
 from ddoscope.overlap import target_digest
 
@@ -51,6 +53,26 @@ class AttackEvent:
         if self.member_targets is not None:
             return self.member_targets
         raise ValueError(f"prefix event {self.target} has no recorded member hosts")
+
+
+def event_violation(events: EventBatch) -> Optional[tuple[int, str]]:
+    """The first row that breaks an event rule, with the first rule it
+    breaks; None when every row holds them all."""
+    rules = [
+        ("start_ts after end_ts", events.start_ts <= events.end_ts),
+        ("negative packet count", events.packets >= 0),
+        ("target prefix length {} outside [11, 32]", (events.plen >= 11) & (events.plen <= 32)),
+    ]
+    for i in range(len(events)):
+        for rule, valid in rules:
+            if not valid[i]:
+                return i, rule.format(events.plen[i])
+    return None
+
+
+def prefix_contains(net: int, plen: int, other_net: int, other_plen: int) -> bool:
+    """True when prefix (net, plen) fully contains prefix (other_net, other_plen)."""
+    return other_plen >= plen and other_net & prefix_mask(plen) == net
 
 
 def events_to_batch(events) -> EventBatch:
@@ -420,17 +442,11 @@ def oracle_aggregate_carpet(events, routed, alloc, concurrency_gap=60.0, min_tar
 
 
 def _oracle_merge(cluster, routed, alloc, min_targets):
-    networks = {parse_prefix(e.target) for e in cluster}
-    if len(networks) < min_targets:
+    targets = {e.target for e in cluster}
+    if len({parse_prefix(t) for t in targets}) < min_targets:
         return None
-    lo = min(net for net, _ in networks)
-    hi = max(net | ((1 << (32 - plen)) - 1) for net, plen in networks)
-    cov_len = 32 - (lo ^ hi).bit_length()
-    hit = routed.longest_covering(lo & prefix_mask(cov_len), cov_len)
-    if hit is None or not 11 <= hit[1] <= 28:
-        return None
-    block = alloc.block_of(int_to_ip(lo))
-    if block is None or block != alloc.block_of(int_to_ip(hi)):
+    hit = oracle_longest_covering(routed, targets)
+    if hit is None or not 11 <= hit[1] <= 28 or oracle_longest_covering(alloc, targets) is None:
         return None
     members = {h for e in cluster for h in e.host_targets()}
     return AttackEvent(
@@ -443,18 +459,105 @@ def _oracle_merge(cluster, routed, alloc, min_targets):
     )
 
 
-def oracle_longest_covering(routed_entries, targets):
-    """Exhaustive scan: most specific routed prefix containing every target
-    prefix. Returns (prefix, plen) or None."""
+def oracle_longest_covering(table, targets):
+    """Exhaustive scan over the rows of a PrefixTable: the most specific
+    prefix containing every target prefix ("a.b.c.d/len"). Returns
+    (prefix, plen) or None."""
     best = None
-    for prefix, _asn in routed_entries:
-        net, plen = parse_prefix(prefix)
-        if all(
-            prefix_contains(net, plen, *parse_prefix(t)) for t in targets
-        ):
+    for net, plen in zip(table.net.tolist(), table.plen.tolist()):
+        if all(prefix_contains(net, plen, *parse_prefix(t)) for t in targets):
             if best is None or plen > best[1]:
-                best = (prefix, plen)
+                best = (format_prefix(net, plen), plen)
     return best
+
+
+# -- the row-by-row CSV reader, reference for the columnar readers -------------
+
+def oracle_read_rows(path, header: str, parse) -> list:
+    """(line number, parse(*fields)) of each row of a CSV file, read a line
+    at a time. Lines are UTF-8, end in LF or CRLF and may be blank; the
+    first other line must equal `header`. A row holding a double quote,
+    whose field count differs from the header's, or that `parse` rejects
+    with ValueError raises FormatError naming its line."""
+    width, rows, seen_header = header.count(",") + 1, [], False
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            try:
+                line = raw.decode().removesuffix("\n").removesuffix("\r")
+            except UnicodeDecodeError:
+                raise FormatError(f"{path}:{lineno}: not UTF-8") from None
+            if not line:
+                continue
+            if not seen_header:
+                if line != header:
+                    raise FormatError(f"{path}: expected header {header!r}, got {line!r}")
+                seen_header = True
+                continue
+            fields = line.split(",")
+            try:
+                if '"' in line:
+                    raise ValueError("a double quote in a row; fields are never quoted")
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                rows.append((lineno, parse(*fields)))
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
+    if not seen_header:
+        raise FormatError(f"{path}: empty file")
+    return rows
+
+
+def _canonical_int(text: str, most: Optional[int] = None) -> int:
+    """A canonical ASCII decimal: no sign, blank, separator or leading zero, and at most `most`."""
+    if not (text.isascii() and text.isdigit()) or (text[0] == "0" and len(text) > 1):
+        raise ValueError(f"not a canonical decimal: {text!r}")
+    if most is not None and int(text) > most:
+        raise ValueError(f"{text} above {most}")
+    return int(text)
+
+
+def _oracle_attack(obs, atype, target, start, end, packets, sensors) -> tuple:
+    return (obs, type_code(atype), *parse_prefix(target), _canonical_int(start, MAX_TS_US),
+            _canonical_int(end, MAX_TS_US), _canonical_int(packets, 10 ** 18 - 1), 0, False, 0,
+            sorted({ip_to_int(s) for s in sensors.split(";") if s}), ())
+
+
+def oracle_read_attacks(path) -> EventBatch:
+    """attacks.csv read row by row; after every row parses, the first row
+    that breaks an event rule raises FormatError naming its line."""
+    rows = oracle_read_rows(path, ATTACKS_HEADER, _oracle_attack)
+    events = EventBatch.from_rows([row for _, row in rows])
+    bad = event_violation(events)
+    if bad is not None:
+        raise FormatError(f"{path}:{rows[bad[0]][0]}: {bad[1]}")
+    return events
+
+
+def oracle_read_table(path, header: str) -> list:
+    """(net, plen, value) rows of routed.csv (an ASN) or alloc.csv (a
+    registry); overlapping allocation blocks raise FormatError naming the file."""
+    routed = header == ROUTED_HEADER
+    rows = [row for _, row in oracle_read_rows(
+        path, header, lambda prefix, value: (*parse_prefix(prefix), _canonical_int(value) if routed else value))]
+    if header == ALLOC_HEADER:
+        ordered = sorted(rows, key=lambda row: row[:2])
+        for (na, la, _), (nb, lb, _) in zip(ordered, ordered[1:]):
+            if prefix_contains(na, la, nb, lb) or prefix_contains(nb, lb, na, la):
+                raise FormatError(
+                    f"{path}: allocation blocks overlap: {format_prefix(na, la)} and {format_prefix(nb, lb)}")
+    return rows
+
+
+def _oracle_target(day: str, ip: str) -> tuple:
+    if date.fromisoformat(day).isoformat() != day:
+        raise ValueError(f"not a YYYY-MM-DD date: {day!r}")
+    return (date.fromisoformat(day) - EPOCH).days, ip_to_int(ip)
+
+
+def oracle_read_targets(path):
+    """targets.csv read row by row, as target keys."""
+    rows = [row for _, row in oracle_read_rows(path, TARGETS_HEADER, _oracle_target)]
+    return pack_targets(*zip(*rows)) if rows else pack_targets([], [])
 
 
 # -- trends ---------------------------------------------------------------------

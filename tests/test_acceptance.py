@@ -16,8 +16,6 @@ import pytest
 from ddoscope import carpet, honeypot, ioformats, telescope
 from ddoscope.honeypot import PRESETS, preset
 from ddoscope.model import (
-    AllocationTable,
-    RoutedPrefixTable,
     TargetTuple,
     US_PER_S,
     WeeklySeries,
@@ -30,7 +28,7 @@ from ddoscope.synth import AttackSpec, ScenarioSpec, generate
 from ddoscope.telescope import ADDRESS_SPACE, TelescopeConfig
 from ddoscope.trends import ewma, linreg_trend, normalize, pearson, spearman
 
-from conftest import make_telescope_trace, write_pipeline_fixture
+from conftest import make_telescope_trace, prefix_table, write_pipeline_fixture
 from oracles import (
     AttackEvent,
     PacketRecord,
@@ -43,6 +41,7 @@ from oracles import (
     oracle_detect_honeypot,
     oracle_detect_rsdos,
     oracle_ewma,
+    oracle_longest_covering,
     oracle_normalize,
     oracle_pearson,
     oracle_slope,
@@ -160,7 +159,7 @@ def _hp_random_trace(rng):
 
 
 def test_c03_honeypot_fixtures_and_oracle():
-    hop = preset("hopscotch").definition
+    hop = preset("hopscotch")
     # fixture: 4 packets, below >=5
     assert detect_honeypot([_hp_pkt(i * 10.0) for i in range(4)], hop) == []
     # fixture: 16-minute gap splits into 3 + 2
@@ -168,7 +167,7 @@ def test_c03_honeypot_fixtures_and_oracle():
     assert detect_honeypot([_hp_pkt(t) for t in ts], hop) == []
     # fixture: AmpPot, 100 packets in 10 minutes on one 4-tuple
     amp_events = detect_honeypot(
-        [_hp_pkt(i * 6.0, sport=777) for i in range(100)], preset("amppot").definition
+        [_hp_pkt(i * 6.0, sport=777) for i in range(100)], preset("amppot")
     )
     assert len(amp_events) == 1 and amp_events[0].packets == 100
     # fixture: NewKid multi-protocol, 3 packets to port 19 + 2 to port 123
@@ -179,14 +178,14 @@ def test_c03_honeypot_fixtures_and_oracle():
         _hp_pkt(30.0, victim="203.0.113.77", dport=123),
         _hp_pkt(40.0, victim="203.0.113.5", dport=123),
     ]
-    nk_events = detect_honeypot(nk_packets, preset("newkid").definition)
+    nk_events = detect_honeypot(nk_packets, preset("newkid"))
     assert len(nk_events) == 1 and nk_events[0].target == "203.0.113.0/24"
 
     checked = 0
     for seed in range(1000):
         rng = random.Random(seed)
         packets = _hp_random_trace(rng)
-        definition = preset(sorted(PRESETS)[seed % len(PRESETS)]).definition
+        definition = preset(sorted(PRESETS)[seed % len(PRESETS)])
         events = detect_honeypot(packets, definition)
         got = {
             (e.target, e.start_ts, e.end_ts, e.packets, frozenset(e.sensors))
@@ -210,12 +209,13 @@ def test_c03_honeypot_fixtures_and_oracle():
 # -- 4. carpet-bombing aggregation ----------------------------------------------
 
 def test_c04_carpet_fixtures_and_randomized_invariants():
-    routed = RoutedPrefixTable([
+    routed_rows = [
         ("203.0.113.0/24", 64500), ("203.0.112.0/20", 64500),
         ("203.0.0.0/16", 64501), ("10.0.0.0/8", 64502),
         ("198.51.100.0/24", 64503),
-    ])
-    alloc = AllocationTable([
+    ]
+    routed = prefix_table(routed_rows)
+    alloc = prefix_table([
         ("203.0.112.0/22", "ripe"), ("203.0.116.0/22", "ripe"),
         ("198.51.100.0/24", "arin"), ("10.0.0.0/8", "arin"),
     ])
@@ -244,7 +244,7 @@ def test_c04_carpet_fixtures_and_randomized_invariants():
     )
     assert len(wide) == 2
 
-    routed_set = {p for p, _ in routed.entries}
+    routed_set = {p for p, _ in routed_rows}
     rng = random.Random(0xCA4B)
     for _ in range(300):
         events = []
@@ -263,7 +263,7 @@ def test_c04_carpet_fixtures_and_randomized_invariants():
                 continue
             assert e.target in routed_set
             assert 11 <= plen <= 28
-            blocks = {alloc.block_of(h) for h in e.member_targets}
+            blocks = {oracle_longest_covering(alloc, {f"{h}/32"}) for h in e.member_targets}
             assert len(blocks) == 1 and None not in blocks
     report(4, True,
            "merge, allocation-split, /8-rejection, singleton fixtures exact; "

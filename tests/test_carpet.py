@@ -5,32 +5,32 @@ from hypothesis import given, settings, strategies as st
 
 from ddoscope.carpet import aggregate_carpet as aggregate_batch
 from ddoscope.model import (
-    AllocationTable,
-    RoutedPrefixTable,
     US_PER_S,
     int_to_ip,
     ip_to_int,
     parse_prefix,
-    prefix_contains,
     prefix_mask,
 )
 
+from conftest import prefix_table
 from oracles import (
     AttackEvent,
     batch_to_events,
     events_to_batch,
     oracle_aggregate_carpet,
     oracle_longest_covering,
+    prefix_contains,
 )
 
-ROUTED = RoutedPrefixTable([
+ROUTED_ROWS = [
     ("203.0.113.0/24", 64500),
     ("203.0.112.0/20", 64500),
     ("203.0.0.0/16", 64501),
     ("10.0.0.0/8", 64502),
     ("198.51.100.0/24", 64503),
-])
-ALLOC = AllocationTable([
+]
+ROUTED = prefix_table(ROUTED_ROWS)
+ALLOC = prefix_table([
     ("203.0.112.0/22", "ripe"),
     ("203.0.116.0/22", "ripe"),
     ("198.51.100.0/24", "arin"),
@@ -67,7 +67,7 @@ class TestCarpetFixtures:
         assert m.packets == 100
         assert sorted(m.member_targets) == ["203.0.113.5", "203.0.113.99"]
         # the target matches the exhaustive covering-prefix oracle
-        oracle = oracle_longest_covering(ROUTED.entries, {a.target, b.target})
+        oracle = oracle_longest_covering(ROUTED, {a.target, b.target})
         assert oracle is not None and oracle[0] == m.target
 
     def test_allocation_split_blocks_merge(self):
@@ -135,7 +135,7 @@ class TestCarpetProperties:
         for _ in range(300):
             events = self._random_events(rng)
             out = aggregate_carpet(events, ROUTED, ALLOC)
-            routed_set = {p for p, _ in ROUTED.entries}
+            routed_set = {p for p, _ in ROUTED_ROWS}
 
             # packet conservation
             assert sum(e.packets for e in out) == sum(e.packets for e in events)
@@ -167,7 +167,7 @@ class TestCarpetProperties:
                 # merged prefixes are routed, length-bounded, single-allocation
                 assert e.target in routed_set
                 assert 11 <= plen <= 28
-                blocks = {ALLOC.block_of(h) for h in e.member_targets}
+                blocks = {oracle_longest_covering(ALLOC, {f"{h}/32"}) for h in e.member_targets}
                 assert len(blocks) == 1 and None not in blocks
                 for h in e.member_targets:
                     assert prefix_contains(net, plen, ip_to_int(h), 32)
@@ -185,9 +185,7 @@ class TestCarpetProperties:
                 _, plen = parse_prefix(e.target)
                 if plen == 32:
                     continue
-                oracle = oracle_longest_covering(
-                    ROUTED.entries, {f"{h}/32" for h in e.member_targets}
-                )
+                oracle = oracle_longest_covering(ROUTED, {f"{h}/32" for h in e.member_targets})
                 assert oracle is not None
                 assert oracle[0] == e.target
 
@@ -209,8 +207,8 @@ class TestCarpetClustering:
     def test_nested_targets_cover_the_widest_one(self):
         # the /32 sorts above the /24 as (net, plen), but the /24 reaches
         # higher; the covering prefix must hold every member host
-        routed = RoutedPrefixTable([("10.0.0.0/16", 64500), ("10.0.0.0/28", 64500)])
-        alloc = AllocationTable([("10.0.0.0/16", "arin")])
+        routed = prefix_table([("10.0.0.0/16", 64500), ("10.0.0.0/28", 64500)])
+        alloc = prefix_table([("10.0.0.0/16", "arin")])
         wide = AttackEvent(
             observatory="hp", attack_type="RA", target="10.0.0.0/24",
             start_ts=0, end_ts=100 * US_PER_S, packets=10,
@@ -225,7 +223,7 @@ class TestCarpetClustering:
 
 # -- the running-max clustering against the greedy reference ---------------------
 
-NESTED_ROUTED = RoutedPrefixTable(ROUTED.entries + [
+NESTED_ROUTED = prefix_table(ROUTED_ROWS + [
     ("203.0.113.0/25", 64510), ("203.0.113.64/26", 64511), ("10.7.0.0/16", 64504),
     ("10.7.3.0/24", 64505),
 ])

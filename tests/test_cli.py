@@ -202,6 +202,50 @@ class TestCliMatchesPipeline:
         invoke(runner, ["overlap", "--sets", sets, "--upset", "--out", str(cli / "upset.json")])
         assert (cli / "upset.json").read_bytes() == (bundle / "upset.json").read_bytes()
 
+    def test_aggregate_and_confirm_give_the_bundle_files(self, runner, tmp_path):
+        # a 3-week bundle with carpet aggregation and confirmation; two
+        # bursts of concurrent attacks on neighbouring hosts make carpets
+        cfg = write_pipeline_fixture(tmp_path, weeks=3, normalize=False, ewma_span=None)
+        scenario = json.loads((tmp_path / "scenario.json").read_text())
+        start = FIRST_MONDAY + 3 * 3600
+        scenario["attacks"] += [
+            {"type": "rsdos", "victim": f"203.0.113.{200 + k}", "start_s": start + 10 * k,
+             "duration_s": 300, "rate_pps": 3000} for k in range(4)] + [
+            {"type": "direct_nonspoofed", "victim": f"203.0.116.{50 + k}", "start_s": start + 10 * k,
+             "duration_s": 300, "rate_pps": 150_000, "packet_bytes": 1000} for k in range(3)]
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        (tmp_path / "routed.csv").write_text(
+            "prefix,asn\n203.0.113.0/24,64500\n203.0.112.0/20,64501\n203.0.116.0/24,64502\n203.0.0.0/16,64503\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n203.0.112.0/22,RIPE\n203.0.116.0/22,ARIN\n")
+        planted = {TargetTuple(EPOCH + timedelta(days=a["start_s"] // 86_400), a["victim"])
+                   for a in scenario["attacks"][::2]}
+        (tmp_path / "hashes.txt").write_text(
+            "".join(digest + "\n" for digest in sorted(hash_targets(tuples_to_keys(planted), "1f2e"))))
+        doc = json.loads(cfg.read_text())
+        doc.update(aggregate=True, routed="routed.csv", alloc="alloc.csv")
+        doc["analysis"]["confirm"] = {"external": "hashes.txt", "salt": "1f2e"}
+        cfg.write_text(json.dumps(doc))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        bundle, cli = tmp_path / "out", tmp_path / "cli"
+        cli.mkdir()
+
+        carpets = []
+        for name in ("scope", "hop", "ixp"):
+            agg = cli / f"attacks_{name}_agg.csv"
+            invoke(runner, ["aggregate", "--routed", str(tmp_path / "routed.csv"),
+                            "--alloc", str(tmp_path / "alloc.csv"),
+                            "--in", str(bundle / f"attacks_{name}.csv"), "--out", str(agg)])
+            assert agg.read_bytes() == (bundle / f"attacks_{name}_agg.csv").read_bytes(), name
+            carpets += [e.target for e in read_attacks(agg) if not e.target.endswith("/32")]
+        assert sorted(carpets) == ["203.0.113.0/24", "203.0.116.0/24"]
+
+        invoke(runner, ["confirm", *(arg for name in ("hop", "ixp", "scope") for arg in (
+                            "--local", f"{name}={bundle / 'targets' / f'{name}.csv'}")),
+                        "--external", str(tmp_path / "hashes.txt"), "--salt", "1f2e",
+                        "--out", str(cli / "confirm.json")])
+        assert (cli / "confirm.json").read_bytes() == (bundle / "confirm.json").read_bytes()
+        assert any(share > 0 for share in json.loads((cli / "confirm.json").read_text())["shares"].values())
+
     def test_trends_and_correlate_give_the_bundle_entries(self, runner, tmp_path):
         # A 20-week bundle, plus a flow monitor that saw two attacks in it:
         # the pipeline skips that monitor's series (its baseline median is 0).
@@ -401,6 +445,8 @@ class TestOptionErrors:
         ("trends --in {d}/attacks.csv --ewma -2",
          "error: trends: --ewma must be a number of at least 1, or null, not -2.0"),
         ("trends --in {d}/attacks.csv --start 1970-01-01", "Error: --start and --end must be given together"),
+        ("trends --in {d}/attacks.csv --start 1970-05-01 --end 1970-01-05",
+         "Error: --start 1970-05-01 is after --end 1970-01-05"),
         ("aggregate --routed {d}/routed.csv --alloc {d}/alloc.csv --in {d}/attacks.csv --gap -1",
          "error: aggregate: --gap must be a number of at least 0, not -1.0"),
         ("aggregate --routed {d}/routed.csv --alloc {d}/alloc.csv --in {d}/attacks.csv --min-targets 1",
@@ -417,9 +463,9 @@ class TestOptionErrors:
          "Error: Invalid value for '--top-n': 0 is not in the range x>=1."),
         ("overlap --sets a={d}/targets.csv --attribution {d}/out --routed {d}/routed.csv --top-n -1",
          "Error: Invalid value for '--top-n': -1 is not in the range x>=1."),
-    ], ids=["ewma-zero", "ewma-half", "ewma-negative", "start-alone", "gap-negative", "min_targets-one",
-            "attribution-unrouted", "timeseries-three", "sets-unlabelled", "sets-repeated", "local-repeated",
-            "top-n-zero", "top-n-negative"])
+    ], ids=["ewma-zero", "ewma-half", "ewma-negative", "start-alone", "start-after-end", "gap-negative",
+            "min_targets-one", "attribution-unrouted", "timeseries-three", "sets-unlabelled", "sets-repeated",
+            "local-repeated", "top-n-zero", "top-n-negative"])
     def test_exit_2(self, runner, files, args, message):
         args = args.format(d=files).split()
         if args[0] in ("trends", "aggregate"):

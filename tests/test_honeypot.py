@@ -40,17 +40,17 @@ def req(ts_s, victim=VICTIMS[0], sensor=SENSORS[0], sport=5353, dport=123, size=
 
 class TestPresets:
     def test_table_parameters(self):
-        amppot = preset("amppot").definition
+        amppot = preset("amppot")
         assert amppot.key_fields == ("src_ip", "src_port", "dst_ip", "dst_port")
         assert (amppot.timeout, amppot.pkt_threshold) == (3600.0, 100)
-        hop = preset("hopscotch").definition
+        hop = preset("hopscotch")
         assert hop.key_fields == ("src_ip", "dst_ip", "dst_port")
         assert (hop.timeout, hop.pkt_threshold) == (900.0, 5)
-        nk = preset("newkid").definition
+        nk = preset("newkid")
         assert nk.key_fields == ("src_prefix", "dst_ip")
         assert (nk.timeout, nk.pkt_threshold, nk.port_threshold) == (60.0, 5, 2)
         assert nk.src_prefix_len == 24
-        mono = preset("newkid-mono").definition
+        mono = preset("newkid-mono")
         assert mono.key_fields == ("src_prefix", "dst_ip", "dst_port")
         assert mono.port_threshold is None
 
@@ -80,17 +80,17 @@ class TestAttackDefinition:
 class TestDetectHoneypot:
     def test_below_threshold(self):
         packets = [req(i * 10.0) for i in range(4)]
-        assert detect_honeypot(packets, preset("hopscotch").definition) == []
+        assert detect_honeypot(packets, preset("hopscotch")) == []
 
     def test_gap_splits_flow(self):
         # 5 packets with a 16-min gap after the third: flows of 3 and 2
         ts = [0, 60, 120, 120 + 16 * 60, 120 + 16 * 60 + 30]
         packets = [req(t) for t in ts]
-        assert detect_honeypot(packets, preset("hopscotch").definition) == []
+        assert detect_honeypot(packets, preset("hopscotch")) == []
 
     def test_amppot_100_packets_10_minutes(self):
         packets = [req(i * 6.0, dport=123, sport=777) for i in range(100)]
-        events = detect_honeypot(packets, preset("amppot").definition)
+        events = detect_honeypot(packets, preset("amppot"))
         assert len(events) == 1
         assert events[0].packets == 100
         assert events[0].attack_type == "RA"
@@ -106,7 +106,7 @@ class TestDetectHoneypot:
             req(30.0, victim="203.0.113.77", dport=123),
             req(40.0, victim="203.0.113.5", dport=123),
         ]
-        events = detect_honeypot(packets, preset("newkid").definition)
+        events = detect_honeypot(packets, preset("newkid"))
         assert len(events) == 1
         assert events[0].target == "203.0.113.0/24"
         assert events[0].packets == 5
@@ -115,13 +115,13 @@ class TestDetectHoneypot:
 
     def test_newkid_multi_needs_two_ports(self):
         packets = [req(i * 5.0, dport=19) for i in range(6)]
-        assert detect_honeypot(packets, preset("newkid").definition) == []
-        assert len(detect_honeypot(packets, preset("newkid-mono").definition)) == 1
+        assert detect_honeypot(packets, preset("newkid")) == []
+        assert len(detect_honeypot(packets, preset("newkid-mono"))) == 1
 
     def test_unsorted_per_sensor_errors(self):
         packets = [req(10.0), req(5.0)]
         with pytest.raises(ValueError, match="not time-ordered"):
-            detect_honeypot(packets, preset("hopscotch").definition)
+            detect_honeypot(packets, preset("hopscotch"))
 
     @pytest.mark.parametrize("seed", range(40))
     def test_order_error_names_first_late_record(self, seed):
@@ -139,24 +139,24 @@ class TestDetectHoneypot:
                 break
             last[p.dst_ip] = p.ts
         if expected is None:
-            detect_honeypot(packets, preset("hopscotch").definition)
+            detect_honeypot(packets, preset("hopscotch"))
         else:
             with pytest.raises(ValueError) as exc:
-                detect_honeypot(packets, preset("hopscotch").definition)
+                detect_honeypot(packets, preset("hopscotch"))
             assert str(exc.value) == expected
 
     def test_tied_events_keep_first_appearance_order(self):
         # same victim and start at two sensors: events tie on the sort key and
         # keep the order in which their flow keys first appear in the input
         packets = [req(i * 10.0, sensor=s) for i in range(5) for s in (SENSORS[2], SENSORS[0])]
-        events = detect_honeypot(packets, preset("hopscotch").definition)
+        events = detect_honeypot(packets, preset("hopscotch"))
         assert [e.sensors for e in events] == [{SENSORS[2]}, {SENSORS[0]}]
 
     def test_interleaved_sensors_allowed(self):
         # each sensor's stream is ordered even though the merge is not
         packets = [req(0.0, sensor=SENSORS[0]), req(100.0, sensor=SENSORS[1]),
                    req(50.0, sensor=SENSORS[0])]
-        detect_honeypot(packets, preset("hopscotch").definition)
+        detect_honeypot(packets, preset("hopscotch"))
 
     def _random_trace(self, rng):
         packets = []
@@ -183,7 +183,7 @@ class TestDetectHoneypot:
 
     @pytest.mark.parametrize("preset_name", sorted(PRESETS))
     def test_matches_oracle_on_random_traces(self, preset_name):
-        definition = preset(preset_name).definition
+        definition = preset(preset_name)
         rng = random.Random(hash(preset_name) & 0xFFFF)
         for case in range(150):
             packets = self._random_trace(rng)

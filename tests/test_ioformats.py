@@ -31,10 +31,11 @@ from ddoscope.model import (
 )
 from datetime import date
 
+from conftest import table_rows
 from oracles import (
     AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch,
-    flows_csv, oracle_decimal, oracle_ipv4, oracle_read_hashed_targets, packets_csv, targets_csv,
-    write_hashed_targets,
+    flows_csv, oracle_decimal, oracle_ipv4, oracle_read_attacks, oracle_read_hashed_targets, oracle_read_table,
+    oracle_read_targets, packets_csv, targets_csv, write_hashed_targets,
 )
 
 PACKETS = """ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags
@@ -643,12 +644,16 @@ class TestCsvRows:
         with pytest.raises(FormatError, match=r"targets\.csv:3: "):
             read_targets(path)
 
-    @pytest.mark.parametrize("cell", ['"h\np"', '"h,p"', '"hp"'], ids=["multi-line", "comma", "plain"])
-    def test_quoted_cell_rejected_on_its_physical_line(self, tmp_path, cell):
+    @pytest.mark.parametrize("cell, message", [
+        ('"h\np"', "expected 7 fields, got 1"),
+        ('"h,p"', "expected 7 fields, got 8"),
+        ('"hp"', """observatory '"hp"' is not UTF-8 text without a double quote"""),
+    ], ids=["multi-line", "comma", "plain"])
+    def test_quoted_cell_rejected_on_its_physical_line(self, tmp_path, cell, message):
         path = tmp_path / "attacks.csv"
         path.write_text("observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n\n"
                         "hp,RA,203.0.113.5/32,0,10,7,\n" + cell + ",RA,203.0.113.5/32,0,10,7,\n")
-        with pytest.raises(FormatError, match=r"attacks\.csv:4: a double quote in a row; fields are never quoted$"):
+        with pytest.raises(FormatError, match=rf"attacks\.csv:4: {re.escape(message)}$"):
             read_attacks(path)
 
     def test_quoted_header_rejected(self, tmp_path):
@@ -660,9 +665,10 @@ class TestCsvRows:
     def test_crlf_and_blank_lines(self, tmp_path):
         path = tmp_path / "routed.csv"
         path.write_bytes(b"\r\nprefix,asn\r\n192.0.2.0/24,64501\r\n\r\n10.0.0.0/8,64500")
-        assert read_routed_table(path).entries == [("192.0.2.0/24", 64501), ("10.0.0.0/8", 64500)]
+        assert table_rows(read_routed_table(path)) == [("192.0.2.0/24", 64501), ("10.0.0.0/8", 64500)]
         path.write_bytes(b"\r\nprefix,asn\r\n192.0.2.0/24,64501\r\n\r\n10.0.0.0/8,+1\r\n")
-        with pytest.raises(FormatError, match=r"routed\.csv:5: not a canonical decimal: '\+1'$"):
+        with pytest.raises(FormatError,
+                           match=r"routed\.csv:5: asn '\+1' is not a canonical decimal of at most 10 digits$"):
             read_routed_table(path)
 
     def test_non_utf8_byte_names_its_line(self, tmp_path):
@@ -724,7 +730,7 @@ class TestTableFuzz:
     def test_routed_round_trip(self, tmp_path_factory, rows):
         path = tmp_path_factory.mktemp("routed") / "routed.csv"
         _table_file(path, "prefix,asn", rows)
-        assert read_routed_table(path).entries == [(p, int(a)) for p, a in rows]
+        assert table_rows(read_routed_table(path)) == [(p, int(a)) for p, a in rows]
 
     @settings(max_examples=100, deadline=None)
     @given(plen=st.integers(8, 32), nets=st.sets(st.integers(0, 255), max_size=20),
@@ -733,7 +739,7 @@ class TestTableFuzz:
         rows = [(_prefix_text(n << 24 | 0xFFFFFF, plen), registry) for n in sorted(nets)]
         path = tmp_path_factory.mktemp("alloc") / "alloc.csv"
         _table_file(path, "prefix,registry", rows)
-        assert read_alloc_table(path).entries == rows
+        assert table_rows(read_alloc_table(path)) == rows
 
     @settings(max_examples=100, deadline=None)
     @given(rows=st.lists(st.tuples(st.dates().map(date.isoformat),
@@ -781,6 +787,8 @@ ATTACKS_HEADER = "observatory,attack_type,target,start_ts_us,end_ts_us,packets,s
 ATTACK_FILE_COLUMNS = ("observatory", "type_code", "net", "plen", "start_ts", "end_ts", "packets")
 # what a start_ts_us, end_ts_us or packets field must be
 INT64 = "a canonical decimal of at most 18 digits"
+# what a prefix field must be
+PREFIX = "a dotted-quad, optionally then '/' and a length of 0 to 32, with no host bits set"
 
 
 @st.composite
@@ -856,10 +864,11 @@ class TestAttackGrammar:
         ("hp,RA,203.0.113.5/32,0,010,7,", f"end_ts_us '010' is not {INT64}"),
         ("hp,RA,203.0.113.5/32,0,253402300800000000,7,", "end_ts_us above 253402300799999999"),
         ("hp,RA,203.0.113.5/32,11,10,7,", "start_ts after end_ts"),
-        ("hp,XX,203.0.113.5/32,0,10,7,", "unknown attack type 'XX'"),
-        ("hp,RA,10.0.0.0/8,0,10,7,", "target prefix length 8 outside [11, 32]"),
-        ("hp,RA,203.0.113.5/24,0,10,7,", "host bits set in prefix '203.0.113.5/24'"),
-        ("hp,RA,203.0.113.5/32,0,10,7,192.0.2.1;x", "not an IPv4 address: 'x'"),
+        ("hp,XX,203.0.113.5/32,0,10,7,", "attack_type 'XX' is not one of DP, RA, RSDoS"),
+        ("hp,RA,10.0.0.0/8,0,10,7,", "target prefix length outside 11-32"),
+        ("hp,RA,203.0.113.5/24,0,10,7,", f"target '203.0.113.5/24' is not {PREFIX}"),
+        ("hp,RA,203.0.113.5/32,0,10,7,192.0.2.1;x",
+         "sensors '192.0.2.1;x' is not a ';'-joined list of IPv4 dotted-quads"),
         ("hp,RA,203.0.113.5/32,0,10,7", "expected 7 fields, got 6"),
     ])
     def test_rejection_messages(self, tmp_path, row, message):
@@ -875,6 +884,88 @@ class TestAttackGrammar:
         assert len(events) == 0 and events.net.dtype == np.uint32 and len(events.sensors) == 0
         write_attacks(path, events)
         assert path.read_text() == ATTACKS_HEADER + "\n"
+
+
+# -- the columnar readers against the row-by-row reference ---------------------
+
+texts = st.text(st.characters(exclude_characters=",\n", exclude_categories=("Cs",)), max_size=6)
+ips = st.integers(0, 2 ** 32 - 1).map(int_to_ip)
+# per file: header, reader, reference reader, and well-formed rows as lists of cells
+READERS = {
+    "attacks": (ATTACKS_HEADER, read_attacks, oracle_read_attacks, attack_batches().map(
+        lambda batch: [line.split(",") for line in attacks_csv(batch).splitlines()[1:]])),
+    "routed": ("prefix,asn", read_routed_table, lambda path: oracle_read_table(path, "prefix,asn"),
+               st.lists(st.tuples(prefixes, st.integers(0, 10 ** 10 - 1).map(str)).map(list), max_size=8)),
+    "alloc": ("prefix,registry", read_alloc_table, lambda path: oracle_read_table(path, "prefix,registry"),
+              st.lists(st.tuples(prefixes, texts).map(list), max_size=6)),
+    "targets": ("date,ip", read_targets, oracle_read_targets,
+                st.lists(st.tuples(st.dates().map(date.isoformat), ips).map(list), max_size=8)),
+}
+# cells a field may be mutated to; none is a decimal of over 10 digits or a
+# prefix length with a leading zero, which only the row reader took
+JUNK = st.binary(max_size=8).filter(lambda cell: b"," not in cell and b"\n" not in cell) | st.sampled_from([
+    "", "x", "-1", "+5", " 5", "05", "1_0", "٥", '"hp"', "10.0.0.1/8", "10.0.0.0/33",
+    "10.0.0.0/", "10.0.0/8", "010.0.0.0/8", "::1/128", "203.0.113.5", "0.0.0.0/0", "10.0.0.0/ 8", "2022-02-30",
+    "2024-02-29", "0000-01-01", "2022-1-04", "20220104", "RA", "ra", "RSDoS ", "192.0.2.1;;192.0.2.1", ";",
+    "192.0.2.1;x", "192.0.2", "é", "\r",
+]).map(str.encode)
+
+
+def _outcome(read, path):
+    """(what `read` returns, None), or (None, the path or path:line its FormatError names)."""
+    try:
+        return read(path), None
+    except FormatError as exc:
+        return None, re.match(rf"{re.escape(str(path))}(:\d+)?", str(exc)).group()
+
+
+class TestReadersMatchRowReader:
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(READERS)), crlf=st.booleans(), last_break=st.booleans(),
+           chunk=st.sampled_from([1, 13, 64, ioformats._CHUNK_BYTES]))
+    def test_same_values_or_same_line(self, tmp_path_factory, data, kind, crlf, last_break, chunk):
+        header, read, reference, rows = READERS[kind]
+        rows = [[cell.encode() for cell in row] for row in data.draw(rows)]
+        if rows and data.draw(st.booleans()):       # one row mutated
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            how = data.draw(st.sampled_from(["cell", "extra column", "missing column"]))
+            if how == "cell":
+                row[data.draw(st.integers(0, len(row) - 1))] = data.draw(JUNK)
+            elif how == "extra column":
+                row.append(data.draw(JUNK))
+            else:
+                row.pop(data.draw(st.integers(0, len(row) - 1)))
+        lines = [header.encode(), *(b",".join(row) for row in rows)]
+        for at in data.draw(st.lists(st.integers(0, len(lines)), max_size=3)):
+            lines.insert(at, b"")                   # blank lines, before the header too
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+        path.write_bytes((b"\r\n" if crlf else b"\n").join(lines) + (b"\n" if last_break else b""))
+        with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
+            got, got_at = _outcome(read, path)
+        want, want_at = _outcome(reference, path)
+        assert got_at == want_at
+        if kind == "attacks" and want is not None:
+            assert _same_columns(got, want)
+        elif kind == "targets" and want is not None:
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        elif want is not None:
+            assert list(zip(*(col.tolist() for col in got.columns()))) == want
+
+    @pytest.mark.parametrize("read, header, row, message", [
+        (read_routed_table, "prefix,asn", "10.0.0.0/08,64500", f"prefix '10.0.0.0/08' is not {PREFIX}"),
+        (read_routed_table, "prefix,asn", "10.0.0.0/008,64500", f"prefix '10.0.0.0/008' is not {PREFIX}"),
+        (read_alloc_table, "prefix,registry", "10.0.0.0/08,RIPE", f"prefix '10.0.0.0/08' is not {PREFIX}"),
+        (read_attacks, ATTACKS_HEADER, "hp,RA,203.0.113.5/032,0,10,7,", f"target '203.0.113.5/032' is not {PREFIX}"),
+        (read_routed_table, "prefix,asn", "10.0.0.0/8,12345678901",
+         "asn '12345678901' is not a canonical decimal of at most 10 digits"),
+    ])
+    def test_what_only_the_row_reader_took(self, tmp_path, read, header, row, message):
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n")
+        reference = oracle_read_attacks if read is read_attacks else lambda path: oracle_read_table(path, header)
+        assert _outcome(reference, path)[1] is None         # the row reader took it
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:2: {message}')}$"):
+            read(path)
 
 
 # -- writers: fixed steps, bounded memory -------------------------------------

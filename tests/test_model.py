@@ -6,20 +6,18 @@ import pytest
 from ddoscope.model import (
     EPOCH,
     US_PER_DAY,
-    AllocationTable,
-    RoutedPrefixTable,
     WeeklySeries,
     int_to_ip,
     ip_to_int,
     keys_to_tuples,
     parse_prefix,
-    prefix_contains,
     week_index,
     week_monday,
 )
 from ddoscope.overlap import build_targets
 
-from oracles import AttackEvent, PacketRecord, events_to_batch, ts_to_date, week_start
+from conftest import prefix_table
+from oracles import AttackEvent, PacketRecord, events_to_batch, prefix_contains, ts_to_date, week_start
 
 
 class TestIpParsing:
@@ -94,15 +92,22 @@ class TestAttackEvent:
                                          start_ts=0, end_ts=1, packets=-1)])
 
 
+def longest_match(table, ip: str):
+    """(prefix, value) of the row `PrefixTable.containing` finds for one address, or None."""
+    row = int(table.containing([ip_to_int(ip)], [ip_to_int(ip)])[0])
+    return None if row < 0 else (f"{int_to_ip(int(table.net[row]))}/{table.plen[row]}", table.value[row].item())
+
+
 class TestLongestPrefixMatch:
     def test_most_specific_wins(self):
-        table = RoutedPrefixTable([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
-        assert table.lookup("203.0.113.9") == ("203.0.113.0/24", 64500)
-        assert table.lookup("203.0.5.1") == ("203.0.0.0/16", 64501)
+        table = prefix_table([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
+        assert longest_match(table, "203.0.113.9") == ("203.0.113.0/24", 64500)
+        assert longest_match(table, "203.0.5.1") == ("203.0.0.0/16", 64501)
 
     def test_no_covering_prefix(self):
-        table = RoutedPrefixTable([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
-        assert table.lookup("198.51.100.1") is None
+        table = prefix_table([("203.0.113.0/24", 64500), ("203.0.0.0/16", 64501)])
+        assert longest_match(table, "198.51.100.1") is None
+        assert longest_match(prefix_table([]), "198.51.100.1") is None
 
     def test_matches_linear_scan_oracle(self):
         # randomized tables vs the obvious O(entries) scan
@@ -113,31 +118,41 @@ class TestLongestPrefixMatch:
                 plen = rng.randint(4, 32)
                 net = rng.getrandbits(32) & ~((1 << (32 - plen)) - 1) & 0xFFFFFFFF
                 entries.append((f"{int_to_ip(net)}/{plen}", rng.randint(1, 2 ** 16)))
-            table = RoutedPrefixTable(entries)
-            parsed = [(parse_prefix(p), asn, p) for p, asn in entries]
-            for _ in range(500):
-                ip = int_to_ip(rng.getrandbits(32))
+            table = prefix_table(entries)
+            parsed = [parse_prefix(p) for p, _ in entries]
+            addrs = [rng.getrandbits(32) for _ in range(500)]
+            for addr, row in zip(addrs, table.containing(addrs, addrs).tolist()):
                 best = None
-                for (net, plen), asn, canon in parsed:
-                    if prefix_contains(net, plen, ip_to_int(ip), 32):
+                for k, (net, plen) in enumerate(parsed):
+                    if prefix_contains(net, plen, addr, 32):
                         # ties on identical prefixes: the last entry wins
                         if best is None or plen >= best[0]:
-                            best = (plen, canon, asn)
-                got = table.lookup(ip)
-                expected = None if best is None else (best[1], best[2])
-                assert got == expected
+                            best = (plen, k)
+                assert row == (-1 if best is None else best[1])
+
+    def test_span_query_matches_linear_scan_oracle(self):
+        # a prefix holds a span when it holds both of its ends
+        rng = random.Random(0xDD06)
+        for _ in range(20):
+            rows = [(rng.getrandbits(32) >> (32 - plen) << (32 - plen) if plen else 0, plen)
+                    for plen in (rng.randint(0, 32) for _ in range(rng.randint(0, 40)))]
+            table = prefix_table([(f"{int_to_ip(net)}/{plen}", k) for k, (net, plen) in enumerate(rows)])
+            lo = [rng.getrandbits(32) for _ in range(300)]
+            hi = [min(a + rng.choice([0, 1, 255, 4095, 2 ** 20, 2 ** 31]), 2 ** 32 - 1) for a in lo]
+            got = table.containing(lo, hi).tolist()
+            for a, b, row in zip(lo, hi, got):
+                holding = [k for k, (net, plen) in enumerate(rows)
+                           if prefix_contains(net, plen, a, 32) and prefix_contains(net, plen, b, 32)]
+                longest = max((rows[k][1] for k in holding), default=None)
+                assert row == max((k for k in holding if rows[k][1] == longest), default=-1)
 
 
-class TestAllocationTable:
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            AllocationTable([("10.0.0.0/8", "a"), ("10.1.0.0/16", "b")])
-
+class TestAllocationBlocks:
     def test_block_lookup(self):
-        table = AllocationTable([("203.0.112.0/22", "ripe"), ("198.51.100.0/24", "arin")])
-        assert table.block_of("203.0.113.9") == "203.0.112.0/22"
-        assert table.block_of("198.51.100.250") == "198.51.100.0/24"
-        assert table.block_of("192.0.2.1") is None
+        table = prefix_table([("203.0.112.0/22", "ripe"), ("198.51.100.0/24", "arin")])
+        assert longest_match(table, "203.0.113.9") == ("203.0.112.0/22", "ripe")
+        assert longest_match(table, "198.51.100.250") == ("198.51.100.0/24", "arin")
+        assert longest_match(table, "192.0.2.1") is None
 
 
 class TestWeeklySeries:

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from ddoscope import overlap
 from ddoscope.model import (
-    RoutedPrefixTable,
     TargetTuple,
     US_PER_S,
     format_prefix,
@@ -26,6 +25,7 @@ from ddoscope.overlap import (
     upset_exclusive,
 )
 
+from conftest import prefix_table
 from oracles import (
     AttackEvent,
     date_to_ts,
@@ -236,7 +236,7 @@ class TestNewVsRecurring:
 
 
 class TestAsAttribution:
-    TABLE = RoutedPrefixTable([
+    TABLE = prefix_table([
         ("203.0.113.0/24", 64500),
         ("198.51.100.0/24", 64501),
         ("198.51.100.128/25", 64502),

@@ -200,7 +200,7 @@ class TestReflectionEmission:
         hit = {s: len(p) for s, p in g.honeypot_packets.items() if p}
         assert len(hit) == 5
         assert all(v == 200 for v in hit.values())
-        events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch").definition)
+        events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch"))
                                     for pkts in g.honeypot_packets.values()])
         merged = batch_to_events(aggregate_sensors(events, 900))
         assert len(merged) == 1
@@ -259,7 +259,7 @@ class TestEndToEndRecovery:
         assert {e.target for e in tele_events} == want_tele
         assert len(tele_events) == 2
 
-        hp_events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch").definition)
+        hp_events = EventBatch.concat([detect_honeypot(pkts, preset("hopscotch"))
                                        for pkts in g.honeypot_packets.values()])
         merged = batch_to_events(aggregate_sensors(hp_events, 900))
         assert {e.target for e in merged} == {"203.0.114.1/32", "203.0.114.2/32"}

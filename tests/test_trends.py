@@ -192,14 +192,12 @@ class TestLinregTrend:
         assert t.net_change_4y == pytest.approx(-0.104, rel=1e-12)
         assert t.trend_class == "Decreasing" and t.marker == "▼"
 
-    def test_window_and_minimum_points(self):
-        s = series([1.0, 2.0, 4.0, 8.0])
-        full = linreg_trend(s)
-        tail = linreg_trend(s, window=(2, 4))
-        assert tail.slope == pytest.approx(4.0)
-        assert full.slope != tail.slope
-        with pytest.raises(ValueError):
-            linreg_trend(s, window=(0, 1))
+    def test_minimum_points(self):
+        assert linreg_trend(series([1.0, None, 4.0, None])).slope == pytest.approx(1.5)
+        with pytest.raises(ValueError, match=r"^regression window holds 1 points; need >= 2$"):
+            linreg_trend(series([8.0]))
+        with pytest.raises(ValueError, match=r"^regression window holds 1 points; need >= 2$"):
+            linreg_trend(series([None, 8.0, None]))
 
     def test_classification_invariant_under_renormalization(self):
         rng = random.Random(31)
@@ -246,6 +244,11 @@ class TestSpearman:
         a = series([1.0, None, 3.0, 4.0, 5.0])
         b = series([1.0, 2.0, None, 4.0, 5.0])
         assert spearman(a, b).n == 3
+
+    @pytest.mark.parametrize("b, pairs", [([2.0, None, 4.0], 2), ([None, None, None], 0)])
+    def test_fewer_than_three_pairs(self, b, pairs):
+        with pytest.raises(ValueError, match=rf"^{pairs} paired samples; need >= 3$"):
+            spearman(series([1.0, 2.0, 3.0]), series(b))
 
     def test_significance_threshold(self):
         # monotone 6-point series: rho 1, p 0; weak 4-point: insignificant
