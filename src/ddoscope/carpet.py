@@ -29,6 +29,7 @@ from .model import (
     Ragged,
     US_PER_S,
     distinct,
+    format_prefix,
     host_targets,
     merge_runs,
     observatory_codes,
@@ -63,7 +64,8 @@ def aggregate_carpet(
     back = np.flatnonzero(events.start_ts[1:] < events.start_ts[:-1])
     if len(back):
         pair = events.take(back[:1] + [0, 1])
-        (prev, cur), (prev_ts, cur_ts) = pair.targets(), pair.start_ts.tolist()
+        prev, cur = map(format_prefix, pair.net.tolist(), pair.plen.tolist())
+        prev_ts, cur_ts = pair.start_ts.tolist()
         raise ValueError(f"events not sorted by start_ts: {cur} at {cur_ts} after {prev} at {prev_ts}")
 
     order, bounds = time_clusters(events, (observatory_codes(events.observatory), events.type_code),

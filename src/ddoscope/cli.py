@@ -38,6 +38,8 @@ from . import __version__
 from .flowclass import AMPLIFICATION_PORTS
 from .honeypot import PRESETS
 from .ioformats import (
+    TARGETS_HEADER,
+    _lines,
     read_alloc_table,
     read_attacks,
     read_routed_table,
@@ -48,7 +50,7 @@ from .ioformats import (
     write_series,
     write_weekly_csv,
 )
-from .model import type_code
+from .model import ATTACK_TYPES, type_code
 from .overlap import (
     as_attribution,
     build_targets,
@@ -251,7 +253,7 @@ def trends(in_path, observatory, attack_type, do_normalize, ewma_span,
         events = events.take(events.observatory == observatory)
     if attack_type:
         events = events.take(events.type_code == type_code(attack_type))
-    combos = set(zip(events.observatory.tolist(), events.type_names()))
+    combos = set(zip(events.observatory.tolist(), map(ATTACK_TYPES.__getitem__, events.type_code.tolist())))
     if not len(events):
         raise ValueError("no events left after filtering")
     if len(combos) > 1:
@@ -301,10 +303,10 @@ def correlate(a_path, b_path, method, quarterly, out_path):
 # -- overlap ------------------------------------------------------------------
 
 def _load_target_set(path: str, mode: str) -> np.ndarray:
-    """targets.csv or attacks.csv, sniffed by header."""
-    with open(path) as fh:
-        header = fh.readline().rstrip("\r\n")
-    if header == "date,ip":
+    """targets.csv or attacks.csv, told apart by the header the readers find."""
+    with open(path, "rb") as fh:
+        _, header = next(_lines(fh, path), (None, None))
+    if header == TARGETS_HEADER:
         return read_targets(path)
     return build_targets(read_attacks(path), mode)
 

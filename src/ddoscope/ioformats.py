@@ -2,12 +2,12 @@
 
 Every CSV schema is fixed and shares one line rule: lines are UTF-8 and end
 in LF or CRLF, blank lines are skipped but counted, fields are split on
-every comma (nothing is quoted), the header line must equal its *_HEADER
-constant, and each row must have the header's field count. The
-attacks.csv sensors cell is a semicolon-joined sorted list of sensor IPs
-(empty allowed). Hashed-target files hold one lowercase hex digest per
-line; series.json is {"label": str, "start_week": "YYYY-MM-DD", "values":
-[number|null, ...]}.
+every comma (nothing is quoted), the header line is the names of the
+format's fields joined by commas, and each row must have the header's
+field count. The attacks.csv sensors cell is a semicolon-joined sorted
+list of sensor IPs (empty allowed). Hashed-target files hold one lowercase
+hex digest per line; series.json is {"label": str, "start_week":
+"YYYY-MM-DD", "values": [number|null, ...]}.
 """
 
 from __future__ import annotations
@@ -21,15 +21,9 @@ import numpy as np
 
 from .model import (
     ATTACK_TYPES, FLAG_A, FLAG_F, FLAG_R, FLAG_S, FLAG_STRINGS, MAX_TS_US, EventBatch, FlowBatch, PacketBatch,
-    PrefixTable, Ragged, WeeklySeries, distinct, dotted_quads, format_prefix, pack_targets, target_text,
+    PrefixTable, Ragged, WeeklySeries, distinct, dotted_quads, format_prefix, iso_dates, pack_targets, unpack_targets,
 )
 
-PACKETS_HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
-ATTACKS_HEADER = "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors"
-FLOWS_HEADER = "target_ip,protocol,src_port,distinct_src_ips,bitrate_bps,start_ts_us,end_ts_us"
-ROUTED_HEADER = "prefix,asn"
-ALLOC_HEADER = "prefix,registry"
-TARGETS_HEADER = "date,ip"
 _SHA256_HEX = re.compile("[0-9a-f]{64}")
 
 
@@ -59,24 +53,13 @@ def _check_header(lines, expected: str, path) -> int:
     return lineno
 
 
-# Rows formatted per writing step, so a writer's memory does not grow with its file
-_WRITE_ROWS = 2048
-
-
-def _write_csv(path, header: str, table, lines) -> None:
-    """Write `header`, then `lines(part)` for each _WRITE_ROWS rows of `table`, a batch or an array."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(table), _WRITE_ROWS):
-            part = slice(lo, lo + _WRITE_ROWS)
-            fh.write("".join(lines(table[part] if isinstance(table, np.ndarray) else table.take(part))))
-
-
-# -- column-spec reader: every CSV file ----------------------------------------
+# -- field tables: every CSV file --------------------------------------------
 
 # Bytes read per parsing step; a step always ends at a line break, so a row
 # is never split between two steps.
 _CHUNK_BYTES = 1 << 18
+# Rows spelled per writing step, so a writer's memory does not grow with its file
+_WRITE_ROWS = 2048
 # Field parsers read from 18 bytes before a field's start to 17 past it, or
 # to its end; the zero bytes after the data keep those reads, wrapped or not,
 # in bounds, and past the file's last line they are no digit or dot.
@@ -88,18 +71,23 @@ _FLAG_BITS[np.frombuffer(b"SARF", np.uint8)] = (FLAG_S, FLAG_A, FLAG_R, FLAG_F)
 _DOT_AT = np.array([4, 1, 2, 1, 3, 1, 2, 1], np.uint8)
 
 
-def _read_columns(path, header: str, fields, checks=lambda *columns: ()) -> list:
+def _header(fields) -> str:
+    return ",".join(name for name, *_ in fields)
+
+
+def _read_columns(path, fields, checks=lambda *columns: ()) -> list:
     """The columns of a CSV file whose rows follow a fixed grammar.
 
-    `fields` holds one (stored dtype, parser, *parser arguments) per column,
-    where the dtype Ragged stores the parser's Ragged as it is, and
-    `checks(*columns)` one (rule, validity) pair per range check. The first
-    row with a wrong field count, a field its parser rejects or a broken
-    rule raises FormatError naming its line and what it breaks.
+    `fields` holds one (column name, stored dtype, parser, *parser
+    arguments) per column, where the dtype Ragged stores the parser's
+    Ragged as it is, and `checks(*columns)` one (rule, validity) pair per
+    range check. The header must be the column names; the first row with a
+    wrong field count, a field its parser rejects or a broken rule raises
+    FormatError naming its line and what it breaks.
     """
     with open(path, "rb") as fh:
-        lineno = _check_header(_lines(fh, path), header, path)
-        parts = [[Ragged.from_lists(()) if dtype is Ragged else np.empty(0, dtype) for dtype, *_ in fields]]
+        lineno = _check_header(_lines(fh, path), _header(fields), path)
+        parts = [[Ragged.from_lists(()) if dtype is Ragged else np.empty(0, dtype) for _, dtype, *_ in fields]]
         # one buffer for every step: the lines not parsed yet, then _PAD zero bytes
         buf, size = bytearray(_CHUNK_BYTES + _PAD), 0
         while True:
@@ -113,7 +101,7 @@ def _read_columns(path, header: str, fields, checks=lambda *columns: ()) -> list
                 if bad is not None:
                     index, failed = bad
                     at, line = next(_lines([bytes(buf[:cut]).split(b"\n")[index]], path, lineno + index + 1))
-                    raise FormatError(f"{path}:{at}: {_rejection(line, header, fields, failed)}")
+                    raise FormatError(f"{path}:{at}: {_rejection(line, fields, failed)}")
                 parts.append(columns)
                 lineno += breaks
                 buf[:size - cut], size = buf[cut:size], size - cut
@@ -121,7 +109,19 @@ def _read_columns(path, header: str, fields, checks=lambda *columns: ()) -> list
                 buf = buf + bytes(len(buf))
             if not got:
                 return [Ragged.concat(col) if dtype is Ragged else np.concatenate(col)
-                        for col, (dtype, *_) in zip(zip(*parts), fields)]
+                        for col, (_, dtype, *_) in zip(zip(*parts), fields)]
+
+
+def _write_columns(path, fields, columns) -> None:
+    """Write a CSV file of `columns`, one per field of `fields` and each as
+    that field's parser reads it back, under the header of their names."""
+    row = ",".join(["%s"] * len(fields)) + "\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(_header(fields) + "\n")
+        for lo in range(0, len(columns[0]), _WRITE_ROWS):
+            cells = [_FIELD_KINDS[parse][1](col[lo:lo + _WRITE_ROWS], *args)
+                     for (_, _, parse, *args), col in zip(fields, columns)]
+            fh.write("".join(map(row.__mod__, zip(*cells))))
 
 
 def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[list], Optional[tuple], int]:
@@ -156,7 +156,7 @@ def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[li
     bounds[0], bounds[1:-1], bounds[-1] = starts[:n] - 1, commas[: n * per_row].reshape(n, per_row).T, ends[:n]
     lo, hi = bounds[:-1] + 1, bounds[1:]
 
-    parsed = [parse(buf, lo[i], hi[i], *args) for i, (_, parse, *args) in enumerate(fields)]
+    parsed = [parse(buf, lo[i], hi[i], *args) for i, (_, _, parse, *args) in enumerate(fields)]
     columns = [values for values, _ in parsed]
     rules = checks(*columns)
     valid = [ok for _, ok in parsed] + [ok for _, ok in rules]
@@ -168,7 +168,7 @@ def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[li
     if n < len(lines):
         return None, (int(lines[n]), None), breaks
     return [col if dtype is Ragged else col.astype(dtype, copy=False)
-            for col, (dtype, *_) in zip(columns, fields)], None, breaks
+            for col, (_, dtype, *_) in zip(columns, fields)], None, breaks
 
 
 def _decimal(buf, lo, hi, width: int, leading_zeros: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -313,44 +313,57 @@ def _ipv4_list(buf, lo, hi) -> tuple[Ragged, np.ndarray]:
     return Ragged(bounds, values), np.bincount(owner[~ok], minlength=len(lo)) == 0
 
 
-# What a field must be, by its column's parser and that parser's arguments
-_MUST_BE = {
-    _decimal: "a canonical decimal of at most {} digits",
-    _fixed: "a canonical decimal of at most {} digits, then optionally '.' and 1 to {} digits",
-    _ipv4: "an IPv4 dotted-quad",
-    _tcp_flags: "a sequence of the TCP flag letters S, A, R, F",
-    _prefix: "a dotted-quad, optionally then '/' and a length of 0 to 32, with no host bits set",
-    _date: "a YYYY-MM-DD date",
-    _attack_type: f"one of {', '.join(ATTACK_TYPES)}",
-    _text: "UTF-8 text without a double quote",
-    _ipv4_list: "a ';'-joined list of IPv4 dotted-quads",
+def _prefixes(col: np.ndarray) -> list[str]:
+    return [f"{quad}/{plen}" for quad, plen in zip(dotted_quads((col >> 6).astype(np.uint32)), (col & 63).tolist())]
+
+
+def _address_lists(col: Ragged) -> list[str]:
+    quads, bounds = dotted_quads(col.values), col.bounds.tolist()
+    return [";".join(quads[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+# By a column's parser: what a field must be, where {i} stands for the
+# parser's argument i, and the cells that write a column of the parser's
+# values so that it reads them back, given the column and those arguments
+_FIELD_KINDS = {
+    _decimal: ("a canonical decimal of at most {} digits", lambda col, *_: col.tolist()),
+    _fixed: ("a canonical decimal of at most {} digits, then optionally '.' and 1 to {} digits",
+             lambda col, width, places: list(map(f"%.{places}f".__mod__, col.tolist()))),
+    _ipv4: ("an IPv4 dotted-quad", dotted_quads),
+    _tcp_flags: ("a sequence of the TCP flag letters S, A, R, F",
+                 lambda col: list(map(FLAG_STRINGS.__getitem__, col.tolist()))),
+    _prefix: ("a dotted-quad, optionally then '/' and a length of 0 to 32, with no host bits set", _prefixes),
+    _date: ("a YYYY-MM-DD date", iso_dates),
+    _attack_type: (f"one of {', '.join(ATTACK_TYPES)}", lambda col: list(map(ATTACK_TYPES.__getitem__, col.tolist()))),
+    _text: ("UTF-8 text without a double quote", np.ndarray.tolist),
+    _ipv4_list: ("a ';'-joined list of IPv4 dotted-quads", _address_lists),
 }
 
 
-def _rejection(line: str, header: str, fields, failed) -> str:
+def _rejection(line: str, fields, failed) -> str:
     """Why `line` is rejected, given what `_parse_rows` found it fails first."""
     cells = line.split(",")
     if failed is None:
         return f"expected {len(fields)} fields, got {len(cells)}"
     if isinstance(failed, str):
         return failed
-    _, parse, *args = fields[failed]
-    return f"{header.split(',')[failed]} {cells[failed]!r} is not {_MUST_BE[parse].format(*args)}"
+    name, _, parse, *args = fields[failed]
+    return f"{name} {cells[failed]!r} is not {_FIELD_KINDS[parse][0].format(*args)}"
 
 
 # -- packets ----------------------------------------------------------------
 
-# packets.csv columns: (stored dtype, parser, *parser arguments)
 _PACKET_FIELDS = (
-    (np.int64, _decimal, 18),       # ts_us
-    (np.uint8, _decimal, 3),        # protocol
-    (np.uint32, _ipv4),             # src_ip
-    (np.uint16, _decimal, 5),       # src_port
-    (np.uint32, _ipv4),             # dst_ip
-    (np.uint16, _decimal, 5),       # dst_port
-    (np.int64, _decimal, 9),        # len_bytes
-    (np.uint8, _tcp_flags),         # tcp_flags
+    ("ts_us", np.int64, _decimal, 18),
+    ("protocol", np.uint8, _decimal, 3),
+    ("src_ip", np.uint32, _ipv4),
+    ("src_port", np.uint16, _decimal, 5),
+    ("dst_ip", np.uint32, _ipv4),
+    ("dst_port", np.uint16, _decimal, 5),
+    ("len_bytes", np.int64, _decimal, 9),
+    ("tcp_flags", np.uint8, _tcp_flags),
 )
+PACKETS_HEADER = _header(_PACKET_FIELDS)
 
 
 def _packet_checks(ts, protocol, src, src_port, dst, dst_port, len_bytes, flags, *sensor):
@@ -372,9 +385,8 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     Rows must follow the canonical grammar (see README); the first row that
     does not raises FormatError naming its line.
     """
-    header = PACKETS_HEADER + (f",{sensor_col}" if sensor_col else "")
-    fields = _PACKET_FIELDS + (((np.uint32, _ipv4),) if sensor_col else ())
-    columns = _read_columns(path, header, fields, _packet_checks)
+    fields = _PACKET_FIELDS + (((sensor_col, np.uint32, _ipv4),) if sensor_col else ())
+    columns = _read_columns(path, fields, _packet_checks)
     if sensor_col:
         columns[4] = columns.pop()
     return PacketBatch(*columns)
@@ -382,25 +394,21 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
 
 def write_packets(path, packets: PacketBatch) -> None:
     """Write packets.csv, one row per packet in batch order."""
-    _write_csv(path, PACKETS_HEADER, packets, lambda part: (
-        f"{ts},{proto},{src},{sport},{dst},{dport},{length},{FLAG_STRINGS[flags]}\n"
-        for ts, proto, src, sport, dst, dport, length, flags in zip(
-            part.ts.tolist(), part.protocol.tolist(), dotted_quads(part.src), part.src_port.tolist(),
-            dotted_quads(part.dst), part.dst_port.tolist(), part.len_bytes.tolist(), part.flags.tolist())))
+    _write_columns(path, _PACKET_FIELDS, packets.columns())
 
 
 # -- attacks ----------------------------------------------------------------
 
-# attacks.csv columns: (stored dtype, parser, *parser arguments)
 _ATTACK_FIELDS = (
-    (np.str_, _text),               # observatory
-    (np.uint8, _attack_type),       # attack_type
-    (np.int64, _prefix),            # target
-    (np.int64, _decimal, 18),       # start_ts_us
-    (np.int64, _decimal, 18),       # end_ts_us
-    (np.int64, _decimal, 18),       # packets
-    (Ragged, _ipv4_list),           # sensors
+    ("observatory", np.str_, _text),
+    ("attack_type", np.uint8, _attack_type),
+    ("target", np.int64, _prefix),
+    ("start_ts_us", np.int64, _decimal, 18),
+    ("end_ts_us", np.int64, _decimal, 18),
+    ("packets", np.int64, _decimal, 18),
+    ("sensors", Ragged, _ipv4_list),
 )
+ATTACKS_HEADER = _header(_ATTACK_FIELDS)
 
 
 def _attack_checks(observatory, attack_type, target, start, end, packets, sensors):
@@ -415,34 +423,29 @@ def _attack_checks(observatory, attack_type, target, start, end, packets, sensor
 def read_attacks(path) -> EventBatch:
     """Load attacks.csv; see README for the row grammar. Rows read back
     without byte counts, source counts or members."""
-    observatory, code, target, start, end, packets, sensors = _read_columns(
-        path, ATTACKS_HEADER, _ATTACK_FIELDS, _attack_checks)
+    observatory, code, target, start, end, packets, sensors = _read_columns(path, _ATTACK_FIELDS, _attack_checks)
     return EventBatch.build(observatory, code, target >> 6, target & 63, start, end, packets, sensors=sensors)
 
 
 def write_attacks(path, events: EventBatch) -> None:
     """Write attacks.csv, one row per event in batch order."""
-    def lines(part):
-        quads, bounds = dotted_quads(part.sensors.values), part.sensors.bounds.tolist()
-        return (f"{obs},{name},{target},{start},{end},{packets},{';'.join(quads[a:b])}\n"
-                for obs, name, target, start, end, packets, a, b in zip(
-                    part.observatory.tolist(), part.type_names(), part.targets(), part.start_ts.tolist(),
-                    part.end_ts.tolist(), part.packets.tolist(), bounds, bounds[1:]))
-    _write_csv(path, ATTACKS_HEADER, events, lines)
+    _write_columns(path, _ATTACK_FIELDS, (
+        events.observatory, events.type_code, events.net.astype(np.int64) << 6 | events.plen, events.start_ts,
+        events.end_ts, events.packets, events.sensors))
 
 
 # -- flow summaries ----------------------------------------------------------
 
-# flows.csv columns: (stored dtype, parser, *parser arguments)
 _FLOW_FIELDS = (
-    (np.uint32, _ipv4),             # target_ip
-    (np.uint8, _decimal, 3),        # protocol
-    (np.uint16, _decimal, 5),       # src_port
-    (np.int64, _decimal, 10),       # distinct_src_ips
-    (np.float64, _fixed, 16, 6),    # bitrate_bps
-    (np.int64, _decimal, 18),       # start_ts_us
-    (np.int64, _decimal, 18),       # end_ts_us
+    ("target_ip", np.uint32, _ipv4),
+    ("protocol", np.uint8, _decimal, 3),
+    ("src_port", np.uint16, _decimal, 5),
+    ("distinct_src_ips", np.int64, _decimal, 10),
+    ("bitrate_bps", np.float64, _fixed, 16, 6),
+    ("start_ts_us", np.int64, _decimal, 18),
+    ("end_ts_us", np.int64, _decimal, 18),
 )
+FLOWS_HEADER = _header(_FLOW_FIELDS)
 
 
 def _flow_checks(target, protocol, src_port, sources, bitrate, start, end):
@@ -461,18 +464,20 @@ def _flow_checks(target, protocol, src_port, sources, bitrate, start, end):
 
 def read_flows(path) -> FlowBatch:
     """Load flows.csv; see README for the row grammar."""
-    return FlowBatch(*_read_columns(path, FLOWS_HEADER, _FLOW_FIELDS, _flow_checks))
+    return FlowBatch(*_read_columns(path, _FLOW_FIELDS, _flow_checks))
 
 
 def write_flows(path, flows: FlowBatch) -> None:
     """Write flows.csv, one row per flow in batch order."""
-    _write_csv(path, FLOWS_HEADER, flows, lambda part: (
-        f"{target},{proto},{sport},{sources},{bitrate:.6f},{start},{end}\n"
-        for target, proto, sport, sources, bitrate, start, end in zip(
-            dotted_quads(part.target), *(col.tolist() for col in part.columns()[1:]))))
+    _write_columns(path, _FLOW_FIELDS, flows.columns())
 
 
 # -- prefix tables -----------------------------------------------------------
+
+_ROUTED_FIELDS = (("prefix", np.int64, _prefix), ("asn", np.int64, _decimal, 10))
+_ALLOC_FIELDS = (("prefix", np.int64, _prefix), ("registry", object, _text))
+ROUTED_HEADER, ALLOC_HEADER = _header(_ROUTED_FIELDS), _header(_ALLOC_FIELDS)
+
 
 def _prefix_table(prefix: np.ndarray, value: np.ndarray) -> PrefixTable:
     return PrefixTable((prefix >> 6).astype(np.uint32), (prefix & 63).astype(np.uint8), value)
@@ -480,13 +485,13 @@ def _prefix_table(prefix: np.ndarray, value: np.ndarray) -> PrefixTable:
 
 def read_routed_table(path) -> PrefixTable:
     """Load routed.csv: a prefix table of origin ASNs."""
-    return _prefix_table(*_read_columns(path, ROUTED_HEADER, ((np.int64, _prefix), (np.int64, _decimal, 10))))
+    return _prefix_table(*_read_columns(path, _ROUTED_FIELDS))
 
 
 def read_alloc_table(path) -> PrefixTable:
     """Load alloc.csv: a prefix table of registry names, whose blocks must
     be pairwise disjoint."""
-    table = _prefix_table(*_read_columns(path, ALLOC_HEADER, ((np.int64, _prefix), (object, _text))))
+    table = _prefix_table(*_read_columns(path, _ALLOC_FIELDS))
     # sorted by (net, length), a block that overlaps another overlaps the next
     order = np.lexsort((table.plen, table.net))
     net, plen = table.net[order].astype(np.int64), table.plen[order].astype(np.int64)
@@ -500,14 +505,18 @@ def read_alloc_table(path) -> PrefixTable:
 
 # -- target tuples -----------------------------------------------------------
 
+_TARGET_FIELDS = (("date", np.int64, _date), ("ip", np.uint32, _ipv4))
+TARGETS_HEADER = _header(_TARGET_FIELDS)
+
+
 def read_targets(path) -> np.ndarray:
     """Load targets.csv as target keys (see `model.pack_targets`)."""
-    return pack_targets(*_read_columns(path, TARGETS_HEADER, ((np.int64, _date), (np.uint32, _ipv4))))
+    return pack_targets(*_read_columns(path, _TARGET_FIELDS))
 
 
 def write_targets(path, keys: np.ndarray) -> None:
     """Write targets.csv, one row per key in key order: by date, then by numeric IP."""
-    _write_csv(path, TARGETS_HEADER, keys, lambda part: (f"{day},{ip}\n" for day, ip in zip(*target_text(part))))
+    _write_columns(path, _TARGET_FIELDS, unpack_targets(keys))
 
 
 def read_hashed_targets(path) -> set[str]:

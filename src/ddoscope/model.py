@@ -21,8 +21,10 @@ KEY_FIELDS = ("protocol", "src_ip", "src_prefix", "src_port", "dst_ip", "dst_por
 # IPv4 helpers
 # ---------------------------------------------------------------------------
 
-# Every valid octet spelling: ASCII decimal 0-255 without leading zeros.
+# Every valid octet and prefix length spelling: ASCII decimal 0-255, or
+# 0-32, without leading zeros.
 _OCTETS = {str(i): i for i in range(256)}
+_PREFIX_LENGTHS = {str(i): i for i in range(33)}
 
 
 def ip_to_int(ip: str) -> int:
@@ -40,36 +42,33 @@ def int_to_ip(value: int) -> str:
     return f"{value >> 24}.{(value >> 16) & 0xFF}.{(value >> 8) & 0xFF}.{value & 0xFF}"
 
 
-def _each_distinct(col: np.ndarray, texts) -> list[str]:
-    """The text of each value of `col`, where `texts(values)` spells a list
-    of values and is given each distinct value once."""
-    distinct, index = np.unique(col, return_inverse=True)
-    spelled = texts(distinct.tolist())
-    return [spelled[i] for i in index.tolist()]
-
-
-# Decimal spelling of each octet value
-_OCTET_TEXT = tuple(str(i) for i in range(256))
+# Decimal digits of each octet value, padded to three with zero bytes
+_OCTET_DIGITS = np.array([list(str(i).encode().ljust(3, b"\0")) for i in range(256)], np.uint8)
 
 
 def dotted_quads(col: np.ndarray) -> list[str]:
     """Each address of a uint32 column as a dotted-quad."""
-    o = _OCTET_TEXT
-    return _each_distinct(col, lambda values: [
-        f"{o[v >> 24]}.{o[v >> 16 & 255]}.{o[v >> 8 & 255]}.{o[v & 255]}" for v in values])
+    # 16 bytes an address: each octet's padded digits, then "." or, after
+    # the last, "\n"; without the padding they are the lines of the quads
+    text = np.empty((len(col), 4, 4), np.uint8)
+    text[:, :, :3] = _OCTET_DIGITS[col[:, None] >> np.array([24, 16, 8, 0]) & 255]
+    text[:, :, 3] = ord(".")
+    text[:, 3, 3] = ord("\n")
+    return text.tobytes().replace(b"\0", b"").decode().split("\n")[:-1]
 
 
 def parse_prefix(prefix: str) -> tuple[int, int]:
-    """Parse "a.b.c.d/len" into (network int, prefix length).
+    """Parse "a.b.c.d/len" into (network int, prefix length), len being a
+    canonical decimal 0-32.
 
     Host bits must be zero; "a.b.c.d" alone is treated as a /32.
     """
     addr, slash, lenstr = prefix.partition("/")
     if not slash:
         return ip_to_int(addr), 32
-    if not (lenstr.isascii() and lenstr.isdigit()) or int(lenstr) > 32:
+    plen = _PREFIX_LENGTHS.get(lenstr)
+    if plen is None:
         raise ValueError(f"bad prefix length in {prefix!r}")
-    plen = int(lenstr)
     net = ip_to_int(addr)
     if net & ((1 << (32 - plen)) - 1):
         raise ValueError(f"host bits set in prefix {prefix!r}")
@@ -332,16 +331,6 @@ class EventBatch(_Columns):
         return cls(np.full(n, observatory), **{k: np.full(n, v, cls.DTYPES[k]) for k, v in given.items()},
                    sensors=empty if sensors is None else sensors, members=empty if members is None else members)
 
-    def type_names(self) -> list[str]:
-        return np.array(ATTACK_TYPES)[self.type_code].tolist()
-
-    def targets(self) -> list[str]:
-        """The "a.b.c.d/len" text of each row's target."""
-        o = _OCTET_TEXT
-        return _each_distinct(self.net.astype(np.int64) << 6 | self.plen, lambda values: [
-            f"{o[v >> 30]}.{o[v >> 22 & 255]}.{o[v >> 14 & 255]}.{o[v >> 6 & 255]}/{v & 63}"
-            for v in values])
-
     def ordered(self) -> "EventBatch":
         """The rows by (start, net, plen, observatory, attack type), ties in
         row order."""
@@ -364,8 +353,9 @@ def host_targets(events: EventBatch) -> Ragged:
     counts = np.where(prefix, np.diff(events.members.bounds), 1)
     missing = np.flatnonzero(counts == 0)
     if len(missing):
+        i = missing[0]
         raise ValueError(
-            f"prefix event {events.take(missing[:1]).targets()[0]} has no recorded member hosts; "
+            f"prefix event {format_prefix(int(events.net[i]), int(events.plen[i]))} has no recorded member hosts; "
             "derive targets from pre-aggregation events"
         )
     bounds = np.cumsum(np.append(0, counts), dtype=np.int64)
@@ -441,11 +431,17 @@ def unpack_targets(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys >> 32, (keys & 0xFFFFFFFF).astype(np.uint32)
 
 
+def iso_dates(days: np.ndarray) -> list[str]:
+    """The YYYY-MM-DD text of each UTC day number since 1970-01-01."""
+    distinct, index = np.unique(days, return_inverse=True)
+    spelled = [(EPOCH + timedelta(days=d)).isoformat() for d in distinct.tolist()]
+    return [spelled[i] for i in index.tolist()]
+
+
 def target_text(keys: np.ndarray) -> tuple[list[str], list[str]]:
     """The YYYY-MM-DD date and the dotted-quad of each target key."""
     days, ips = unpack_targets(keys)
-    iso = _each_distinct(days, lambda values: [(EPOCH + timedelta(days=d)).isoformat() for d in values])
-    return iso, dotted_quads(ips)
+    return iso_dates(days), dotted_quads(ips)
 
 
 def tuples_to_keys(tuples: Iterable[TargetTuple]) -> np.ndarray:

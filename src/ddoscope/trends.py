@@ -9,13 +9,14 @@ pairs samples by calendar week and skips nulls pairwise.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Optional
 
 import numpy as np
 
-from .model import EPOCH, US_PER_DAY, EventBatch, WeeklySeries, quarter_start, week_index, week_monday
+from .model import EPOCH, US_PER_DAY, EventBatch, WeeklySeries, format_prefix, quarter_start, week_index, week_monday
 from .stats import t_pvalue_two_sided
 
 WEEKS_4Y = 208
@@ -100,7 +101,7 @@ def weekly_counts(
     outside = np.flatnonzero((days < (lo - EPOCH).days) | (days > (hi - EPOCH).days))
     if len(outside):
         i = int(outside[0])
-        raise ValueError(f"event {events.take([i]).targets()[0]} starts "
+        raise ValueError(f"event {format_prefix(int(events.net[i]), int(events.plen[i]))} starts "
                          f"{EPOCH + timedelta(int(days[i]))}, outside range {lo}..{hi}")
     values = np.bincount(week_index(days) - first, minlength=last - first + 1)
     return WeeklySeries(week_monday(first), tuple(values.astype(float).tolist()), label)
@@ -169,16 +170,18 @@ def linreg_trend(series: WeeklySeries) -> TrendSummary:
 # Correlation
 # ---------------------------------------------------------------------------
 
-def _paired(a: WeeklySeries, b: WeeklySeries) -> list[tuple[float, float]]:
-    """Pairs matched by calendar week over the overlapping range, nulls
-    skipped pairwise."""
+def _paired(a: WeeklySeries, b: WeeklySeries) -> tuple[list[date], list[float], list[float]]:
+    """The weeks both series hold a value for, over the overlapping range,
+    and the values of `a` and of `b` in those weeks, in week order."""
     amap = {a.week_date(i): v for i, v in enumerate(a.values)}
-    pairs = []
+    weeks, xs, ys = [], [], []
     for i, bv in enumerate(b.values):
         av = amap.get(b.week_date(i))
         if av is not None and bv is not None:
-            pairs.append((av, bv))
-    return pairs
+            weeks.append(b.week_date(i))
+            xs.append(av)
+            ys.append(bv)
+    return weeks, xs, ys
 
 
 def _ranks(xs: list[float]) -> list[float]:
@@ -227,18 +230,16 @@ def _correlate(xs: list[float], ys: list[float]) -> CorrelationResult:
 
 def pearson(a: WeeklySeries, b: WeeklySeries) -> CorrelationResult:
     """Product-moment correlation with a two-sided t-test p-value."""
-    pairs = _paired(a, b)
-    return _correlate([x for x, _ in pairs], [y for _, y in pairs])
+    _, xs, ys = _paired(a, b)
+    return _correlate(xs, ys)
 
 
 def spearman(a: WeeklySeries, b: WeeklySeries) -> CorrelationResult:
     """Rank correlation: ties get average ranks, rho is the product-moment
     correlation of the rank vectors, p-value from the t approximation
     (exactly 0 at rho = +-1)."""
-    pairs = _paired(a, b)
-    rx = _ranks([x for x, _ in pairs])
-    ry = _ranks([y for _, y in pairs])
-    return _correlate(rx, ry)
+    _, xs, ys = _paired(a, b)
+    return _correlate(_ranks(xs), _ranks(ys))
 
 
 def quarterly_correlations(
@@ -246,38 +247,25 @@ def quarterly_correlations(
     b: WeeklySeries,
     method: str = "spearman",
 ) -> list[tuple[date, Optional[CorrelationResult]]]:
-    """One correlation per calendar quarter over the paired range.
+    """One correlation per calendar quarter, from the first week either
+    series holds to the last, of the pairs `pearson` and `spearman` take.
 
     Quarters with fewer than 3 pairs, or where either slice is constant,
     yield None.
     """
-    corr = {"spearman": spearman, "pearson": pearson}[method]
-    amap = {a.week_date(i): v for i, v in enumerate(a.values)}
-    bmap = {b.week_date(i): v for i, v in enumerate(b.values)}
-    weeks = sorted(set(amap) | set(bmap))
-    if not weeks:
+    rank = {"spearman": _ranks, "pearson": list}[method]
+    held = a.weeks() + b.weeks()
+    if not held:
         return []
+    weeks, xs, ys = _paired(a, b)
+    quarters = [quarter_start(week) for week in weeks]
     results: list[tuple[date, Optional[CorrelationResult]]] = []
-    q = quarter_start(weeks[0])
-    last_q = quarter_start(weeks[-1])
+    q, last_q = quarter_start(min(held)), quarter_start(max(held))
     while q <= last_q:
-        next_q = quarter_start(q + timedelta(days=93))
-        in_q = [w for w in weeks if q <= w < next_q]
-        if in_q:
-            # Rebuild a contiguous weekly grid: the union of two series may
-            # have holes, and WeeklySeries indexes by week offset.
-            grid = []
-            w = in_q[0]
-            while w <= in_q[-1]:
-                grid.append(w)
-                w += timedelta(weeks=1)
-            sub_a = WeeklySeries(grid[0], tuple(amap.get(w) for w in grid), a.label)
-            sub_b = WeeklySeries(grid[0], tuple(bmap.get(w) for w in grid), b.label)
-            try:
-                results.append((q, corr(sub_a, sub_b)))
-            except ValueError:
-                results.append((q, None))
-        else:
+        lo, hi = bisect_left(quarters, q), bisect_right(quarters, q)
+        try:
+            results.append((q, _correlate(rank(xs[lo:hi]), rank(ys[lo:hi]))))
+        except ValueError:
             results.append((q, None))
-        q = next_q
+        q = quarter_start(q + timedelta(days=93))
     return results

@@ -20,10 +20,12 @@ from ddoscope.ioformats import (
     ALLOC_HEADER, ATTACKS_HEADER, FLOWS_HEADER, PACKETS_HEADER, ROUTED_HEADER, TARGETS_HEADER, FormatError,
 )
 from ddoscope.model import (
-    EPOCH, FLAG_STRINGS, MAX_TS_US, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple, WeeklySeries,
-    format_prefix, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, parse_prefix, prefix_mask, type_code,
+    ATTACK_TYPES, EPOCH, FLAG_STRINGS, MAX_TS_US, US_PER_S, EventBatch, FlowBatch, PacketBatch, TargetTuple,
+    WeeklySeries, format_prefix, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, parse_prefix, prefix_mask,
+    quarter_start, type_code,
 )
 from ddoscope.overlap import target_digest
+from ddoscope.trends import pearson, spearman
 
 
 # -- readable rows and small helpers ----------------------------------------------
@@ -98,7 +100,8 @@ def batch_to_events(batch: EventBatch) -> list:
                     frozenset(map(int_to_ip, sensors)), sources or None,
                     tuple(sorted(map(int_to_ip, members))) or None)
         for obs, atype, target, start, end, packets, n_bytes, has_bytes, sources, sensors, members in zip(
-            batch.observatory.tolist(), batch.type_names(), batch.targets(), batch.start_ts.tolist(),
+            batch.observatory.tolist(), [ATTACK_TYPES[code] for code in batch.type_code.tolist()],
+            map(format_prefix, batch.net.tolist(), batch.plen.tolist()), batch.start_ts.tolist(),
             batch.end_ts.tolist(), batch.packets.tolist(), batch.bytes.tolist(), batch.has_bytes.tolist(),
             batch.source_ips.tolist(), _lists(batch.sensors), _lists(batch.members))
     ]
@@ -607,6 +610,40 @@ def oracle_t_pvalue(t, df):
     from scipy import stats
 
     return float(2.0 * stats.t.sf(abs(t), df))
+
+
+def oracle_quarterly_correlations(a, b, method="spearman"):
+    """One correlation per calendar quarter: for each quarter, a contiguous
+    week grid over the weeks either series holds in it, and the two series
+    cut to that grid, correlated by `trends.spearman` or `trends.pearson`."""
+    corr = {"spearman": spearman, "pearson": pearson}[method]
+    amap = {a.week_date(i): v for i, v in enumerate(a.values)}
+    bmap = {b.week_date(i): v for i, v in enumerate(b.values)}
+    weeks = sorted(set(amap) | set(bmap))
+    if not weeks:
+        return []
+    results = []
+    q = quarter_start(weeks[0])
+    last_q = quarter_start(weeks[-1])
+    while q <= last_q:
+        next_q = quarter_start(q + timedelta(days=93))
+        in_q = [w for w in weeks if q <= w < next_q]
+        if in_q:
+            grid = []
+            w = in_q[0]
+            while w <= in_q[-1]:
+                grid.append(w)
+                w += timedelta(weeks=1)
+            sub_a = WeeklySeries(grid[0], tuple(amap.get(w) for w in grid), a.label)
+            sub_b = WeeklySeries(grid[0], tuple(bmap.get(w) for w in grid), b.label)
+            try:
+                results.append((q, corr(sub_a, sub_b)))
+            except ValueError:
+                results.append((q, None))
+        else:
+            results.append((q, None))
+        q = next_q
+    return results
 
 
 # -- overlap ---------------------------------------------------------------------

@@ -405,6 +405,14 @@ class TestOverlapAndConfirm:
         invoke(runner, ["overlap", "--sets", f"x={attacks}", "--upset", "--out", str(out)])
         assert json.loads(out.read_text())["sets"] == {"x": 1}
 
+    def test_targets_csv_after_blank_lines_is_a_targets_file(self, runner, tmp_path):
+        # as for every reader, the header is the first non-blank line
+        t = tmp_path / "t.csv"
+        t.write_text("\n\r\ndate,ip\r\n2022-01-03,10.0.0.1\n")
+        out = tmp_path / "upset.json"
+        invoke(runner, ["overlap", "--sets", f"t={t}", "--upset", "--out", str(out)])
+        assert json.loads(out.read_text())["sets"] == {"t": 1}
+
     def test_new_recurring_and_attribution(self, runner, tmp_path):
         t = tmp_path / "t.csv"
         self.make_targets(t, [("2022-01-03", "10.0.0.1"), ("2022-01-12", "10.0.0.1"),
@@ -712,6 +720,16 @@ class TestPipelineCommand:
                    for key, (kind, default) in section.items()}
             for name, section in sections.items()
         }
+
+    def test_readme_and_cli_file_schemas_match_the_readers(self):
+        headers = {"packets.csv": ioformats.PACKETS_HEADER, "attacks.csv": ioformats.ATTACKS_HEADER,
+                   "flows.csv": ioformats.FLOWS_HEADER, "routed.csv": ioformats.ROUTED_HEADER,
+                   "alloc.csv": ioformats.ALLOC_HEADER, "targets.csv": ioformats.TARGETS_HEADER}
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        formats = readme[readme.index("## File formats"):].split("\n## ")[0]
+        assert dict(re.findall(r"^\| (\w+\.csv) \| `([^`]+)`", formats, re.M)) == headers
+        schemas = ddoscope.cli.__doc__.split("File schemas")[1]
+        assert dict(re.findall(r"(\w+\.csv) +(\S+)", schemas)) == headers
 
     def test_empty_detections_are_data(self, runner, tmp_path):
         (tmp_path / "packets.csv").write_text(
@@ -1040,7 +1058,9 @@ class TestParseOnce:
          "packet_bytes 1000000000 above 999999999"),
         (lambda doc: (doc.update(duration_s=3e11), doc["attacks"][0].update(start_s=2.6e11)),
          "duration_s 3e+11 ends the scenario past 9999-12-31T23:59:59"),
-    ], ids=["packet_bytes", "duration_s"])
+        (lambda doc: doc["attacks"][0].update(victim="172.16.0.0/016"),
+         "bad prefix length in '172.16.0.0/016'"),
+    ], ids=["packet_bytes", "duration_s", "victim"])
     def test_spec_packets_csv_cannot_hold_is_a_synth_error(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
         doc = json.loads((tmp_path / "scenario.json").read_text())

@@ -27,7 +27,7 @@ from ddoscope.ioformats import (
 )
 from ddoscope.model import (
     EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, Ragged, TargetTuple,
-    WeeklySeries, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, tuples_to_keys,
+    WeeklySeries, int_to_ip, ip_to_int, keys_to_tuples, pack_targets, parse_prefix, tuples_to_keys,
 )
 from datetime import date
 
@@ -364,7 +364,32 @@ def _parsed(parse, field: bytes, *args) -> list:
     return out
 
 
+# Prefix bytes: FIELDS with an optional "/" and digits, and prefixes with
+# no host bits set whose length may carry leading zeros
+PREFIXES = (st.tuples(FIELDS, st.sampled_from([b"", b"/"]), st.text("0123456789", max_size=4).map(str.encode))
+            .map(b"".join)
+            | st.builds(lambda net, plen, zeros: f"{int_to_ip(net >> 32 - plen << 32 - plen)}/{zeros}{plen}".encode(),
+                        st.integers(0, 2 ** 32 - 1), st.integers(0, 32), st.sampled_from(["", "0", "00"])))
+
+
 class TestFieldParsers:
+    @settings(max_examples=600, deadline=None)
+    @given(field=PREFIXES)
+    def test_scenario_and_file_prefixes_are_one_grammar(self, field):
+        # model.parse_prefix and model.ip_to_int read scenario specs, _prefix and _ipv4 files
+        text = field.decode("latin-1")
+        try:
+            net, plen = parse_prefix(text)
+            prefix = net << 6 | plen
+        except ValueError:
+            prefix = None
+        assert _parsed(ioformats._prefix, field) == [prefix] * 2
+        try:
+            address = ip_to_int(text)
+        except ValueError:
+            address = None
+        assert _parsed(ioformats._ipv4, field) == [address] * 2
+
     @settings(max_examples=600, deadline=None)
     @given(field=FIELDS, width=st.sampled_from([1, 3, 5, 9, 10, 18]), leading_zeros=st.booleans())
     def test_parsers_match_oracles(self, field, width, leading_zeros):
@@ -952,10 +977,6 @@ class TestReadersMatchRowReader:
             assert list(zip(*(col.tolist() for col in got.columns()))) == want
 
     @pytest.mark.parametrize("read, header, row, message", [
-        (read_routed_table, "prefix,asn", "10.0.0.0/08,64500", f"prefix '10.0.0.0/08' is not {PREFIX}"),
-        (read_routed_table, "prefix,asn", "10.0.0.0/008,64500", f"prefix '10.0.0.0/008' is not {PREFIX}"),
-        (read_alloc_table, "prefix,registry", "10.0.0.0/08,RIPE", f"prefix '10.0.0.0/08' is not {PREFIX}"),
-        (read_attacks, ATTACKS_HEADER, "hp,RA,203.0.113.5/032,0,10,7,", f"target '203.0.113.5/032' is not {PREFIX}"),
         (read_routed_table, "prefix,asn", "10.0.0.0/8,12345678901",
          "asn '12345678901' is not a canonical decimal of at most 10 digits"),
     ])
@@ -964,6 +985,21 @@ class TestReadersMatchRowReader:
         path.write_text(f"{header}\n{row}\n")
         reference = oracle_read_attacks if read is read_attacks else lambda path: oracle_read_table(path, header)
         assert _outcome(reference, path)[1] is None         # the row reader took it
+        with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:2: {message}')}$"):
+            read(path)
+
+    @pytest.mark.parametrize("read, header, row, message", [
+        (read_routed_table, "prefix,asn", "10.0.0.0/08,64500", f"prefix '10.0.0.0/08' is not {PREFIX}"),
+        (read_routed_table, "prefix,asn", "10.0.0.0/008,64500", f"prefix '10.0.0.0/008' is not {PREFIX}"),
+        (read_alloc_table, "prefix,registry", "10.0.0.0/08,RIPE", f"prefix '10.0.0.0/08' is not {PREFIX}"),
+        (read_attacks, ATTACKS_HEADER, "hp,RA,203.0.113.5/032,0,10,7,", f"target '203.0.113.5/032' is not {PREFIX}"),
+    ])
+    def test_prefix_length_with_a_leading_zero(self, tmp_path, read, header, row, message):
+        # refused by the row reader too, through model.parse_prefix
+        path = tmp_path / "table.csv"
+        path.write_text(f"{header}\n{row}\n")
+        reference = oracle_read_attacks if read is read_attacks else lambda path: oracle_read_table(path, header)
+        assert _outcome(reference, path)[1] == f"{path}:2"
         with pytest.raises(FormatError, match=rf"^{re.escape(f'{path}:2: {message}')}$"):
             read(path)
 

@@ -24,6 +24,7 @@ from oracles import (
     oracle_ewma,
     oracle_normalize,
     oracle_pearson,
+    oracle_quarterly_correlations,
     oracle_slope,
     oracle_spearman,
     oracle_t_pvalue,
@@ -371,6 +372,15 @@ class TestQuarterly:
         assert len(results) == 2
         assert results[0][1] is None      # only 2 pairs in 2020Q1
         assert results[1][1] is not None
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), method=st.sampled_from(["spearman", "pearson"]))
+    def test_matches_per_quarter_grid_oracle(self, data, method):
+        # ties, nulls, constant and empty quarters, and series apart from each other
+        values = st.lists(st.none() | st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0, 1e3), max_size=40)
+        a, b = (series(data.draw(values), start=date(2019, 12, 30) + timedelta(weeks=data.draw(st.integers(0, 60))))
+                for _ in "ab")
+        assert quarterly_correlations(a, b, method) == oracle_quarterly_correlations(a, b, method)
 
     def test_constant_quarter_yields_null(self):
         start = date(2020, 1, 6)
