@@ -2,10 +2,12 @@
 
 Usage (from the repository root):
 
-    python3 .github/scripts/bundles_equal.py BASE_TREE WORK_DIR
+    python3 .github/scripts/bundles_equal.py BASE WORK_DIR
 
-For each benchmark workload (bench/workloads.py's BUILDERS, imported
-read-only) at seeds 7 and 11, the inputs are written once into WORK_DIR.
+BASE is a directory holding the other tree, or a git revision of this
+repository, which `git archive` extracts into WORK_DIR/base. For each
+benchmark workload (bench/workloads.py's BUILDERS, imported read-only) at
+seeds 7 and 11, the inputs are written once into WORK_DIR.
 Then `python -m ddoscope.cli pipeline --config ... --out ...` runs once with
 each tree's src/ on PYTHONPATH, and `diff -r` compares the two bundles,
 manifest.json included. Exits non-zero naming every bundle that differs.
@@ -20,6 +22,17 @@ HEAD = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(HEAD / "bench"))
 
 from workloads import BUILDERS  # noqa: E402
+
+
+def base_tree(base: str, work: Path) -> Path:
+    """BASE as a directory: itself, or the revision's tree extracted under WORK_DIR."""
+    if Path(base).is_dir():
+        return Path(base).resolve()
+    tree = work / "base"
+    tree.mkdir(parents=True)
+    archive = subprocess.run(["git", "archive", base], cwd=HEAD, check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+    return tree
 
 
 def main(base: Path, work: Path) -> int:
@@ -46,4 +59,5 @@ def main(base: Path, work: Path) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(Path(sys.argv[1]).resolve(), Path(sys.argv[2]).resolve()))
+    work_dir = Path(sys.argv[2]).resolve()
+    sys.exit(main(base_tree(sys.argv[1], work_dir), work_dir))

@@ -73,7 +73,7 @@ from .pipeline import (
     trend_series,
     upset_document,
 )
-from .schema import ConfigError, read
+from .schema import ConfigError, load_json, read
 from .synth import write_scenario
 from .trends import quarterly_correlations
 
@@ -153,7 +153,7 @@ def _detect(doc: dict, out_path) -> None:
 
 
 @detect.command("telescope")
-@click.option("--config", "config_file", type=click.File(), default=None,
+@click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON with TelescopeConfig fields (n_addresses required).")
 @click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True))
 @click.option("--out", "out_path", required=True, type=click.Path())
@@ -162,7 +162,7 @@ def _detect(doc: dict, out_path) -> None:
 def detect_telescope_cmd(config_file, inputs, out_path, observatory):
     """RSDoS inference from telescope backscatter (packets.csv)."""
     _detect({"name": observatory, "type": "telescope", "inputs": list(inputs),
-             "config": json.load(config_file) if config_file else {}}, out_path)
+             "config": load_json(config_file) if config_file else {}}, out_path)
 
 
 @detect.command("honeypot")

@@ -50,5 +50,4 @@ def classify_flow(
     ra, dp = attack_masks(flows, ampl_ports)
     rows = np.flatnonzero(ra | dp)
     return EventBatch.build(observatory, np.where(ra[rows], type_code("RA"), type_code("DP")),
-                            flows.target[rows], 32, flows.start_ts[rows], flows.end_ts[rows], 0,
-                            source_ips=flows.distinct_src_ips[rows])
+                            flows.target[rows], 32, flows.start_ts[rows], flows.end_ts[rows], 0)

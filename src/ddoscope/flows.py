@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .model import PacketBatch, distinct
+from .model import EventBatch, PacketBatch, Ragged, distinct, prefix_mask
 
 
 class Rate(NamedTuple):
@@ -26,31 +26,20 @@ class Rate(NamedTuple):
     buckets: int
 
 
-class Flows(NamedTuple):
-    """Every flow as a run of grouped input rows, and which are attacks."""
-
-    order: np.ndarray     # input rows grouped by key, time-ordered within a key
-    bounds: np.ndarray    # flow f is order[bounds[f]:bounds[f + 1]]
-    attacks: np.ndarray   # flows that met every threshold, in the order their keys first appear
-
-
-def group_flows(
-    packets: PacketBatch,
-    keys: Sequence[np.ndarray],
-    split: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    *,
-    min_packets: int = 1,
-    min_duration_us: float = 0,
-    rate: Optional[Rate] = None,
-    min_ports: Optional[int] = None,
-) -> Flows:
-    """Group `packets` into flows and pick the attacks among them.
+def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np.ndarray, np.ndarray], np.ndarray],
+           attack_type: int, observatory: str, *, plen: int = 32, sensors: Optional[np.ndarray] = None,
+           min_packets: int, min_duration_us: float, rate: Optional[Rate] = None,
+           min_ports: Optional[int] = None) -> EventBatch:
+    """One event per flow of `packets` that meets every threshold.
 
     Rows equal in every column of `keys` are one key's packets, in time
     order (input order among equal timestamps). Consecutive packets of a
     key fall into different flows where `split(prev_ts, cur_ts)` holds.
-    Attacks are listed in the order their keys first appear in the input,
-    so a stable sort of their events breaks ties by that order.
+    An event targets its flow's first source masked to /`plen`; below /32
+    it records the flow's source hosts as members, and it records the
+    distinct values of the `sensors` column, when given, as its sensors.
+    Events are sorted by (start_ts, target), ties in the order their keys
+    first appear in the input.
     """
     order = np.lexsort((packets.ts, *keys))
     ts = packets.ts[order]
@@ -70,8 +59,23 @@ def group_flows(
     if min_ports is not None:
         ok &= np.diff(distinct(packets.dst_port[order], bounds)[1]) >= min_ports
     key_first = np.minimum.reduceat(order, np.flatnonzero(new_key))[np.cumsum(new_key)[start] - 1]
-    attacks = np.flatnonzero(ok)
-    return Flows(order, bounds, attacks[np.argsort(key_first[attacks], kind="stable")])
+    # the attack flows, in the order their keys first appear
+    f = np.flatnonzero(ok)
+    f = f[np.argsort(key_first[f], kind="stable")]
+    # the per-flow unions below take memory in proportion to the packets,
+    # so the grouping's per-packet temporaries are freed first
+    del ts, new_key, new_flow
+
+    def per_flow(col):
+        return Ragged(*distinct(col[order], bounds)[::-1])[f]
+
+    first, last = order[start[f]], order[end[f] - 1]
+    return EventBatch.build(
+        observatory, attack_type, packets.src[first] & np.uint32(prefix_mask(plen)), plen,
+        packets.ts[first], packets.ts[last], end[f] - start[f],
+        sensors=None if sensors is None else per_flow(sensors),
+        members=per_flow(packets.src) if plen < 32 else None,
+    ).ordered()
 
 
 def _peak_window(ts: np.ndarray, bounds: np.ndarray, rate: Rate) -> np.ndarray:

@@ -21,14 +21,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .flows import group_flows
+from .flows import detect
 from .model import (
     AttackDefinition,
     EventBatch,
     PacketBatch,
-    Ragged,
     US_PER_S,
-    distinct,
     int_to_ip,
     merge_runs,
     observatory_codes,
@@ -98,23 +96,10 @@ def detect_honeypot(
         else getattr(packets, _KEY_COLUMNS[f])
         for f in d.key_fields
     ]
-    flows = group_flows(
-        packets, keys, lambda prev, cur: cur - prev > int(d.timeout * US_PER_S),
-        min_packets=d.pkt_threshold,
-        min_duration_us=(d.duration_threshold or 0) * US_PER_S,
-        min_ports=d.port_threshold,
-    )
-    order, bounds, f = flows.order, flows.bounds, flows.attacks
-    first, last = order[bounds[f]], order[bounds[f + 1] - 1]
-    by_prefix = "src_prefix" in d.key_fields
-    plen = d.src_prefix_len if by_prefix else 32
-    return EventBatch.build(
-        observatory, type_code("RA"), packets.src[first] & np.uint32(prefix_mask(plen)), plen,
-        packets.ts[first], packets.ts[last], bounds[f + 1] - bounds[f],
-        bytes=np.add.reduceat(packets.len_bytes[order], bounds[:-1])[f],
-        sensors=Ragged(*distinct(packets.dst[order], bounds)[::-1])[f],
-        members=Ragged(*distinct(packets.src[order], bounds)[::-1])[f] if by_prefix else None,
-    ).ordered()
+    return detect(packets, keys, lambda prev, cur: cur - prev > int(d.timeout * US_PER_S), type_code("RA"),
+                  observatory, plen=d.src_prefix_len if "src_prefix" in d.key_fields else 32, sensors=packets.dst,
+                  min_packets=d.pkt_threshold, min_duration_us=(d.duration_threshold or 0) * US_PER_S,
+                  min_ports=d.port_threshold)
 
 
 def _check_sensor_order(packets: PacketBatch) -> None:

@@ -114,7 +114,14 @@ def _read_columns(path, fields, checks=lambda *columns: ()) -> list:
 
 def _write_columns(path, fields, columns) -> None:
     """Write a CSV file of `columns`, one per field of `fields` and each as
-    that field's parser reads it back, under the header of their names."""
+    that field's parser reads it back, under the header of their names.
+    Text its parser would reject raises ValueError, and nothing is written."""
+    for (name, _, parse, *_), col in zip(fields, columns):
+        if parse is _text:
+            for value in dict.fromkeys(col.tolist()):
+                if any(ch in value for ch in ',"\n'):
+                    raise ValueError(f"{name} {value!r} holds a comma, a double quote or a line feed; "
+                                     f"{path} could not be read back")
     row = ",".join(["%s"] * len(fields)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(_header(fields) + "\n")
@@ -422,7 +429,7 @@ def _attack_checks(observatory, attack_type, target, start, end, packets, sensor
 
 def read_attacks(path) -> EventBatch:
     """Load attacks.csv; see README for the row grammar. Rows read back
-    without byte counts, source counts or members."""
+    without members."""
     observatory, code, target, start, end, packets, sensors = _read_columns(path, _ATTACK_FIELDS, _attack_checks)
     return EventBatch.build(observatory, code, target >> 6, target & 63, start, end, packets, sensors=sensors)
 

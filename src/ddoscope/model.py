@@ -307,26 +307,21 @@ class EventBatch(_Columns):
     start_ts: np.ndarray        # microseconds since Unix epoch
     end_ts: np.ndarray
     packets: np.ndarray
-    bytes: np.ndarray           # meaningful where has_bytes
-    has_bytes: np.ndarray
-    source_ips: np.ndarray      # 0 where unknown
     sensors: Ragged             # sorted distinct sensor addresses
     members: Ragged             # sorted distinct member hosts
 
     DTYPES = {"observatory": np.str_, "type_code": np.uint8, "net": np.uint32, "plen": np.uint8,
-              "start_ts": np.int64, "end_ts": np.int64, "packets": np.int64, "bytes": np.int64,
-              "has_bytes": bool, "source_ips": np.int64, "sensors": Ragged, "members": Ragged}
+              "start_ts": np.int64, "end_ts": np.int64, "packets": np.int64, "sensors": Ragged,
+              "members": Ragged}
 
     @classmethod
     def build(cls, observatory, type_code, net, plen, start_ts, end_ts, packets, *,
-              bytes=None, source_ips=0, sensors: Optional[Ragged] = None,
-              members: Optional[Ragged] = None) -> "EventBatch":
-        """Rows from columns and scalars, which are broadcast; `bytes` None
-        leaves every row without a byte count."""
+              sensors: Optional[Ragged] = None, members: Optional[Ragged] = None) -> "EventBatch":
+        """Rows from columns and scalars, which are broadcast; sensors and
+        members left out are empty."""
         n = len(start_ts)
         given = {"type_code": type_code, "net": net, "plen": plen, "start_ts": start_ts,
-                 "end_ts": end_ts, "packets": packets, "bytes": 0 if bytes is None else bytes,
-                 "has_bytes": bytes is not None, "source_ips": source_ips}
+                 "end_ts": end_ts, "packets": packets}
         empty = Ragged(np.zeros(n + 1, np.int64), np.empty(0, np.uint32))
         return cls(np.full(n, observatory), **{k: np.full(n, v, cls.DTYPES[k]) for k, v in given.items()},
                    sensors=empty if sensors is None else sensors, members=empty if members is None else members)
@@ -394,15 +389,14 @@ def time_clusters(events: EventBatch, group: Sequence[np.ndarray], gap_us: int) 
 def merge_runs(events: EventBatch, bounds: np.ndarray, net, plen, members: Ragged) -> EventBatch:
     """One row per run of rows, run r being rows bounds[r] to
     bounds[r + 1] - 1: target (net[r], plen[r]), the span union, packets
-    summed, bytes summed where every row has them, sensors unioned, and the
-    union of `members` (one list per row) as its members."""
+    summed, sensors unioned, and the union of `members` (one list per row)
+    as its members."""
     starts = bounds[:-1]
     return EventBatch(
         events.observatory[starts], events.type_code[starts], np.asarray(net, np.uint32),
         np.asarray(plen, np.uint8), np.minimum.reduceat(events.start_ts, starts),
         np.maximum.reduceat(events.end_ts, starts), np.add.reduceat(events.packets, starts),
-        np.add.reduceat(events.bytes, starts), np.logical_and.reduceat(events.has_bytes, starts),
-        np.zeros(len(starts), np.int64), events.sensors.union(bounds), members.union(bounds))
+        events.sensors.union(bounds), members.union(bounds))
 
 
 class TargetTuple(NamedTuple):

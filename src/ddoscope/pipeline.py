@@ -62,7 +62,7 @@ from .overlap import (
     upset_exclusive,
 )
 from .schema import (INTEGER, NUMBER, OBJECT, REQUIRED, STRING, SWITCH, ConfigError, Kind, fields_of, list_of,
-                     one_of, read)
+                     load_json, one_of, read)
 from .synth import GeneratedScenario, ScenarioSpec, generate, write_scenario
 from .telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 from .trends import event_span, ewma, linreg_trend, normalize, pearson, spearman, weekly_counts
@@ -180,11 +180,9 @@ class PipelineConfig:
         """The config at `path`, each override that is not None (`out_dir`,
         `parallelism`, `seed`) read as its key is and replacing it."""
         path = Path(path)
-        with open(path) as fh:
-            doc = json.load(fh)
         given = {key: value for key, value in overrides.items() if value is not None}
         try:
-            cfg = cls.from_json(doc, path.parent)
+            cfg = cls.from_json(load_json(path), path.parent)
             return dataclasses.replace(cfg, **read(given, {key: PIPELINE[key] for key in given}, "overrides"))
         except ConfigError as exc:
             raise _config_error(str(exc)) from None
@@ -297,7 +295,7 @@ def synthesize(spec_path, seed: Optional[int] = None) -> tuple[ScenarioSpec, Gen
         if seed is not None:
             spec = dataclasses.replace(spec, seed=seed)
         return spec, generate(spec)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError) as exc:
         raise PipelineError("synth", str(exc), "config") from exc
 
 

@@ -5,6 +5,7 @@ REQUIRED must be given; a key whose default is None also takes null.
 """
 
 import dataclasses
+import json
 
 REQUIRED = object()
 
@@ -50,6 +51,16 @@ def fields_of(cls, kinds: dict) -> dict:
     """The section of dataclass `cls`: each field's kind by its annotation in `kinds`, and its default."""
     return {f.name: (kinds[f.type], REQUIRED if f.default is dataclasses.MISSING else f.default)
             for f in dataclasses.fields(cls)}
+
+
+def load_json(path):
+    """The JSON document in the file at `path`; one that is not UTF-8 JSON
+    raises ConfigError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
 
 
 def read(doc, section: dict, where: str, others=()) -> dict:

@@ -19,7 +19,6 @@ identical (spec, seed) yields byte-identical outputs.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -38,7 +37,7 @@ from .model import (
     ip_to_int,
     parse_prefix,
 )
-from .schema import INTEGER, NUMBER, OBJECT, REQUIRED, STRING, Kind, fields_of, list_of, read
+from .schema import INTEGER, NUMBER, OBJECT, REQUIRED, STRING, Kind, fields_of, list_of, load_json, read
 from .telescope import ADDRESS_SPACE
 
 TELESCOPE_BASE = ip_to_int("10.0.0.0")  # synthetic telescope block
@@ -145,8 +144,7 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path) -> "ScenarioSpec":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
+        return cls.from_json(load_json(path))
 
 
 @dataclass

@@ -13,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Rate, group_flows
-from .model import (
-    FLAG_A,
-    FLAG_R,
-    FLAG_S,
-    EventBatch,
-    PacketBatch,
-    US_PER_S,
-    type_code,
-)
+from .flows import Rate, detect
+from .model import FLAG_A, FLAG_R, FLAG_S, EventBatch, PacketBatch, US_PER_S, type_code
 
 ADDRESS_SPACE = 2 ** 32
 
@@ -91,17 +83,9 @@ def detect_rsdos(
             f"after ts {packets.ts[i - 1]}"
         )
     interval_us = int(cfg.interval * US_PER_S)
-    flows = group_flows(
-        packets,
-        (packets.protocol, packets.src),
-        # a full accounting interval without packets ends a flow
-        lambda prev, cur: cur // interval_us - prev // interval_us >= 2,
-        min_packets=cfg.pkt_threshold,
-        min_duration_us=cfg.duration_threshold * US_PER_S,
-        rate=Rate(cfg.rate_pkts, int(cfg.rate_slide * US_PER_S),
-                  int(round(cfg.rate_window / cfg.rate_slide))),
-    )
-    a, b = flows.bounds[flows.attacks], flows.bounds[flows.attacks + 1]
-    first, last = flows.order[a], flows.order[b - 1]
-    return EventBatch.build(observatory, type_code("RSDoS"), packets.src[first], 32,
-                            packets.ts[first], packets.ts[last], b - a).ordered()
+    # a full accounting interval without packets ends a flow
+    return detect(packets, (packets.protocol, packets.src),
+                  lambda prev, cur: cur // interval_us - prev // interval_us >= 2, type_code("RSDoS"), observatory,
+                  min_packets=cfg.pkt_threshold, min_duration_us=cfg.duration_threshold * US_PER_S,
+                  rate=Rate(cfg.rate_pkts, int(cfg.rate_slide * US_PER_S),
+                            int(round(cfg.rate_window / cfg.rate_slide))))

@@ -42,9 +42,7 @@ class AttackEvent:
     start_ts: int
     end_ts: int
     packets: int
-    bytes: Optional[int] = None
     sensors: frozenset = frozenset()
-    source_ips: Optional[int] = None
     member_targets: Optional[tuple] = None   # dotted-quads, sorted as text
 
     def host_targets(self) -> tuple:
@@ -84,8 +82,7 @@ def events_to_batch(events) -> EventBatch:
     for e in events:
         net, plen = parse_prefix(e.target)
         rows.append((e.observatory, type_code(e.attack_type), net, plen, e.start_ts, e.end_ts,
-                     e.packets, e.bytes or 0, e.bytes is not None, e.source_ips or 0,
-                     sorted(map(ip_to_int, e.sensors)), sorted(map(ip_to_int, e.member_targets or ()))))
+                     e.packets, sorted(map(ip_to_int, e.sensors)), sorted(map(ip_to_int, e.member_targets or ()))))
     batch = EventBatch.from_rows(rows)
     bad = event_violation(batch)
     if bad is not None:
@@ -96,14 +93,12 @@ def events_to_batch(events) -> EventBatch:
 def batch_to_events(batch: EventBatch) -> list:
     """The AttackEvent of each row, in row order."""
     return [
-        AttackEvent(obs, atype, target, start, end, packets, n_bytes if has_bytes else None,
-                    frozenset(map(int_to_ip, sensors)), sources or None,
+        AttackEvent(obs, atype, target, start, end, packets, frozenset(map(int_to_ip, sensors)),
                     tuple(sorted(map(int_to_ip, members))) or None)
-        for obs, atype, target, start, end, packets, n_bytes, has_bytes, sources, sensors, members in zip(
+        for obs, atype, target, start, end, packets, sensors, members in zip(
             batch.observatory.tolist(), [ATTACK_TYPES[code] for code in batch.type_code.tolist()],
             map(format_prefix, batch.net.tolist(), batch.plen.tolist()), batch.start_ts.tolist(),
-            batch.end_ts.tolist(), batch.packets.tolist(), batch.bytes.tolist(), batch.has_bytes.tolist(),
-            batch.source_ips.tolist(), _lists(batch.sensors), _lists(batch.members))
+            batch.end_ts.tolist(), batch.packets.tolist(), _lists(batch.sensors), _lists(batch.members))
     ]
 
 
@@ -456,7 +451,6 @@ def _oracle_merge(cluster, routed, alloc, min_targets):
         observatory=cluster[0].observatory, attack_type=cluster[0].attack_type, target=hit[0],
         start_ts=min(e.start_ts for e in cluster), end_ts=max(e.end_ts for e in cluster),
         packets=sum(e.packets for e in cluster),
-        bytes=sum(e.bytes for e in cluster) if all(e.bytes is not None for e in cluster) else None,
         sensors=frozenset().union(*(e.sensors for e in cluster)),
         member_targets=tuple(sorted(members)),
     )
@@ -521,7 +515,7 @@ def _canonical_int(text: str, most: Optional[int] = None) -> int:
 
 def _oracle_attack(obs, atype, target, start, end, packets, sensors) -> tuple:
     return (obs, type_code(atype), *parse_prefix(target), _canonical_int(start, MAX_TS_US),
-            _canonical_int(end, MAX_TS_US), _canonical_int(packets, 10 ** 18 - 1), 0, False, 0,
+            _canonical_int(end, MAX_TS_US), _canonical_int(packets, 10 ** 18 - 1),
             sorted({ip_to_int(s) for s in sensors.split(";") if s}), ())
 
 

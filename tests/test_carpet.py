@@ -251,7 +251,6 @@ def carpet_events(draw):
             target=target, start_ts=t,
             end_ts=t + draw(st.sampled_from([0, 5, 60, 150, 1000])) * US_PER_S,
             packets=draw(st.integers(0, 100)),
-            bytes=draw(st.none() | st.integers(0, 10 ** 6)),
             sensors=frozenset(draw(st.sets(st.sampled_from(["192.0.2.1", "192.0.2.2", "192.0.2.3"])))),
             member_targets=members,
         ))

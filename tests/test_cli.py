@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import os
 import re
@@ -488,6 +489,20 @@ class TestOptionErrors:
                         "--in", str(files / "attacks.csv"), "--out", str(files / "out"), "--min-targets", "2"])
         assert [e.target for e in read_attacks(files / "out")] == ["20.1.2.3/32"]
 
+    @pytest.mark.parametrize("args", [
+        "pipeline --config {cfg}",
+        "detect telescope --config {cfg} --in {d}/attacks.csv --out {d}/out",
+        "synth --spec {cfg} --out {d}/out",
+    ], ids=["pipeline", "telescope", "synth"])
+    @pytest.mark.parametrize("content", [b'{"out_dir": "out",}', b'{"out_dir": "\xff"}'], ids=["json", "utf-8"])
+    def test_config_that_is_not_json_names_its_file(self, runner, files, args, content):
+        cfg = files / "config.json"
+        cfg.write_bytes(content)
+        result = runner.invoke(main, args.format(cfg=cfg, d=files).split())
+        assert result.exit_code == 2, result.output
+        assert f"{cfg} is not UTF-8 JSON: " in result.output
+        assert not (files / "out").exists()
+
 
 def test_readme_cli_lines_name_existing_options(runner):
     # each README CLI line, optional parts included, with --help added: click
@@ -973,6 +988,36 @@ def parses(monkeypatch):
 
     monkeypatch.setattr(pipeline, "read_packets", counting)
     return calls
+
+
+def load_traced() -> dict:
+    """The names bench/traced.py defines, run from its source so that
+    nothing is written next to it and its main does not run."""
+    path = Path(__file__).parent.parent / "bench" / "traced.py"
+    names = {"__name__": "traced"}
+    exec(compile(path.read_text(), str(path), "exec"), names)
+    return names
+
+
+class TestTracedNames:
+    """bench/traced.py times each layer by wrapping the name it is called by;
+    a name that vanishes or goes unused would time nothing."""
+
+    def test_every_wrapped_name_resolves(self):
+        wrapped = load_traced()["WRAPPED"]
+        assert [f"{module}.{attr}" for module, attr, _ in wrapped
+                if not hasattr(importlib.import_module(module), attr)] == []
+
+    def test_pipeline_detects_through_the_module(self, runner, tmp_path, monkeypatch):
+        calls = []
+        for name in ("detect_rsdos", "detect_honeypot"):
+            def counting(*args, _name=name, _real=getattr(pipeline, name), **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, counting)
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        assert sorted(set(calls)) == ["detect_honeypot", "detect_rsdos"]
 
 
 class TestParseOnce:

@@ -37,7 +37,6 @@ class TestClassifyFlow:
         e = classify_one(protocol=UDP, src_port=123, sources=12, gbps=1.2)
         assert e is not None and e.attack_type == "RA"
         assert e.target == "203.0.113.7/32"
-        assert e.source_ips == 12
 
     def test_too_few_sources(self):
         assert classify_one(sources=9, gbps=5.0) is None
@@ -112,9 +111,8 @@ class TestMasksMatchOracle:
         expected = [oracle_classify_flow(p, sp, n, bps, ports) for _, p, sp, n, bps, _, _ in rows]
         assert ["RA" if r else "DP" if d else None for r, d in zip(ra, dp)] == expected
         events = classify_flow(flows, ports)
-        assert [(e.attack_type, e.target, e.source_ips) for e in events] == [
-            (cls, f"{int_to_ip(t)}/32", n)
-            for (t, _, _, n, _, _, _), cls in zip(rows, expected) if cls is not None]
+        assert [(e.attack_type, e.target) for e in events] == [
+            (cls, f"{int_to_ip(t)}/32") for (t, *_), cls in zip(rows, expected) if cls is not None]
         assert np.array_equal(ra | dp, [cls is not None for cls in expected])
         batch = flowclass.classify_flow(flows, ports)
-        assert (batch.plen == 32).all() and batch.net.dtype == np.uint32 and not batch.has_bytes.any()
+        assert (batch.plen == 32).all() and batch.net.dtype == np.uint32 and not batch.packets.any()

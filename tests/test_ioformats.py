@@ -103,6 +103,14 @@ class TestAttacks:
         assert [(e.target, e.packets, e.sensors) for e in back] == \
                [(e.target, e.packets, e.sensors) for e in events]
 
+    @pytest.mark.parametrize("observatory", ["ixp,b", 'ixp"b', "ixp\nb"])
+    def test_unreadable_observatory_is_refused_before_writing(self, tmp_path, observatory):
+        p = tmp_path / "attacks.csv"
+        events = EventBatch.build(np.array([observatory]), [1], [0xCB007105], [32], [0], [10], [7])
+        with pytest.raises(ValueError, match=f"observatory {re.escape(repr(observatory))}"):
+            write_attacks(p, events)
+        assert not p.exists()
+
 
 class TestSeries:
     def test_round_trip_with_nulls(self, tmp_path):
@@ -828,7 +836,6 @@ def attack_batches(draw):
             draw(st.integers(0, 2 ** 32 - 1)) >> (32 - plen) << (32 - plen), plen,
             start, draw(st.integers(start, MAX_TS_US)),
             draw(st.sampled_from([0, 10 ** 18 - 1]) | st.integers(0, 10 ** 18 - 1)),
-            0, False, 0,
             sorted(draw(st.sets(st.integers(0, 2 ** 32 - 1), max_size=4))), [],
         ))
     return EventBatch.from_rows(rows)
@@ -864,7 +871,6 @@ class TestAttackGrammar:
         for name in ("sensors", "members"):
             got, want = getattr(back, name), getattr(batch, name)
             assert np.array_equal(got.bounds, want.bounds) and np.array_equal(got.values, want.values)
-        assert not back.has_bytes.any() and not back.source_ips.any()
 
     @settings(max_examples=300, deadline=None)
     @given(batch=attack_batches().filter(len), data=st.data())
