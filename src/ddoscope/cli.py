@@ -69,6 +69,7 @@ from .pipeline import (
     event_span,
     observatory_config,
     run_pipeline,
+    stage,
     synthesize,
     trend_series,
     upset_document,
@@ -97,7 +98,7 @@ def _guarded(fn):
         except (ConfigError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)
-        except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(EXIT_DATA)
         except Exception as exc:  # invariant violation
@@ -133,7 +134,8 @@ def main():
 @_guarded
 def synth(spec_path, out_dir, seed):
     """Generate a synthetic scenario with ground truth."""
-    _, generated = synthesize(spec_path, seed)
+    with stage("synth", "config"):
+        _, generated = synthesize(spec_path, seed)
     written = write_scenario(generated, out_dir)
     for p in written:
         click.echo(p)

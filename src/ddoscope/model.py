@@ -105,6 +105,13 @@ def week_monday(week: int) -> date:
     return EPOCH + timedelta(days=7 * week - 3)
 
 
+def week_counts(days: np.ndarray, first_week: int, n_weeks: int, label: str = "") -> "WeeklySeries":
+    """How many of the UTC day numbers `days` fall in each of the `n_weeks`
+    weeks from week index `first_week` on."""
+    values = np.bincount(week_index(days) - first_week, minlength=n_weeks)
+    return WeeklySeries(week_monday(first_week), tuple(values.astype(float).tolist()), label)
+
+
 def quarter_start(d: date) -> date:
     return date(d.year, 3 * ((d.month - 1) // 3) + 1, 1)
 

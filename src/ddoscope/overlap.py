@@ -26,8 +26,8 @@ from .model import (
     pack_targets,
     target_text,
     unpack_targets,
+    week_counts,
     week_index,
-    week_monday,
 )
 
 MAX_OBSERVATORIES = 10
@@ -100,16 +100,9 @@ def overlap_timeseries(
     # keys are sorted, so the first and last of each set hold its date range
     weeks = week_index(unpack_targets(np.concatenate((a[:1], a[-1:], b[:1], b[-1:])))[0])
     start, n_weeks = int(weeks.min()), int(weeks.max() - weeks.min()) + 1
-
-    def weekly(keys: np.ndarray, label: str) -> WeeklySeries:
-        values = np.bincount(week_index(unpack_targets(keys)[0]) - start, minlength=n_weeks)
-        return WeeklySeries(week_monday(start), tuple(values.astype(float).tolist()), label)
-
-    return (
-        weekly(a, labels[0]),
-        weekly(b, labels[1]),
-        weekly(np.intersect1d(a, b, assume_unique=True), f"{labels[0]}&{labels[1]}"),
-    )
+    both = np.intersect1d(a, b, assume_unique=True)
+    return tuple(week_counts(unpack_targets(keys)[0], start, n_weeks, label)
+                 for keys, label in ((a, labels[0]), (b, labels[1]), (both, f"{labels[0]}&{labels[1]}")))
 
 
 def new_vs_recurring(keys: np.ndarray) -> tuple[WeeklySeries, WeeklySeries, WeeklySeries]:
@@ -122,18 +115,15 @@ def new_vs_recurring(keys: np.ndarray) -> tuple[WeeklySeries, WeeklySeries, Week
     if not len(keys):
         raise ValueError("no target tuples")
     days, ips = unpack_targets(keys)
-    weeks = week_index(days)
-    start, n_weeks = int(weeks[0]), int(weeks[-1] - weeks[0]) + 1
+    start, last = week_index(days[[0, -1]]).tolist()
     # keys run in date order, so an IP's first key is its earliest date
     new = np.zeros(len(keys), bool)
     new[np.unique(ips, return_index=True)[1]] = True
-    n_new = np.bincount(weeks[new] - start, minlength=n_weeks).astype(float)
-    n_recurring = np.bincount(weeks[~new] - start, minlength=n_weeks).astype(float)
-    week = week_monday(start)
+    n_new = week_counts(days[new], start, last - start + 1, "new")
     return (
-        WeeklySeries(week, tuple(n_new.tolist()), "new"),
-        WeeklySeries(week, tuple(n_recurring.tolist()), "recurring"),
-        WeeklySeries(week, tuple(np.cumsum(n_new).tolist()), "cumulative_new"),
+        n_new,
+        week_counts(days[~new], start, last - start + 1, "recurring"),
+        WeeklySeries(n_new.start_week, tuple(np.cumsum(n_new.values).tolist()), "cumulative_new"),
     )
 
 

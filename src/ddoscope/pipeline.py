@@ -31,6 +31,7 @@ import json
 import re
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -42,7 +43,6 @@ from .carpet import aggregate_carpet
 from .flowclass import AMPLIFICATION_PORTS, classify_flow
 from .honeypot import PRESETS, aggregate_sensors, detect_honeypot, preset
 from .ioformats import (
-    FormatError,
     read_alloc_table,
     read_flows,
     read_hashed_targets,
@@ -128,6 +128,21 @@ class PipelineError(Exception):
         self.kind = kind
 
 
+@contextmanager
+def stage(name: str, kind: str = "data"):
+    """Run a stage's body with its failures named by the stage: a PipelineError
+    passes through, an OSError (a file it cannot open or write) is a config
+    error, and any other ValueError is of `kind`."""
+    try:
+        yield
+    except PipelineError:
+        raise
+    except OSError as exc:
+        raise PipelineError(name, str(exc), "config") from exc
+    except ValueError as exc:
+        raise PipelineError(name, str(exc), kind) from exc
+
+
 @dataclass
 class ObservatoryConfig:
     name: str
@@ -181,11 +196,9 @@ class PipelineConfig:
         `parallelism`, `seed`) read as its key is and replacing it."""
         path = Path(path)
         given = {key: value for key, value in overrides.items() if value is not None}
-        try:
+        with stage("config", "config"):
             cfg = cls.from_json(load_json(path), path.parent)
             return dataclasses.replace(cfg, **read(given, {key: PIPELINE[key] for key in given}, "overrides"))
-        except ConfigError as exc:
-            raise _config_error(str(exc)) from None
 
 
 def observatory_config(doc, where: str, base_dir: Path = Path(),
@@ -211,66 +224,72 @@ def observatory_config(doc, where: str, base_dir: Path = Path(),
     return ObservatoryConfig(o["name"], o["type"], [str(base_dir / p) for p in o["inputs"]], **typed)
 
 
-def _config_error(message: str) -> PipelineError:
-    return PipelineError("config", message, "config")
-
-
 def _validate(cfg: PipelineConfig) -> None:
     names = [o.name for o in cfg.observatories]
     if len(set(names)) != len(names):
-        raise _config_error("observatory names must be unique")
+        raise ConfigError("observatory names must be unique")
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
-        raise _config_error(f"aggregation enabled but the {missing} table is not configured")
+        raise ConfigError(f"aggregation enabled but the {missing} table is not configured")
     if (cfg.confirm_external is None) != (cfg.confirm_salt is None):
-        raise _config_error("confirm needs both external file and salt")
+        raise ConfigError("confirm needs both external file and salt")
     for p, what in ((cfg.scenario, "scenario"), (cfg.routed, "routed table"),
                     (cfg.alloc, "allocation table"), (cfg.confirm_external, "external hashes")):
         if p is not None and not Path(p).exists():
-            raise _config_error(f"{what} file not found: {p}")
+            raise ConfigError(f"{what} file not found: {p}")
     if cfg.out_dir is None:
-        raise _config_error("missing required key 'out_dir' (in the config, or from --out)")
+        raise ConfigError("missing required key 'out_dir' (in the config, or from --out)")
     # a bundle replaces only an empty directory or an earlier bundle, so a
     # mistyped out_dir never deletes anything else
     out = Path(cfg.out_dir)
     if out.name in ("", ".."):
-        raise _config_error(f"out_dir {str(out)!r} does not end in a directory name")
+        raise ConfigError(f"out_dir {str(out)!r} does not end in a directory name")
     bundle_or_empty = out.is_dir() and ((out / "manifest.json").is_file() or not any(out.iterdir()))
     if out.exists() and not bundle_or_empty:
-        raise _config_error(f"out_dir {out} is neither empty nor a bundle with a manifest.json")
+        raise ConfigError(f"out_dir {out} is neither empty nor a bundle with a manifest.json")
 
 
 def run_pipeline(cfg: PipelineConfig) -> Path:
     """Run all configured stages and rename the bundle into place at
-    `cfg.out_dir`, which it returns; `cfg` is not changed."""
-    _validate(cfg)
-    out = Path(cfg.out_dir)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    `cfg.out_dir`, which it returns; `cfg` is not changed. A failure is a
+    PipelineError naming its stage, or `internal` for what no stage maps."""
+    with stage("config", "config"):
+        _validate(cfg)
+        out = Path(cfg.out_dir)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
     try:
         # the bundle is a subdirectory, so it gets the permissions of a
         # plain mkdir rather than mkdtemp's 0700
         root = work / "bundle"
         root.mkdir()
-        cfg, seed, parsed = _stage_synth(cfg, root)
-        events = _stage_detect(cfg, root, parsed)
+        with stage("synth", "config"):
+            cfg, seed, parsed = _stage_synth(cfg, root)
+        with stage("detect"):
+            events = _stage_detect(cfg, root, parsed)
         del parsed  # later stages hold no packets
         if cfg.aggregate:
-            events = _stage_aggregate(cfg, root, events)
-        serieses = _stage_trends(cfg, root, events)
-        _stage_correlate(cfg, root, serieses)
-        sets = _stage_overlap(cfg, root, events)
+            with stage("aggregate"):
+                events = _stage_aggregate(cfg, root, events)
+        # both skip a series or pair on its ValueError, so any other is a fault
+        with stage("trends", "internal"):
+            serieses = _stage_trends(cfg, root, events)
+        with stage("correlate", "internal"):
+            _stage_correlate(cfg, root, serieses)
+        with stage("overlap"):
+            sets = _stage_overlap(cfg, root, events)
         if cfg.confirm_external is not None:
-            _stage_confirm(cfg, root, sets)
-        _write_manifest(cfg, root, seed)
+            with stage("confirm"):
+                write_json(_path(root, "confirm.json"),
+                           confirm_document(sets, cfg.confirm_external, cfg.confirm_salt))
+        with stage("manifest", "internal"):
+            _write_manifest(cfg, root, seed)
         if out.exists():
             out.rename(work / "old")
         root.rename(out)
         return out
     except PipelineError:
         raise
-    except FormatError as exc:
-        raise PipelineError("io", str(exc), "data") from exc
     except Exception as exc:
         raise PipelineError("internal", f"{type(exc).__name__}: {exc}", "internal") from exc
     finally:
@@ -288,15 +307,11 @@ def _path(root: Path, *parts: str) -> Path:
 
 def synthesize(spec_path, seed: Optional[int] = None) -> tuple[ScenarioSpec, GeneratedScenario]:
     """The scenario spec at `spec_path`, its seed replaced when `seed` is
-    given, and what it generates; an invalid spec is a config error at
-    stage `synth`."""
-    try:
-        spec = ScenarioSpec.load(spec_path)
-        if seed is not None:
-            spec = dataclasses.replace(spec, seed=seed)
-        return spec, generate(spec)
-    except (ValueError, KeyError) as exc:
-        raise PipelineError("synth", str(exc), "config") from exc
+    given, and what it generates; ValueError for an invalid spec."""
+    spec = ScenarioSpec.load(spec_path)
+    if seed is not None:
+        spec = dataclasses.replace(spec, seed=seed)
+    return spec, generate(spec)
 
 
 def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, Optional[int], dict]:
@@ -386,12 +401,7 @@ def _packets(path: str, sensor_col: Optional[str], parsed: dict) -> PacketBatch:
 def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, EventBatch]:
     """Detection over every observatory; `parsed` starts with the packets
     synth wrote and gains each packet file as it is first read."""
-    results: dict[str, EventBatch] = {}
-    try:
-        for o in cfg.observatories:
-            results[o.name] = detect_observatory(o, parsed)
-    except (FormatError, ValueError) as exc:
-        raise PipelineError("detect", str(exc), "data") from exc
+    results = {o.name: detect_observatory(o, parsed) for o in cfg.observatories}
     for o in cfg.observatories:
         write_attacks(_path(root, f"attacks_{o.name}.csv"), results[o.name])
     return results
@@ -400,20 +410,17 @@ def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, Ev
 def _stage_aggregate(
     cfg: PipelineConfig, root: Path, events: dict[str, EventBatch]
 ) -> dict[str, EventBatch]:
-    try:
-        routed = read_routed_table(cfg.routed)
-        alloc = read_alloc_table(cfg.alloc)
-        out = {}
-        for name, evs in events.items():
-            out[name] = aggregate_carpet(
-                evs, routed, alloc,
-                concurrency_gap=cfg.concurrency_gap,
-                min_targets=cfg.min_targets,
-            )
-            write_attacks(_path(root, f"attacks_{name}_agg.csv"), out[name])
-        return out
-    except (FormatError, ValueError) as exc:
-        raise PipelineError("aggregate", str(exc), "data") from exc
+    routed = read_routed_table(cfg.routed)
+    alloc = read_alloc_table(cfg.alloc)
+    out = {}
+    for name, evs in events.items():
+        out[name] = aggregate_carpet(
+            evs, routed, alloc,
+            concurrency_gap=cfg.concurrency_gap,
+            min_targets=cfg.min_targets,
+        )
+        write_attacks(_path(root, f"attacks_{name}_agg.csv"), out[name])
+    return out
 
 
 def trend_series(events: EventBatch, label: str, span, normalized: bool,
@@ -502,42 +509,31 @@ def confirm_document(sets: dict[str, np.ndarray], external_path, salt: str) -> d
 
 
 def _stage_overlap(cfg, root, events) -> dict[str, np.ndarray]:
-    try:
-        sets = {
-            name: build_targets(events[name], cfg.target_mode)
-            for name in sorted(events)
-        }
-        for name, keys in sets.items():
-            write_targets(_path(root, "targets", f"{name}.csv"), keys)
-        if cfg.upset:
-            write_json(_path(root, "upset.json"), upset_document(sets))
-        if cfg.overlap_timeseries:
-            if cfg.target_mode == "per_day":
-                daily = sets
-            else:
-                daily = {
-                    name: build_targets(events[name], "per_day") for name in sorted(events)
-                }
-            names = sorted(daily)
-            for i, a in enumerate(names):
-                for b in names[i + 1:]:
-                    if not (len(daily[a]) or len(daily[b])):
-                        continue
-                    write_weekly_csv(
-                        _path(root, "overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
-                        overlap_timeseries(daily[a], daily[b], (a, b)),
-                    )
-        return sets
-    except ValueError as exc:
-        raise PipelineError("overlap", str(exc), "data") from exc
-
-
-def _stage_confirm(cfg, root, sets: dict[str, np.ndarray]) -> None:
-    try:
-        doc = confirm_document(sets, cfg.confirm_external, cfg.confirm_salt)
-        write_json(_path(root, "confirm.json"), doc)
-    except (FormatError, ValueError) as exc:
-        raise PipelineError("confirm", str(exc), "data") from exc
+    sets = {
+        name: build_targets(events[name], cfg.target_mode)
+        for name in sorted(events)
+    }
+    for name, keys in sets.items():
+        write_targets(_path(root, "targets", f"{name}.csv"), keys)
+    if cfg.upset:
+        write_json(_path(root, "upset.json"), upset_document(sets))
+    if cfg.overlap_timeseries:
+        if cfg.target_mode == "per_day":
+            daily = sets
+        else:
+            daily = {
+                name: build_targets(events[name], "per_day") for name in sorted(events)
+            }
+        names = sorted(daily)
+        for i, a in enumerate(names):
+            for b in names[i + 1:]:
+                if not (len(daily[a]) or len(daily[b])):
+                    continue
+                write_weekly_csv(
+                    _path(root, "overlap", f"{a}_{b}.csv"), (a, b, "intersection"),
+                    overlap_timeseries(daily[a], daily[b], (a, b)),
+                )
+    return sets
 
 
 def _sha256(path) -> str:

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import EPOCH, US_PER_DAY, EventBatch, WeeklySeries, format_prefix, quarter_start, week_index, week_monday
+from .model import EPOCH, US_PER_DAY, EventBatch, WeeklySeries, format_prefix, quarter_start, week_counts, week_index
 from .stats import t_pvalue_two_sided
 
 WEEKS_4Y = 208
@@ -103,8 +103,7 @@ def weekly_counts(
         i = int(outside[0])
         raise ValueError(f"event {format_prefix(int(events.net[i]), int(events.plen[i]))} starts "
                          f"{EPOCH + timedelta(int(days[i]))}, outside range {lo}..{hi}")
-    values = np.bincount(week_index(days) - first, minlength=last - first + 1)
-    return WeeklySeries(week_monday(first), tuple(values.astype(float).tolist()), label)
+    return week_counts(days, first, last - first + 1, label)
 
 
 def normalize(series: WeeklySeries, baseline_weeks: int = 15) -> WeeklySeries:

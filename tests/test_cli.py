@@ -16,7 +16,7 @@ from ddoscope.cli import main
 from ddoscope import ioformats, pipeline
 from ddoscope.model import EPOCH, US_PER_DAY, US_PER_S, TargetTuple, keys_to_tuples, tuples_to_keys
 from ddoscope.ioformats import read_targets
-from ddoscope.schema import REQUIRED
+from ddoscope.schema import REQUIRED, ConfigError
 
 from conftest import FIRST_MONDAY, build_scenario, write_pipeline_fixture
 from oracles import batch_to_events, hash_targets
@@ -662,6 +662,25 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         assert not out.exists() and hidden_siblings(out) == []
 
+    @pytest.mark.parametrize("stage, edit", [
+        ("detect", lambda doc: doc["observatories"][2].update(inputs=["dir"])),
+        ("aggregate", lambda doc: doc.update(aggregate=True, routed="dir", alloc="alloc.csv")),
+        ("confirm", lambda doc: doc["analysis"].update(confirm={"external": "dir", "salt": "1f2e"})),
+        ("synth", lambda doc: doc.update(scenario="dir")),
+    ])
+    def test_input_that_cannot_be_opened_is_a_config_error_at_its_stage(self, runner, tmp_path, stage, edit):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        edit(doc)
+        cfg_path.write_text(json.dumps(doc))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n10.0.0.0/8,RIPE\n")
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: stage '{stage}': [Errno 21] Is a directory: '{tmp_path / 'dir'}'"
+        out = tmp_path / "out"
+        assert not out.exists() and hidden_siblings(out) == []
+
     def test_timestamp_past_9999_is_a_data_error(self, runner, tmp_path):
         cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
         doc = json.loads(cfg_path.read_text())
@@ -891,6 +910,48 @@ class TestPipelineCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["files"]) | {"manifest.json"} == set(bundle_files(out))
         assert not (tmp_path / "out").exists()
+
+
+class TestStage:
+    """`pipeline.stage` names its stage in each failure it maps, and passes
+    the others through for `run_pipeline` to report as internal."""
+
+    @pytest.mark.parametrize("raised, kind, expected", [
+        (ValueError("bad"), None, ("overlap", "data")),
+        (ValueError("bad"), "internal", ("overlap", "internal")),
+        (ioformats.FormatError("bad"), "internal", ("overlap", "internal")),
+        (ConfigError("bad"), "data", ("overlap", "data")),
+        (IsADirectoryError(21, "Is a directory"), "internal", ("overlap", "config")),
+        (pipeline.PipelineError("detect", "bad", "data"), "config", ("detect", "data")),
+        (KeyError("bad"), "data", None),
+        (RuntimeError("bad"), "data", None),
+    ], ids=["value", "value-kind", "format", "config", "os", "pipeline", "key", "runtime"])
+    def test_mapping(self, raised, kind, expected):
+        with pytest.raises(Exception) as info:
+            with pipeline.stage("overlap", *([kind] if kind else [])):
+                raise raised
+        error = info.value
+        if expected is None or isinstance(raised, pipeline.PipelineError):
+            assert error is raised
+        else:
+            assert str(error) == f"stage 'overlap': {raised}" and error.__cause__ is raised
+        if expected is not None:
+            assert isinstance(error, pipeline.PipelineError) and (error.stage, error.kind) == expected
+
+    @pytest.mark.parametrize("raised", [KeyError("bad"), RuntimeError("bad")], ids=["key", "runtime"])
+    def test_run_pipeline_reports_what_escapes_as_internal(self, tmp_path, monkeypatch, raised):
+        cfg = pipeline.PipelineConfig.load(write_pipeline_fixture(tmp_path, weeks=1, normalize=False,
+                                                                  ewma_span=None))
+
+        def fail(*args):
+            raise raised
+
+        monkeypatch.setattr(pipeline, "build_targets", fail)
+        with pytest.raises(pipeline.PipelineError) as info:
+            pipeline.run_pipeline(cfg)
+        assert (info.value.stage, info.value.kind) == ("internal", "internal")
+        assert str(info.value) == f"stage 'internal': {type(raised).__name__}: {raised}"
+        assert not cfg.out_dir.exists() and hidden_siblings(cfg.out_dir) == []
 
 
 class TestManifestHash:
