@@ -157,7 +157,7 @@ def _detect(doc: dict, out_path) -> None:
 @detect.command("telescope")
 @click.option("--config", "config_file", type=click.Path(exists=True, dir_okay=False), default=None,
               help="JSON with TelescopeConfig fields (n_addresses required).")
-@click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True))
+@click.option("--in", "inputs", multiple=True, required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--observatory", default="telescope")
 @_guarded
@@ -170,8 +170,8 @@ def detect_telescope_cmd(config_file, inputs, out_path, observatory):
 @detect.command("honeypot")
 @click.option("--preset", "preset_name", required=True,
               type=click.Choice(sorted(PRESETS), case_sensitive=False))
-@click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True),
-              help="packets.csv, one file per sensor or combined.")
+@click.option("--in", "inputs", multiple=True, required=True, type=click.Path(),
+              help="packets.csv, one file per sensor or combined; globs allowed.")
 @click.option("--sensor-col", default=None,
               help="Extra column naming the sensor when dst_ip does not.")
 @click.option("--merge-gap", type=float, default=None,
@@ -189,7 +189,7 @@ def detect_honeypot_cmd(preset_name, inputs, sensor_col, merge_gap, out_path, ob
 
 
 @detect.command("flow")
-@click.option("--in", "inputs", multiple=True, required=True, type=click.Path(exists=True))
+@click.option("--in", "inputs", multiple=True, required=True, type=click.Path())
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--ampl-ports", default=None,
               help="Comma-separated amplification source ports "

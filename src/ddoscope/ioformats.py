@@ -13,6 +13,7 @@ hex digest per line; series.json is {"label": str, "start_week":
 from __future__ import annotations
 
 import json
+import math
 import re
 from datetime import date
 from typing import Optional, Sequence
@@ -557,10 +558,14 @@ def read_series(path) -> WeeklySeries:
     with open(path) as fh:
         try:
             doc = json.load(fh)
+            # json reads NaN and Infinity, and a bool is an int
+            bad = [v for v in doc["values"] if v is not None and not (type(v) in (int, float) and math.isfinite(v))]
+            if bad:
+                raise ValueError(f"value {bad[0]!r} is neither a finite number nor null")
             return WeeklySeries(start_week=date.fromisoformat(doc["start_week"]),
                                 values=tuple(None if v is None else float(v) for v in doc["values"]),
                                 label=doc.get("label", ""))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad series document: {exc}") from None
 
 
@@ -574,7 +579,7 @@ def write_weekly_csv(path, header: Sequence[str], series: Sequence[WeeklySeries]
     with open(path, "w") as fh:
         fh.write(",".join(("week", *header)) + "\n")
         for week, *values in zip(series[0].weeks(), *(s.values for s in series)):
-            fh.write(week.isoformat() + "".join(f",{v:g}" for v in values) + "\n")
+            fh.write(week.isoformat() + "".join(f",{v:.0f}" for v in values) + "\n")
 
 
 def write_json(path, doc) -> None:

@@ -32,7 +32,7 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -115,8 +115,8 @@ OBSERVATORY = {
     "inputs": (list_of("a list of strings", STRING.test), []),
 }
 # a telescope's config; synth fills n_addresses in for observatories without inputs
-TELESCOPE_CONFIG = {**fields_of(TelescopeConfig, {"int": INTEGER, "float": NUMBER, "str": STRING}),
-                    "n_addresses": (INTEGER, None)}
+TELESCOPE_CONFIG = fields_of(TelescopeConfig, {"Optional[int]": INTEGER, "int": INTEGER, "float": NUMBER,
+                                               "str": STRING})
 
 
 class PipelineError(Exception):
@@ -147,12 +147,8 @@ def stage(name: str, kind: str = "data"):
 class ObservatoryConfig:
     name: str
     type: str
-    inputs: list[str] = field(default_factory=list)
-    preset: Optional[str] = None            # honeypot
-    merge_gap: Optional[float] = None       # honeypot; default: preset timeout
-    sensor_col: Optional[str] = None        # honeypot
-    telescope: dict = field(default_factory=dict)   # TelescopeConfig kwargs
-    ampl_ports: Optional[list[int]] = None  # flow
+    inputs: list[str]
+    settings: dict    # its type's detector settings, defaults applied; see observatory_config
 
 
 @dataclass
@@ -203,25 +199,31 @@ class PipelineConfig:
 
 def observatory_config(doc, where: str, base_dir: Path = Path(),
                        scenario: Optional[Path] = None) -> ObservatoryConfig:
-    """One observatory of a config, relative inputs taken from `base_dir`; without
-    inputs it reads the files synth writes from `scenario`, a telescope taking
-    the scenario's n_addresses unless it gives its own. Errors in the keys every
-    observatory takes name it by position, those in its type's by type and name."""
+    """One observatory of a config and its detector settings, relative inputs taken
+    from `base_dir`; without inputs it reads the files synth writes from `scenario`,
+    a telescope taking the scenario's n_addresses unless it gives its own. Errors in
+    the keys every observatory takes name it by position, those in its type's by type and name."""
     o = read(doc, OBSERVATORY, where, others=BY_TYPE.values())
     if not o["inputs"] and scenario is None:
         raise ConfigError(f"observatory {o['name']!r} has no inputs")
     where = f"{o['type']} {o['name']!r}"
     typed = read({key: value for key, value in doc.items() if key not in OBSERVATORY}, BY_TYPE[o["type"]], where)
     if o["type"] == "telescope":
-        typed = {"telescope": read(typed["config"], TELESCOPE_CONFIG, where)}
-        n_addresses = typed["telescope"]["n_addresses"]
-        if n_addresses is None and o["inputs"]:
+        telescope = read(typed["config"], TELESCOPE_CONFIG, where)
+        if telescope["n_addresses"] is None and o["inputs"]:
             raise ConfigError(f"{where} needs config.n_addresses")
         try:
-            TelescopeConfig(**{**typed["telescope"], "n_addresses": 1 if n_addresses is None else n_addresses})
+            settings = {"telescope": TelescopeConfig(**telescope)}
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from None
-    return ObservatoryConfig(o["name"], o["type"], [str(base_dir / p) for p in o["inputs"]], **typed)
+    elif o["type"] == "honeypot":
+        definition = preset(typed["preset"])
+        settings = {**typed, "definition": definition,
+                    "merge_gap": definition.timeout if typed["merge_gap"] is None else typed["merge_gap"]}
+    else:
+        ports = typed["ampl_ports"]
+        settings = {"ampl_ports": AMPLIFICATION_PORTS if ports is None else frozenset(ports)}
+    return ObservatoryConfig(o["name"], o["type"], [str(base_dir / p) for p in o["inputs"]], settings)
 
 
 def _validate(cfg: PipelineConfig) -> None:
@@ -332,8 +334,9 @@ def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, Optio
     for o in cfg.observatories:
         if not o.inputs:
             o = dataclasses.replace(o, inputs=inputs[o.type])
-            if o.type == "telescope" and o.telescope["n_addresses"] is None:
-                o.telescope = {**o.telescope, "n_addresses": spec.telescope_addresses}
+            if o.type == "telescope" and o.settings["telescope"].n_addresses is None:
+                tcfg = dataclasses.replace(o.settings["telescope"], n_addresses=spec.telescope_addresses)
+                o.settings = {"telescope": tcfg}    # the copy's own dict: the loaded config is kept
         wired.append(o)
     cfg = dataclasses.replace(cfg, observatories=wired)
     return cfg, spec.seed, {(p.resolve(), None): content for p, content in written.items()
@@ -357,17 +360,6 @@ def _expand_inputs(o: ObservatoryConfig) -> list[str]:
     return list(paths.values())
 
 
-def _settings(o: ObservatoryConfig) -> dict:
-    """The detector settings of one observatory, defaults applied."""
-    if o.type == "telescope":
-        return {"telescope": TelescopeConfig(**o.telescope)}
-    if o.type == "honeypot":
-        definition = preset(o.preset)
-        return {"preset": o.preset, "definition": definition, "sensor_col": o.sensor_col,
-                "merge_gap": definition.timeout if o.merge_gap is None else o.merge_gap}
-    return {"ampl_ports": AMPLIFICATION_PORTS if o.ampl_ports is None else frozenset(o.ampl_ports)}
-
-
 def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None) -> EventBatch:
     """Attack events of one observatory from its input files (globs allowed).
 
@@ -376,19 +368,17 @@ def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None) -> E
     share a map parse a shared file once."""
     parsed = {} if parsed is None else parsed
     paths = _expand_inputs(o)
-    settings = _settings(o)
     if o.type == "flow":
-        return EventBatch.concat([classify_flow(read_flows(p), settings["ampl_ports"], observatory=o.name)
+        return EventBatch.concat([classify_flow(read_flows(p), o.settings["ampl_ports"], observatory=o.name)
                                   for p in paths])
-    sensor_col = o.sensor_col if o.type == "honeypot" else None
-    packets = PacketBatch.concat([_packets(p, sensor_col, parsed) for p in paths])
+    packets = PacketBatch.concat([_packets(p, o.settings.get("sensor_col"), parsed) for p in paths])
     if o.type == "telescope":
-        tcfg = settings["telescope"]
+        tcfg = o.settings["telescope"]
         packets = packets.take(np.argsort(packets.ts, kind="stable"))
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
-    events = detect_honeypot(packets, settings["definition"], observatory=o.name)
-    return aggregate_sensors(events, settings["merge_gap"])
+    events = detect_honeypot(packets, o.settings["definition"], observatory=o.name)
+    return aggregate_sensors(events, o.settings["merge_gap"])
 
 
 def _packets(path: str, sensor_col: Optional[str], parsed: dict) -> PacketBatch:
@@ -565,7 +555,7 @@ def _config_digest(cfg: PipelineConfig) -> str:
 
     doc = {
         "observatories": [
-            {"name": o.name, "type": o.type, **_settings(o),
+            {"name": o.name, "type": o.type, **o.settings,
              "inputs": [file_digest(p) for p in _expand_inputs(o)]}
             for o in cfg.observatories
         ],

@@ -10,6 +10,7 @@ its lifetime. Flows end after a full accounting interval without packets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -21,9 +22,11 @@ ADDRESS_SPACE = 2 ** 32
 
 @dataclass(frozen=True)
 class TelescopeConfig:
-    """Detector parameters; defaults mirror the production telescope setup."""
+    """Detector parameters; defaults mirror the production telescope setup.
+    No detector reads `n_addresses`: it records the telescope's size, which a
+    synthesized scenario fills in."""
 
-    n_addresses: int
+    n_addresses: Optional[int] = None
     interval: float = 300.0            # flow accounting/expiry interval, seconds
     pkt_threshold: int = 25
     duration_threshold: float = 60.0   # seconds
@@ -33,7 +36,7 @@ class TelescopeConfig:
     backscatter_filter: str = "default"
 
     def __post_init__(self):
-        if not 1 <= self.n_addresses <= ADDRESS_SPACE:
+        if self.n_addresses is not None and not 1 <= self.n_addresses <= ADDRESS_SPACE:
             raise ValueError(f"n_addresses out of range: {self.n_addresses}")
         if min(self.interval, self.pkt_threshold, self.duration_threshold,
                self.rate_pkts, self.rate_window, self.rate_slide) <= 0:

@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -187,10 +188,20 @@ class TestCliMatchesPipeline:
         invoke(runner, ["detect", "flow", "--observatory", "ixp",
                         "--in", str(generated / "flows.csv"), "--in", str(late),
                         "--out", str(cli / "attacks_ixp.csv")])
+        # --in takes the patterns an observatory's inputs take
+        invoke(runner, ["detect", "honeypot", "--preset", "hopscotch", "--observatory", "hop",
+                        "--in", str(generated / "honeypot_*.csv"), "--out", str(cli / "attacks_hop_glob.csv")])
         for name in ("scope", "hop", "ixp"):
             got = (cli / f"attacks_{name}.csv").read_bytes()
             assert got == (bundle / f"attacks_{name}.csv").read_bytes(), name
             assert len(read_attacks(cli / f"attacks_{name}.csv")) >= 1, name
+        assert (cli / "attacks_hop_glob.csv").read_bytes() == (bundle / "attacks_hop.csv").read_bytes()
+        missing = str(generated / "honeypot_x*.csv")
+        result = runner.invoke(main, ["detect", "honeypot", "--preset", "hopscotch", "--in", missing,
+                                      "--out", str(cli / "none.csv")])
+        assert result.exit_code == 2, result.output
+        assert f"input not found: {missing}" in result.output
+        assert not (cli / "none.csv").exists()
 
         invoke(runner, ["overlap", "--mode", "per_day",
                         "--sets", f"ixp={cli / 'attacks_ixp.csv'}",
@@ -359,6 +370,15 @@ class TestTrendsAndCorrelate:
         assert doc["rho"] == pytest.approx(0.8, abs=1e-12)
         assert doc["n"] == 5
 
+    def test_correlate_refuses_values_that_are_no_finite_numbers(self, runner, tmp_path):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text('{"label": "a", "start_week": "2022-01-03", "values": [1, 2, NaN, 4, 5]}')
+        b.write_text('{"label": "b", "start_week": "2022-01-03", "values": [true, 2, 3, Infinity, 5]}')
+        result = runner.invoke(main, ["correlate", "--a", str(a), "--b", str(b)])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"error: {a}: bad series document: value nan is neither a finite number nor null\n"
+
     def test_correlate_quarterly(self, runner, tmp_path):
         a = tmp_path / "a.json"
         values = [float(1 + (i * 7) % 13) for i in range(52)]
@@ -504,17 +524,25 @@ class TestOptionErrors:
         assert not (files / "out").exists()
 
 
-def test_readme_cli_lines_name_existing_options(runner):
-    # each README CLI line, optional parts included, with --help added: click
-    # refuses an unknown option before it handles --help
+def test_readme_cli_lines_name_existing_options(runner, tmp_path, monkeypatch):
+    # the README's CLI lines run in order in one directory, after the side files
+    # they name; an unknown option or a file no earlier line wrote fails a step
     readme = (Path(__file__).parent.parent / "README.md").read_text()
     block = re.search(r"## CLI\n\n```sh\n(.*?)```", readme, re.S).group(1)
+    config = json.loads(re.findall(r"```json\n(.*?)```", readme, re.S)[1])
+    monkeypatch.chdir(tmp_path)
+    Path("scenario.json").write_text(json.dumps(build_scenario(20)))
+    Path("telescope.json").write_text(json.dumps({"n_addresses": 2 ** 22}))
+    Path("routed.csv").write_text("prefix,asn\n203.0.112.0/20,64500\n")
+    Path("alloc.csv").write_text("prefix,registry\n203.0.0.0/16,ARIN\n")
+    Path("hashes.txt").write_text("0" * 64 + "\n")
+    Path("pipeline.json").write_text(json.dumps(config))
     lines = block.splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 11
     for line in lines:
-        command, *args = line.replace("[", "").replace("]", "").split()
+        command, *args = shlex.split(line)
         assert command == "ddoscope"
-        result = runner.invoke(main, [*args, "--help"])
+        result = runner.invoke(main, args)
         assert result.exit_code == 0, (line, result.output)
 
 
@@ -871,6 +899,9 @@ class TestPipelineCommand:
          "telescope 'scope': n_addresses must be an integer, not 4194304.0"),
         (lambda doc: doc["observatories"][0].update(config={"n_addresses": "5"}),
          "telescope 'scope': n_addresses must be an integer, not '5'"),
+        # no inputs and no n_addresses: synth gives the size, the rest is checked at load
+        (lambda doc: doc["observatories"][0].update(config={"interval": -1}),
+         "telescope 'scope': thresholds must be positive"),
         (lambda doc: doc["analysis"].update(confirm=[]), "analysis.confirm must be an object, not []"),
         (lambda doc: doc.update(observatories=[]), "pipeline: observatories must be a non-empty list, not []"),
     ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
@@ -880,6 +911,7 @@ class TestPipelineCommand:
             "parallelism-string", "parallelism-float", "seed-string", "merge_gap-string", "merge_gap-negative",
             "ewma_span-string", "ewma_span-half", "ewma_span-zero", "ampl_ports-string", "ampl_ports-high",
             "ampl_ports-negative", "sensor_col-int", "scenario-int", "n_addresses-float", "n_addresses-string",
+            "synth-telescope-interval",
             "confirm-list", "no-observatories"])
     def test_config_fields_that_would_not_take_effect_are_rejected(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)

@@ -24,6 +24,7 @@ from ddoscope.ioformats import (
     write_packets,
     write_series,
     write_targets,
+    write_weekly_csv,
 )
 from ddoscope.model import (
     EPOCH, MAX_TS_US, EventBatch, FlowBatch, PacketBatch, Ragged, TargetTuple,
@@ -119,6 +120,19 @@ class TestSeries:
         write_series(p, s)
         assert read_series(p) == s
         assert '"values"' in p.read_text() and "null" in p.read_text()
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400", "9" * 400, "true", "false", '"3"'])
+    def test_value_neither_finite_number_nor_null_is_refused(self, tmp_path, value):
+        p = tmp_path / "series.json"
+        p.write_text(f'{{"label": "x", "start_week": "2022-01-03", "values": [1, null, {value}, 4]}}')
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: bad series document: "):
+            read_series(p)
+
+    def test_weekly_csv_writes_large_counts_exactly(self, tmp_path):
+        p = tmp_path / "weekly.csv"
+        write_weekly_csv(p, ("a", "b"), [WeeklySeries(date(2022, 1, 3), (1234567.0, 0.0), "a"),
+                                         WeeklySeries(date(2022, 1, 3), (1e6, 12.0), "b")])
+        assert p.read_text() == "week,a,b\n2022-01-03,1234567,1000000\n2022-01-10,0,12\n"
 
 
 DIGESTS = st.binary(min_size=32, max_size=32).map(lambda b: b.hex().encode())
