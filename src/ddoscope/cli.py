@@ -76,7 +76,7 @@ from .pipeline import (
 )
 from .schema import ConfigError, load_json, read
 from .synth import write_scenario
-from .trends import quarterly_correlations
+from .trends import CorrelationResult, quarterly_correlations
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -287,15 +287,8 @@ def correlate(a_path, b_path, method, quarterly, out_path):
     a = read_series(a_path)
     b = read_series(b_path)
     if quarterly:
-        rows = []
-        for q, r in quarterly_correlations(a, b, method):
-            rows.append({
-                "quarter": q.isoformat(),
-                "rho": None if r is None else r.rho,
-                "p_value": None if r is None else r.p_value,
-                "n": None if r is None else r.n,
-                "significant": None if r is None else r.significant,
-            })
+        rows = [{"quarter": q.isoformat(), **(dict.fromkeys(CorrelationResult.KEYS) if r is None else r.entry())}
+                for q, r in quarterly_correlations(a, b, method)]
         doc = {"method": method, "a": a.label, "b": b.label, "quarters": rows}
     else:
         doc = correlation_entry(a, b, method)

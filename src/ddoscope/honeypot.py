@@ -120,7 +120,7 @@ def aggregate_sensors(events: EventBatch, merge_gap: float) -> EventBatch:
 
     Events with identical observatory, attack type and target become one
     event when their spans overlap or sit within `merge_gap` seconds: span
-    union, packets and bytes summed, sensor and member sets unioned. The
+    union, packets summed, sensor and member sets unioned. The
     clusters are `model.time_clusters` with those three as the group: in
     start order, an event joins the cluster before it when it starts
     within the gap of the running maximum of that cluster's ends.

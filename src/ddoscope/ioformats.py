@@ -454,16 +454,16 @@ _FLOW_FIELDS = (
     ("end_ts_us", np.int64, _decimal, 18),
 )
 FLOWS_HEADER = _header(_FLOW_FIELDS)
+# a value, not a width, so that every double up to it is written back readable
+MAX_BITRATE_BPS = 10 ** 15
 
 
 def _flow_checks(target, protocol, src_port, sources, bitrate, start, end):
-    # the bitrate bound is a value, not a width, so that every double up to
-    # it is written back readable
     return [
         ("protocol above 255", protocol <= 255),
         ("src_port above 65535", src_port <= 65535),
         ("distinct_src_ips outside 1-4294967296", (sources >= 1) & (sources <= 2 ** 32)),
-        ("bitrate_bps outside 0-1000000000000000", (bitrate >= 0) & (bitrate <= 1e15)),
+        (f"bitrate_bps outside 0-{MAX_BITRATE_BPS}", (bitrate >= 0) & (bitrate <= MAX_BITRATE_BPS)),
         (f"start_ts_us above {MAX_TS_US}", start <= MAX_TS_US),
         (f"end_ts_us above {MAX_TS_US}", end <= MAX_TS_US),
         ("start_ts_us after end_ts_us", start <= end),

@@ -56,6 +56,7 @@ from .ioformats import (
 )
 from .model import ATTACK_TYPES, EventBatch, PacketBatch, WeeklySeries
 from .overlap import (
+    MAX_OBSERVATORIES,
     build_targets,
     federated_confirm,
     overlap_timeseries,
@@ -80,7 +81,8 @@ PIPELINE = {
     "out_dir": (PATH, None),
     "observatories": (Kind("a non-empty list", lambda value: type(value) is list and len(value) > 0), REQUIRED),
     "scenario": (PATH, None),
-    "seed": (INTEGER, None),
+    "seed": (Kind("an integer, with a scenario", INTEGER.test,
+                  message="{where}: {key} must be an integer, not {value!r}"), None),
     "routed": (PATH, None),
     "alloc": (PATH, None),
     "aggregate": (SWITCH, False),
@@ -230,6 +232,12 @@ def _validate(cfg: PipelineConfig) -> None:
     names = [o.name for o in cfg.observatories]
     if len(set(names)) != len(names):
         raise ConfigError("observatory names must be unique")
+    # both count every exclusive subset of the observatories' target sets
+    if len(names) > MAX_OBSERVATORIES and (cfg.upset or cfg.confirm_external is not None):
+        raise ConfigError(f"{len(names)} observatories exceed the {MAX_OBSERVATORIES}-set limit "
+                          "of analysis.upset and analysis.confirm")
+    if cfg.seed is not None and cfg.scenario is None:
+        raise ConfigError("seed given without a scenario, the only thing it seeds")
     if cfg.aggregate and (cfg.routed is None or cfg.alloc is None):
         missing = "routed" if cfg.routed is None else "alloc"
         raise ConfigError(f"aggregation enabled but the {missing} table is not configured")
@@ -459,8 +467,7 @@ def _stage_trends(cfg, root, events: dict[str, EventBatch]):
 def correlation_entry(a: WeeklySeries, b: WeeklySeries, method: str) -> dict:
     """The correlations.json entry of series `a` and `b`; ValueError when they cannot be correlated."""
     r = (spearman if method == "spearman" else pearson)(a, b)
-    return {"a": a.label, "b": b.label, "method": method,
-            "rho": r.rho, "p_value": r.p_value, "n": r.n, "significant": r.significant}
+    return {"a": a.label, "b": b.label, "method": method, **r.entry()}
 
 
 def _stage_correlate(cfg, root, serieses) -> None:

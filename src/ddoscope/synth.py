@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .flowclass import attack_masks
-from .ioformats import write_flows, write_json, write_packets
+from .ioformats import MAX_BITRATE_BPS, write_flows, write_json, write_packets
 from .model import (
     FLAG_A,
     FLAG_S,
@@ -44,7 +44,8 @@ TELESCOPE_BASE = ip_to_int("10.0.0.0")  # synthetic telescope block
 ATTACK_TYPES = ("rsdos", "reflection", "direct_nonspoofed")
 DEFAULT_REFLECTION_PORTS = (123,)
 # Bounds of what packets.csv can hold, so every file synth writes reads
-# back: a 9-digit len_bytes, and timestamps up to 9999-12-31T23:59:59.
+# back: a 9-digit len_bytes, and timestamps up to 9999-12-31T23:59:59;
+# flows.csv holds a bitrate_bps up to ioformats.MAX_BITRATE_BPS.
 MAX_PACKET_BYTES = 999_999_999
 MAX_DURATION_S = MAX_TS_US // US_PER_S
 
@@ -87,10 +88,17 @@ class AttackSpec:
             raise ValueError("reflection attacks need at least one sensor")
         if self.amplification <= 0:
             raise ValueError("amplification must be positive")
+        if not self.bitrate_bps <= MAX_BITRATE_BPS:
+            raise ValueError(f"bitrate_bps {self.bitrate_bps:g} above {MAX_BITRATE_BPS}")
         if self.type == "reflection" and not (self.ports and all(0 <= p <= 65535 for p in self.ports)):
             raise ValueError(f"reflection needs ports in [0, 65535], got {self.ports}")
         parse_prefix(self.victim)  # validates
         object.__setattr__(self, "ports", tuple(self.ports))
+
+    @property
+    def bitrate_bps(self) -> float:
+        """Its flow summary's bitrate; only a reflection's bytes are amplified."""
+        return self.rate_pps * self.packet_bytes * 8.0 * (self.amplification if self.type == "reflection" else 1.0)
 
 
 # a spec's numbers are kept as float()
@@ -183,7 +191,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
             "attack_packets": total_pkts,
         }
 
-        # flow summary: (protocol, src port, distinct sources, byte amplification)
+        # flow summary: (protocol, src port, distinct sources)
         if atk.type == "rsdos":
             batch = _emit_rsdos(atk, rng, spec.telescope_addresses)
             telescope.append(batch)
@@ -193,7 +201,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
                 "observed_packets": len(batch),
             }
             sources = min(total_pkts, ADDRESS_SPACE) if atk.spoof == "uniform" else NONSPOOFED_SOURCES
-            protocol, src_port, amplification = 6, 0, 1.0
+            protocol, src_port = 6, 0
         elif atk.type == "reflection":
             batch, sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors)
             honeypot.append(batch)
@@ -203,11 +211,11 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
                 "dst_ports": list(atk.ports),
             }
             sources = atk.reflector_subset
-            protocol, src_port, amplification = 17, atk.ports[0], atk.amplification
+            protocol, src_port = 17, atk.ports[0]
         else:  # direct_nonspoofed: flows only, invisible to telescope and honeypots
-            protocol, src_port, sources, amplification = 6, 0, NONSPOOFED_SOURCES, 1.0
+            protocol, src_port, sources = 6, 0, NONSPOOFED_SOURCES
 
-        bitrate = atk.rate_pps * atk.packet_bytes * 8.0 * amplification
+        bitrate = atk.bitrate_bps
         flows.append((net, protocol, src_port, sources, bitrate, start_us, end_us))
         entry["flow"] = {"protocol": protocol, "src_port": src_port,
                          "distinct_src_ips": sources, "bitrate_bps": bitrate}

@@ -32,7 +32,6 @@ class TrendSummary:
     change over four years (208 weeks)."""
 
     slope: float
-    intercept: float
     n: int
 
     @property
@@ -54,6 +53,8 @@ class TrendSummary:
 
 @dataclass(frozen=True)
 class CorrelationResult:
+    KEYS = ("rho", "p_value", "n", "significant")
+
     rho: float
     p_value: float
     n: int
@@ -67,6 +68,11 @@ class CorrelationResult:
     @property
     def significant(self) -> bool:
         return self.p_value <= SIGNIFICANCE_LEVEL
+
+    def entry(self) -> dict:
+        """`KEYS` with their values: the fields of a correlations.json entry and of a
+        `correlate` document, whose quarters without a result hold each key as null."""
+        return {key: getattr(self, key) for key in self.KEYS}
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +120,7 @@ def normalize(series: WeeklySeries, baseline_weeks: int = 15) -> WeeklySeries:
             f"series has {len(baseline)} non-null values; "
             f"need {baseline_weeks} for the baseline"
         )
-    ordered = sorted(baseline)
-    mid = len(ordered) // 2
-    median = ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2.0
+    median = float(np.median(baseline))
     if median == 0:
         raise ValueError("baseline median is zero; series cannot be normalized")
     return series.with_values(
@@ -151,18 +155,23 @@ def ewma(series: WeeklySeries, span: float = 12) -> WeeklySeries:
 def linreg_trend(series: WeeklySeries) -> TrendSummary:
     """Ordinary least-squares slope over the (week index, value) pairs of
     the non-null weeks; needs at least two."""
-    pts = [(i, v) for i, v in enumerate(series.values) if v is not None]
-    if len(pts) < 2:
-        raise ValueError(f"regression window holds {len(pts)} points; need >= 2")
-    n = len(pts)
-    mx = math.fsum(x for x, _ in pts) / n
-    my = math.fsum(y for _, y in pts) / n
-    sxx = math.fsum((x - mx) ** 2 for x, _ in pts)
-    sxy = math.fsum((x - mx) * (y - my) for x, y in pts)
+    xs = [i for i, v in enumerate(series.values) if v is not None]
+    if len(xs) < 2:
+        raise ValueError(f"regression window holds {len(xs)} points; need >= 2")
+    sxx, sxy, _ = _centred_sums(xs, [series.values[i] for i in xs])
     if sxx == 0:
         raise ValueError("regression window has zero index variance")
-    slope = sxy / sxx
-    return TrendSummary(slope=slope, intercept=my - slope * mx, n=n)
+    return TrendSummary(slope=sxy / sxx, n=len(xs))
+
+
+def _centred_sums(xs: list, ys: list) -> tuple[float, float, float]:
+    """sum (x - mean x)^2, sum (x - mean x)(y - mean y) and sum (y - mean y)^2,
+    each summed exactly by fsum."""
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    return (math.fsum((x - mx) ** 2 for x in xs), math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys)),
+            math.fsum((y - my) ** 2 for y in ys))
 
 
 # ---------------------------------------------------------------------------
@@ -184,43 +193,24 @@ def _paired(a: WeeklySeries, b: WeeklySeries) -> tuple[list[date], list[float], 
 
 
 def _ranks(xs: list[float]) -> list[float]:
-    order = sorted(range(len(xs)), key=lambda i: xs[i])
-    ranks = [0.0] * len(xs)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg = (i + j) / 2.0 + 1.0  # average rank for the tie group
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
-    return ranks
+    """1-based ranks of `xs`, each tie group given the average of its ranks."""
+    _, group, counts = np.unique(xs, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2.0)[group].tolist()
 
 
-def _product_moment(xs: list[float], ys: list[float]) -> float:
+def _correlate(xs: list[float], ys: list[float]) -> CorrelationResult:
+    """Product-moment correlation of `xs` and `ys`, with its t-test p-value."""
     n = len(xs)
-    mx = math.fsum(xs) / n
-    my = math.fsum(ys) / n
-    sxy = math.fsum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    sxx = math.fsum((x - mx) ** 2 for x in xs)
-    syy = math.fsum((y - my) ** 2 for y in ys)
+    if n < 3:
+        raise ValueError(f"{n} paired samples; need >= 3")
+    sxx, sxy, syy = _centred_sums(xs, ys)
     if sxx == 0 or syy == 0:
         raise ValueError("constant series: correlation undefined")
-    rho = sxy / (math.sqrt(sxx) * math.sqrt(syy))
-    rho = max(-1.0, min(1.0, rho))
+    rho = max(-1.0, min(1.0, sxy / (math.sqrt(sxx) * math.sqrt(syy))))
     # exactly collinear data must land exactly on +-1 (and then p = 0), but
     # the two square roots can leave it a few ulps short
     if 1.0 - abs(rho) < 5e-15:
         rho = math.copysign(1.0, rho)
-    return rho
-
-
-def _correlate(xs: list[float], ys: list[float]) -> CorrelationResult:
-    n = len(xs)
-    if n < 3:
-        raise ValueError(f"{n} paired samples; need >= 3")
-    rho = _product_moment(xs, ys)
     if abs(rho) == 1.0:
         return CorrelationResult(rho=rho, p_value=0.0, n=n)
     t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))

@@ -390,6 +390,18 @@ class TestTrendsAndCorrelate:
         assert len(doc["quarters"]) == 4
         assert all(q["rho"] == 1.0 for q in doc["quarters"])
 
+    def test_correlate_quarterly_quarter_without_a_result(self, runner, tmp_path):
+        # 13 pairs in the first quarter, 2 in the second: too few for a correlation
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        for path, values in ((a, [float(1 + (i * 7) % 13) for i in range(15)]),
+                             (b, [float(1 + (i * 5) % 13) for i in range(15)])):
+            path.write_text(json.dumps({"label": path.stem, "start_week": "2022-01-03",
+                                        "values": values + [None] * 11}))
+        doc = json.loads(invoke(runner, ["correlate", "--a", str(a), "--b", str(b), "--quarterly"]).output)
+        first, second = doc["quarters"]
+        assert set(first) == {"quarter", "rho", "p_value", "n", "significant"} and first["n"] == 13
+        assert second == {"quarter": "2022-04-01", "rho": None, "p_value": None, "n": None, "significant": None}
+
 
 class TestOverlapAndConfirm:
     def make_targets(self, path: Path, rows):
@@ -841,6 +853,53 @@ class TestPipelineCommand:
             assert result.output.strip() == expected
         assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json", "scenario.json"]
 
+    def test_synth_and_pipeline_refuse_a_bitrate_flows_csv_cannot_hold(self, runner, tmp_path):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        doc = json.loads((tmp_path / "scenario.json").read_text())
+        assert doc["attacks"][-1]["type"] == "direct_nonspoofed"
+        doc["attacks"][-1].update(rate_pps=2e12, packet_bytes=1000)
+        (tmp_path / "scenario.json").write_text(json.dumps(doc))
+        for args in (["synth", "--spec", str(tmp_path / "scenario.json"), "--out", str(tmp_path / "gen")],
+                     ["pipeline", "--config", str(cfg)]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 2, result.output
+            assert result.output.strip() == "error: stage 'synth': bitrate_bps 1.6e+16 above 1000000000000000"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["pipeline.json", "scenario.json"]
+
+    def test_more_than_ten_observatories_run_without_upset_or_confirm(self, runner, tmp_path):
+        cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        doc = json.loads(cfg.read_text())
+        doc["observatories"].extend({"name": f"ixp{i}", "type": "flow"} for i in range(8))
+        doc["analysis"]["upset"] = False
+        cfg.write_text(json.dumps(doc))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        out = tmp_path / "out"
+        assert (out / "targets" / "ixp7.csv").read_bytes() == (out / "targets" / "ixp.csv").read_bytes()
+        assert not (out / "upset.json").exists()
+        (tmp_path / "hashes.txt").write_text("")
+        doc["analysis"]["confirm"] = {"external": "hashes.txt", "salt": "1f2e"}
+        cfg.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == ("error: stage 'config': 11 observatories exceed the 10-set limit "
+                                         "of analysis.upset and analysis.confirm")
+
+    def test_seed_without_a_scenario_is_rejected(self, runner, generated, tmp_path):
+        # nothing but a scenario is seeded, so a manifest would record a seed that did nothing
+        cfg = tmp_path / "pipeline.json"
+        doc = {"out_dir": "out", "observatories": [{"name": "ixp", "type": "flow",
+                                                     "inputs": [str(generated / "flows.csv")]}]}
+        for seed, args in ((99, []), (None, ["--seed", "5"])):
+            cfg.write_text(json.dumps({**doc, "seed": seed}))
+            result = runner.invoke(main, ["pipeline", "--config", str(cfg), *args])
+            assert result.exit_code == 2, result.output
+            assert result.output.strip() == ("error: stage 'config': seed given without a scenario, "
+                                             "the only thing it seeds")
+            assert not (tmp_path / "out").exists()
+        cfg.write_text(json.dumps(doc))
+        invoke(runner, ["pipeline", "--config", str(cfg)])
+        assert json.loads((tmp_path / "out" / "manifest.json").read_text())["seed"] is None
+
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.update(concurency_gap=30), "pipeline: unknown config keys ['concurency_gap']"),
         (lambda doc: doc["analysis"].update(normalise=False), "analysis: unknown config keys ['normalise']"),
@@ -904,6 +963,8 @@ class TestPipelineCommand:
          "telescope 'scope': thresholds must be positive"),
         (lambda doc: doc["analysis"].update(confirm=[]), "analysis.confirm must be an object, not []"),
         (lambda doc: doc.update(observatories=[]), "pipeline: observatories must be a non-empty list, not []"),
+        (lambda doc: doc["observatories"].extend({"name": f"ixp{i}", "type": "flow"} for i in range(8)),
+         "11 observatories exceed the 10-set limit of analysis.upset and analysis.confirm"),
     ], ids=["top", "analysis", "confirm", "observatory", "input-alias", "analysis-type", "aggregate",
             "upset", "normalize", "overlap_timeseries", "inputs-string", "inputs-nested", "no-out_dir",
             "no-name", "no-type", "honeypot-config", "telescope-preset", "telescope-merge_gap", "flow-sensor_col",
@@ -912,7 +973,7 @@ class TestPipelineCommand:
             "ewma_span-string", "ewma_span-half", "ewma_span-zero", "ampl_ports-string", "ampl_ports-high",
             "ampl_ports-negative", "sensor_col-int", "scenario-int", "n_addresses-float", "n_addresses-string",
             "synth-telescope-interval",
-            "confirm-list", "no-observatories"])
+            "confirm-list", "no-observatories", "eleven-observatories"])
     def test_config_fields_that_would_not_take_effect_are_rejected(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
         doc = json.loads(cfg.read_text())

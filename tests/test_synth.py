@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ddoscope.honeypot import aggregate_sensors, detect_honeypot, preset
-from ddoscope.ioformats import read_packets
+from ddoscope.ioformats import MAX_BITRATE_BPS, read_flows, read_packets
 from ddoscope.model import MAX_TS_US, EventBatch, PacketBatch, format_prefix, int_to_ip, ip_to_int, parse_prefix, prefix_mask
 from ddoscope.schema import ConfigError
 from ddoscope.synth import (
@@ -77,16 +78,35 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="^packet_bytes 1000000000 above 999999999$"):
             rsdos(packet_bytes=10 ** 9)
 
+    def test_bitrate_fits_flows_csv(self, tmp_path):
+        # rate_pps * packet_bytes * 8, times amplification for a reflection only
+        at_bound = [AttackSpec(type="direct_nonspoofed", victim="203.0.113.11", start_s=0, duration_s=1,
+                               rate_pps=1.25e11, packet_bytes=1000),
+                    rsdos(duration=1, rate=1.25e11, packet_bytes=1000, amplification=1e6),
+                    reflection(duration=1, rate=1, packet_bytes=1000, amplification=1.25e11)]
+        assert [a.bitrate_bps for a in at_bound] == [MAX_BITRATE_BPS] * 3
+        with pytest.raises(ValueError, match="^bitrate_bps 1.6e\\+16 above 1000000000000000$"):
+            AttackSpec(type="direct_nonspoofed", victim="203.0.113.11", start_s=0, duration_s=1,
+                       rate_pps=2e12, packet_bytes=1000)
+        with pytest.raises(ValueError, match="^bitrate_bps 1.6e\\+15 above 1000000000000000$"):
+            reflection(duration=1, rate=1, packet_bytes=1000, amplification=2e11)
+        # the flow summaries of the first and the last read back (an rsdos at 1.25e11 pps is too many packets)
+        g = generate(scenario([at_bound[0], dataclasses.replace(at_bound[2], victim="203.0.113.12")]))
+        write_scenario(g, tmp_path)
+        assert read_flows(tmp_path / "flows.csv").bitrate_bps.tolist() == [MAX_BITRATE_BPS] * 2
+
     @pytest.mark.parametrize("duration", [MAX_DURATION_S + 1, 3e11, math.inf, math.nan])
     def test_scenario_ends_by_year_9999(self, duration):
         with pytest.raises(ValueError, match="^duration_s .* ends the scenario past 9999-12-31T23:59:59$"):
             scenario([], duration=duration)
 
     def test_largest_spec_reads_back(self, tmp_path):
-        # the last second and the widest packets a spec allows still fit packets.csv
+        # the last second and the widest packets a spec allows still fit packets.csv, and at the
+        # highest rate the flows.csv bitrate bound leaves those packets, the flows read back too
         end = MAX_DURATION_S
         widest = MAX_PACKET_BYTES
-        g = generate(scenario([rsdos(start=end - 2, duration=2, rate=5e6, packet_bytes=widest),
+        g = generate(scenario([rsdos(start=end - 2, duration=2, rate=MAX_BITRATE_BPS // (8 * widest),
+                                     packet_bytes=widest),
                                reflection(start=end - 1, duration=1, rate=100, packet_bytes=widest)],
                               duration=end))
         write_scenario(g, tmp_path)
@@ -96,6 +116,9 @@ class TestScenarioValidation:
             back = read_packets(path)
             for name, col in columns(batch).items():
                 assert np.array_equal(getattr(back, name), col), name
+        flows = read_flows(tmp_path / "flows.csv")
+        assert flows.end_ts.tolist() == g.flows.end_ts.tolist()
+        assert flows.bitrate_bps.tolist() == pytest.approx(g.flows.bitrate_bps.tolist())
 
     def test_json_round_trip(self):
         doc = {
