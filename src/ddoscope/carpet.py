@@ -29,7 +29,6 @@ from .model import (
     Ragged,
     US_PER_S,
     distinct,
-    format_prefix,
     host_targets,
     merge_runs,
     observatory_codes,
@@ -51,9 +50,9 @@ def aggregate_carpet(
     events where the routed-prefix and single-allocation conditions hold;
     everything else passes through unchanged.
 
-    Input must be sorted by start_ts. The output is a partition of the
+    Input rows may come in any order. The output is a partition of the
     input, every event represented exactly once, sorted by (start, target,
-    observatory, attack type).
+    observatory, attack type), ties in input order.
     """
     if routed is None or alloc is None:
         raise ValueError("aggregate_carpet requires routed and allocation tables")
@@ -61,12 +60,6 @@ def aggregate_carpet(
         raise ValueError(f"concurrency gap {concurrency_gap} is negative")
     if min_targets < 2:
         raise ValueError(f"min_targets {min_targets} is below 2: a single target is no carpet")
-    back = np.flatnonzero(events.start_ts[1:] < events.start_ts[:-1])
-    if len(back):
-        pair = events.take(back[:1] + [0, 1])
-        prev, cur = map(format_prefix, pair.net.tolist(), pair.plen.tolist())
-        prev_ts, cur_ts = pair.start_ts.tolist()
-        raise ValueError(f"events not sorted by start_ts: {cur} at {cur_ts} after {prev} at {prev_ts}")
 
     order, bounds = time_clusters(events, (observatory_codes(events.observatory), events.type_code),
                                   int(concurrency_gap * US_PER_S))

@@ -52,6 +52,7 @@ from .ioformats import (
 )
 from .model import ATTACK_TYPES, type_code
 from .overlap import (
+    MAX_OBSERVATORIES,
     as_attribution,
     build_targets,
     new_vs_recurring,
@@ -342,6 +343,8 @@ def overlap_cmd(set_specs, mode, do_upset, timeseries, new_rec, attribution,
                 routed, top_n, out_path):
     """Target-overlap analyses over observatory target sets."""
     paths = _set_paths("--sets", [part for spec in set_specs for part in spec.split(",")])
+    if do_upset and len(paths) > MAX_OBSERVATORIES:
+        raise click.UsageError(f"--upset counts at most {MAX_OBSERVATORIES} sets, got {len(paths)}")
     if timeseries and len(paths) != 2:
         raise click.UsageError("--timeseries needs exactly two sets")
     if attribution and not routed:
@@ -385,6 +388,8 @@ def confirm(locals_, external, salt, out_path):
     undetectable and simply confirms nothing.
     """
     paths = _set_paths("--local", locals_, lambda i: f"local{i}" if len(locals_) > 1 else "local")
+    if len(paths) > MAX_OBSERVATORIES:
+        raise click.UsageError(f"--local takes at most {MAX_OBSERVATORIES} sets, got {len(paths)}")
     sets = {label: read_targets(path) for label, path in paths.items()}
     _emit(confirm_document(sets, external, salt), out_path)
 

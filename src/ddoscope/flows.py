@@ -32,14 +32,15 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
            min_ports: Optional[int] = None) -> EventBatch:
     """One event per flow of `packets` that meets every threshold.
 
-    Rows equal in every column of `keys` are one key's packets, in time
-    order (input order among equal timestamps). Consecutive packets of a
-    key fall into different flows where `split(prev_ts, cur_ts)` holds.
-    An event targets its flow's first source masked to /`plen`; below /32
-    it records the flow's source hosts as members, and it records the
-    distinct values of the `sensors` column, when given, as its sensors.
-    Events are sorted by (start_ts, target), ties in the order their keys
-    first appear in the input.
+    Rows may come in any order. Rows equal in every column of `keys` are
+    one key's packets, taken in time order (input order among equal
+    timestamps). Consecutive packets of a key fall into different flows
+    where `split(prev_ts, cur_ts)` holds. An event targets its flow's first
+    source masked to /`plen`; below /32 it records the flow's source hosts
+    as members, and it records the distinct values of the `sensors` column,
+    when given, as its sensors. Events are sorted by (start_ts, target),
+    ties in the order of their keys' earliest packets (by time, then by
+    position in the input).
     """
     order = np.lexsort((packets.ts, *keys))
     ts = packets.ts[order]
@@ -58,10 +59,11 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
         ok &= _peak_window(ts, bounds, rate) >= rate.packets
     if min_ports is not None:
         ok &= np.diff(distinct(packets.dst_port[order], bounds)[1]) >= min_ports
-    key_first = np.minimum.reduceat(order, np.flatnonzero(new_key))[np.cumsum(new_key)[start] - 1]
-    # the attack flows, in the order their keys first appear
+    # each flow's key's earliest packet, by time and then input position
+    key_first = order[np.flatnonzero(new_key)][np.cumsum(new_key)[start] - 1]
+    # the attack flows, in the order of their keys' earliest packets
     f = np.flatnonzero(ok)
-    f = f[np.argsort(key_first[f], kind="stable")]
+    f = f[np.lexsort((key_first[f], packets.ts[key_first[f]]))]
     # the per-flow unions below take memory in proportion to the packets,
     # so the grouping's per-packet temporaries are freed first
     del ts, new_key, new_flow

@@ -27,7 +27,6 @@ from .model import (
     EventBatch,
     PacketBatch,
     US_PER_S,
-    int_to_ip,
     merge_runs,
     observatory_codes,
     prefix_mask,
@@ -83,13 +82,11 @@ def detect_honeypot(
     definition: AttackDefinition,
     observatory: str = "honeypot",
 ) -> EventBatch:
-    """Run one attack definition over honeypot request logs.
+    """Run one attack definition over honeypot request logs, in any order.
 
-    Packets must be time-ordered per sensor (dst_ip); violations raise
-    ValueError naming the offending record. Output is sorted by
-    (start_ts, target), ties in the order their flow keys first appear.
+    Output is sorted by (start_ts, target), ties in the order of their flow
+    keys' earliest packets (by time, then by position in the input).
     """
-    _check_sensor_order(packets)
     d = definition
     keys = [
         packets.src & np.uint32(prefix_mask(d.src_prefix_len)) if f == "src_prefix"
@@ -100,19 +97,6 @@ def detect_honeypot(
                   observatory, plen=d.src_prefix_len if "src_prefix" in d.key_fields else 32, sensors=packets.dst,
                   min_packets=d.pkt_threshold, min_duration_us=(d.duration_threshold or 0) * US_PER_S,
                   min_ports=d.port_threshold)
-
-
-def _check_sensor_order(packets: PacketBatch) -> None:
-    """Raise on the first record earlier than the one before it at its sensor."""
-    by_sensor = np.argsort(packets.dst, kind="stable")
-    ts, dst = packets.ts[by_sensor], packets.dst[by_sensor]
-    back = np.flatnonzero((ts[1:] < ts[:-1]) & (dst[1:] == dst[:-1]))
-    if len(back):
-        j = back[np.argmin(by_sensor[back + 1])]
-        raise ValueError(
-            f"packets not time-ordered for sensor {int_to_ip(int(dst[j]))}: "
-            f"record {by_sensor[j + 1]} has ts {ts[j + 1]} after ts {ts[j]}"
-        )
 
 
 def aggregate_sensors(events: EventBatch, merge_gap: float) -> EventBatch:

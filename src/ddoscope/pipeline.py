@@ -382,7 +382,6 @@ def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None) -> E
     packets = PacketBatch.concat([_packets(p, o.settings.get("sensor_col"), parsed) for p in paths])
     if o.type == "telescope":
         tcfg = o.settings["telescope"]
-        packets = packets.take(np.argsort(packets.ts, kind="stable"))
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
     events = detect_honeypot(packets, o.settings["definition"], observatory=o.name)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .flows import Rate, detect
 from .model import FLAG_A, FLAG_R, FLAG_S, EventBatch, PacketBatch, US_PER_S, type_code
 
@@ -71,20 +69,13 @@ def detect_rsdos(
     cfg: TelescopeConfig,
     observatory: str = "telescope",
 ) -> EventBatch:
-    """Infer RSDoS attacks from a time-ordered telescope packet stream.
+    """Infer RSDoS attacks from telescope packets, in any order.
 
-    Raises ValueError on out-of-order input, naming the offending record.
     Output is canonicalized: sorted by (start_ts, target). Events that tie
     there (one target's TCP and ICMP flows starting together) come in the
-    order their (protocol, source) keys first appear in the input.
+    order of their (protocol, source) keys' earliest packets, by time and
+    then by position in the input.
     """
-    unordered = np.flatnonzero(packets.ts[1:] < packets.ts[:-1])
-    if len(unordered):
-        i = int(unordered[0]) + 1
-        raise ValueError(
-            f"packets not time-ordered: record {i} has ts {packets.ts[i]} "
-            f"after ts {packets.ts[i - 1]}"
-        )
     interval_us = int(cfg.interval * US_PER_S)
     # a full accounting interval without packets ends a flow
     return detect(packets, (packets.protocol, packets.src),

@@ -95,11 +95,12 @@ class TestCarpetFixtures:
         b = ev("203.0.113.99", 10, 90, atype="DP")
         assert len(aggregate_carpet([a, b], ROUTED, ALLOC)) == 2
 
-    def test_unsorted_input_errors(self):
+    def test_unsorted_input_equals_sorted(self):
         a = ev("203.0.113.5", 100, 200)
         b = ev("203.0.113.99", 0, 90)
-        with pytest.raises(ValueError, match="not sorted"):
-            aggregate_carpet([a, b], ROUTED, ALLOC)
+        out = aggregate_carpet([a, b], ROUTED, ALLOC)
+        assert [e.target for e in out] == ["203.0.113.0/24"]
+        assert out == aggregate_carpet([b, a], ROUTED, ALLOC)
 
     def test_missing_tables_error(self):
         with pytest.raises(ValueError):
@@ -175,6 +176,14 @@ class TestCarpetProperties:
             # idempotence on its own output
             again = aggregate_carpet(out, ROUTED, ALLOC)
             assert again == out
+
+    def test_any_order_equals_time_sorted(self):
+        rng = random.Random(30)
+        for _ in range(300):
+            events = self._random_events(rng)
+            rng.shuffle(events)
+            assert (aggregate_carpet(events, ROUTED, ALLOC)
+                    == aggregate_carpet(sorted(events, key=lambda e: e.start_ts), ROUTED, ALLOC))
 
     def test_merged_target_matches_exhaustive_oracle(self):
         rng = random.Random(77)

@@ -102,6 +102,20 @@ class TestDetectCommands:
         assert len(events) == 1
         assert len(events[0].sensors) == 5
 
+    def test_honeypot_files_in_reverse_give_the_same_bytes(self, runner, generated, tmp_path):
+        reversed_dir = tmp_path / "reversed"
+        reversed_dir.mkdir()
+        for f in generated.glob("honeypot_*.csv"):
+            header, *rows = f.read_text().splitlines(keepends=True)
+            (reversed_dir / f.name).write_text(header + "".join(rows[::-1]))
+        outs = []
+        for d in (generated, reversed_dir):
+            outs.append(tmp_path / f"attacks_{d.name}.csv")
+            invoke(runner, ["detect", "honeypot", "--preset", "hopscotch", "--in", str(d / "honeypot_*.csv"),
+                            "--out", str(outs[-1])])
+        assert len(read_attacks(outs[0])) == 1
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+
     def test_flow(self, runner, generated, tmp_path):
         out = tmp_path / "attacks.csv"
         invoke(runner, ["detect", "flow", "--in", str(generated / "flows.csv"),
@@ -331,6 +345,22 @@ class TestAggregateCommand:
         assert [e.target for e in events] == ["203.0.113.0/24"]
         assert events[0].packets == 100
 
+    def test_attacks_in_reverse_give_the_same_bytes(self, runner, tmp_path):
+        rows = [f"hp,RA,203.0.113.5/32,0,{100 * US_PER_S},50,\n",
+                f"hp,DP,203.0.113.7/32,{10 * US_PER_S},{40 * US_PER_S},5,\n",
+                f"hp,RA,203.0.113.99/32,{20 * US_PER_S},{130 * US_PER_S},50,\n",
+                f"hp,RA,203.0.113.9/32,{500 * US_PER_S},{600 * US_PER_S},7,\n"]
+        (tmp_path / "routed.csv").write_text("prefix,asn\n203.0.113.0/24,64500\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n203.0.112.0/22,ripe\n")
+        header = "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+        for name, order in (("sorted", rows), ("reversed", rows[::-1])):
+            (tmp_path / f"{name}.csv").write_text(header + "".join(order))
+            invoke(runner, ["aggregate", "--routed", str(tmp_path / "routed.csv"), "--alloc", str(tmp_path / "alloc.csv"),
+                            "--in", str(tmp_path / f"{name}.csv"), "--out", str(tmp_path / f"agg_{name}.csv")])
+        assert [e.target for e in read_attacks(tmp_path / "agg_sorted.csv")] == [
+            "203.0.113.0/24", "203.0.113.7/32", "203.0.113.9/32"]
+        assert (tmp_path / "agg_reversed.csv").read_bytes() == (tmp_path / "agg_sorted.csv").read_bytes()
+
     def test_missing_table_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["aggregate", "--routed", str(tmp_path / "no.csv"),
                                       "--alloc", str(tmp_path / "no2.csv"),
@@ -462,6 +492,24 @@ class TestOverlapAndConfirm:
         assert lines[2] == "2022-01-10,1,1,2"
         doc = json.loads(attr.read_text())
         assert doc == [{"asn": "AS64500", "tuples": 3, "share": 1.0}]
+
+    @pytest.mark.parametrize("command", ["overlap", "confirm"])
+    def test_more_than_ten_sets_refused_before_reading(self, runner, tmp_path, command):
+        for i in range(11):
+            self.make_targets(tmp_path / f"t{i}.csv", [("2022-01-03", f"10.0.0.{i}")])
+        (tmp_path / "hashes.txt").write_text("0" * 64 + "\n")
+        for files in ([tmp_path / f"t{i}.csv" for i in range(11)], [tmp_path / f"none{i}.csv" for i in range(11)]):
+            sets = [f"s{i}={f}" for i, f in enumerate(files)]
+            if command == "overlap":
+                args, message = ["overlap", "--sets", ",".join(sets), "--upset"], "--upset counts at most 10 sets, got 11"
+            else:
+                args = ["confirm", *(a for s in sets for a in ("--local", s)),
+                        "--external", str(tmp_path / "hashes.txt"), "--salt", "s"]
+                message = "--local takes at most 10 sets, got 11"
+            result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+            assert result.exit_code == 2, result.output
+            assert result.output.strip().splitlines()[-1] == f"Error: {message}"
+            assert not (tmp_path / "out").exists()
 
 
 class TestOptionErrors:

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -118,32 +119,23 @@ class TestDetectHoneypot:
         assert detect_honeypot(packets, preset("newkid")) == []
         assert len(detect_honeypot(packets, preset("newkid-mono"))) == 1
 
-    def test_unsorted_per_sensor_errors(self):
+    def test_unsorted_per_sensor_equals_sorted(self):
         packets = [req(10.0), req(5.0)]
-        with pytest.raises(ValueError, match="not time-ordered"):
-            detect_honeypot(packets, preset("hopscotch"))
+        two = AttackDefinition(key_fields=("src_ip", "dst_ip"), timeout=60.0, pkt_threshold=2)
+        events = detect_honeypot(packets, two)
+        assert [(e.start_ts, e.end_ts, e.packets) for e in events] == [(5 * US_PER_S, 10 * US_PER_S, 2)]
+        assert events == detect_honeypot(sorted(packets, key=lambda p: p.ts), two)
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_order_error_names_first_late_record(self, seed):
-        # reference: the record-by-record scan over per-sensor last timestamps
+    def test_any_order_equals_time_sorted(self, seed):
+        # whole-second timestamps tie often, within a sensor and across sensors
         rng = random.Random(seed)
-        packets = [req(rng.choice([0.0, 1.0, 2.0, 3.0]), sensor=rng.choice(SENSORS))
-                   for _ in range(rng.randint(2, 30))]
-        last: dict = {}
-        expected = None
-        for i, p in enumerate(packets):
-            prev = last.get(p.dst_ip)
-            if prev is not None and p.ts < prev:
-                expected = (f"packets not time-ordered for sensor {p.dst_ip}: "
-                            f"record {i} has ts {p.ts} after ts {prev}")
-                break
-            last[p.dst_ip] = p.ts
-        if expected is None:
-            detect_honeypot(packets, preset("hopscotch"))
-        else:
-            with pytest.raises(ValueError) as exc:
-                detect_honeypot(packets, preset("hopscotch"))
-            assert str(exc.value) == expected
+        drawn = [(rng.choice([0.0, 1.0, 2.0, 3.0]), rng.choice(SENSORS)) for _ in range(rng.randint(2, 30))]
+        packets = [req(t, sensor=s, victim=rng.choice(VICTIMS[:2]), dport=rng.choice([19, 123])) for t, s in drawn]
+        # every preset, and each with a two-packet threshold so that short traces give events
+        for d in [*PRESETS.values(), *(replace(d, pkt_threshold=2) for d in PRESETS.values())]:
+            for rows in (packets, packets[::-1]):
+                assert detect_honeypot(rows, d) == detect_honeypot(sorted(rows, key=lambda p: p.ts), d), d
 
     def test_tied_events_keep_first_appearance_order(self):
         # same victim and start at two sensors: events tie on the sort key and
