@@ -49,9 +49,14 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
     for k in keys:
         k = k[order]
         new_key[1:] |= k[1:] != k[:-1]
+    # row indices, and flow bounds into them, held as int32 while they fit;
+    # indexing by an int32 array costs a cast, so `order` narrows after its
+    # per-key gathers
+    index = np.int32 if len(order) < 2 ** 31 else np.int64
+    order = order.astype(index)
     new_flow = new_key.copy()
     new_flow[1:] |= split(ts[:-1], ts[1:])
-    bounds = np.append(np.flatnonzero(new_flow), len(order))
+    bounds = np.flatnonzero(np.append(new_flow, True)).astype(index)
     start, end = bounds[:-1], bounds[1:]
 
     ok = (end - start >= min_packets) & (ts[end - 1] - ts[start] >= min_duration_us)
@@ -60,7 +65,8 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
     if min_ports is not None:
         ok &= np.diff(distinct(packets.dst_port[order], bounds)[1]) >= min_ports
     # each flow's key's earliest packet, by time and then input position
-    key_first = order[np.flatnonzero(new_key)][np.cumsum(new_key)[start] - 1]
+    opens_key = new_key[start]
+    key_first = order[start[opens_key]][np.cumsum(opens_key, dtype=index) - 1]
     # the attack flows, in the order of their keys' earliest packets
     f = np.flatnonzero(ok)
     f = f[np.lexsort((key_first[f], packets.ts[key_first[f]]))]
@@ -84,10 +90,13 @@ def _peak_window(ts: np.ndarray, bounds: np.ndarray, rate: Rate) -> np.ndarray:
     """Most packets of each flow inside one window of `rate.buckets` slide
     buckets. The busiest window ends in some packet's bucket, so counting
     each packet's trailing window is enough."""
-    bucket = ts // rate.slide_us - ts.min() // rate.slide_us
+    code = ts // rate.slide_us
+    code -= code.min()
     # (flow, bucket) as one sorted code; flows sit far enough apart that a
     # trailing window never reaches back into the previous flow
-    flow = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-    code = flow * (int(bucket.max()) + rate.buckets) + bucket
-    trailing = np.arange(1, len(code) + 1) - np.searchsorted(code, code - (rate.buckets - 1))
-    return np.maximum.reduceat(trailing, bounds[:-1])
+    code += np.repeat(np.arange(len(bounds) - 1, dtype=np.int64) * (int(code.max()) + rate.buckets), np.diff(bounds))
+    # packet i's trailing window holds packets first[i] to i, so -(first[i] - i - 1) of them
+    first = np.searchsorted(code, code - (rate.buckets - 1))
+    del code
+    first -= np.arange(1, len(first) + 1)
+    return -np.minimum.reduceat(first, bounds[:-1])

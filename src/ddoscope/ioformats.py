@@ -77,18 +77,20 @@ def _header(fields) -> str:
 
 
 def _read_columns(path, fields, checks=lambda *columns: ()) -> list:
-    """The columns of a CSV file whose rows follow a fixed grammar.
+    """The kept columns of a CSV file whose rows follow a fixed grammar.
 
     `fields` holds one (column name, stored dtype, parser, *parser
     arguments) per column, where the dtype Ragged stores the parser's
-    Ragged as it is, and `checks(*columns)` one (rule, validity) pair per
-    range check. The header must be the column names; the first row with a
+    Ragged as it is and None checks the column but does not keep it, and
+    `checks(*columns)` one (rule, validity) pair per range check over every
+    column. The header must be the column names; the first row with a
     wrong field count, a field its parser rejects or a broken rule raises
     FormatError naming its line and what it breaks.
     """
+    kept = [i for i, (_, dtype, *_) in enumerate(fields) if dtype is not None]
     with open(path, "rb") as fh:
         lineno = _check_header(_lines(fh, path), _header(fields), path)
-        parts = [[Ragged.from_lists(()) if dtype is Ragged else np.empty(0, dtype) for _, dtype, *_ in fields]]
+        parts = [[] for _ in kept]      # per kept column, its values from each step
         # one buffer for every step: the lines not parsed yet, then _PAD zero bytes
         buf, size = bytearray(_CHUNK_BYTES + _PAD), 0
         while True:
@@ -103,14 +105,31 @@ def _read_columns(path, fields, checks=lambda *columns: ()) -> list:
                     index, failed = bad
                     at, line = next(_lines([bytes(buf[:cut]).split(b"\n")[index]], path, lineno + index + 1))
                     raise FormatError(f"{path}:{at}: {_rejection(line, fields, failed)}")
-                parts.append(columns)
+                for column_parts, i in zip(parts, kept):
+                    column_parts.append(columns[i])
                 lineno += breaks
                 buf[:size - cut], size = buf[cut:size], size - cut
             elif size == len(buf) - _PAD:       # a line longer than the buffer
                 buf = buf + bytes(len(buf))
             if not got:
-                return [Ragged.concat(col) if dtype is Ragged else np.concatenate(col)
-                        for col, (_, dtype, *_) in zip(zip(*parts), fields)]
+                # one column at a time, so only one column is ever held twice
+                return [_joined(parts[k], fields[i][1]) for k, i in enumerate(kept)]
+
+
+def _joined(parts: list, dtype):
+    """The values of `parts` in one column; each part is let go once copied."""
+    if dtype is Ragged:
+        return Ragged.concat(parts) if parts else Ragged.from_lists(())
+    if len(parts) == 1:
+        return parts.pop()
+    # a text column's steps may hold strings of different widths
+    out = np.empty(sum(map(len, parts)), np.result_type(*parts) if parts else dtype)
+    at = 0
+    for k, part in enumerate(parts):
+        parts[k] = None
+        out[at:at + len(part)] = part
+        at += len(part)
+    return out
 
 
 def _write_columns(path, fields, columns) -> None:
@@ -175,7 +194,7 @@ def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[li
         return None, (int(lines[bad[0]]), failed), breaks
     if n < len(lines):
         return None, (int(lines[n]), None), breaks
-    return [col if dtype is Ragged else col.astype(dtype, copy=False)
+    return [col if dtype in (Ragged, None) else col.astype(dtype, copy=False)
             for col, (_, dtype, *_) in zip(columns, fields)], None, breaks
 
 
@@ -368,7 +387,7 @@ _PACKET_FIELDS = (
     ("src_port", np.uint16, _decimal, 5),
     ("dst_ip", np.uint32, _ipv4),
     ("dst_port", np.uint16, _decimal, 5),
-    ("len_bytes", np.int64, _decimal, 9),
+    ("len_bytes", None, _decimal, 9),       # checked, not kept
     ("tcp_flags", np.uint8, _tcp_flags),
 )
 PACKETS_HEADER = _header(_PACKET_FIELDS)
@@ -391,7 +410,8 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     be present and replaces dst_ip as the sensor identity.
 
     Rows must follow the canonical grammar (see README); the first row that
-    does not raises FormatError naming its line.
+    does not raises FormatError naming its line. len_bytes is checked but
+    not kept.
     """
     fields = _PACKET_FIELDS + (((sensor_col, np.uint32, _ipv4),) if sensor_col else ())
     columns = _read_columns(path, fields, _packet_checks)
@@ -400,9 +420,11 @@ def read_packets(path, sensor_col: Optional[str] = None) -> PacketBatch:
     return PacketBatch(*columns)
 
 
-def write_packets(path, packets: PacketBatch) -> None:
-    """Write packets.csv, one row per packet in batch order."""
-    _write_columns(path, _PACKET_FIELDS, packets.columns())
+def write_packets(path, packets: PacketBatch, len_bytes) -> None:
+    """Write packets.csv, one row per packet in batch order, with the
+    packet lengths `len_bytes`: one per row, or one for every row."""
+    *head, flags = packets.columns()
+    _write_columns(path, _PACKET_FIELDS, (*head, np.broadcast_to(len_bytes, (len(packets),)), flags))
 
 
 # -- attacks ----------------------------------------------------------------

@@ -167,9 +167,13 @@ class Ragged:
 def distinct(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distinct `values` (uint32 or narrower) of each run `bounds` cuts them
     into: the values sorted by run then value, and each run's bounds in them."""
-    runs = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64), np.diff(bounds))
-    pairs = np.sort(runs << 32 | values)
-    pairs = pairs[np.diff(pairs, prepend=-1) != 0]
+    pairs = np.repeat(np.arange(len(bounds) - 1, dtype=np.int64) << 32, np.diff(bounds))
+    pairs |= values
+    pairs.sort()
+    # marked with one byte a value, where np.diff would take two int64s
+    first = np.ones(len(pairs), bool)
+    np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
+    pairs = pairs[first]
     return (pairs & 0xFFFFFFFF).astype(values.dtype), np.searchsorted(pairs >> 32, np.arange(len(bounds)))
 
 
@@ -206,8 +210,11 @@ class _Columns:
 
     @classmethod
     def concat(cls, batches: Sequence):
+        """The rows of `batches` in order; a single batch is returned as it is."""
         if not batches:
             return cls.from_rows(())
+        if len(batches) == 1:
+            return batches[0]
         return cls(*(Ragged.concat(cols) if isinstance(cols[0], Ragged) else np.concatenate(cols)
                      for cols in zip(*(b.columns() for b in batches))))
 
@@ -216,7 +223,9 @@ class _Columns:
 class PacketBatch(_Columns):
     """Packets as numpy columns, one row per packet, in input order.
 
-    Addresses are uint32 and `flags` is a bitmask of FLAG_S/A/R/F.
+    Addresses are uint32 and `flags` is a bitmask of FLAG_S/A/R/F. The
+    packet length of packets.csv is checked on reading but not kept: no
+    detector reads it.
     """
 
     ts: np.ndarray          # microseconds since Unix epoch
@@ -225,11 +234,10 @@ class PacketBatch(_Columns):
     src_port: np.ndarray
     dst: np.ndarray         # the sensor
     dst_port: np.ndarray
-    len_bytes: np.ndarray
     flags: np.ndarray
 
     DTYPES = {"ts": np.int64, "protocol": np.uint8, "src": np.uint32, "src_port": np.uint16,
-              "dst": np.uint32, "dst_port": np.uint16, "len_bytes": np.int64, "flags": np.uint8}
+              "dst": np.uint32, "dst_port": np.uint16, "flags": np.uint8}
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,10 +6,13 @@ The CLI's commands run the stage functions and config kinds defined here,
 so a step run alone gives the bytes of the matching bundle file.
 
 Each packet file is parsed at most once per run. Detection looks packets
-up in one map from (resolved path, sensor column) to PacketBatch that
-lives only as long as the detect stage: synth fills it with the packets
-it wrote, and the first observatory to read any other file adds it, so
-observatories that share an input share one parse.
+up in one map from (resolved path, sensor column) to PacketBatch: synth
+fills it with the packets it wrote, and the first observatory to read any
+other file adds it, so observatories that share an input share one parse.
+A file's entry is dropped as soon as the last observatory that reads it
+has gathered its packets, and a telescope's unfiltered packets as soon as
+the backscatter prefilter has taken its copy, so a parse is held no
+longer than detection needs it.
 
 The bundle is deterministic: identical config and inputs produce
 byte-identical files, and manifest.json records the config hash, seed,
@@ -368,37 +371,54 @@ def _expand_inputs(o: ObservatoryConfig) -> list[str]:
     return list(paths.values())
 
 
-def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None) -> EventBatch:
-    """Attack events of one observatory from its input files (globs allowed).
+def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None, paths: Optional[list[str]] = None,
+                       last: frozenset = frozenset()) -> EventBatch:
+    """Attack events of one observatory from its input files (globs allowed),
+    or from `paths` when its inputs are already expanded.
 
     `parsed` maps (resolved path, sensor_col) to the PacketBatch of a packet
     file; a file missing from it is read and added, so observatories that
-    share a map parse a shared file once."""
+    share a map parse a shared file once. The keys in `last`, files no
+    later observatory reads, are dropped from it once gathered."""
     parsed = {} if parsed is None else parsed
-    paths = _expand_inputs(o)
+    paths = _expand_inputs(o) if paths is None else paths
     if o.type == "flow":
         return EventBatch.concat([classify_flow(read_flows(p), o.settings["ampl_ports"], observatory=o.name)
                                   for p in paths])
-    packets = PacketBatch.concat([_packets(p, o.settings.get("sensor_col"), parsed) for p in paths])
+    packets = PacketBatch.concat([_packets(key, parsed) for key in _packet_keys(o, paths)])
+    for key in last:
+        del parsed[key]
     if o.type == "telescope":
         tcfg = o.settings["telescope"]
+        # rebinding frees the unfiltered rows before detection, unless a later observatory reads them
         packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
         return detect_rsdos(packets, tcfg, observatory=o.name)
     events = detect_honeypot(packets, o.settings["definition"], observatory=o.name)
     return aggregate_sensors(events, o.settings["merge_gap"])
 
 
-def _packets(path: str, sensor_col: Optional[str], parsed: dict) -> PacketBatch:
-    key = (Path(path).resolve(), sensor_col)
+def _packet_keys(o: ObservatoryConfig, paths: list[str]) -> list[tuple]:
+    """The `parsed` key of each packet file of `o`."""
+    return [(Path(p).resolve(), o.settings.get("sensor_col")) for p in paths]
+
+
+def _packets(key: tuple, parsed: dict) -> PacketBatch:
     if key not in parsed:
+        path, sensor_col = key
         parsed[key] = read_packets(path, sensor_col=sensor_col)
     return parsed[key]
 
 
 def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, EventBatch]:
     """Detection over every observatory; `parsed` starts with the packets
-    synth wrote and gains each packet file as it is first read."""
-    results = {o.name: detect_observatory(o, parsed) for o in cfg.observatories}
+    synth wrote, gains each packet file as it is first read and loses it
+    once its last reader has gathered it."""
+    paths = {o.name: _expand_inputs(o) for o in cfg.observatories}
+    # the last observatory to read each packet file
+    reader = {key: o.name for o in cfg.observatories if o.type != "flow" for key in _packet_keys(o, paths[o.name])}
+    results = {o.name: detect_observatory(o, parsed, paths[o.name],
+                                          frozenset(key for key, name in reader.items() if name == o.name))
+               for o in cfg.observatories}
     for o in cfg.observatories:
         write_attacks(_path(root, f"attacks_{o.name}.csv"), results[o.name])
     return results
@@ -535,7 +555,7 @@ def _stage_overlap(cfg, root, events) -> dict[str, np.ndarray]:
 def _sha256(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
+        for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
 
@@ -545,10 +565,11 @@ def _json_default(value):
     return dataclasses.asdict(value) if dataclasses.is_dataclass(value) else sorted(value)
 
 
-def _config_digest(cfg: PipelineConfig) -> str:
+def _config_digest(cfg: PipelineConfig, hashes: Optional[dict[Path, str]] = None) -> str:
     """sha256 of everything that shapes the bundle: every setting after
-    defaults, and the contents of every input file."""
-    hashes: dict[Path, str] = {}    # by resolved path, as observatories may share files
+    defaults, and the contents of every input file. `hashes` holds the
+    sha256 of files already hashed, by resolved path, and gains the rest."""
+    hashes = {} if hashes is None else hashes    # by resolved path, as observatories may share files
 
     def file_digest(path) -> Optional[dict]:
         if path is None:
@@ -579,11 +600,12 @@ def _config_digest(cfg: PipelineConfig) -> str:
 
 def _write_manifest(cfg: PipelineConfig, root: Path, seed: Optional[int]) -> None:
     """manifest.json: the sha256 of every file under `root`."""
-    files = {p.relative_to(root).as_posix(): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
+    hashes = {p.resolve(): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
+    files = {p.relative_to(root.resolve()).as_posix(): digest for p, digest in hashes.items()}
     write_json(
         root / "manifest.json",
         {
-            "config_sha256": _config_digest(cfg),
+            "config_sha256": _config_digest(cfg, hashes),    # a scenario's inputs are under `root`
             "seed": seed,
             "version": __version__,
             "files": files,

@@ -48,6 +48,9 @@ DEFAULT_REFLECTION_PORTS = (123,)
 # flows.csv holds a bitrate_bps up to ioformats.MAX_BITRATE_BPS.
 MAX_PACKET_BYTES = 999_999_999
 MAX_DURATION_S = MAX_TS_US // US_PER_S
+# The most packet rows a scenario may plan, so that a spec too large to
+# generate is refused before any draw instead of exhausting memory
+MAX_PACKET_ROWS = 10_000_000
 
 # Flow-summary source counts are modeled, not measured: uniform spoofing
 # makes nearly every packet a fresh source; a non-spoofed flood comes from
@@ -95,6 +98,16 @@ class AttackSpec:
         parse_prefix(self.victim)  # validates
         object.__setattr__(self, "ports", tuple(self.ports))
 
+    def planned_rows(self, n_addresses: int) -> float:
+        """The packet rows it is expected to emit with a telescope of
+        `n_addresses`: a reflection's requests, or the share of an rsdos
+        attack's packets that lands on the telescope."""
+        if self.type == "reflection":
+            return round(self.rate_pps * self.duration_s)
+        if self.type == "rsdos":
+            return round(self.rate_pps * self.duration_s) * n_addresses / ADDRESS_SPACE
+        return 0
+
     @property
     def bitrate_bps(self) -> float:
         """Its flow summary's bitrate; only a reflection's bytes are amplified."""
@@ -141,6 +154,10 @@ class ScenarioSpec:
                     f"attack on {a.victim} wants {a.reflector_subset} sensors, "
                     f"only {len(self.honeypot_sensors)} exist"
                 )
+        rows = sum(a.planned_rows(self.telescope_addresses) for a in self.attacks)
+        if rows > MAX_PACKET_ROWS:
+            raise ValueError(f"the attacks plan {rows:.4g} packet rows, above the {MAX_PACKET_ROWS} "
+                             "a scenario may hold")
 
     @classmethod
     def from_json(cls, doc: dict) -> "ScenarioSpec":
@@ -159,6 +176,9 @@ class ScenarioSpec:
 class GeneratedScenario:
     telescope_packets: PacketBatch
     honeypot_packets: dict[str, PacketBatch]  # sensor IP -> packets
+    # the packet length of each row, which packets.csv holds and a PacketBatch does not
+    telescope_lengths: np.ndarray
+    honeypot_lengths: dict[str, np.ndarray]   # sensor IP -> lengths
     flows: FlowBatch
     ground_truth: dict
 
@@ -172,6 +192,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     per-attack ground truth. Deterministic given (spec, seed)."""
     telescope: list[PacketBatch] = []
     honeypot: list[PacketBatch] = []   # every sensor's rows; dst is the sensor
+    lengths: dict[str, list] = {"rsdos": [], "reflection": []}     # each batch's packet lengths
     flows: list[tuple] = []             # one FlowBatch row per attack
     truth_attacks: list[dict] = []
     sample_prob = spec.telescope_addresses / ADDRESS_SPACE
@@ -195,6 +216,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         if atk.type == "rsdos":
             batch = _emit_rsdos(atk, rng, spec.telescope_addresses)
             telescope.append(batch)
+            lengths["rsdos"].append(np.broadcast_to(np.int32(atk.packet_bytes), len(batch)))
             entry["telescope"] = {
                 "sample_probability": sample_prob,
                 "expected_packets": total_pkts * sample_prob,
@@ -205,6 +227,7 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         elif atk.type == "reflection":
             batch, sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors)
             honeypot.append(batch)
+            lengths["reflection"].append(np.broadcast_to(np.int32(atk.packet_bytes), len(batch)))
             entry["honeypot"] = {
                 "sensors": sensors_hit,
                 "packets_per_sensor": per_sensor,
@@ -224,7 +247,12 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     flow_rows = FlowBatch.from_rows(flows)
     for entry, ra, dp in zip(truth_attacks, *attack_masks(flow_rows)):
         entry["flow"]["classification"] = "RA" if ra else "DP" if dp else None
-    honeypot_rows = _sorted(PacketBatch.concat(honeypot))
+    telescope_rows, telescope_lengths = _sorted(telescope, lengths["rsdos"])
+    # by sensor first, so each sensor's rows are one slice, in the order of the others
+    honeypot_rows, honeypot_lengths = _sorted(honeypot, lengths["reflection"], by_dst=True)
+    ips = [ip_to_int(ip) for ip in spec.honeypot_sensors]
+    sensor_rows = {ip: slice(lo, hi) for ip, lo, hi in zip(spec.honeypot_sensors, *(
+        np.searchsorted(honeypot_rows.dst, ips, side).tolist() for side in ("left", "right")))}
     ground_truth = {
         "seed": spec.seed,
         "duration_s": spec.duration_s,
@@ -236,20 +264,25 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         "attacks": truth_attacks,
     }
     return GeneratedScenario(
-        telescope_packets=_sorted(PacketBatch.concat(telescope)),
-        honeypot_packets={ip: honeypot_rows.take(honeypot_rows.dst == ip_to_int(ip))
-                          for ip in spec.honeypot_sensors},
+        telescope_packets=telescope_rows,
+        honeypot_packets={ip: honeypot_rows.take(rows) for ip, rows in sensor_rows.items()},
+        telescope_lengths=telescope_lengths,
+        honeypot_lengths={ip: honeypot_lengths[rows] for ip, rows in sensor_rows.items()},
         flows=flow_rows.take(np.lexsort((flow_rows.target, flow_rows.start_ts))),
         ground_truth=ground_truth,
     )
 
 
-def _sorted(batch: PacketBatch) -> PacketBatch:
-    """Rows in (ts, src, dst, src_port, dst_port, protocol, len_bytes, flags)
-    order: a total order on row contents, so it does not depend on the order
-    of the attacks."""
-    return batch.take(np.lexsort((batch.flags, batch.len_bytes, batch.protocol, batch.dst_port,
-                                  batch.src_port, batch.dst, batch.src, batch.ts)))
+def _sorted(batches: list[PacketBatch], lengths: list[np.ndarray],
+            by_dst: bool = False) -> tuple[PacketBatch, np.ndarray]:
+    """The rows of `batches` and their `lengths` in (ts, src, dst, src_port,
+    dst_port, protocol, length, flags) order, first by dst if `by_dst`: a
+    total order on row contents, so it does not depend on the order of the
+    attacks."""
+    batch, length = PacketBatch.concat(batches), np.concatenate([np.empty(0, np.int32), *lengths])
+    order = np.lexsort((batch.flags, length, batch.protocol, batch.dst_port,
+                        batch.src_port, batch.dst, batch.src, batch.ts) + ((batch.dst,) if by_dst else ()))
+    return batch.take(order), length[order]
 
 
 def _seconds(start_s: float, until: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -261,9 +294,9 @@ def _seconds(start_s: float, until: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return base, width
 
 
-def _batch(n: int, ts, protocol, src, src_port, dst, dst_port, len_bytes, flags) -> PacketBatch:
+def _batch(n: int, ts, protocol, src, src_port, dst, dst_port, flags) -> PacketBatch:
     """A PacketBatch of `n` rows; scalar arguments fill their whole column."""
-    values = (ts, protocol, src, src_port, dst, dst_port, len_bytes, flags)
+    values = (ts, protocol, src, src_port, dst, dst_port, flags)
     return PacketBatch(*(np.broadcast_to(np.asarray(v).astype(dtype, copy=False), (n,))
                          for v, dtype in zip(values, PacketBatch.DTYPES.values())))
 
@@ -292,8 +325,7 @@ def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int) -> PacketBatch:
     dst = TELESCOPE_BASE + rng.integers(0, n_addresses, n)
     if n and dst.max() > 0xFFFFFFFF:
         raise ValueError(f"IPv4 int out of range: {int(dst.max())}")
-    return _batch(n, ts, 6, src, 80, dst, rng.integers(1024, 65536, n),
-                  atk.packet_bytes, FLAG_S | FLAG_A)
+    return _batch(n, ts, 6, src, 80, dst, rng.integers(1024, 65536, n), FLAG_S | FLAG_A)
 
 
 def _emit_reflection(
@@ -317,7 +349,7 @@ def _emit_reflection(
     dst = np.repeat([ip_to_int(s) for s in chosen], per_sensor)
     ports = np.array(atk.ports)
     dst_port = np.tile(ports[np.arange(per_sensor) % len(ports)], len(chosen))
-    return _batch(n, ts, 17, src, src_port, dst, dst_port, atk.packet_bytes, 0), chosen, per_sensor
+    return _batch(n, ts, 17, src, src_port, dst, dst_port, 0), chosen, per_sensor
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +366,12 @@ def write_scenario(generated: GeneratedScenario, out_dir) -> dict[Path, object]:
     order, with what was written to it."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = [(out_dir / "telescope.csv", write_packets, generated.telescope_packets)]
-    files += [(out_dir / sensor_filename(sensor), write_packets, generated.honeypot_packets[sensor])
+    files = [(out_dir / "telescope.csv", write_packets, generated.telescope_packets, generated.telescope_lengths)]
+    files += [(out_dir / sensor_filename(sensor), write_packets, generated.honeypot_packets[sensor],
+               generated.honeypot_lengths[sensor])
               for sensor in sorted(generated.honeypot_packets, key=ip_to_int)]
     files += [(out_dir / "flows.csv", write_flows, generated.flows),
               (out_dir / "ground_truth.json", write_json, generated.ground_truth)]
-    for path, write, content in files:
-        write(path, content)
-    return {path: content for path, _, content in files}
+    for path, write, content, *lengths in files:
+        write(path, content, *lengths)
+    return {path: content for path, _, content, *_ in files}

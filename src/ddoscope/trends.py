@@ -120,7 +120,10 @@ def normalize(series: WeeklySeries, baseline_weeks: int = 15) -> WeeklySeries:
             f"series has {len(baseline)} non-null values; "
             f"need {baseline_weeks} for the baseline"
         )
-    median = float(np.median(baseline))
+    # the middle value, or the mean of the middle two as np.median takes it,
+    # without the numpy.ma import np.median's first call makes
+    ranked, half = sorted(baseline), len(baseline) // 2
+    median = float(ranked[half] if len(ranked) % 2 else (ranked[half - 1] + ranked[half]) / 2)
     if median == 0:
         raise ValueError("baseline median is zero; series cannot be normalized")
     return series.with_values(

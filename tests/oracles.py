@@ -149,22 +149,29 @@ class PacketRecord:
 
 
 def as_batch(packets) -> PacketBatch:
-    """`packets` itself if it is a PacketBatch, else its PacketRecords as one."""
+    """`packets` itself if it is a PacketBatch, else its PacketRecords as one,
+    which keeps all but their lengths (see `lengths`)."""
     if isinstance(packets, PacketBatch):
         return packets
     return PacketBatch.from_rows([
         (p.ts, p.protocol, ip_to_int(p.src_ip), p.src_port, ip_to_int(p.dst_ip),
-         p.dst_port, p.len_bytes, FLAG_STRINGS.index(p.tcp_flags))
+         p.dst_port, FLAG_STRINGS.index(p.tcp_flags))
         for p in packets
     ])
 
 
-def batch_to_records(batch: PacketBatch) -> list:
-    """The PacketRecord of each row, in row order."""
+def lengths(packets) -> list:
+    """The len_bytes of each PacketRecord, which a PacketBatch does not hold."""
+    return [p.len_bytes for p in packets]
+
+
+def batch_to_records(batch: PacketBatch, len_bytes) -> list:
+    """The PacketRecord of each row, in row order, with the lengths
+    `len_bytes`: one per row, or one for every row."""
+    per_row = [len_bytes] * len(batch) if isinstance(len_bytes, int) else [int(n) for n in len_bytes]
     return [
         PacketRecord(ts, proto, int_to_ip(src), sport, int_to_ip(dst), dport, length, FLAG_STRINGS[flags])
-        for ts, proto, src, sport, dst, dport, length, flags in zip(
-            *(col.tolist() for col in batch.columns()))
+        for ts, proto, src, sport, dst, dport, flags, length in zip(*(col.tolist() for col in batch.columns()), per_row)
     ]
 
 
@@ -233,10 +240,10 @@ def oracle_ipv4(text: str) -> Optional[int]:
 
 # -- CSV text of whole files, each built row by row in one join ----------------
 
-def packets_csv(batch: PacketBatch) -> str:
+def packets_csv(batch: PacketBatch, len_bytes) -> str:
     return "".join([PACKETS_HEADER + "\n"] + [
         f"{p.ts},{p.protocol},{p.src_ip},{p.src_port},{p.dst_ip},{p.dst_port},{p.len_bytes},{p.tcp_flags}\n"
-        for p in batch_to_records(batch)])
+        for p in batch_to_records(batch, len_bytes)])
 
 
 def attacks_csv(batch: EventBatch) -> str:

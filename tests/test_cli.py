@@ -1307,7 +1307,11 @@ class TestParseOnce:
          "duration_s 3e+11 ends the scenario past 9999-12-31T23:59:59"),
         (lambda doc: doc["attacks"][0].update(victim="172.16.0.0/016"),
          "bad prefix length in '172.16.0.0/016'"),
-    ], ids=["packet_bytes", "duration_s", "victim"])
+        # refused before any draw, where generating it would exhaust memory
+        (lambda doc: doc["attacks"].append({"type": "reflection", "victim": "203.0.113.77", "start_s": 0,
+                                            "duration_s": 1, "rate_pps": 1.25e8, "reflector_subset": 1}),
+         "the attacks plan 1.25e+08 packet rows, above the 10000000 a scenario may hold"),
+    ], ids=["packet_bytes", "duration_s", "victim", "packet_rows"])
     def test_spec_packets_csv_cannot_hold_is_a_synth_error(self, runner, tmp_path, edit, message):
         cfg = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
         doc = json.loads((tmp_path / "scenario.json").read_text())

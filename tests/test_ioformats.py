@@ -34,7 +34,7 @@ from datetime import date
 
 from conftest import table_rows
 from oracles import (
-    AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch,
+    AttackEvent, PacketRecord, as_batch, attacks_csv, batch_to_events, batch_to_records, events_to_batch, lengths,
     flows_csv, oracle_decimal, oracle_ipv4, oracle_read_attacks, oracle_read_hashed_targets, oracle_read_table,
     oracle_read_targets, packets_csv, targets_csv, write_hashed_targets,
 )
@@ -49,11 +49,11 @@ class TestPackets:
     def test_round_trip(self, tmp_path):
         p = tmp_path / "packets.csv"
         p.write_text(PACKETS)
-        records = batch_to_records(read_packets(p))
+        records = batch_to_records(read_packets(p), [110, 64])
         assert len(records) == 2
         assert records[0].tcp_flags == "SA"
         out = tmp_path / "out.csv"
-        write_packets(out, as_batch(records))
+        write_packets(out, as_batch(records), lengths(records))
         assert out.read_text() == PACKETS
 
     def test_header_must_be_exact(self, tmp_path):
@@ -83,7 +83,7 @@ class TestPackets:
             "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags,sensor\n"
             "1,17,203.0.113.5,53,10.0.0.1,53,60,,192.0.2.9\n"
         )
-        records = batch_to_records(read_packets(p, sensor_col="sensor"))
+        records = batch_to_records(read_packets(p, sensor_col="sensor"), 60)
         assert records[0].dst_ip == "192.0.2.9"
 
 
@@ -215,7 +215,7 @@ class TestTargets:
 # -- packets.csv grammar: properties and chunk boundaries ----------------------
 
 HEADER = "ts_us,protocol,src_ip,src_port,dst_ip,dst_port,len_bytes,tcp_flags"
-COLUMNS = ("ts", "protocol", "src", "src_port", "dst", "dst_port", "len_bytes", "flags")
+COLUMNS = ("ts", "protocol", "src", "src_port", "dst", "dst_port", "flags")
 
 
 def row_text(p: PacketRecord) -> str:
@@ -310,7 +310,7 @@ class TestPacketGrammar:
         path = tmp_path_factory.mktemp("valid") / "packets.csv"
         _write(path, lines, crlf)
         with mock.patch.object(ioformats, "_CHUNK_BYTES", chunk):
-            assert batch_to_records(read_packets(path)) == rows
+            assert batch_to_records(read_packets(path), lengths(rows)) == rows
 
     @settings(max_examples=300, deadline=None)
     @given(rows=st.lists(packet_records(), min_size=1, max_size=12), data=st.data(),
@@ -452,22 +452,22 @@ class TestPacketChunks:
     def test_multi_chunk_file_equals_small_files(self, tmp_path):
         rows = _big_rows(self.N)
         big = tmp_path / "big.csv"
-        write_packets(big, as_batch(rows))
+        write_packets(big, as_batch(rows), lengths(rows))
         assert big.stat().st_size > 2 * ioformats._CHUNK_BYTES
-        assert big.read_text() == packets_csv(as_batch(rows))
+        assert big.read_text() == packets_csv(as_batch(rows), lengths(rows))
         # parts of every size around a write step, then the rest
         cuts = np.cumsum([0, *WRITE_STEP_ROWS, self.N - sum(WRITE_STEP_ROWS)])
         parts = []
         for lo, hi in zip(cuts, cuts[1:]):
             part = tmp_path / f"part{lo}.csv"
-            write_packets(part, as_batch(rows[lo:hi]))
-            assert part.read_text() == packets_csv(as_batch(rows[lo:hi]))
+            write_packets(part, as_batch(rows[lo:hi]), lengths(rows[lo:hi]))
+            assert part.read_text() == packets_csv(as_batch(rows[lo:hi]), lengths(rows[lo:hi]))
             parts.append(read_packets(part))
         whole, joined = read_packets(big), PacketBatch.concat(parts)
         for name in COLUMNS:
             a, b = getattr(whole, name), getattr(joined, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        assert batch_to_records(whole) == rows
+        assert batch_to_records(whole, lengths(rows)) == rows
 
     def test_bad_row_in_later_chunk_reports_true_line(self, tmp_path):
         lines = [row_text(p) for p in _big_rows(self.N)]
@@ -485,7 +485,7 @@ class TestPacketChunks:
         path = tmp_path / "packets.csv"
         path.write_text(HEADER + "\n")
         batch = read_packets(path)
-        assert len(batch) == 0 and batch_to_records(batch) == []
+        assert len(batch) == 0 and batch_to_records(batch, ()) == []
         assert {getattr(batch, c).dtype for c in ("src", "dst")} == {np.dtype(np.uint32)}
 
     def test_empty_file_rejected(self, tmp_path):
@@ -1031,8 +1031,11 @@ def _packet_batch(n: int, seed: int = 0) -> PacketBatch:
     protocol = rng.choice(np.array([6, 17, 1], np.uint8), n)
     ports = lambda: np.where(protocol == 1, 0, rng.integers(0, 65536, n)).astype(np.uint16)
     return PacketBatch(np.sort(rng.integers(0, MAX_TS_US, n)), protocol, rng.integers(0, 2 ** 32, n, np.uint32),
-                       ports(), rng.integers(0, 2 ** 32, n, np.uint32), ports(), rng.integers(20, 1500, n),
-                       rng.integers(0, 16, n).astype(np.uint8))
+                       ports(), rng.integers(0, 2 ** 32, n, np.uint32), ports(), rng.integers(0, 16, n).astype(np.uint8))
+
+
+def _packet_lengths(batch: PacketBatch) -> np.ndarray:
+    return 20 + np.arange(len(batch)) % 1480
 
 
 def _event_batch(n: int, seed: int = 0) -> EventBatch:
@@ -1069,7 +1072,8 @@ def _target_keys(n: int, seed: int = 0) -> np.ndarray:
 
 # per writer: (write, read, synthetic rows, one-join reference text)
 WRITERS = {
-    "packets": (write_packets, read_packets, _packet_batch, packets_csv),
+    "packets": (lambda path, batch: write_packets(path, batch, _packet_lengths(batch)), read_packets, _packet_batch,
+                lambda batch: packets_csv(batch, _packet_lengths(batch))),
     "attacks": (write_attacks, read_attacks, _event_batch, attacks_csv),
     "flows": (write_flows, read_flows, _flow_batch, flows_csv),
     "targets": (write_targets, read_targets, _target_keys, targets_csv),

@@ -12,6 +12,7 @@ from ddoscope.schema import ConfigError
 from ddoscope.synth import (
     MAX_DURATION_S,
     MAX_PACKET_BYTES,
+    MAX_PACKET_ROWS,
     TELESCOPE_BASE,
     AttackSpec,
     ScenarioSpec,
@@ -72,6 +73,17 @@ class TestScenarioValidation:
         # an out-of-range port would wrap silently in the uint16 column
         with pytest.raises(ValueError, match="ports"):
             reflection(ports=ports)
+
+    def test_planned_packet_rows_are_bounded(self):
+        # 1e8 attack packets of which a 2**22-address telescope sees one in 1024
+        # (97 656.25 rows), and a reflection's requests, each counted as planned
+        at_bound = MAX_PACKET_ROWS - 97_657
+        assert scenario([rsdos(rate=1e8 / 300), reflection(rate=at_bound / 600)])
+        with pytest.raises(ValueError, match="^the attacks plan 1e[+]07 packet rows, above the 10000000 "
+                                             "a scenario may hold$"):
+            scenario([rsdos(rate=1e8 / 300), reflection(rate=(at_bound + 1) / 600)])
+        with pytest.raises(ValueError, match="^the attacks plan 7.5e[+]07 packet rows"):
+            scenario([rsdos(rate=1e8 / 300)], n_addresses=2 ** 32 - 2 ** 30)
 
     def test_packet_bytes_fit_packets_csv(self):
         assert rsdos(packet_bytes=MAX_PACKET_BYTES).packet_bytes == 999_999_999
@@ -187,7 +199,8 @@ class TestDeterminism:
         # adding a second attack must not perturb the first one's packets
         one = generate(scenario([rsdos()]))
         two = generate(scenario([rsdos(), reflection(start=1000, victim="203.0.113.99")]))
-        assert batch_to_records(one.telescope_packets) == batch_to_records(two.telescope_packets)
+        assert batch_to_records(one.telescope_packets, one.telescope_lengths) == \
+            batch_to_records(two.telescope_packets, two.telescope_lengths)
 
 
 class TestTelescopeSampling:

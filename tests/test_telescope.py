@@ -17,8 +17,9 @@ def detect_rsdos(packets, cfg):
 
 
 def backscatter_prefilter(packets, mode="default"):
-    """backscatter_prefilter over PacketRecords, as PacketRecords."""
-    return batch_to_records(telescope.backscatter_prefilter(as_batch(packets), mode))
+    """backscatter_prefilter over PacketRecords of one length, as PacketRecords."""
+    length, = {p.len_bytes for p in packets}
+    return batch_to_records(telescope.backscatter_prefilter(as_batch(packets), mode), length)
 
 CFG = TelescopeConfig(n_addresses=2 ** 22)
 # a flow of two packets a microsecond apart is an attack
