@@ -16,6 +16,9 @@ import numpy as np
 
 from .model import EventBatch, PacketBatch, Ragged, distinct, prefix_mask
 
+# Rows `_peak_window` takes in one step
+_WINDOW_ROWS = 1 << 14
+
 
 class Rate(NamedTuple):
     """`packets` packets inside `buckets` consecutive slide buckets of
@@ -49,6 +52,7 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
     for k in keys:
         k = k[order]
         new_key[1:] |= k[1:] != k[:-1]
+        del k
     # row indices, and flow bounds into them, held as int32 while they fit;
     # indexing by an int32 array costs a cast, so `order` narrows after its
     # per-key gathers
@@ -59,17 +63,26 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
     bounds = np.flatnonzero(np.append(new_flow, True)).astype(index)
     start, end = bounds[:-1], bounds[1:]
 
-    ok = (end - start >= min_packets) & (ts[end - 1] - ts[start] >= min_duration_us)
+    # each flow's last and first timestamps, picked by boolean masks, which
+    # index without the int64 copy of an int32 index array; a flow's last
+    # row is the one before the next flow's first, or the last row
+    duration = ts[np.roll(new_flow, -1)]
+    duration -= ts[new_flow]
+    ok = (end - start >= min_packets) & (duration >= min_duration_us)
+    del duration
     if rate is not None and len(ts):
         ok &= _peak_window(ts, bounds, rate) >= rate.packets
     if min_ports is not None:
         ok &= np.diff(distinct(packets.dst_port[order], bounds)[1]) >= min_ports
-    # each flow's key's earliest packet, by time and then input position
-    opens_key = new_key[start]
-    key_first = order[start[opens_key]][np.cumsum(opens_key, dtype=index) - 1]
-    # the attack flows, in the order of their keys' earliest packets
     f = np.flatnonzero(ok)
-    f = f[np.lexsort((key_first[f], packets.ts[key_first[f]]))]
+    del ok
+    # each attack flow's key's earliest packet, by time and then input
+    # position: the first packet of the last flow up to it that opens a key
+    opens = np.flatnonzero(new_key[new_flow])
+    key_first = order[start[opens[np.searchsorted(opens, f, "right") - 1]]]
+    del opens
+    # the attack flows, in the order of their keys' earliest packets
+    f = f[np.lexsort((key_first, packets.ts[key_first]))]
     # the per-flow unions below take memory in proportion to the packets,
     # so the grouping's per-packet temporaries are freed first
     del ts, new_key, new_flow
@@ -89,14 +102,23 @@ def detect(packets: PacketBatch, keys: Sequence[np.ndarray], split: Callable[[np
 def _peak_window(ts: np.ndarray, bounds: np.ndarray, rate: Rate) -> np.ndarray:
     """Most packets of each flow inside one window of `rate.buckets` slide
     buckets. The busiest window ends in some packet's bucket, so counting
-    each packet's trailing window is enough."""
-    code = ts // rate.slide_us
-    code -= code.min()
-    # (flow, bucket) as one sorted code; flows sit far enough apart that a
-    # trailing window never reaches back into the previous flow
-    code += np.repeat(np.arange(len(bounds) - 1, dtype=np.int64) * (int(code.max()) + rate.buckets), np.diff(bounds))
-    # packet i's trailing window holds packets first[i] to i, so -(first[i] - i - 1) of them
-    first = np.searchsorted(code, code - (rate.buckets - 1))
-    del code
-    first -= np.arange(1, len(first) + 1)
-    return -np.minimum.reduceat(first, bounds[:-1])
+    each packet's trailing window is enough. Whole flows are taken about
+    _WINDOW_ROWS rows at a time, so the per-row temporaries stay that small."""
+    peaks = np.empty(len(bounds) - 1, np.int64)
+    # each step starts at the flow that holds row 0, _WINDOW_ROWS, 2 * _WINDOW_ROWS, ...
+    holders = np.searchsorted(bounds, np.arange(0, bounds[-1], _WINDOW_ROWS), "right") - 1
+    steps = list(dict.fromkeys(holders.tolist()))
+    for a, b in zip(steps, steps[1:] + [len(bounds) - 1]):
+        lo = bounds[a]
+        code = ts[lo:bounds[b]] // rate.slide_us
+        code -= code.min()
+        # (flow, bucket) as one sorted code; flows sit far enough apart that a
+        # trailing window never reaches back into the previous flow
+        width = int(code.max()) + rate.buckets
+        code += np.repeat(np.arange(0, (b - a) * width, width, dtype=np.int64), np.diff(bounds[a:b + 1]))
+        # packet i's trailing window holds packets first[i] to i, so -(first[i] - i - 1) of them
+        first = np.searchsorted(code, code - (rate.buckets - 1))
+        del code
+        first -= np.arange(1, len(first) + 1)
+        peaks[a:b] = -np.minimum.reduceat(first, bounds[a:b] - lo)
+    return peaks

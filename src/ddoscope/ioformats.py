@@ -59,8 +59,9 @@ def _check_header(lines, expected: str, path) -> int:
 # Bytes read per parsing step; a step always ends at a line break, so a row
 # is never split between two steps.
 _CHUNK_BYTES = 1 << 18
-# Rows spelled per writing step, so a writer's memory does not grow with its file
-_WRITE_ROWS = 2048
+# Rows spelled per writing step, so a writer's memory does not grow with its
+# file: a step's cells and lines take about 0.5 kB a row
+_WRITE_ROWS = 512
 # Field parsers read from 18 bytes before a field's start to 17 past it, or
 # to its end; the zero bytes after the data keep those reads, wrapped or not,
 # in bounds, and past the file's last line they are no digit or dot.
@@ -138,10 +139,12 @@ def _write_columns(path, fields, columns) -> None:
     Text its parser would reject raises ValueError, and nothing is written."""
     for (name, _, parse, *_), col in zip(fields, columns):
         if parse is _text:
-            for value in dict.fromkeys(col.tolist()):
-                if any(ch in value for ch in ',"\n'):
-                    raise ValueError(f"{name} {value!r} holds a comma, a double quote or a line feed; "
-                                     f"{path} could not be read back")
+            # a step at a time, as a str array's values are new objects in a list
+            for lo in range(0, len(col), _WRITE_ROWS):
+                for value in dict.fromkeys(col[lo:lo + _WRITE_ROWS].tolist()):
+                    if any(ch in value for ch in ',"\n'):
+                        raise ValueError(f"{name} {value!r} holds a comma, a double quote or a line feed; "
+                                         f"{path} could not be read back")
     row = ",".join(["%s"] * len(fields)) + "\n"
     with open(path, "w", newline="") as fh:
         fh.write(_header(fields) + "\n")
@@ -149,6 +152,7 @@ def _write_columns(path, fields, columns) -> None:
             cells = [_FIELD_KINDS[parse][1](col[lo:lo + _WRITE_ROWS], *args)
                      for (_, _, parse, *args), col in zip(fields, columns)]
             fh.write("".join(map(row.__mod__, zip(*cells))))
+            del cells       # before the next step's are spelled
 
 
 def _parse_rows(buf: np.ndarray, size: int, fields, checks) -> tuple[Optional[list], Optional[tuple], int]:
@@ -346,9 +350,11 @@ def _prefixes(col: np.ndarray) -> list[str]:
 
 def _address_lists(col: Ragged) -> list[str]:
     quads, bounds = dotted_quads(col.values), col.bounds.tolist()
-    return [";".join(quads[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return [";".join(quads[a:b]) if a < b else "" for a, b in zip(bounds, bounds[1:])]
 
 
+# The text of each flags bitmask and each attack type code, looked up a column at a time
+_NAMED_FLAGS, _NAMED_TYPES = np.array(FLAG_STRINGS, object), np.array(ATTACK_TYPES, object)
 # By a column's parser: what a field must be, where {i} stands for the
 # parser's argument i, and the cells that write a column of the parser's
 # values so that it reads them back, given the column and those arguments
@@ -358,10 +364,10 @@ _FIELD_KINDS = {
              lambda col, width, places: list(map(f"%.{places}f".__mod__, col.tolist()))),
     _ipv4: ("an IPv4 dotted-quad", dotted_quads),
     _tcp_flags: ("a sequence of the TCP flag letters S, A, R, F",
-                 lambda col: list(map(FLAG_STRINGS.__getitem__, col.tolist()))),
+                 lambda col: _NAMED_FLAGS[col].tolist()),
     _prefix: ("a dotted-quad, optionally then '/' and a length of 0 to 32, with no host bits set", _prefixes),
     _date: ("a YYYY-MM-DD date", iso_dates),
-    _attack_type: (f"one of {', '.join(ATTACK_TYPES)}", lambda col: list(map(ATTACK_TYPES.__getitem__, col.tolist()))),
+    _attack_type: (f"one of {', '.join(ATTACK_TYPES)}", lambda col: _NAMED_TYPES[col].tolist()),
     _text: ("UTF-8 text without a double quote", np.ndarray.tolist),
     _ipv4_list: ("a ';'-joined list of IPv4 dotted-quads", _address_lists),
 }

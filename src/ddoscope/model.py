@@ -174,7 +174,9 @@ def distinct(values: np.ndarray, bounds: np.ndarray) -> tuple[np.ndarray, np.nda
     first = np.ones(len(pairs), bool)
     np.not_equal(pairs[1:], pairs[:-1], out=first[1:])
     pairs = pairs[first]
-    return (pairs & 0xFFFFFFFF).astype(values.dtype), np.searchsorted(pairs >> 32, np.arange(len(bounds)))
+    del first
+    # the cast keeps a pair's low bits, its value; a run's first pair is the first not below run << 32
+    return pairs.astype(values.dtype), np.searchsorted(pairs, np.arange(len(bounds), dtype=np.int64) << 32)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,8 +11,9 @@ fills it with the packets it wrote, and the first observatory to read any
 other file adds it, so observatories that share an input share one parse.
 A file's entry is dropped as soon as the last observatory that reads it
 has gathered its packets, and a telescope's unfiltered packets as soon as
-the backscatter prefilter has taken its copy, so a parse is held no
-longer than detection needs it.
+the backscatter prefilter has copied the rows it keeps, so a parse is held
+no longer than detection needs it. A prefilter that drops no row hands
+detection the gathered batch itself, so it makes no copy.
 
 The bundle is deterministic: identical config and inputs produce
 byte-identical files, and manifest.json records the config hash, seed,

@@ -187,12 +187,26 @@ def _attack_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+# The columns synth builds: a PacketBatch's, then the packet length that packets.csv holds
+_COLUMNS = {**PacketBatch.DTYPES, "length": np.int32}
+
+
 def generate(spec: ScenarioSpec) -> GeneratedScenario:
     """Materialize a scenario: sensor packet streams, flow summaries, and
-    per-attack ground truth. Deterministic given (spec, seed)."""
-    telescope: list[PacketBatch] = []
-    honeypot: list[PacketBatch] = []   # every sensor's rows; dst is the sensor
-    lengths: dict[str, list] = {"rsdos": [], "reflection": []}     # each batch's packet lengths
+    per-attack ground truth. Deterministic given (spec, seed).
+
+    Each attack's row count comes first, so every column is allocated
+    once, at its full length, and each attack writes its draws straight
+    into its own rows. An rsdos attack's count is the first draw of its
+    generator, which _emit_rsdos draws again from a fresh one."""
+    counts = [int(_telescope_counts(atk, _attack_rng(spec.seed, idx), spec.telescope_addresses).sum())
+              if atk.type == "rsdos" else atk.reflector_subset * _per_sensor(atk) if atk.type == "reflection"
+              else 0 for idx, atk in enumerate(spec.attacks)]
+    # the telescope's rows (rsdos) and every sensor's (reflection, dst the sensor)
+    columns = {kind: {name: np.empty(sum(n for a, n in zip(spec.attacks, counts) if a.type == kind), dtype)
+                      for name, dtype in _COLUMNS.items()} for kind in ("rsdos", "reflection")}
+    filled = dict.fromkeys(columns, 0)
+    rows: dict = {}                     # an attack's views of its rows in the columns
     flows: list[tuple] = []             # one FlowBatch row per attack
     truth_attacks: list[dict] = []
     sample_prob = spec.telescope_addresses / ADDRESS_SPACE
@@ -211,23 +225,24 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
             "end_ts_us": end_us,
             "attack_packets": total_pkts,
         }
+        if atk.type in columns:
+            lo = filled[atk.type]
+            filled[atk.type] += counts[idx]
+            rows = {name: col[lo:filled[atk.type]] for name, col in columns[atk.type].items()}
+            rows["length"][:] = atk.packet_bytes
 
         # flow summary: (protocol, src port, distinct sources)
         if atk.type == "rsdos":
-            batch = _emit_rsdos(atk, rng, spec.telescope_addresses)
-            telescope.append(batch)
-            lengths["rsdos"].append(np.broadcast_to(np.int32(atk.packet_bytes), len(batch)))
+            _emit_rsdos(atk, rng, spec.telescope_addresses, rows)
             entry["telescope"] = {
                 "sample_probability": sample_prob,
                 "expected_packets": total_pkts * sample_prob,
-                "observed_packets": len(batch),
+                "observed_packets": counts[idx],
             }
             sources = min(total_pkts, ADDRESS_SPACE) if atk.spoof == "uniform" else NONSPOOFED_SOURCES
             protocol, src_port = 6, 0
         elif atk.type == "reflection":
-            batch, sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors)
-            honeypot.append(batch)
-            lengths["reflection"].append(np.broadcast_to(np.int32(atk.packet_bytes), len(batch)))
+            sensors_hit, per_sensor = _emit_reflection(atk, rng, spec.honeypot_sensors, rows)
             entry["honeypot"] = {
                 "sensors": sensors_hit,
                 "packets_per_sensor": per_sensor,
@@ -243,13 +258,14 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
         entry["flow"] = {"protocol": protocol, "src_port": src_port,
                          "distinct_src_ips": sources, "bitrate_bps": bitrate}
         truth_attacks.append(entry)
+    del rows        # its views would keep the unsorted columns alive
 
     flow_rows = FlowBatch.from_rows(flows)
     for entry, ra, dp in zip(truth_attacks, *attack_masks(flow_rows)):
         entry["flow"]["classification"] = "RA" if ra else "DP" if dp else None
-    telescope_rows, telescope_lengths = _sorted(telescope, lengths["rsdos"])
+    telescope_rows, telescope_lengths = _sorted(columns.pop("rsdos"))
     # by sensor first, so each sensor's rows are one slice, in the order of the others
-    honeypot_rows, honeypot_lengths = _sorted(honeypot, lengths["reflection"], by_dst=True)
+    honeypot_rows, honeypot_lengths = _sorted(columns.pop("reflection"), by_dst=True)
     ips = [ip_to_int(ip) for ip in spec.honeypot_sensors]
     sensor_rows = {ip: slice(lo, hi) for ip, lo, hi in zip(spec.honeypot_sensors, *(
         np.searchsorted(honeypot_rows.dst, ips, side).tolist() for side in ("left", "right")))}
@@ -273,16 +289,18 @@ def generate(spec: ScenarioSpec) -> GeneratedScenario:
     )
 
 
-def _sorted(batches: list[PacketBatch], lengths: list[np.ndarray],
-            by_dst: bool = False) -> tuple[PacketBatch, np.ndarray]:
-    """The rows of `batches` and their `lengths` in (ts, src, dst, src_port,
-    dst_port, protocol, length, flags) order, first by dst if `by_dst`: a
-    total order on row contents, so it does not depend on the order of the
-    attacks."""
-    batch, length = PacketBatch.concat(batches), np.concatenate([np.empty(0, np.int32), *lengths])
-    order = np.lexsort((batch.flags, length, batch.protocol, batch.dst_port,
-                        batch.src_port, batch.dst, batch.src, batch.ts) + ((batch.dst,) if by_dst else ()))
-    return batch.take(order), length[order]
+def _sorted(cols: dict[str, np.ndarray], by_dst: bool = False) -> tuple[PacketBatch, np.ndarray]:
+    """The rows of `cols`, one array per column of _COLUMNS, and their
+    lengths, in (ts, src, dst, src_port, dst_port, protocol, length, flags)
+    order, first by dst if `by_dst`: a total order on row contents, so it
+    does not depend on the order of the attacks. The columns are sorted
+    one at a time, so no step copies all of them."""
+    order = np.lexsort((cols["flags"], cols["length"], cols["protocol"], cols["dst_port"], cols["src_port"],
+                        cols["dst"], cols["src"], cols["ts"]) + ((cols["dst"],) if by_dst else ()))
+    for name in cols:
+        cols[name] = cols[name][order]
+    length = cols.pop("length")
+    return PacketBatch(**cols), length
 
 
 def _seconds(start_s: float, until: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -294,62 +312,80 @@ def _seconds(start_s: float, until: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return base, width
 
 
-def _batch(n: int, ts, protocol, src, src_port, dst, dst_port, flags) -> PacketBatch:
-    """A PacketBatch of `n` rows; scalar arguments fill their whole column."""
-    values = (ts, protocol, src, src_port, dst, dst_port, flags)
-    return PacketBatch(*(np.broadcast_to(np.asarray(v).astype(dtype, copy=False), (n,))
-                         for v, dtype in zip(values, PacketBatch.DTYPES.values())))
-
-
 def _victim_sources(rng, net: int, plen: int, n: int):
     """`n` uniform draws from the victim prefix, or its address for a /32."""
     return net | rng.integers(0, 1 << (32 - plen), n) if plen < 32 else net
 
 
-def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int) -> PacketBatch:
-    """Backscatter sampling: per attack-second, a binomial draw of the
-    victim's responses lands on telescope addresses.
+def _rsdos_until(atk: AttackSpec) -> np.ndarray:
+    """Where each second of an rsdos attack ends, in seconds from its start."""
+    return np.minimum(np.arange(1, math.ceil(atk.duration_s) + 1, dtype=np.float64), atk.duration_s)
+
+
+def _telescope_counts(atk: AttackSpec, rng, n_addresses: int) -> np.ndarray:
+    """The packets of each second of an rsdos attack that land on the
+    telescope's `n_addresses`: a binomial draw of the victim's responses,
+    the first draw of the attack's generator `rng`.
 
     Per-second attack packet counts follow cumulative quotas, so they sum
     exactly to round(rate * duration) and the total observed count is a
     Binomial(total, n/2^32) sample.
     """
-    until = np.minimum(np.arange(1, math.ceil(atk.duration_s) + 1, dtype=np.float64), atk.duration_s)
-    quotas = np.diff(np.round(atk.rate_pps * until), prepend=0.0).astype(np.int64)
-    seen = rng.binomial(quotas, n_addresses / ADDRESS_SPACE)
-    base, width = (np.repeat(col, seen) for col in _seconds(atk.start_s, until))
-    n = len(base)
-    ts = base + rng.integers(0, width)
+    quotas = np.diff(np.round(atk.rate_pps * _rsdos_until(atk)), prepend=0.0).astype(np.int64)
+    return rng.binomial(quotas, n_addresses / ADDRESS_SPACE)
+
+
+def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int, rows: dict) -> None:
+    """Backscatter sampling: writes the telescope packets of each attack
+    second into `rows`, one array per column of _COLUMNS but the length."""
+    seen = _telescope_counts(atk, rng, n_addresses)
+    base, width = _seconds(atk.start_s, _rsdos_until(atk))
+    ts = rows["ts"]
+    ts[:] = rng.integers(0, np.repeat(width, seen))
+    ts += np.repeat(base, seen)
     net, plen = parse_prefix(atk.victim)
-    src = _victim_sources(rng, net, plen, n)
-    dst = TELESCOPE_BASE + rng.integers(0, n_addresses, n)
-    if n and dst.max() > 0xFFFFFFFF:
+    rows["src"][:] = _victim_sources(rng, net, plen, len(ts))
+    dst = rng.integers(0, n_addresses, len(ts))
+    dst += TELESCOPE_BASE
+    if len(dst) and dst.max() > 0xFFFFFFFF:
         raise ValueError(f"IPv4 int out of range: {int(dst.max())}")
-    return _batch(n, ts, 6, src, 80, dst, rng.integers(1024, 65536, n), FLAG_S | FLAG_A)
+    rows["dst"][:] = dst
+    del dst
+    rows["dst_port"][:] = rng.integers(1024, 65536, len(ts))
+    rows["protocol"][:], rows["src_port"][:], rows["flags"][:] = 6, 80, FLAG_S | FLAG_A
 
 
-def _emit_reflection(
-    atk: AttackSpec, rng, sensors: tuple[str, ...],
-) -> tuple[PacketBatch, list[str], int]:
+def _per_sensor(atk: AttackSpec) -> int:
+    """The requests a reflection sends each sensor it chooses."""
+    return int(round(atk.rate_pps * atk.duration_s / atk.reflector_subset))
+
+
+def _emit_reflection(atk: AttackSpec, rng, sensors: tuple[str, ...], rows: dict) -> tuple[list[str], int]:
     """Spoofed requests from the victim to a seeded subset of the sensors:
     per_sensor requests each, spread over the attack's whole seconds, their
-    dst ports cycling through `atk.ports` in time order."""
+    dst ports cycling through `atk.ports` in time order. Writes them into
+    `rows` as _emit_rsdos does, sensor by sensor, and returns the sensors
+    chosen and per_sensor."""
     chosen_idx = sorted(int(i) for i in rng.choice(len(sensors), atk.reflector_subset, replace=False))
     chosen = [sensors[i] for i in chosen_idx]
-    per_sensor = int(round(atk.rate_pps * atk.duration_s / len(chosen)))
-    src_port = int(rng.integers(1024, 65536))
+    per_sensor = _per_sensor(atk)
+    rows["src_port"][:] = rng.integers(1024, 65536)
     whole_seconds = max(1, int(atk.duration_s))
     quotas = np.diff(per_sensor * np.arange(whole_seconds + 1) // whole_seconds)
     until = np.minimum(np.arange(1, whole_seconds + 1, dtype=np.float64), atk.duration_s)
     base, width = (np.repeat(col, quotas) for col in _seconds(atk.start_s, until))
-    ts = np.sort(base + rng.integers(0, width, (len(chosen), per_sensor)), axis=1).ravel()
-    n = len(ts)
+    # one row of the column views per sensor
+    ts, dst, dst_port = (rows[name].reshape(len(chosen), per_sensor) for name in ("ts", "dst", "dst_port"))
+    ts[:] = rng.integers(0, width, ts.shape)
+    ts += base
+    ts.sort(axis=1)
     net, plen = parse_prefix(atk.victim)
-    src = _victim_sources(rng, net, plen, n)
-    dst = np.repeat([ip_to_int(s) for s in chosen], per_sensor)
+    rows["src"][:] = _victim_sources(rng, net, plen, ts.size)
+    dst[:] = np.array([ip_to_int(s) for s in chosen], np.uint32)[:, None]
     ports = np.array(atk.ports)
-    dst_port = np.tile(ports[np.arange(per_sensor) % len(ports)], len(chosen))
-    return _batch(n, ts, 17, src, src_port, dst, dst_port, 0), chosen, per_sensor
+    dst_port[:] = ports[np.arange(per_sensor) % len(ports)]
+    rows["protocol"][:], rows["flags"][:] = 17, 0
+    return chosen, per_sensor
 
 
 # ---------------------------------------------------------------------------

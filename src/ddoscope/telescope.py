@@ -53,7 +53,8 @@ def backscatter_prefilter(packets: PacketBatch, mode: str = "default") -> Packet
 
     Default keeps TCP SYN-ACKs, TCP resets (R, with or without A), and
     ICMP. A lone SYN is scan traffic, not a response. mode="none" keeps
-    everything.
+    everything. A filter that drops nothing returns `packets` itself, not
+    a copy.
     """
     if mode == "none":
         return packets
@@ -61,7 +62,8 @@ def backscatter_prefilter(packets: PacketBatch, mode: str = "default") -> Packet
         raise ValueError(f"unknown backscatter filter {mode!r}")
     flags = packets.flags
     tcp_response = (flags == FLAG_S | FLAG_A) | (flags & FLAG_R != 0)
-    return packets.take((packets.protocol == 1) | ((packets.protocol == 6) & tcp_response))
+    keep = (packets.protocol == 1) | ((packets.protocol == 6) & tcp_response)
+    return packets if keep.all() else packets.take(keep)
 
 
 def detect_rsdos(

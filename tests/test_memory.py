@@ -1,9 +1,11 @@
-"""Bytes a packet row costs: tracemalloc peaks per row of the packet layers on
-fixed generated input, the release of each parsed file after its last
-reader, and the imports a pipeline run makes.
+"""Bytes a packet row costs: tracemalloc peaks per row of synth and the packet
+layers on fixed generated input, the writer's peak above the rows it
+writes, the release of each parsed file after its last reader, and the
+imports a pipeline run makes.
 
-The inputs are large enough (150 000 rows) that the reader's per-step
-buffers and the detectors' per-call constants add little to a row's share.
+The inputs are large enough (150 000 rows, and about 1 000 000 for synth)
+that the reader's per-step buffers and the detectors' per-call constants
+add little to a row's share.
 """
 
 import json
@@ -21,6 +23,7 @@ from ddoscope import pipeline
 from ddoscope.honeypot import detect_honeypot, preset
 from ddoscope.ioformats import PACKETS_HEADER, read_packets
 from ddoscope.model import dotted_quads
+from ddoscope.synth import AttackSpec, ScenarioSpec, generate, write_scenario
 from ddoscope.telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 
 from conftest import write_pipeline_fixture
@@ -71,9 +74,24 @@ def _peak(fn, *args):
         tracemalloc.stop()
 
 
+def _scenario(rsdos_pps: float, reflection_pps: float) -> ScenarioSpec:
+    """A day with eight 30-minute rsdos attacks that a /8 telescope sees
+    1/256 of, and eight 20-minute reflections on six of twelve sensors."""
+    attacks = [AttackSpec("rsdos", f"172.16.{i}.1", i * 3000.0, 1800.0, rsdos_pps) for i in range(8)]
+    attacks += [AttackSpec("reflection", f"172.17.{i}.0/24", i * 3000.0, 1200.0, reflection_pps,
+                           reflector_subset=6, ports=(123, 53)) for i in range(8)]
+    return ScenarioSpec(7, 86_400.0, 1 << 24, tuple(f"198.51.100.{i}" for i in range(1, 13)), tuple(attacks))
+
+
+def _rows(generated) -> int:
+    return len(generated.telescope_packets) + sum(map(len, generated.honeypot_packets.values()))
+
+
 # Bounds in bytes per row. Each holds the change's peak with a margin and
-# lies below the peak before it (in brackets):
-# read 32.6 (62.1), prefilter 16.3 (21.5), rsdos 56.3 (78.1), honeypot 52.8 (70.2).
+# lies below the peak before it (in brackets): read 32.6 (62.1), prefilter
+# 16.3 (21.5), rsdos 33.0 (56.3), honeypot 37.9 (52.8), generate 35.3 (58.2).
+# Measured with numpy 2.4.6 on Python 3.11; tracemalloc counts numpy's
+# buffers, so the margins, 10 % or more, leave room for other releases.
 class TestPeakPerRow:
     def test_read_packets(self, inputs):
         # 22 bytes of kept columns a row, with the step buffers spread over the rows
@@ -90,13 +108,28 @@ class TestPeakPerRow:
         kept = backscatter_prefilter(read_packets(inputs / "telescope.csv"))
         events, peak = _peak(detect_rsdos, kept, TelescopeConfig(n_addresses=1 << 16))
         assert len(events)
-        assert peak / len(kept) < 66
+        assert peak / len(kept) < 40
 
     def test_detect_honeypot(self, inputs):
         packets = read_packets(inputs / "honeypot.csv")
         events, peak = _peak(detect_honeypot, packets, preset("hopscotch"))
         assert len(events)
-        assert peak / ROWS < 62
+        assert peak / ROWS < 44
+
+    def test_generate(self):
+        # 26 bytes of kept columns a row: a PacketBatch row and its length
+        generated, peak = _peak(generate, _scenario(10_000.0, 50.0))
+        assert 1_000_000 < _rows(generated) < 1_100_000
+        assert peak / _rows(generated) < 40
+
+
+def test_the_writer_holds_a_step_of_rows_at_a_time(tmp_path):
+    # the peak above the rows being written, 230 kB (1082 kB before) with
+    # numpy 2.4.6 on Python 3.11: a writing step's cells and lines
+    generated = generate(_scenario(500.0, 5.0))
+    assert _rows(generated) > 70_000
+    _, peak = _peak(write_scenario, generated, tmp_path)
+    assert peak < 320_000
 
 
 def _honeypot(name: str, preset_name: str, inputs: list) -> pipeline.ObservatoryConfig:

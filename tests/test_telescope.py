@@ -180,6 +180,17 @@ class TestBackscatterPrefilter:
         packets = [pkt(0, flags="S"), pkt(1, proto=17), pkt(2, flags="SA")]
         assert backscatter_prefilter(packets, "none") == packets
 
+    def test_a_batch_it_keeps_whole_is_returned_itself(self):
+        packets = as_batch([pkt(0, flags="SA"), pkt(1, flags="R"), pkt(2, flags="AR"), pkt(3, proto=1)])
+        assert telescope.backscatter_prefilter(packets) is packets
+
+    def test_a_batch_it_drops_from_is_copied_in_order(self):
+        packets = as_batch([pkt(0, flags="SA"), pkt(1, flags="S"), pkt(2, proto=1), pkt(3, proto=17)])
+        kept = telescope.backscatter_prefilter(packets)
+        assert kept is not packets
+        for got, col in zip(kept.columns(), packets.columns()):
+            assert got.tolist() == col[[0, 2]].tolist()
+
 
 class TestMinDetectableRate:
     def test_full_internet_telescope(self):
