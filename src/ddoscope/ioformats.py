@@ -146,7 +146,7 @@ def _write_columns(path, fields, columns) -> None:
                         raise ValueError(f"{name} {value!r} holds a comma, a double quote or a line feed; "
                                          f"{path} could not be read back")
     row = ",".join(["%s"] * len(fields)) + "\n"
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_header(fields) + "\n")
         for lo in range(0, len(columns[0]), _WRITE_ROWS):
             cells = [_FIELD_KINDS[parse][1](col[lo:lo + _WRITE_ROWS], *args)
@@ -583,16 +583,22 @@ def read_hashed_targets(path) -> set[str]:
 # -- weekly series -----------------------------------------------------------
 
 def read_series(path) -> WeeklySeries:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
             # json reads NaN and Infinity, and a bool is an int
             bad = [v for v in doc["values"] if v is not None and not (type(v) in (int, float) and math.isfinite(v))]
             if bad:
                 raise ValueError(f"value {bad[0]!r} is neither a finite number nor null")
-            return WeeklySeries(start_week=date.fromisoformat(doc["start_week"]),
+            # date.fromisoformat takes other ISO 8601 spellings too, from Python 3.11 on
+            start, label = doc["start_week"], doc["label"]
+            if not (isinstance(start, str) and re.fullmatch("[0-9]{4}-[0-9]{2}-[0-9]{2}", start)):
+                raise ValueError(f"start_week {start!r} is not a YYYY-MM-DD date")
+            if type(label) is not str:
+                raise ValueError(f"label {label!r} is not a string")
+            return WeeklySeries(start_week=date.fromisoformat(start),
                                 values=tuple(None if v is None else float(v) for v in doc["values"]),
-                                label=doc.get("label", ""))
+                                label=label)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"{path}: bad series document: {exc}") from None
 
@@ -604,13 +610,13 @@ def write_series(path, series: WeeklySeries) -> None:
 
 def write_weekly_csv(path, header: Sequence[str], series: Sequence[WeeklySeries]) -> None:
     """CSV of series on one week grid; `header` names the columns after `week`."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(("week", *header)) + "\n")
         for week, *values in zip(series[0].weeks(), *(s.values for s in series)):
             fh.write(week.isoformat() + "".join(f",{v:.0f}" for v in values) + "\n")
 
 
 def write_json(path, doc) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -5,14 +5,16 @@ emitted as one reproducible bundle.
 The CLI's commands run the stage functions and config kinds defined here,
 so a step run alone gives the bytes of the matching bundle file.
 
-Each packet file is parsed at most once per run. Detection looks packets
-up in one map from (resolved path, sensor column) to PacketBatch: synth
-fills it with the packets it wrote, and the first observatory to read any
-other file adds it, so observatories that share an input share one parse.
-A file's entry is dropped as soon as the last observatory that reads it
-has gathered its packets, and a telescope's unfiltered packets as soon as
-the backscatter prefilter has copied the rows it keeps, so a parse is held
-no longer than detection needs it. A prefilter that drops no row hands
+Each observatory's input globs are expanded once, when its config is read;
+detection and the manifest's config hash read that one file list. Each
+packet file is parsed at most once per run. Detection looks packets up in
+one map from (resolved path, sensor column) to PacketBatch: synth fills it
+with the packets it wrote, and the first observatory to read any other
+file adds it, so observatories that share an input share one parse.
+Detection counts each entry's readers first and drops the entry as the
+last of them takes it, and a telescope's unfiltered packets once the
+backscatter prefilter has copied the rows it keeps, so a parse is held no
+longer than detection needs it. A prefilter that drops no row hands
 detection the gathered batch itself, so it makes no copy.
 
 The bundle is deterministic: identical config and inputs produce
@@ -35,10 +37,11 @@ import json
 import re
 import shutil
 import tempfile
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -149,12 +152,12 @@ def stage(name: str, kind: str = "data"):
         raise PipelineError(name, str(exc), kind) from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObservatoryConfig:
     name: str
     type: str
-    inputs: list[str]
-    settings: dict    # its type's detector settings, defaults applied; see observatory_config
+    inputs: tuple[str, ...]   # files, each once; see observatory_config
+    settings: dict            # its type's detector settings, defaults applied
 
 
 @dataclass
@@ -205,9 +208,9 @@ class PipelineConfig:
 
 def observatory_config(doc, where: str, base_dir: Path = Path(),
                        scenario: Optional[Path] = None) -> ObservatoryConfig:
-    """One observatory of a config and its detector settings, relative inputs taken
-    from `base_dir`; without inputs it reads the files synth writes from `scenario`,
-    a telescope taking the scenario's n_addresses unless it gives its own. Errors in
+    """One observatory of a config, its detector settings and its input files, relative
+    patterns taken from `base_dir`; without inputs it reads the files synth writes from
+    `scenario`, a telescope taking the scenario's n_addresses unless it gives its own. Errors in
     the keys every observatory takes name it by position, those in its type's by type and name."""
     o = read(doc, OBSERVATORY, where, others=BY_TYPE.values())
     if not o["inputs"] and scenario is None:
@@ -229,7 +232,23 @@ def observatory_config(doc, where: str, base_dir: Path = Path(),
     else:
         ports = typed["ampl_ports"]
         settings = {"ampl_ports": AMPLIFICATION_PORTS if ports is None else frozenset(ports)}
-    return ObservatoryConfig(o["name"], o["type"], [str(base_dir / p) for p in o["inputs"]], settings)
+    inputs = _expand_inputs(o["name"], [str(base_dir / p) for p in o["inputs"]])
+    return ObservatoryConfig(o["name"], o["type"], inputs, settings)
+
+
+def _expand_inputs(name: str, patterns: list[str]) -> tuple[str, ...]:
+    """Each file `patterns` name once, at its first position; the hits of a
+    glob come in sorted order, and a pattern that matches nothing is refused."""
+    paths: dict[Path, str] = {}
+    for pattern in patterns:
+        hits = sorted(globmod.glob(pattern))
+        if not hits and Path(pattern).exists():
+            hits = [pattern]
+        if not hits:
+            raise ConfigError(f"{name}: input not found: {pattern}")
+        for p in hits:
+            paths.setdefault(Path(p).resolve(), p)
+    return tuple(paths.values())
 
 
 def _validate(cfg: PipelineConfig) -> None:
@@ -278,7 +297,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
         root = work / "bundle"
         root.mkdir()
         with stage("synth", "config"):
-            cfg, seed, parsed = _stage_synth(cfg, root)
+            cfg, parsed = _stage_synth(cfg, root)
         with stage("detect"):
             events = _stage_detect(cfg, root, parsed)
         del parsed  # later stages hold no packets
@@ -297,7 +316,7 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
                 write_json(_path(root, "confirm.json"),
                            confirm_document(sets, cfg.confirm_external, cfg.confirm_salt))
         with stage("manifest", "internal"):
-            _write_manifest(cfg, root, seed)
+            _write_manifest(cfg, root)
         if out.exists():
             out.rename(work / "old")
         root.rename(out)
@@ -328,98 +347,70 @@ def synthesize(spec_path, seed: Optional[int] = None) -> tuple[ScenarioSpec, Gen
     return spec, generate(spec)
 
 
-def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, Optional[int], dict]:
-    """A copy of `cfg` whose observatories without inputs read the scenario
-    written under `root`, the seed, and the packets of each packet file
-    written keyed as `detect_observatory` looks them up, so detection
-    never parses them."""
+def _stage_synth(cfg: PipelineConfig, root: Path) -> tuple[PipelineConfig, dict]:
+    """A copy of `cfg` with the scenario's seed, whose observatories without inputs
+    read the scenario written under `root`, or are refused if it writes no file of
+    their type; and the packets of each packet file written, keyed as `_stage_detect`
+    looks them up, so detection never parses them."""
     if cfg.scenario is None:
-        return cfg, cfg.seed, {}
+        return cfg, {}
     spec, generated = synthesize(cfg.scenario, cfg.seed)
     input_dir = root / "inputs"
     written = write_scenario(generated, input_dir)
 
-    inputs = {"telescope": [str(input_dir / "telescope.csv")],
-              "honeypot": sorted(str(p) for p in input_dir.glob("honeypot_*.csv")),
-              "flow": [str(input_dir / "flows.csv")]}
+    inputs = {"telescope": (str(input_dir / "telescope.csv"),),
+              "honeypot": tuple(sorted(str(p) for p in input_dir.glob("honeypot_*.csv"))),
+              "flow": (str(input_dir / "flows.csv"),)}
     wired = []
     for o in cfg.observatories:
         if not o.inputs:
-            o = dataclasses.replace(o, inputs=inputs[o.type])
-            if o.type == "telescope" and o.settings["telescope"].n_addresses is None:
-                tcfg = dataclasses.replace(o.settings["telescope"], n_addresses=spec.telescope_addresses)
-                o.settings = {"telescope": tcfg}    # the copy's own dict: the loaded config is kept
+            if not inputs[o.type]:
+                raise ConfigError(f"{o.name}: the scenario writes no {o.type} input")
+            settings, tcfg = o.settings, o.settings.get("telescope")
+            if tcfg is not None and tcfg.n_addresses is None:
+                settings = {"telescope": dataclasses.replace(tcfg, n_addresses=spec.telescope_addresses)}
+            o = dataclasses.replace(o, inputs=inputs[o.type], settings=settings)
         wired.append(o)
-    cfg = dataclasses.replace(cfg, observatories=wired)
-    return cfg, spec.seed, {(p.resolve(), None): content for p, content in written.items()
-                            if isinstance(content, PacketBatch)}
+    cfg = dataclasses.replace(cfg, observatories=wired, seed=spec.seed)
+    return cfg, {(p.resolve(), None): content for p, content in written.items() if isinstance(content, PacketBatch)}
 
 
-def _expand_inputs(o: ObservatoryConfig) -> list[str]:
-    """Each input file of `o` once, at its first position; the hits of a
-    glob come in sorted order."""
-    paths: dict[Path, str] = {}
-    for pattern in o.inputs:
-        hits = sorted(globmod.glob(pattern))
-        if not hits and Path(pattern).exists():
-            hits = [pattern]
-        if not hits:
-            raise PipelineError("detect", f"{o.name}: input not found: {pattern}", "config")
-        for p in hits:
-            paths.setdefault(Path(p).resolve(), p)
-    if not paths:
-        raise PipelineError("detect", f"{o.name}: no input files", "config")
-    return list(paths.values())
-
-
-def detect_observatory(o: ObservatoryConfig, parsed: Optional[dict] = None, paths: Optional[list[str]] = None,
-                       last: frozenset = frozenset()) -> EventBatch:
-    """Attack events of one observatory from its input files (globs allowed),
-    or from `paths` when its inputs are already expanded.
-
-    `parsed` maps (resolved path, sensor_col) to the PacketBatch of a packet
-    file; a file missing from it is read and added, so observatories that
-    share a map parse a shared file once. The keys in `last`, files no
-    later observatory reads, are dropped from it once gathered."""
-    parsed = {} if parsed is None else parsed
-    paths = _expand_inputs(o) if paths is None else paths
+def detect_observatory(o: ObservatoryConfig,
+                       packets: Callable[[tuple], PacketBatch] = lambda key: read_packets(*key)) -> EventBatch:
+    """Attack events of one observatory from its input files; `packets` gives the PacketBatch
+    of a packet file by its (resolved path, sensor_col) key, reading it by default. `_stage_detect`
+    counts each file's readers and passes one that shares a parse until the last of them takes it."""
     if o.type == "flow":
         return EventBatch.concat([classify_flow(read_flows(p), o.settings["ampl_ports"], observatory=o.name)
-                                  for p in paths])
-    packets = PacketBatch.concat([_packets(key, parsed) for key in _packet_keys(o, paths)])
-    for key in last:
-        del parsed[key]
+                                  for p in o.inputs])
+    batch = PacketBatch.concat([packets(key) for key in _packet_keys(o)])
     if o.type == "telescope":
         tcfg = o.settings["telescope"]
         # rebinding frees the unfiltered rows before detection, unless a later observatory reads them
-        packets = backscatter_prefilter(packets, tcfg.backscatter_filter)
-        return detect_rsdos(packets, tcfg, observatory=o.name)
-    events = detect_honeypot(packets, o.settings["definition"], observatory=o.name)
+        batch = backscatter_prefilter(batch, tcfg.backscatter_filter)
+        return detect_rsdos(batch, tcfg, observatory=o.name)
+    events = detect_honeypot(batch, o.settings["definition"], observatory=o.name)
     return aggregate_sensors(events, o.settings["merge_gap"])
 
 
-def _packet_keys(o: ObservatoryConfig, paths: list[str]) -> list[tuple]:
+def _packet_keys(o: ObservatoryConfig) -> list[tuple]:
     """The `parsed` key of each packet file of `o`."""
-    return [(Path(p).resolve(), o.settings.get("sensor_col")) for p in paths]
-
-
-def _packets(key: tuple, parsed: dict) -> PacketBatch:
-    if key not in parsed:
-        path, sensor_col = key
-        parsed[key] = read_packets(path, sensor_col=sensor_col)
-    return parsed[key]
+    return [(Path(p).resolve(), o.settings.get("sensor_col")) for p in o.inputs]
 
 
 def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, EventBatch]:
     """Detection over every observatory; `parsed` starts with the packets
     synth wrote, gains each packet file as it is first read and loses it
-    once its last reader has gathered it."""
-    paths = {o.name: _expand_inputs(o) for o in cfg.observatories}
-    # the last observatory to read each packet file
-    reader = {key: o.name for o in cfg.observatories if o.type != "flow" for key in _packet_keys(o, paths[o.name])}
-    results = {o.name: detect_observatory(o, parsed, paths[o.name],
-                                          frozenset(key for key, name in reader.items() if name == o.name))
-               for o in cfg.observatories}
+    as its last reader takes it."""
+    readers = Counter(key for o in cfg.observatories if o.type != "flow" for key in _packet_keys(o))
+
+    def packets(key: tuple) -> PacketBatch:
+        if key not in parsed:
+            parsed[key] = read_packets(*key)
+        readers[key] -= 1
+        return parsed[key] if readers[key] else parsed.pop(key)
+
+    results = {o.name: detect_observatory(o, packets) for o in cfg.observatories}
     for o in cfg.observatories:
         write_attacks(_path(root, f"attacks_{o.name}.csv"), results[o.name])
     return results
@@ -584,7 +575,7 @@ def _config_digest(cfg: PipelineConfig, hashes: Optional[dict[Path, str]] = None
     doc = {
         "observatories": [
             {"name": o.name, "type": o.type, **o.settings,
-             "inputs": [file_digest(p) for p in _expand_inputs(o)]}
+             "inputs": [file_digest(p) for p in o.inputs]}
             for o in cfg.observatories
         ],
         "scenario": file_digest(cfg.scenario),
@@ -599,7 +590,7 @@ def _config_digest(cfg: PipelineConfig, hashes: Optional[dict[Path, str]] = None
     return hashlib.sha256(json.dumps(doc, sort_keys=True, default=_json_default).encode()).hexdigest()
 
 
-def _write_manifest(cfg: PipelineConfig, root: Path, seed: Optional[int]) -> None:
+def _write_manifest(cfg: PipelineConfig, root: Path) -> None:
     """manifest.json: the sha256 of every file under `root`."""
     hashes = {p.resolve(): _sha256(p) for p in sorted(root.rglob("*")) if p.is_file()}
     files = {p.relative_to(root.resolve()).as_posix(): digest for p, digest in hashes.items()}
@@ -607,7 +598,7 @@ def _write_manifest(cfg: PipelineConfig, root: Path, seed: Optional[int]) -> Non
         root / "manifest.json",
         {
             "config_sha256": _config_digest(cfg, hashes),    # a scenario's inputs are under `root`
-            "seed": seed,
+            "seed": cfg.seed,
             "version": __version__,
             "files": files,
         },

@@ -361,6 +361,26 @@ class TestAggregateCommand:
             "203.0.113.0/24", "203.0.113.7/32", "203.0.113.9/32"]
         assert (tmp_path / "agg_reversed.csv").read_bytes() == (tmp_path / "agg_sorted.csv").read_bytes()
 
+    def test_output_bytes_do_not_depend_on_the_locale(self, tmp_path):
+        # an observatory name outside ASCII, written once in an ASCII locale
+        # (no UTF-8 mode, no locale coercion) and once in the default one
+        (tmp_path / "attacks.csv").write_text(
+            "observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors\n"
+            f"tél,RA,203.0.113.5/32,0,{100 * US_PER_S},50,\n", encoding="utf-8")
+        (tmp_path / "routed.csv").write_text("prefix,asn\n203.0.113.0/24,64500\n")
+        (tmp_path / "alloc.csv").write_text("prefix,registry\n203.0.112.0/22,ripe\n")
+        src = str(Path(ddoscope.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        args = [sys.executable, "-m", "ddoscope.cli", "aggregate", "--routed", str(tmp_path / "routed.csv"),
+                "--alloc", str(tmp_path / "alloc.csv"), "--in", str(tmp_path / "attacks.csv")]
+        ascii_only = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        for name, locale in (("default", {}), ("ascii", ascii_only)):
+            done = subprocess.run([*args, "--out", str(tmp_path / f"{name}.csv")], env={**env, **locale},
+                                  capture_output=True, text=True, timeout=60)
+            assert done.returncode == 0, done.stderr
+        assert (tmp_path / "ascii.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+        assert "tél,RA,203.0.113.5/32" in (tmp_path / "default.csv").read_text(encoding="utf-8")
+
     def test_missing_table_is_config_error(self, runner, tmp_path):
         result = runner.invoke(main, ["aggregate", "--routed", str(tmp_path / "no.csv"),
                                       "--alloc", str(tmp_path / "no2.csv"),
@@ -769,6 +789,32 @@ class TestPipelineCommand:
         out = tmp_path / "out"
         assert not out.exists() and hidden_siblings(out) == []
 
+    def test_unmatched_input_is_refused_at_config_before_synth(self, runner, tmp_path, monkeypatch):
+        generated, real = [], pipeline.generate
+        monkeypatch.setattr(pipeline, "generate", lambda spec: generated.append(spec) or real(spec))
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        doc = json.loads(cfg_path.read_text())
+        doc["observatories"][2]["inputs"] = ["flows_*.csv"]
+        cfg_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: stage 'config': ixp: input not found: {tmp_path / 'flows_*.csv'}"
+        assert generated == []
+        out = tmp_path / "out"
+        assert not out.exists() and hidden_siblings(out) == []
+
+    def test_observatory_without_inputs_of_a_type_the_scenario_writes_no_file_for(self, runner, tmp_path):
+        # a scenario without honeypot sensors writes no honeypot file for "hop" to read
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
+        scenario = json.loads((tmp_path / "scenario.json").read_text())
+        scenario.update(honeypot_sensors=[], attacks=[a for a in scenario["attacks"] if a["type"] != "reflection"])
+        (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == "error: stage 'synth': hop: the scenario writes no honeypot input"
+        out = tmp_path / "out"
+        assert not out.exists() and hidden_siblings(out) == []
+
     def test_timestamp_past_9999_is_a_data_error(self, runner, tmp_path):
         cfg_path = write_pipeline_fixture(tmp_path, weeks=2, normalize=False, ewma_span=None)
         doc = json.loads(cfg_path.read_text())
@@ -1131,6 +1177,22 @@ class TestManifestHash:
         second, edited_files = self.run(runner, tmp_path / "b", flows=edited)
         assert second != first
         assert edited_files == files
+
+    def test_a_file_matching_an_input_glob_after_detection_is_not_hashed(self, runner, tmp_path, monkeypatch):
+        # the hash covers the files detection read, not a second expansion of the glob
+        def glob_flows(doc):
+            doc["observatories"][2]["inputs"] = ["flows*.csv"]
+
+        first = self.run(runner, tmp_path / "a", glob_flows)
+        late, real = tmp_path / "b" / "flows_late.csv", pipeline.write_attacks
+
+        def write_attacks(path, events):
+            late.write_text(self.FLOWS)
+            return real(path, events)
+
+        monkeypatch.setattr(pipeline, "write_attacks", write_attacks)
+        assert self.run(runner, tmp_path / "b", glob_flows) == first
+        assert late.exists()
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc["observatories"][0].update(config={"pkt_threshold": 400}),

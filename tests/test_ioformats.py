@@ -128,6 +128,22 @@ class TestSeries:
         with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: bad series document: "):
             read_series(p)
 
+    @pytest.mark.parametrize("fields", [
+        '"label": "x", "start_week": "20220103"',
+        '"label": "x", "start_week": "2022-W01-1"',
+        '"label": "x", "start_week": "2022-01-03T00:00"',
+        '"label": "x", "start_week": 20220103',
+        '"label": 5, "start_week": "2022-01-03"',
+        '"label": null, "start_week": "2022-01-03"',
+        '"start_week": "2022-01-03"',
+    ], ids=["basic-date", "week-date", "date-time", "number", "label-number", "label-null", "no-label"])
+    def test_start_week_other_than_yyyy_mm_dd_or_label_other_than_a_string_is_refused(self, tmp_path, fields):
+        # date.fromisoformat takes the basic and week dates from Python 3.11 on
+        p = tmp_path / "series.json"
+        p.write_text(f'{{{fields}, "values": [1, 2]}}')
+        with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: bad series document: "):
+            read_series(p)
+
     def test_weekly_csv_writes_large_counts_exactly(self, tmp_path):
         p = tmp_path / "weekly.csv"
         write_weekly_csv(p, ("a", "b"), [WeeklySeries(date(2022, 1, 3), (1234567.0, 0.0), "a"),
