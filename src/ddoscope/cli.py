@@ -77,7 +77,7 @@ from .pipeline import (
 )
 from .schema import ConfigError, load_json, read
 from .synth import write_scenario
-from .trends import CorrelationResult, quarterly_correlations
+from .trends import CORRELATION_KEYS, quarterly_correlations
 
 EXIT_CONFIG = 2
 EXIT_DATA = 3
@@ -288,7 +288,7 @@ def correlate(a_path, b_path, method, quarterly, out_path):
     a = read_series(a_path)
     b = read_series(b_path)
     if quarterly:
-        rows = [{"quarter": q.isoformat(), **(dict.fromkeys(CorrelationResult.KEYS) if r is None else r.entry())}
+        rows = [{"quarter": q.isoformat(), **(dict.fromkeys(CORRELATION_KEYS) if r is None else r)}
                 for q, r in quarterly_correlations(a, b, method)]
         doc = {"method": method, "a": a.label, "b": b.label, "quarters": rows}
     else:

@@ -11,11 +11,12 @@ packet file is parsed at most once per run. Detection looks packets up in
 one map from (resolved path, sensor column) to PacketBatch: synth fills it
 with the packets it wrote, and the first observatory to read any other
 file adds it, so observatories that share an input share one parse.
-Detection counts each entry's readers first and drops the entry as the
-last of them takes it, and a telescope's unfiltered packets once the
-backscatter prefilter has copied the rows it keeps, so a parse is held no
-longer than detection needs it. A prefilter that drops no row hands
-detection the gathered batch itself, so it makes no copy.
+Detection counts each entry's readers first, drops at once the entries
+no observatory reads and each other entry as the last of its readers
+takes it, and a telescope's unfiltered packets once the backscatter
+prefilter has copied the rows it keeps, so a parse is held no longer than
+detection needs it. A prefilter that drops no row hands detection the
+gathered batch itself, so it makes no copy.
 
 The bundle is deterministic: identical config and inputs produce
 byte-identical files, and manifest.json records the config hash, seed,
@@ -300,7 +301,6 @@ def run_pipeline(cfg: PipelineConfig) -> Path:
             cfg, parsed = _stage_synth(cfg, root)
         with stage("detect"):
             events = _stage_detect(cfg, root, parsed)
-        del parsed  # later stages hold no packets
         if cfg.aggregate:
             with stage("aggregate"):
                 events = _stage_aggregate(cfg, root, events)
@@ -400,9 +400,11 @@ def _packet_keys(o: ObservatoryConfig) -> list[tuple]:
 
 def _stage_detect(cfg: PipelineConfig, root: Path, parsed: dict) -> dict[str, EventBatch]:
     """Detection over every observatory; `parsed` starts with the packets
-    synth wrote, gains each packet file as it is first read and loses it
-    as its last reader takes it."""
+    synth wrote, loses those no observatory reads, gains each packet file
+    as it is first read and loses it as its last reader takes it."""
     readers = Counter(key for o in cfg.observatories if o.type != "flow" for key in _packet_keys(o))
+    for key in parsed.keys() - readers.keys():
+        del parsed[key]
 
     def packets(key: tuple) -> PacketBatch:
         if key not in parsed:
@@ -439,16 +441,10 @@ def trend_series(events: EventBatch, label: str, span, normalized: bool,
     series = weekly_counts(events, span, label=label)
     if normalized:
         series = normalize(series)
-    trend = linreg_trend(series)
+    entry = linreg_trend(series)
     if ewma_span is not None:
         series = ewma(series, ewma_span)
-    return series, {
-        "slope_per_week": trend.slope,
-        "net_change_4y": trend.net_change_4y,
-        "class": trend.trend_class,
-        "marker": trend.marker,
-        "weeks": trend.n,
-    }
+    return series, entry
 
 
 def _stage_trends(cfg, root, events: dict[str, EventBatch]):
@@ -477,8 +473,8 @@ def _stage_trends(cfg, root, events: dict[str, EventBatch]):
 
 def correlation_entry(a: WeeklySeries, b: WeeklySeries, method: str) -> dict:
     """The correlations.json entry of series `a` and `b`; ValueError when they cannot be correlated."""
-    r = (spearman if method == "spearman" else pearson)(a, b)
-    return {"a": a.label, "b": b.label, "method": method, **r.entry()}
+    return {"a": a.label, "b": b.label, "method": method,
+            **(spearman if method == "spearman" else pearson)(a, b)}
 
 
 def _stage_correlate(cfg, root, serieses) -> None:

@@ -138,7 +138,8 @@ class ScenarioSpec:
             raise ValueError("duration must be positive")
         if not self.duration_s <= MAX_DURATION_S:
             raise ValueError(f"duration_s {self.duration_s:g} ends the scenario past 9999-12-31T23:59:59")
-        if not 1 <= self.telescope_addresses <= ADDRESS_SPACE:
+        # the telescope's block starts at TELESCOPE_BASE and must end within IPv4
+        if not 1 <= self.telescope_addresses <= ADDRESS_SPACE - TELESCOPE_BASE:
             raise ValueError("telescope size out of range")
         for ip in self.honeypot_sensors:
             ip_to_int(ip)
@@ -345,12 +346,8 @@ def _emit_rsdos(atk: AttackSpec, rng, n_addresses: int, rows: dict) -> None:
     ts += np.repeat(base, seen)
     net, plen = parse_prefix(atk.victim)
     rows["src"][:] = _victim_sources(rng, net, plen, len(ts))
-    dst = rng.integers(0, n_addresses, len(ts))
-    dst += TELESCOPE_BASE
-    if len(dst) and dst.max() > 0xFFFFFFFF:
-        raise ValueError(f"IPv4 int out of range: {int(dst.max())}")
-    rows["dst"][:] = dst
-    del dst
+    rows["dst"][:] = rng.integers(0, n_addresses, len(ts))
+    rows["dst"] += TELESCOPE_BASE
     rows["dst_port"][:] = rng.integers(1024, 65536, len(ts))
     rows["protocol"][:], rows["src_port"][:], rows["flags"][:] = 6, 80, FLAG_S | FLAG_A
 

@@ -2,6 +2,11 @@
 smoothing, regression-based trend classification, and rank/linear
 correlation with significance.
 
+A trend and a correlation are returned as the bundle entries they fill:
+`linreg_trend` gives a series' trends.json entry, and `pearson`, `spearman`
+and each quarter of `quarterly_correlations` the fields of a
+correlations.json entry.
+
 Missing weeks are None and are propagated, never imputed; correlation
 pairs samples by calendar week and skips nulls pairwise.
 """
@@ -10,7 +15,6 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Optional
 
@@ -24,55 +28,8 @@ TREND_CUTOFF = 0.05          # |net 4-year change| above this is a trend
 SIGNIFICANCE_LEVEL = 0.05
 
 _MARKERS = {"Increasing": "▲", "Steady": "◆", "Decreasing": "▼"}
-
-
-@dataclass(frozen=True)
-class TrendSummary:
-    """OLS trend of a normalized weekly series, classified on the net
-    change over four years (208 weeks)."""
-
-    slope: float
-    n: int
-
-    @property
-    def net_change_4y(self) -> float:
-        return self.slope * WEEKS_4Y
-
-    @property
-    def trend_class(self) -> str:
-        if self.net_change_4y > TREND_CUTOFF:
-            return "Increasing"
-        if self.net_change_4y < -TREND_CUTOFF:
-            return "Decreasing"
-        return "Steady"
-
-    @property
-    def marker(self) -> str:
-        return _MARKERS[self.trend_class]
-
-
-@dataclass(frozen=True)
-class CorrelationResult:
-    KEYS = ("rho", "p_value", "n", "significant")
-
-    rho: float
-    p_value: float
-    n: int
-
-    def __post_init__(self):
-        if not -1.0 <= self.rho <= 1.0:
-            raise ValueError(f"correlation out of range: {self.rho}")
-        if not 0.0 <= self.p_value <= 1.0:
-            raise ValueError(f"p-value out of range: {self.p_value}")
-
-    @property
-    def significant(self) -> bool:
-        return self.p_value <= SIGNIFICANCE_LEVEL
-
-    def entry(self) -> dict:
-        """`KEYS` with their values: the fields of a correlations.json entry and of a
-        `correlate` document, whose quarters without a result hold each key as null."""
-        return {key: getattr(self, key) for key in self.KEYS}
+# the fields of a correlation, which a `correlate --quarterly` quarter without one holds as null
+CORRELATION_KEYS = ("rho", "p_value", "n", "significant")
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +112,24 @@ def ewma(series: WeeklySeries, span: float = 12) -> WeeklySeries:
 # Trends
 # ---------------------------------------------------------------------------
 
-def linreg_trend(series: WeeklySeries) -> TrendSummary:
-    """Ordinary least-squares slope over the (week index, value) pairs of
-    the non-null weeks; needs at least two."""
+def linreg_trend(series: WeeklySeries) -> dict:
+    """The trends.json entry of `series`: the ordinary least-squares slope over
+    the (week index, value) pairs of its non-null weeks, which must be at least
+    two, and its class on the net change over four years (208 weeks)."""
     xs = [i for i, v in enumerate(series.values) if v is not None]
     if len(xs) < 2:
         raise ValueError(f"regression window holds {len(xs)} points; need >= 2")
     sxx, sxy, _ = _centred_sums(xs, [series.values[i] for i in xs])
-    if sxx == 0:
-        raise ValueError("regression window has zero index variance")
-    return TrendSummary(slope=sxy / sxx, n=len(xs))
+    slope = sxy / sxx
+    net_change = slope * WEEKS_4Y
+    if net_change > TREND_CUTOFF:
+        trend_class = "Increasing"
+    elif net_change < -TREND_CUTOFF:
+        trend_class = "Decreasing"
+    else:
+        trend_class = "Steady"
+    return {"slope_per_week": slope, "net_change_4y": net_change, "class": trend_class,
+            "marker": _MARKERS[trend_class], "weeks": len(xs)}
 
 
 def _centred_sums(xs: list, ys: list) -> tuple[float, float, float]:
@@ -201,8 +166,9 @@ def _ranks(xs: list[float]) -> list[float]:
     return (np.cumsum(counts) - (counts - 1) / 2.0)[group].tolist()
 
 
-def _correlate(xs: list[float], ys: list[float]) -> CorrelationResult:
-    """Product-moment correlation of `xs` and `ys`, with its t-test p-value."""
+def _correlate(xs: list[float], ys: list[float]) -> dict:
+    """Product-moment correlation of `xs` and `ys`, with its t-test p-value,
+    as `CORRELATION_KEYS` with their values."""
     n = len(xs)
     if n < 3:
         raise ValueError(f"{n} paired samples; need >= 3")
@@ -215,18 +181,21 @@ def _correlate(xs: list[float], ys: list[float]) -> CorrelationResult:
     if 1.0 - abs(rho) < 5e-15:
         rho = math.copysign(1.0, rho)
     if abs(rho) == 1.0:
-        return CorrelationResult(rho=rho, p_value=0.0, n=n)
-    t = rho * math.sqrt((n - 2) / (1.0 - rho * rho))
-    return CorrelationResult(rho=rho, p_value=t_pvalue_two_sided(t, n - 2), n=n)
+        p_value = 0.0
+    else:
+        p_value = t_pvalue_two_sided(rho * math.sqrt((n - 2) / (1.0 - rho * rho)), n - 2)
+    if not 0.0 <= p_value <= 1.0:
+        raise ValueError(f"p-value out of range: {p_value}")
+    return {"rho": rho, "p_value": p_value, "n": n, "significant": p_value <= SIGNIFICANCE_LEVEL}
 
 
-def pearson(a: WeeklySeries, b: WeeklySeries) -> CorrelationResult:
+def pearson(a: WeeklySeries, b: WeeklySeries) -> dict:
     """Product-moment correlation with a two-sided t-test p-value."""
     _, xs, ys = _paired(a, b)
     return _correlate(xs, ys)
 
 
-def spearman(a: WeeklySeries, b: WeeklySeries) -> CorrelationResult:
+def spearman(a: WeeklySeries, b: WeeklySeries) -> dict:
     """Rank correlation: ties get average ranks, rho is the product-moment
     correlation of the rank vectors, p-value from the t approximation
     (exactly 0 at rho = +-1)."""
@@ -238,7 +207,7 @@ def quarterly_correlations(
     a: WeeklySeries,
     b: WeeklySeries,
     method: str = "spearman",
-) -> list[tuple[date, Optional[CorrelationResult]]]:
+) -> list[tuple[date, Optional[dict]]]:
     """One correlation per calendar quarter, from the first week either
     series holds to the last, of the pairs `pearson` and `spearman` take.
 
@@ -251,7 +220,7 @@ def quarterly_correlations(
         return []
     weeks, xs, ys = _paired(a, b)
     quarters = [quarter_start(week) for week in weeks]
-    results: list[tuple[date, Optional[CorrelationResult]]] = []
+    results: list[tuple[date, Optional[dict]]] = []
     q, last_q = quarter_start(min(held)), quarter_start(max(held))
     while q <= last_q:
         lo, hi = bisect_left(quarters, q), bisect_right(quarters, q)

@@ -1,10 +1,21 @@
 import json
+import os
 import random
 from pathlib import Path
+from typing import Optional
 
+import ddoscope
 from ddoscope.model import US_PER_S, PrefixTable, format_prefix, parse_prefix
 
 from oracles import PacketRecord
+
+
+def child_env(env: Optional[dict] = None) -> dict:
+    """A copy of `env`, os.environ by default, with the directory this ddoscope is
+    imported from first on PYTHONPATH, so a child Python process imports the same one."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(ddoscope.__file__).parents[1]), env.get("PYTHONPATH")]))
+    return env
 
 
 def prefix_table(rows) -> PrefixTable:

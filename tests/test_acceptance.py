@@ -296,7 +296,7 @@ def test_c05_trend_oracles_10000_series():
         values = [rng.uniform(0, 10) for _ in range(n)]
         if len(set(values)) == 1:
             values[0] += 1.0
-        got = linreg_trend(series(values)).slope
+        got = linreg_trend(series(values))["slope_per_week"]
         want = oracle_slope(list(enumerate(values)))
         worst = max(worst, abs(got - want) / max(1.0, abs(want)))
     for _ in range(1500):
@@ -307,14 +307,14 @@ def test_c05_trend_oracles_10000_series():
             continue
         got = spearman(series(xs), series(ys))
         rho, p = oracle_spearman(xs, ys)
-        worst = max(worst, rel_err(got.rho, rho), rel_err(got.p_value, p))
+        worst = max(worst, rel_err(got["rho"], rho), rel_err(got["p_value"], p))
     for _ in range(1500):
         n = rng.randint(3, 80)
         xs = [rng.uniform(0, 50) for _ in range(n)]
         ys = [rng.uniform(0, 50) for _ in range(n)]
         got = pearson(series(xs), series(ys))
         rho, p = oracle_pearson(xs, ys)
-        worst = max(worst, rel_err(got.rho, rho), rel_err(got.p_value, p))
+        worst = max(worst, rel_err(got["rho"], rho), rel_err(got["p_value"], p))
     assert worst <= 1e-9
 
     # hand-computed examples, exact to stated precision
@@ -322,9 +322,9 @@ def test_c05_trend_oracles_10000_series():
     assert normalize(series(values)).values[-1] == 2.0
     assert ewma(series([0.0, 1.0]), 12).values[1] == pytest.approx(2 / 13, abs=1e-15)
     sp = spearman(series([1.0, 2, 3, 4, 5]), series([2.0, 1, 4, 3, 5]))
-    assert sp.rho == pytest.approx(0.8, abs=1e-12)
+    assert sp["rho"] == pytest.approx(0.8, abs=1e-12)
     pr = pearson(series([1.0, 2, 3]), series([1.0, 2, 4]))
-    assert round(pr.rho, 5) == 0.98198
+    assert round(pr["rho"], 5) == 0.98198
     report(5, worst <= 1e-9,
            f"10,000 randomized series matched oracles (worst rel err {worst:.2e} <= 1e-9); "
            "median->2.0, EWMA 2/13, rho 0.8, Pearson 0.98198 exact")
@@ -340,12 +340,12 @@ def test_c06_trend_classification():
     up = linreg_trend(synthetic(+0.10))
     flat = linreg_trend(series([1.0] * 209))
     down = linreg_trend(synthetic(-0.06))
-    ok = (up.trend_class, flat.trend_class, down.trend_class) == (
+    ok = (up["class"], flat["class"], down["class"]) == (
         "Increasing", "Steady", "Decreasing"
     )
     report(6, ok,
-           f"+10% -> {up.trend_class}, 0% -> {flat.trend_class}, "
-           f"-6% -> {down.trend_class}")
+           f"+10% -> {up['class']}, 0% -> {flat['class']}, "
+           f"-6% -> {down['class']}")
 
 
 # -- 7. UpSet partition law --------------------------------------------------------

@@ -19,7 +19,7 @@ from ddoscope.model import EPOCH, US_PER_DAY, US_PER_S, TargetTuple, keys_to_tup
 from ddoscope.ioformats import read_targets
 from ddoscope.schema import REQUIRED, ConfigError
 
-from conftest import FIRST_MONDAY, build_scenario, write_pipeline_fixture
+from conftest import FIRST_MONDAY, build_scenario, child_env, write_pipeline_fixture
 from oracles import batch_to_events, hash_targets
 
 
@@ -369,8 +369,7 @@ class TestAggregateCommand:
             f"tél,RA,203.0.113.5/32,0,{100 * US_PER_S},50,\n", encoding="utf-8")
         (tmp_path / "routed.csv").write_text("prefix,asn\n203.0.113.0/24,64500\n")
         (tmp_path / "alloc.csv").write_text("prefix,registry\n203.0.112.0/22,ripe\n")
-        src = str(Path(ddoscope.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        env = child_env()
         args = [sys.executable, "-m", "ddoscope.cli", "aggregate", "--routed", str(tmp_path / "routed.csv"),
                 "--alloc", str(tmp_path / "alloc.csv"), "--in", str(tmp_path / "attacks.csv")]
         ascii_only = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
@@ -406,6 +405,29 @@ class TestTrendsAndCorrelate:
         assert doc["label"] == "scope:RSDoS"
         assert doc["values"] == [1.0, 2.0, 3.0, 4.0]
         assert '"class"' in result.output and "Increasing" in result.output
+
+    def test_trends_takes_one_observatory_and_attack_type(self, runner, tmp_path):
+        week_us = 7 * 86_400 * US_PER_S
+        rows = ["observatory,attack_type,target,start_ts_us,end_ts_us,packets,sensors"]
+        for w in range(3):
+            rows.append(f"scope,RSDoS,203.0.113.1/32,{w * week_us},{w * week_us + US_PER_S},30,")
+            rows += [f"hop,RA,203.0.113.{k + 1}/32,{w * week_us},{w * week_us + US_PER_S},30,198.51.100.1"
+                     for k in range(2)]
+        attacks, series = tmp_path / "attacks.csv", tmp_path / "series.json"
+        attacks.write_text("\n".join(rows) + "\n")
+        for filters, message in (
+                ([], "multiple (observatory, attack type) combinations [('hop', 'RA'), ('scope', 'RSDoS')]; "
+                     "filter with --observatory/--attack-type"),
+                (["--observatory", "ixp"], "no events left after filtering"),
+                (["--observatory", "hop", "--attack-type", "RSDoS"], "no events left after filtering")):
+            result = runner.invoke(main, ["trends", "--in", str(attacks), "--out", str(series), *filters])
+            assert result.exit_code == 3, result.output
+            assert result.output.strip() == f"error: {message}"
+            assert not series.exists()
+        for observatory, label, values in (("scope", "scope:RSDoS", [1.0] * 3), ("hop", "hop:RA", [2.0] * 3)):
+            invoke(runner, ["trends", "--in", str(attacks), "--out", str(series), "--observatory", observatory])
+            doc = json.loads(series.read_text())
+            assert (doc["label"], doc["values"]) == (label, values)
 
     def test_correlate(self, runner, tmp_path):
         a = tmp_path / "a.json"
@@ -802,6 +824,46 @@ class TestPipelineCommand:
         assert generated == []
         out = tmp_path / "out"
         assert not out.exists() and hidden_siblings(out) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["observatories"][2].update(name="scope"), "observatory names must be unique"),
+        (lambda doc: doc["analysis"].update(confirm={"external": "hashes.txt"}),
+         "confirm needs both external file and salt"),
+        (lambda doc: doc["analysis"].update(confirm={"salt": "1f2e"}), "confirm needs both external file and salt"),
+        (lambda doc: doc.update(scenario="gone.json"), "scenario file not found: {}/gone.json"),
+        (lambda doc: doc.update(aggregate=True, routed="gone.csv", alloc="alloc.csv"),
+         "routed table file not found: {}/gone.csv"),
+        (lambda doc: doc.update(aggregate=True, routed="routed.csv", alloc="gone.csv"),
+         "allocation table file not found: {}/gone.csv"),
+        (lambda doc: doc["analysis"].update(confirm={"external": "gone.txt", "salt": "1f2e"}),
+         "external hashes file not found: {}/gone.txt"),
+        (lambda doc: doc.pop("scenario"), "observatory 'scope' has no inputs"),
+    ], ids=["names-unique", "confirm-no-salt", "confirm-no-external", "scenario-missing", "routed-missing",
+            "alloc-missing", "external-missing", "no-inputs-no-scenario"])
+    def test_config_refused_as_a_whole(self, runner, tmp_path, edit, message):
+        cfg_path = write_pipeline_fixture(tmp_path, weeks=1, normalize=False, ewma_span=None)
+        for name in ("routed.csv", "alloc.csv", "hashes.txt"):
+            (tmp_path / name).write_text("")
+        doc = json.loads(cfg_path.read_text())
+        edit(doc)
+        cfg_path.write_text(json.dumps(doc))
+        result = runner.invoke(main, ["pipeline", "--config", str(cfg_path)])
+        assert result.exit_code == 2, result.output
+        assert result.output.strip() == f"error: stage 'config': {message.format(tmp_path)}"
+        out = tmp_path / "out"
+        assert not out.exists() and hidden_siblings(out) == []
+
+    def test_input_that_globs_to_nothing_is_read_by_its_literal_name(self, runner, generated, tmp_path):
+        # "[1]" is a glob class that matches flows1.csv, not the file named flows[1].csv
+        (tmp_path / "flows[1].csv").write_bytes((generated / "flows.csv").read_bytes())
+        cfg_path = tmp_path / "pipeline.json"
+        for name, flows in (("literal", "flows[1].csv"), ("plain", str(generated / "flows.csv"))):
+            cfg_path.write_text(json.dumps({"out_dir": name, "observatories": [
+                {"name": "ixp", "type": "flow", "inputs": [flows]}]}))
+            invoke(runner, ["pipeline", "--config", str(cfg_path)])
+        assert [e.target for e in read_attacks(tmp_path / "literal" / "attacks_ixp.csv")] == ["203.0.113.11/32"]
+        assert (tmp_path / "literal" / "attacks_ixp.csv").read_bytes() == (
+            tmp_path / "plain" / "attacks_ixp.csv").read_bytes()
 
     def test_observatory_without_inputs_of_a_type_the_scenario_writes_no_file_for(self, runner, tmp_path):
         # a scenario without honeypot sensors writes no honeypot file for "hop" to read
@@ -1462,9 +1524,9 @@ class TestBlasThreads:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
-        env["PYTHONPATH"] = os.pathsep.join([str(Path(ddoscope.__file__).parents[1]), env.get("PYTHONPATH", "")])
         code = "import os, ddoscope.cli; print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(env), capture_output=True, text=True,
+                              timeout=60)
         assert done.returncode == 0, done.stderr
         return done.stdout.split()
 

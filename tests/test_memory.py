@@ -26,7 +26,7 @@ from ddoscope.model import dotted_quads
 from ddoscope.synth import AttackSpec, ScenarioSpec, generate, write_scenario
 from ddoscope.telescope import TelescopeConfig, backscatter_prefilter, detect_rsdos
 
-from conftest import write_pipeline_fixture
+from conftest import child_env, write_pipeline_fixture
 
 ROWS = 150_000
 T0_US = 1_704_067_200 * 10 ** 6     # 2024-01-01
@@ -161,6 +161,27 @@ class TestParsedRelease:
         assert alive == [("both", ["b.csv"]), ("later", ["b.csv"])]
         assert parsed == {} and all(ref() is None for ref in refs.values())
 
+    def test_a_batch_no_observatory_reads_is_gone_before_detection(self, inputs, tmp_path, monkeypatch):
+        # synth's packets of a file that no observatory reads, as its honeypot
+        # files are when a scenario's telescope is the only observatory
+        lines = (inputs / "honeypot.csv").read_text().splitlines(keepends=True)
+        read, unread = tmp_path / "read.csv", tmp_path / "unread.csv"
+        read.write_text("".join(lines[:2000]))
+        unread.write_text("".join(lines[:1] + lines[2000:4000]))
+        parsed = {(p.resolve(), None): read_packets(p) for p in (read, unread)}
+        refs = {p.name: weakref.ref(parsed[(p.resolve(), None)]) for p in (read, unread)}
+        alive = []
+
+        def detect(packets, definition, observatory):
+            alive.append(sorted(name for name, ref in refs.items() if ref() is not None))
+            return detect_honeypot(packets, definition, observatory)
+
+        monkeypatch.setattr(pipeline, "detect_honeypot", detect)
+        cfg = types.SimpleNamespace(observatories=[_honeypot("only", "hopscotch", [read])])
+        pipeline._stage_detect(cfg, tmp_path, parsed)
+        assert alive == [["read.csv"]]
+        assert parsed == {} and all(ref() is None for ref in refs.values())
+
 
 def test_a_normalizing_pipeline_run_does_not_import_numpy_ma(tmp_path):
     # np.median's first call imports numpy.ma; trends.normalize takes its median without it
@@ -170,7 +191,8 @@ def test_a_normalizing_pipeline_run_does_not_import_numpy_ma(tmp_path):
               f"try:\n    main(['pipeline', '--config', {str(cfg)!r}])\n"
               "except SystemExit as exc:\n    assert not exc.code, exc.code\n"
               "print('numpy.ma' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True,
+                            check=True)
     # some series was normalized
     assert any("class" in entry for entry in json.loads((tmp_path / "out" / "trends.json").read_text()).values())
     assert result.stdout.split()[-1] == "False"

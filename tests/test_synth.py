@@ -85,6 +85,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError, match="^the attacks plan 7.5e[+]07 packet rows"):
             scenario([rsdos(rate=1e8 / 300)], n_addresses=2 ** 32 - 2 ** 30)
 
+    def test_the_telescope_block_ends_within_ipv4(self):
+        # the block starts at 10.0.0.0, so it holds at most 2^32 - 2^27 - 2^25 addresses,
+        # and a telescope that size generates for every seed
+        at_bound = ADDRESS_SPACE - TELESCOPE_BASE
+        assert at_bound == 4_127_195_136
+        for seed in range(40):
+            dst = generate(scenario([rsdos(rate=20 / 300)], seed=seed, n_addresses=at_bound)).telescope_packets.dst
+            assert len(dst) and TELESCOPE_BASE <= int(dst.min())
+        for n in (0, at_bound + 1, 2 ** 32 - 2 ** 26, ADDRESS_SPACE):
+            with pytest.raises(ValueError, match="^telescope size out of range$"):
+                scenario([rsdos(rate=20 / 300)], n_addresses=n)
+
     def test_packet_bytes_fit_packets_csv(self):
         assert rsdos(packet_bytes=MAX_PACKET_BYTES).packet_bytes == 999_999_999
         with pytest.raises(ValueError, match="^packet_bytes 1000000000 above 999999999$"):

@@ -180,21 +180,21 @@ class TestEwma:
 class TestLinregTrend:
     def test_flat_is_steady(self):
         t = linreg_trend(series([1.0] * 30))
-        assert t.slope == 0.0 and t.trend_class == "Steady"
+        assert t["slope_per_week"] == 0.0 and t["class"] == "Steady"
 
     def test_exact_line_increasing(self):
         t = linreg_trend(series([1 + 0.001 * i for i in range(209)]))
-        assert t.slope == pytest.approx(0.001, rel=1e-12)
-        assert t.net_change_4y == pytest.approx(0.208, rel=1e-12)
-        assert t.trend_class == "Increasing" and t.marker == "▲"
+        assert t["slope_per_week"] == pytest.approx(0.001, rel=1e-12)
+        assert t["net_change_4y"] == pytest.approx(0.208, rel=1e-12)
+        assert t["class"] == "Increasing" and t["marker"] == "▲"
 
     def test_exact_line_decreasing(self):
         t = linreg_trend(series([1 - 0.0005 * i for i in range(209)]))
-        assert t.net_change_4y == pytest.approx(-0.104, rel=1e-12)
-        assert t.trend_class == "Decreasing" and t.marker == "▼"
+        assert t["net_change_4y"] == pytest.approx(-0.104, rel=1e-12)
+        assert t["class"] == "Decreasing" and t["marker"] == "▼"
 
     def test_minimum_points(self):
-        assert linreg_trend(series([1.0, None, 4.0, None])).slope == pytest.approx(1.5)
+        assert linreg_trend(series([1.0, None, 4.0, None]))["slope_per_week"] == pytest.approx(1.5)
         with pytest.raises(ValueError, match=r"^regression window holds 1 points; need >= 2$"):
             linreg_trend(series([8.0]))
         with pytest.raises(ValueError, match=r"^regression window holds 1 points; need >= 2$"):
@@ -206,22 +206,22 @@ class TestLinregTrend:
             values = [rng.uniform(0.5, 3) for _ in range(40)]
             s = normalize(series(values))
             again = normalize(s)
-            assert linreg_trend(s).trend_class == linreg_trend(again).trend_class
+            assert linreg_trend(s)["class"] == linreg_trend(again)["class"]
 
 
 class TestSpearman:
     def test_identity_and_reversal(self):
         a = series([float(i) for i in range(10)])
         b = series([float(9 - i) for i in range(10)])
-        assert spearman(a, a).rho == 1.0
-        assert spearman(a, a).p_value == 0.0
-        assert spearman(a, b).rho == -1.0
+        assert spearman(a, a)["rho"] == 1.0
+        assert spearman(a, a)["p_value"] == 0.0
+        assert spearman(a, b)["rho"] == -1.0
 
     def test_hand_computed_rho(self):
         a = series([1.0, 2.0, 3.0, 4.0, 5.0])
         b = series([2.0, 1.0, 4.0, 3.0, 5.0])
         r = spearman(a, b)
-        assert r.rho == pytest.approx(0.8, abs=1e-12)
+        assert r["rho"] == pytest.approx(0.8, abs=1e-12)
 
     def test_constant_errors(self):
         with pytest.raises(ValueError, match="constant"):
@@ -238,13 +238,13 @@ class TestSpearman:
                 series([math.exp(x / 3) for x in xs]),
                 series([5.0 + 2.0 * y for y in ys]),
             )
-            assert base.rho == warped.rho
-            assert base.p_value == warped.p_value
+            assert base["rho"] == warped["rho"]
+            assert base["p_value"] == warped["p_value"]
 
     def test_nulls_skipped_pairwise(self):
         a = series([1.0, None, 3.0, 4.0, 5.0])
         b = series([1.0, 2.0, None, 4.0, 5.0])
-        assert spearman(a, b).n == 3
+        assert spearman(a, b)["n"] == 3
 
     @pytest.mark.parametrize("b, pairs", [([2.0, None, 4.0], 2), ([None, None, None], 0)])
     def test_fewer_than_three_pairs(self, b, pairs):
@@ -254,24 +254,24 @@ class TestSpearman:
     def test_significance_threshold(self):
         # monotone 6-point series: rho 1, p 0; weak 4-point: insignificant
         strong = spearman(series([1.0, 2, 3, 4, 5, 6]), series([2.0, 3, 5, 7, 8, 9]))
-        assert strong.significant
+        assert strong["significant"]
         weak = spearman(series([1.0, 2, 3, 4]), series([2.0, 1, 4, 3]))
-        assert not weak.significant
+        assert not weak["significant"]
 
 
 class TestPearson:
     def test_exact_correlations(self):
         a = series([1.0, 2.0, 3.0])
-        assert pearson(a, a).rho == pytest.approx(1.0, abs=1e-14)
+        assert pearson(a, a)["rho"] == pytest.approx(1.0, abs=1e-14)
         # series values are non-negative, so negate via an affine flip
         neg = series([10.0 - v for v in (1.0, 2.0, 3.0)])
-        assert pearson(a, neg).rho == pytest.approx(-1.0, abs=1e-14)
-        assert pearson(a, neg).p_value == pytest.approx(0.0, abs=1e-12)
+        assert pearson(a, neg)["rho"] == pytest.approx(-1.0, abs=1e-14)
+        assert pearson(a, neg)["p_value"] == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_computed_example(self):
         r = pearson(series([1.0, 2.0, 3.0]), series([1.0, 2.0, 4.0]))
-        assert r.rho == pytest.approx(0.9819805060619657, abs=1e-9)
-        assert round(r.rho, 5) == 0.98198
+        assert r["rho"] == pytest.approx(0.9819805060619657, abs=1e-9)
+        assert round(r["rho"], 5) == 0.98198
 
 
 class TestOracleEquivalence:
@@ -304,7 +304,7 @@ class TestOracleEquivalence:
             values = [rng.uniform(0, 10) for _ in range(n)]
             if len(set(values)) == 1:
                 values[0] += 1.0
-            got = linreg_trend(series(values)).slope
+            got = linreg_trend(series(values))["slope_per_week"]
             want = oracle_slope(list(enumerate(values)))
             assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
 
@@ -318,8 +318,8 @@ class TestOracleEquivalence:
                 continue
             got = spearman(series(xs), series(ys))
             rho, p = oracle_spearman(xs, ys)
-            assert rel_err(got.rho, rho) <= 1e-9
-            assert rel_err(got.p_value, p) <= 1e-9
+            assert rel_err(got["rho"], rho) <= 1e-9
+            assert rel_err(got["p_value"], p) <= 1e-9
 
     def test_pearson_vs_scipy(self):
         rng = random.Random(104)
@@ -329,8 +329,8 @@ class TestOracleEquivalence:
             ys = [rng.uniform(0, 50) for _ in range(n)]
             got = pearson(series(xs), series(ys))
             rho, p = oracle_pearson(xs, ys)
-            assert rel_err(got.rho, rho) <= 1e-9
-            assert rel_err(got.p_value, p) <= 1e-9
+            assert rel_err(got["rho"], rho) <= 1e-9
+            assert rel_err(got["p_value"], p) <= 1e-9
 
     def test_t_pvalue_vs_scipy(self):
         rng = random.Random(105)
@@ -353,7 +353,7 @@ class TestQuarterly:
         results = quarterly_correlations(s, s)
         assert len(results) == 4
         for _, r in results:
-            assert r is not None and r.rho == 1.0
+            assert r is not None and r["rho"] == 1.0
 
     def test_18_quarters_over_4_5_years(self):
         rng = random.Random(9)
